@@ -144,29 +144,6 @@ def prepare_clusters(data: BenchmarkData, k: int, seed: int,
     return clustering.kmeans_fit(train_points, k=k, seed=seed, n_init=n_init)
 
 
-def make_ridge_objective(data: BenchmarkData, model: clustering.ClusterModel,
-                         master_seed: int, ridge_lambda: float = 1e-3,
-                         eval_split: str = SPLIT_VAL) -> search.Objective:
-    """Trial evaluator: build the mixture, fit ridge, score on ``eval_split``."""
-    features = data.features.data.astype(np.float64)
-    train_idx = data.train_indices
-
-    def objective(trial_id: int, weights: np.ndarray) -> search.TrialEvaluation:
-        rng = search.trial_rng(master_seed, trial_id, search.STREAM_MIXTURE)
-        local = search.build_mixture(model.assignments, weights, rng)
-        global_mix = search.MixtureIndex(
-            per_cluster={c: train_idx[idx] for c, idx in local.per_cluster.items()},
-            counts=local.counts, total=local.total)
-        fitted = trainers.train_ridge(global_mix, data.windows, features, ridge_lambda)
-        metrics = trainers.evaluate(fitted, data.windows, eval_split, features)
-        return search.TrialEvaluation(
-            objective=metrics.avg_mse, n_mix=local.total,
-            per_target_mse=metrics.per_target_mse,
-            per_target_mae=metrics.per_target_mae)
-
-    return objective
-
-
 def signal_cluster_mask(data: BenchmarkData,
                         model: clustering.ClusterModel) -> np.ndarray:
     """Majority vote: a cluster is a signal cluster when most of its members
@@ -196,7 +173,9 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
                                   window_length=window_length)
     model = prepare_clusters(data, k=n_regimes, seed=master_seed,
                              n_init=kmeans_restarts)
-    objective = make_ridge_objective(data, model, master_seed)
+    objective = trainers.make_objective(
+        trainers.TrainConfig(), data.windows, data.features.data.astype(np.float64),
+        data.train_indices, model.assignments, master_seed)
     config = search.StudyConfig(n_trials=n_trials, k=model.k, jobs=jobs,
                                 sampler=sampler, seed=master_seed)
     study = search.run_study(config, objective)
@@ -220,9 +199,11 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
 def evaluate_weights_on_test(outcome: BenchmarkOutcome,
                              weights: np.ndarray, trial_tag: int = -2) -> float:
     """Average test MSE of a ridge model trained on the mixture for ``weights``."""
-    objective = make_ridge_objective(outcome.data, outcome.cluster_model,
-                                     outcome.study.sampler_config["seed"],
-                                     eval_split=SPLIT_TEST)
+    data = outcome.data
+    objective = trainers.make_objective(
+        trainers.TrainConfig(), data.windows, data.features.data.astype(np.float64),
+        data.train_indices, outcome.cluster_model.assignments,
+        outcome.study.sampler_config["seed"], split=SPLIT_TEST)
     return objective(trial_tag, weights).objective
 
 

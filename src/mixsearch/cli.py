@@ -151,18 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_config_overrides(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Apply key=value pairs from --config on top of the parsed flags."""
+    """Apply key=value pairs from --config on top of the parsed flags.
+
+    Values go through their option's own argparse conversion and choices;
+    a flag that takes no value reads a boolean word instead.
+    """
     if not getattr(args, "config", None):
         return
     path = Path(args.config)
     if not path.exists():
         raise PipelineError(f"config file not found: {path}")
-    coercers = {
-        "ewma_spans": _int_list, "test_profiles": _int_list,
-        "val_profiles": _int_list, "fractions": _float_list,
-        "input_cols": _str_list, "target_cols": _str_list,
-        "out": Path,
-    }
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    subparser = subparsers.choices[args.command]
+    actions = {a.dest: a for a in subparser._actions}
     for line_no, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -171,19 +173,16 @@ def apply_config_overrides(args: argparse.Namespace, parser: argparse.ArgumentPa
             raise PipelineError(f"{path}: line {line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(dest)
+        if action is None or not hasattr(args, dest):
             raise PipelineError(f"{path}: line {line_no}: unknown option {key!r}")
-        current = getattr(args, dest)
-        if dest in coercers:
-            coerced = coercers[dest](value)
-        elif isinstance(current, bool):
+        if action.nargs == 0:
             coerced = value.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            coerced = int(value)
-        elif isinstance(current, float):
-            coerced = float(value)
         else:
-            coerced = value
+            try:
+                coerced = subparser._get_values(action, [value])
+            except argparse.ArgumentError as exc:
+                raise PipelineError(f"{path}: line {line_no}: {exc}") from None
         setattr(args, dest, coerced)
 
 
@@ -244,9 +243,9 @@ def dispatch(argv: list[str]) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    apply_config_overrides(args, parser)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                         format="%(levelname)s %(name)s: %(message)s")
-    apply_config_overrides(args, parser)
     out = Path(args.out)
 
     if args.command == "preprocess":

@@ -22,7 +22,6 @@ from . import __version__, clustering, embedding, report, search, trainers
 from .dataset import (
     SPLIT_TEST,
     SPLIT_TRAIN,
-    SPLIT_VAL,
     DatasetError,
     SplitSpec,
     WindowSet,
@@ -305,45 +304,16 @@ def stage_cluster(out_dir: Path, seed: int, force: bool, k: int,
     manifest.save(out_dir)
 
 
-def _make_objective(windows: WindowSet, features: np.ndarray,
-                    train_idx: np.ndarray, assignments: np.ndarray,
-                    train_config: trainers.TrainConfig,
-                    protocol: trainers.ExternalProtocol | None,
-                    master_seed: int, out_dir: Path,
-                    eval_split: str = SPLIT_VAL) -> search.Objective:
-    def objective(trial_id: int, weights: np.ndarray) -> search.TrialEvaluation:
-        rng = search.trial_rng(master_seed, trial_id, search.STREAM_MIXTURE)
-        local = search.build_mixture(assignments, weights, rng)
-        mixture = search.MixtureIndex(
-            per_cluster={c: train_idx[i] for c, i in local.per_cluster.items()},
-            counts=local.counts, total=local.total)
-        if train_config.trainer == trainers.TRAINER_RIDGE:
-            model = trainers.train_ridge(mixture, windows, features,
-                                         train_config.ridge_lambda)
-            metrics = trainers.evaluate(model, windows, eval_split, features)
-        elif train_config.trainer == trainers.TRAINER_PATCH_NET:
-            trial_config = trainers.TrainConfig(
-                **{**train_config.to_dict(),
-                   "seed": search.trial_seed_int(master_seed, trial_id,
-                                                 search.STREAM_TRAINER)})
-            model = trainers.train_patch_net(mixture, windows, trial_config)
-            metrics = trainers.evaluate(model, windows, eval_split)
-        else:
-            handoff = out_dir / "external" / f"trial_{trial_id:05d}"
-            metrics = trainers.external_trainer_invoke(mixture, windows, protocol,
-                                                       train_config, handoff)
-        return search.TrialEvaluation(
-            objective=metrics.avg_mse, n_mix=local.total,
-            per_target_mse=metrics.per_target_mse,
-            per_target_mae=metrics.per_target_mae)
-
-    return objective
-
-
 def stage_search(out_dir: Path, seed: int, force: bool, trials: int, jobs: int,
                  sampler: str, train_config: trainers.TrainConfig,
                  external_cmd: str | None, external_timeout: float,
                  expected_k: int | None = None) -> None:
+    protocol = None
+    if train_config.trainer == trainers.TRAINER_EXTERNAL:
+        if not external_cmd:
+            raise PipelineError("--trainer external needs --external-cmd")
+        protocol = trainers.ExternalProtocol(command=shlex.split(external_cmd),
+                                             timeout_s=external_timeout)
     manifest = open_manifest(out_dir, seed, "search", force)
     windows = _load_windows(out_dir, manifest)
     matrix = _load_embeddings(out_dir, manifest, len(windows))
@@ -355,15 +325,10 @@ def stage_search(out_dir: Path, seed: int, force: bool, trials: int, jobs: int,
             f"--k {expected_k} does not match the clustered k={k}; "
             f"re-run the cluster stage if you want a different search space")
 
-    protocol = None
-    if train_config.trainer == trainers.TRAINER_EXTERNAL:
-        if not external_cmd:
-            raise PipelineError("--trainer external needs --external-cmd")
-        protocol = trainers.ExternalProtocol(command=shlex.split(external_cmd),
-                                             timeout_s=external_timeout)
-
-    objective = _make_objective(windows, features, train_idx, assignments,
-                                train_config, protocol, seed, out_dir)
+    objective = trainers.make_objective(train_config, windows, features,
+                                        train_idx, assignments, seed,
+                                        protocol=protocol,
+                                        handoff_root=out_dir / "external")
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
                                 seed=seed, trial_log=out_dir / "trials.jsonl")
     result = search.run_study(config, objective)
@@ -398,35 +363,20 @@ def stage_search(out_dir: Path, seed: int, force: bool, trials: int, jobs: int,
 
 def stage_sweep(out_dir: Path, seed: int, force: bool, fractions: list[float],
                 train_config: trainers.TrainConfig) -> None:
+    if train_config.trainer == trainers.TRAINER_EXTERNAL:
+        raise PipelineError("size sweep supports the ridge and patch-net trainers")
     manifest = open_manifest(out_dir, seed, "sweep", force)
     windows = _load_windows(out_dir, manifest)
     matrix = _load_embeddings(out_dir, manifest, len(windows))
     features = matrix.data.astype(np.float64)
     train_idx = windows.split_indices(SPLIT_TRAIN)
 
-    if train_config.trainer == trainers.TRAINER_RIDGE:
-        def train_fn(subset: np.ndarray):
-            mixture = search.MixtureIndex(
-                per_cluster={0: train_idx[subset]},
-                counts=np.array([subset.size]), total=int(subset.size))
-            return trainers.train_ridge(mixture, windows, features,
-                                        train_config.ridge_lambda)
+    def score(subset: np.ndarray) -> float:
+        return trainers.fit_and_evaluate(train_config, windows, features,
+                                         train_idx[subset], SPLIT_TEST,
+                                         train_config.seed).avg_mse
 
-        def eval_fn(model) -> float:
-            return trainers.evaluate(model, windows, SPLIT_TEST, features).avg_mse
-    elif train_config.trainer == trainers.TRAINER_PATCH_NET:
-        def train_fn(subset: np.ndarray):
-            mixture = search.MixtureIndex(
-                per_cluster={0: train_idx[subset]},
-                counts=np.array([subset.size]), total=int(subset.size))
-            return trainers.train_patch_net(mixture, windows, train_config)
-
-        def eval_fn(model) -> float:
-            return trainers.evaluate(model, windows, SPLIT_TEST).avg_mse
-    else:
-        raise PipelineError("size sweep supports the ridge and patch-net trainers")
-
-    rows = report.run_size_sweep(fractions, seed, train_fn, eval_fn, train_idx.size)
+    rows = report.run_size_sweep(fractions, seed, score, train_idx.size)
     payload = {"schema_version": 1,
                "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
                         for f, n, m in rows]}

@@ -112,15 +112,15 @@ def emit_reports(study: StudyResult, model: ClusterModel,
                         sweep_rows=sweep_rows, summary=summary, paths=paths)
 
 
-def run_size_sweep(fractions: list[float], seed: int, train_fn, eval_fn,
+def run_size_sweep(fractions: list[float], seed: int, score_fn,
                    n_train: int) -> list[tuple[float, int, float]]:
     """Test MSE of the proxy trained on uniform random subsets of the
     training windows, one row per fraction.
 
-    ``train_fn(indices)`` trains on the given training-window positions and
-    ``eval_fn(model)`` returns the test metric.  Fraction 1.0 is required
-    and uses every window, so it reproduces the full-data baseline exactly
-    under the same seed.
+    ``score_fn(positions)`` trains on the given positions in
+    ``[0, n_train)`` of the training windows and returns the test metric.
+    Fraction 1.0 is required and uses every window, so it reproduces the
+    full-data baseline exactly under the same seed.
     """
     fractions = [float(f) for f in fractions]
     if any(not 0.0 < f <= 1.0 for f in fractions):
@@ -137,8 +137,7 @@ def run_size_sweep(fractions: list[float], seed: int, train_fn, eval_fn,
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
             subset = np.sort(rng.choice(n_train, size=n_sub, replace=False))
-        model = train_fn(subset)
-        mse = float(eval_fn(model))
+        mse = float(score_fn(subset))
         rows.append((fraction, int(n_sub), mse))
         logger.info("sweep fraction %.3f: %d windows, test mse %.6g",
                     fraction, n_sub, mse)

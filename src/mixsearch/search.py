@@ -76,18 +76,14 @@ def trial_seed_int(master_seed: int, trial_id: int, stream: int) -> int:
 
 @dataclass
 class MixtureIndex:
-    """Selected window indices per cluster for one trial."""
+    """One trial's selected member positions, grouped by ascending cluster id."""
 
-    per_cluster: dict[int, np.ndarray]
-    counts: np.ndarray  # (k,) int64, n_k per cluster
-    total: int
+    indices: np.ndarray  # (total,) int64, each cluster's members sorted
+    counts: np.ndarray   # (k,) int64, n_k per cluster
 
     @property
-    def indices(self) -> np.ndarray:
-        parts = [self.per_cluster[c] for c in sorted(self.per_cluster)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+    def total(self) -> int:
+        return int(self.counts.sum())
 
 
 def round_half_up(x: float) -> int:
@@ -115,22 +111,19 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
     sizes = np.bincount(assignments, minlength=k)
     counts = np.array([round_half_up(sizes[c] * weights[c]) for c in range(k)],
                       dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
+    if not counts.any():
         raise EmptyMixtureError("all per-cluster counts rounded to zero")
 
-    per_cluster: dict[int, np.ndarray] = {}
+    parts = []
     for c in range(k):
         members = np.flatnonzero(assignments == c)
         n_c = int(counts[c])
         if n_c == 0:
-            per_cluster[c] = np.empty(0, dtype=np.int64)
-        elif n_c == members.size:
-            per_cluster[c] = members.astype(np.int64)
-        else:
-            chosen = rng.choice(members, size=n_c, replace=False)
-            per_cluster[c] = np.sort(chosen).astype(np.int64)
-    return MixtureIndex(per_cluster=per_cluster, counts=counts, total=total)
+            continue
+        if n_c < members.size:
+            members = np.sort(rng.choice(members, size=n_c, replace=False))
+        parts.append(members)
+    return MixtureIndex(indices=np.concatenate(parts), counts=counts)
 
 
 # ---------------------------------------------------------------------------

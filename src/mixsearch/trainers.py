@@ -1,15 +1,18 @@
 """Proxy forecasters trained per trial under a fixed token budget.
 
-Three trainer kinds share one contract: fit on the mixture's training
-windows, predict each window's target vector at its final timestep, and
-report validation metrics.
+Every trial takes one path: :func:`fit_and_evaluate` trains the configured
+proxy on an array of window indices and scores its last-timestep
+predictions on the val or test split, and :func:`make_objective` turns
+per-cluster weights into that index array for the weight search.  Search,
+size sweep and the synthetic benchmark all call these two.  Trainer kinds:
 
 * ridge: closed-form regression from per-window feature vectors; fully
   deterministic, the fast path for weight search.
 * patch-net: a small patch-embedding network trained with Adam under the
   token budget (a token is one patch passed through the model); gradients
   are hand-derived and checked against finite differences in the tests.
-* external: a subprocess protocol so a full-scale model can stand in.
+* external: a subprocess protocol so a full-scale model can stand in; it
+  reports its own metrics.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import search
 from .dataset import SPLIT_TEST, SPLIT_VAL, WindowSet
-from .search import MixtureIndex
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -74,18 +77,7 @@ class TrainConfig:
             raise TrainerError("ridge penalty must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "trainer": self.trainer,
-            "token_budget": self.token_budget,
-            "batch_size": self.batch_size,
-            "peak_lr": self.peak_lr,
-            "warmup_fraction": self.warmup_fraction,
-            "patch_len": self.patch_len,
-            "embed_dim": self.embed_dim,
-            "hidden_width": self.hidden_width,
-            "ridge_lambda": self.ridge_lambda,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -132,7 +124,7 @@ class RidgeModel:
         return np.asarray(features, dtype=np.float64) @ self.coef + self.intercept
 
 
-def train_ridge(mixture: MixtureIndex, windows: WindowSet,
+def train_ridge(idx: np.ndarray, windows: WindowSet,
                 features: np.ndarray, lam: float) -> RidgeModel:
     """Closed-form ridge from feature vectors to last-timestep targets.
 
@@ -143,7 +135,6 @@ def train_ridge(mixture: MixtureIndex, windows: WindowSet,
     """
     if lam <= 0.0:
         raise TrainerError("ridge penalty must be > 0")
-    idx = mixture.indices
     if idx.size == 0:
         raise TrainerError("mixture is empty")
     x = np.asarray(features, dtype=np.float64)[idx]
@@ -252,7 +243,7 @@ def patch_net_loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     return loss, grads
 
 
-def train_patch_net(mixture: MixtureIndex, windows: WindowSet,
+def train_patch_net(idx: np.ndarray, windows: WindowSet,
                     config: TrainConfig) -> PatchNetModel:
     """Adam-train the patch network on the mixture under the token budget.
 
@@ -261,7 +252,6 @@ def train_patch_net(mixture: MixtureIndex, windows: WindowSet,
     window) reaches the budget, so consumption overshoots by less than one
     batch.  The learning-rate schedule spans exactly that planned step count.
     """
-    idx = mixture.indices
     if idx.size == 0:
         raise TrainerError("mixture is empty")
     w = windows.window_length
@@ -346,21 +336,18 @@ def train_patch_net(mixture: MixtureIndex, windows: WindowSet,
 # Evaluation
 
 def evaluate(model, windows: WindowSet, split: str,
-             features: np.ndarray | None = None) -> TrialMetrics:
+             inputs: np.ndarray) -> TrialMetrics:
     """Per-target MSE/MAE of last-timestep predictions on the val or test
-    split.  Training windows are never read here."""
+    split.  ``inputs`` holds the model's input for every window (features
+    for ridge, ``windows.inputs`` for patch-net); only the split's rows are
+    read, never the training windows."""
     if split not in (SPLIT_VAL, SPLIT_TEST):
         raise TrainerError(f"evaluate only runs on val or test, got {split!r}")
     mask = windows.split_mask(split)
     if not mask.any():
         raise TrainerError(f"split {split!r} is empty")
     y = windows.targets[mask][:, -1, :]
-    if isinstance(model, RidgeModel):
-        if features is None:
-            raise TrainerError("ridge evaluation needs the per-window feature matrix")
-        pred = model.predict(np.asarray(features, dtype=np.float64)[mask])
-    else:
-        pred = model.predict(windows.inputs[mask])
+    pred = model.predict(inputs[mask])
 
     err = pred - y
     mse = np.mean(err * err, axis=0)
@@ -400,7 +387,7 @@ class ExternalProtocol:
             raise TrainerError("timeout must be positive")
 
 
-def external_trainer_invoke(mixture: MixtureIndex, windows: WindowSet,
+def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
                             protocol: ExternalProtocol, config: TrainConfig,
                             handoff_dir: str | Path) -> TrialMetrics:
     """Write the handoff files, run the command, read back metrics.json.
@@ -410,7 +397,6 @@ def external_trainer_invoke(mixture: MixtureIndex, windows: WindowSet,
     """
     handoff = Path(handoff_dir)
     handoff.mkdir(parents=True, exist_ok=True)
-    idx = mixture.indices
     with (handoff / "mixture.csv").open("w") as fh:
         fh.write("window_index\n")
         for i in idx:
@@ -474,3 +460,54 @@ def _parse_external_metrics(payload: dict, target_names: list[str]) -> TrialMetr
         tokens_consumed=int(payload.get("tokens_consumed", 0)),
         epochs_run=int(payload.get("epochs_run", 0)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Trial path
+
+def fit_and_evaluate(config: TrainConfig, windows: WindowSet,
+                     features: np.ndarray, idx: np.ndarray, split: str,
+                     seed: int, protocol: ExternalProtocol | None = None,
+                     handoff_dir: str | Path | None = None) -> TrialMetrics:
+    """Train ``config.trainer`` on the windows ``idx`` and score it on ``split``.
+
+    ``seed`` seeds patch-net training; ridge is deterministic.  The external
+    trainer receives ``config`` unchanged in ``handoff_dir`` and reports its
+    own metrics, so ``split`` and ``seed`` do not reach it.
+    """
+    if config.trainer == TRAINER_EXTERNAL:
+        return external_trainer_invoke(idx, windows, protocol, config, handoff_dir)
+    if config.trainer == TRAINER_RIDGE:
+        model = train_ridge(idx, windows, features, config.ridge_lambda)
+        return evaluate(model, windows, split, features)
+    model = train_patch_net(idx, windows, replace(config, seed=seed))
+    return evaluate(model, windows, split, windows.inputs)
+
+
+def make_objective(config: TrainConfig, windows: WindowSet, features: np.ndarray,
+                   train_idx: np.ndarray, assignments: np.ndarray,
+                   master_seed: int, split: str = SPLIT_VAL,
+                   protocol: ExternalProtocol | None = None,
+                   handoff_root: str | Path | None = None) -> search.Objective:
+    """Trial evaluator for :func:`search.run_study`.
+
+    ``assignments[i]`` is the cluster of window ``train_idx[i]``.  Trial
+    ``t`` draws its mixture and patch-net seed from independent streams of
+    ``master_seed``; an external trainer hands off in
+    ``handoff_root/trial_<t:05d>``.
+    """
+    def objective(trial_id: int, weights: np.ndarray) -> search.TrialEvaluation:
+        rng = search.trial_rng(master_seed, trial_id, search.STREAM_MIXTURE)
+        mixture = search.build_mixture(assignments, weights, rng)
+        handoff = (None if handoff_root is None
+                   else Path(handoff_root) / f"trial_{trial_id:05d}")
+        metrics = fit_and_evaluate(
+            config, windows, features, train_idx[mixture.indices], split,
+            search.trial_seed_int(master_seed, trial_id, search.STREAM_TRAINER),
+            protocol, handoff)
+        return search.TrialEvaluation(
+            objective=metrics.avg_mse, n_mix=mixture.total,
+            per_target_mse=metrics.per_target_mse,
+            per_target_mae=metrics.per_target_mae)
+
+    return objective

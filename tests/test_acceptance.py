@@ -20,7 +20,6 @@ from mixsearch.clustering import kmeans_fit
 from mixsearch.dataset import SplitSpec, apply_scaler, derive_ewma, fit_scaler
 from mixsearch.dataset import expected_window_count, make_windows, split_by_profile
 from mixsearch.search import (
-    MixtureIndex,
     ParzenDensity,
     StudyConfig,
     TrialEvaluation,
@@ -281,10 +280,8 @@ class TestCriterion10ExternalProtocol:
         kinds = ["ok", "crash", "ok", "malformed", "ok"]
 
         def objective(trial_id, weights):
-            mixture = MixtureIndex(per_cluster={0: np.arange(30)},
-                                   counts=np.array([30]), total=30)
             metrics = external_trainer_invoke(
-                mixture, windows, protocols[kinds[trial_id]],
+                np.arange(30), windows, protocols[kinds[trial_id]],
                 TrainConfig(trainer="external"),
                 tmp_path / f"handoff_{trial_id}")
             return TrialEvaluation(metrics.avg_mse, 30, metrics.per_target_mse,

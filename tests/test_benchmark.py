@@ -4,8 +4,7 @@ import pytest
 from mixsearch import benchmark
 from mixsearch.dataset import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL
 from mixsearch.report import run_size_sweep
-from mixsearch.search import MixtureIndex
-from mixsearch.trainers import evaluate, train_ridge
+from mixsearch.trainers import TrainConfig, fit_and_evaluate
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +61,13 @@ class TestOutcome:
         features = data.features.data.astype(np.float64)
         train_idx = data.train_indices
 
-        def train_fn(subset):
-            mixture = MixtureIndex(per_cluster={0: train_idx[subset]},
-                                   counts=np.array([subset.size]),
-                                   total=int(subset.size))
-            return train_ridge(mixture, data.windows, features, 1e-3)
+        def score_fn(subset):
+            return fit_and_evaluate(TrainConfig(ridge_lambda=1e-3), data.windows,
+                                    features, train_idx[subset], SPLIT_TEST,
+                                    seed=0).avg_mse
 
-        def eval_fn(model):
-            return evaluate(model, data.windows, SPLIT_TEST, features).avg_mse
-
-        rows = run_size_sweep([0.25, 0.5, 0.75, 1.0], seed=0, train_fn=train_fn,
-                              eval_fn=eval_fn, n_train=train_idx.size)
+        rows = run_size_sweep([0.25, 0.5, 0.75, 1.0], seed=0, score_fn=score_fn,
+                              n_train=train_idx.size)
         assert all(optimized_test_mse < mse for _, _, mse in rows), (
             optimized_test_mse, rows)
 

@@ -1,11 +1,15 @@
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixsearch
 from mixsearch import benchmark, pipeline
 from mixsearch.cli import build_parser, main
 from mixsearch.trainers import TrainConfig
@@ -27,13 +31,35 @@ def raw_csv(tmp_path_factory):
     return path, schema_path, schema
 
 
-def staged_run(out, raw_csv, trials=12, extra_search=()):
+# Patch-net settings small enough for a test: 10 divides the window length 40.
+TINY_PATCH_NET = ["--trainer", "patch-net", "--budget-tokens", "400",
+                  "--batch-size", "16", "--patch-len", "10", "--embed-dim", "4"]
+
+# External trainer stub: scores a trial by its mixture size.
+STUB_TRAINER = """
+import json, pathlib, sys
+d = pathlib.Path(sys.argv[1])
+cfg = json.loads((d / "config.json").read_text())
+names = cfg["target_names"]
+(d / "metrics.json").write_text(json.dumps(
+    {"mse": {n: 1.0 for n in names}, "mae": {n: 1.0 for n in names},
+     "avg_mse": 1.0 / cfg["n_windows"]}))
+"""
+
+
+def clustered_run(out, raw_csv):
+    """Run preprocess, embed and cluster; return the common flags."""
     csv_path, schema_path, _ = raw_csv
     common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
     assert main(["preprocess", *common, "--data", str(csv_path),
                  "--schema", str(schema_path), *PREP]) == 0
     assert main(["embed", *common]) == 0
     assert main(["cluster", *common, "--k", "6", "--restarts", "3"]) == 0
+    return common
+
+
+def staged_run(out, raw_csv, trials=12, extra_search=()):
+    common = clustered_run(out, raw_csv)
     assert main(["search", *common, "--trials", str(trials), "--jobs", "1",
                  "--trainer", "ridge", *extra_search]) == 0
     assert main(["sweep", *common, "--fractions", "0.5,1.0", "--trainer", "ridge"]) == 0
@@ -59,8 +85,12 @@ class TestDispatch:
         assert exc.value.code == 0
 
     def test_console_script_entry(self):
+        # The child imports the same mixsearch as this process, installed or not.
+        src = str(Path(mixsearch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "mixsearch.cli", "definitely-not-a-command"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 2
 
     def test_full_scale_defaults(self):
@@ -158,6 +188,74 @@ class TestStages:
         assert "rows" in capsys.readouterr().err
 
 
+class TestTrainerBranches:
+    def test_search_patch_net(self, raw_csv, tmp_path):
+        out = tmp_path / "pn"
+        common = clustered_run(out, raw_csv)
+        assert main(["search", *common, "--trials", "3", "--jobs", "1",
+                     *TINY_PATCH_NET]) == 0
+        records = [json.loads(line)
+                   for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert [r["state"] for r in records] == ["complete"] * 3
+        study = json.loads((out / "study.json").read_text())
+        assert study["trainer_config"]["trainer"] == "patch-net"
+        assert math.isfinite(study["baseline"]["avg_mse"])
+        assert main(["report", *common]) == 0
+
+    def test_search_external_stub(self, raw_csv, tmp_path):
+        out = tmp_path / "ext"
+        common = clustered_run(out, raw_csv)
+        stub = tmp_path / "stub.py"
+        stub.write_text(STUB_TRAINER)
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        assert main(["search", *common, "--trials", "4", "--jobs", "1",
+                     "--trainer", "external", "--external-cmd", cmd]) == 0
+        records = [json.loads(line)
+                   for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert [r["state"] for r in records] == ["complete"] * 4
+        handoffs = sorted(p.name for p in (out / "external").iterdir())
+        assert handoffs == sorted([f"trial_{t:05d}" for t in range(4)]
+                                  + ["trial_-0001"])
+        for r in records:
+            handoff = out / "external" / f"trial_{r['trial_id']:05d}"
+            lines = (handoff / "mixture.csv").read_text().splitlines()
+            assert len(lines) - 1 == r["n_mix"]
+            assert r["objective"] == pytest.approx(1.0 / r["n_mix"])
+        study = json.loads((out / "study.json").read_text())
+        baseline = out / "external" / "trial_-0001"
+        assert len((baseline / "mixture.csv").read_text().splitlines()) - 1 \
+            == study["n_train"]
+
+    def test_sweep_patch_net(self, raw_csv, tmp_path):
+        out = tmp_path / "sweep-pn"
+        common = clustered_run(out, raw_csv)
+        assert main(["sweep", *common, "--fractions", "0.5,1.0",
+                     *TINY_PATCH_NET]) == 0
+        rows = json.loads((out / "sweep.json").read_text())["rows"]
+        n_train = rows[-1]["n_windows"]
+        assert [r["fraction"] for r in rows] == [0.5, 1.0]
+        assert rows[0]["n_windows"] == round(0.5 * n_train)
+        assert all(math.isfinite(r["test_avg_mse"]) for r in rows)
+
+    def test_sweep_external_refused(self, raw_csv, tmp_path, capsys):
+        out = tmp_path / "sweep-ext"
+        common = clustered_run(out, raw_csv)
+        assert main(["sweep", *common, "--trainer", "external",
+                     "--external-cmd", "true {dir}"]) == 1
+        assert "ridge and patch-net" in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+
+    def test_trainer_misconfiguration_fails_before_loading(self, raw_csv,
+                                                          tmp_path, capsys):
+        out = tmp_path / "early"
+        common = clustered_run(out, raw_csv)
+        (out / "processed.csv").unlink()  # any load would fail with an io error
+        assert main(["sweep", *common, "--trainer", "external"]) == 1
+        assert "ridge and patch-net" in capsys.readouterr().err
+        assert main(["search", *common, "--trainer", "external"]) == 1
+        assert "--external-cmd" in capsys.readouterr().err
+
+
 class TestManifestGuards:
     def test_stale_upstream_refused_then_forced(self, raw_csv, tmp_path, capsys):
         csv_path, schema_path, _ = raw_csv
@@ -186,15 +284,10 @@ class TestManifestGuards:
 
 class TestConfigFile:
     def test_config_overrides_flags(self, raw_csv, tmp_path):
-        csv_path, schema_path, _ = raw_csv
         out = tmp_path / "cfg"
-        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
-        assert main(["preprocess", *common, "--data", str(csv_path),
-                     "--schema", str(schema_path), *PREP]) == 0
-        assert main(["embed", *common]) == 0
-        assert main(["cluster", *common, "--k", "6", "--restarts", "3"]) == 0
+        common = clustered_run(out, raw_csv)
         config = tmp_path / "override.cfg"
-        config.write_text("trials = 5\nsampler = random\n")
+        config.write_text("trials = 5\nsampler = random\nk = 6\n")
         assert main(["search", *common, "--trials", "50", "--sampler", "tpe",
                      "--trainer", "ridge", "--config", str(config)]) == 0
         lines = (out / "trials.jsonl").read_text().splitlines()
@@ -209,6 +302,18 @@ class TestConfigFile:
                    "--config", str(config), "--log-level", "warning"])
         assert rc == 1
         assert "unknown option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ("k = six", "invalid int value"),
+        ("log-level = loud", "invalid choice"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, entry, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(entry + "\n")
+        rc = main(["cluster", "--out", str(tmp_path / "x"), "--seed", "0",
+                   "--config", str(config)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -13,7 +13,6 @@ from mixsearch.report import (
     select_review_clusters,
 )
 from mixsearch.search import (
-    MixtureIndex,
     StudyResult,
     TrialRecord,
     build_mixture,
@@ -122,53 +121,39 @@ class TestEmitReports:
 
 class TestSizeSweep:
     @staticmethod
-    def _deterministic_fns():
-        data = np.arange(100, dtype=np.float64)
-
-        def train_fn(subset):
-            return float(data[subset].sum())  # the "model" is just a number
-
-        def eval_fn(model):
-            return model * 1e-3
-
-        return train_fn, eval_fn
+    def _score_fn(subset):
+        return float(np.arange(100, dtype=np.float64)[subset].sum()) * 1e-3
 
     def test_full_fraction_reproduces_baseline_bitwise(self):
-        train_fn, eval_fn = self._deterministic_fns()
-        rows = run_size_sweep([0.5, 1.0], seed=0, train_fn=train_fn,
-                              eval_fn=eval_fn, n_train=100)
-        baseline = eval_fn(train_fn(np.arange(100)))
+        rows = run_size_sweep([0.5, 1.0], seed=0, score_fn=self._score_fn,
+                              n_train=100)
+        baseline = self._score_fn(np.arange(100))
         full_row = [r for r in rows if r[0] == 1.0][0]
         assert full_row[2] == baseline
         assert full_row[1] == 100
 
     def test_structure_and_counts(self):
-        train_fn, eval_fn = self._deterministic_fns()
-        rows = run_size_sweep([0.25, 0.5, 1.0], seed=1, train_fn=train_fn,
-                              eval_fn=eval_fn, n_train=100)
+        rows = run_size_sweep([0.25, 0.5, 1.0], seed=1, score_fn=self._score_fn,
+                              n_train=100)
         assert [r[0] for r in rows] == [0.25, 0.5, 1.0]
         assert [r[1] for r in rows] == [25, 50, 100]
 
     def test_deterministic_per_seed(self):
-        train_fn, eval_fn = self._deterministic_fns()
-        a = run_size_sweep([0.3, 1.0], 7, train_fn, eval_fn, 100)
-        b = run_size_sweep([0.3, 1.0], 7, train_fn, eval_fn, 100)
+        a = run_size_sweep([0.3, 1.0], 7, self._score_fn, 100)
+        b = run_size_sweep([0.3, 1.0], 7, self._score_fn, 100)
         assert a == b
 
     def test_must_include_full_fraction(self):
-        train_fn, eval_fn = self._deterministic_fns()
         with pytest.raises(ReportError, match="1.0"):
-            run_size_sweep([0.5], 0, train_fn, eval_fn, 100)
+            run_size_sweep([0.5], 0, self._score_fn, 100)
 
     def test_rejects_out_of_range_fraction(self):
-        train_fn, eval_fn = self._deterministic_fns()
         with pytest.raises(ReportError, match=r"\(0, 1\]"):
-            run_size_sweep([0.0, 1.0], 0, train_fn, eval_fn, 100)
+            run_size_sweep([0.0, 1.0], 0, self._score_fn, 100)
 
     def test_zero_window_fraction(self):
-        train_fn, eval_fn = self._deterministic_fns()
         with pytest.raises(ReportError, match="zero windows"):
-            run_size_sweep([0.001, 1.0], 0, train_fn, eval_fn, 100)
+            run_size_sweep([0.001, 1.0], 0, self._score_fn, 100)
 
 
 class TestReviewBundle:

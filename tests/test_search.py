@@ -72,8 +72,8 @@ class TestBuildMixture:
         rng = np.random.default_rng(2)
         assignments = rng.integers(0, 3, size=120)
         mix = build_mixture(assignments, np.array([0.5, 0.9, 0.1]), seed=2)
-        for cluster, chosen in mix.per_cluster.items():
-            assert np.all(assignments[chosen] == cluster)
+        np.testing.assert_array_equal(assignments[mix.indices],
+                                      np.repeat(np.arange(3), mix.counts))
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)

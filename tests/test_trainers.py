@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsearch.search import MixtureIndex
 from mixsearch.trainers import (
     ExternalProtocol,
     ExternalTrainerError,
@@ -27,11 +26,6 @@ from mixsearch.trainers import (
 )
 
 from conftest import make_window_set
-
-
-def full_mixture(n):
-    return MixtureIndex(per_cluster={0: np.arange(n, dtype=np.int64)},
-                        counts=np.array([n]), total=n)
 
 
 def linear_window_set(rng, n=60, w=20, c_in=2, c_tgt=2, noise=0.0, split=None):
@@ -100,7 +94,7 @@ class TestRidge:
         ws = make_window_set(rng.normal(size=(n, 5, 1)),
                              np.repeat((feats @ np.array([[0.5], [1.0], [-2.0]])
                                         + 0.7)[:, None, :], 5, axis=1))
-        model = train_ridge(full_mixture(n), ws, feats, 1e-9)
+        model = train_ridge(np.arange(n), ws, feats, 1e-9)
         pred = model.predict(feats)
         train_mse = float(((pred - ws.targets[:, -1, :]) ** 2).mean())
         assert train_mse < 1e-10
@@ -110,7 +104,7 @@ class TestRidge:
         n = 30
         feats = rng.normal(size=(n, 4))
         ws = linear_window_set(rng, n=n)
-        model = train_ridge(full_mixture(n), ws, feats, 1e12)
+        model = train_ridge(np.arange(n), ws, feats, 1e12)
         assert np.abs(model.coef).max() < 1e-8
         np.testing.assert_allclose(model.intercept,
                                    ws.targets[:, -1, :].mean(axis=0), atol=1e-8)
@@ -121,7 +115,7 @@ class TestRidge:
         feats = rng.normal(size=(n, d))
         ws = make_window_set(rng.normal(size=(n, 4, 1)), rng.normal(size=(n, 4, 2)))
         lam = 0.37
-        model = train_ridge(full_mixture(n), ws, feats, lam)
+        model = train_ridge(np.arange(n), ws, feats, lam)
         x1 = np.hstack([feats, np.ones((n, 1))])
         penalty = lam * np.eye(d + 1)
         penalty[-1, -1] = 0.0
@@ -136,7 +130,7 @@ class TestRidge:
         feats = rng.normal(size=(n, d))
         ws = linear_window_set(rng, n=n, c_in=2, noise=0.3)
         lam = 0.5
-        model = train_ridge(full_mixture(n), ws, feats, lam)
+        model = train_ridge(np.arange(n), ws, feats, lam)
         y = ws.targets[:, -1, :]
 
         def penalized_objective(coef, intercept):
@@ -154,8 +148,8 @@ class TestRidge:
         n = 25
         feats = rng.normal(size=(n, 3))
         ws = linear_window_set(rng, n=n, noise=0.1)
-        a = train_ridge(full_mixture(n), ws, feats, 0.1)
-        b = train_ridge(full_mixture(n), ws, feats, 0.1)
+        a = train_ridge(np.arange(n), ws, feats, 0.1)
+        b = train_ridge(np.arange(n), ws, feats, 0.1)
         assert a.coef.tobytes() == b.coef.tobytes()
 
 
@@ -208,7 +202,7 @@ class TestPatchNet:
         config = TrainConfig(trainer="patch-net", token_budget=300 * 4 * 8,
                              batch_size=50, peak_lr=0.02, patch_len=5,
                              embed_dim=16, seed=7)
-        model = train_patch_net(full_mixture(300), ws, config)
+        model = train_patch_net(np.arange(300), ws, config)
         losses = model.epoch_losses[:5]
         drops = sum(losses[i + 1] <= losses[i] for i in range(len(losses) - 1))
         assert drops >= 4 - 1  # at least 3 of 4 transitions shrink
@@ -219,7 +213,7 @@ class TestPatchNet:
         ws = linear_window_set(rng, n=130, w=20)
         config = TrainConfig(trainer="patch-net", token_budget=3001, batch_size=32,
                              patch_len=5, embed_dim=8, seed=0)
-        model = train_patch_net(full_mixture(130), ws, config)
+        model = train_patch_net(np.arange(130), ws, config)
         ppw = 20 // 5
         assert model.tokens_consumed >= config.token_budget
         assert model.tokens_consumed - config.token_budget < config.batch_size * ppw
@@ -229,8 +223,8 @@ class TestPatchNet:
         ws = linear_window_set(rng, n=80, w=20, noise=0.05)
         config = TrainConfig(trainer="patch-net", token_budget=5000, batch_size=32,
                              patch_len=5, embed_dim=8, seed=123)
-        a = train_patch_net(full_mixture(80), ws, config)
-        b = train_patch_net(full_mixture(80), ws, config)
+        a = train_patch_net(np.arange(80), ws, config)
+        b = train_patch_net(np.arange(80), ws, config)
         for key in a.params:
             assert a.params[key].tobytes() == b.params[key].tobytes()
         assert a.epoch_losses == b.epoch_losses
@@ -242,14 +236,14 @@ class TestPatchNet:
                              batch_size=20, peak_lr=1e160, patch_len=5,
                              embed_dim=8, seed=0)
         with pytest.raises(TrainingDivergedError):
-            train_patch_net(full_mixture(40), ws, config)
+            train_patch_net(np.arange(40), ws, config)
 
     def test_patch_length_must_divide_window(self):
         rng = np.random.default_rng(9)
         ws = linear_window_set(rng, n=10, w=20)
         config = TrainConfig(trainer="patch-net", patch_len=7, seed=0)
         with pytest.raises(TrainerError, match="divide"):
-            train_patch_net(full_mixture(10), ws, config)
+            train_patch_net(np.arange(10), ws, config)
 
 
 class TestEvaluate:
@@ -261,9 +255,7 @@ class TestEvaluate:
             rng.normal(size=(n, 5, 1)),
             np.repeat((feats @ np.array([[1.0], [2.0], [3.0]]))[:, None, :], 5, axis=1),
             split=["val"] * n)
-        model = train_ridge(
-            MixtureIndex(per_cluster={0: np.arange(n)}, counts=np.array([n]), total=n),
-            ws, feats, 1e-9)
+        model = train_ridge(np.arange(n), ws, feats, 1e-9)
         # trained on val windows themselves: exact interpolation
         metrics = evaluate(model, ws, "val", feats)
         assert metrics.avg_mse == pytest.approx(0.0, abs=1e-12)
@@ -286,9 +278,7 @@ class TestEvaluate:
         n = 200
         feats = rng.normal(size=(n, 2))
         ws = linear_window_set(rng, n=n, noise=0.5, split=["val"] * n)
-        model = train_ridge(
-            MixtureIndex(per_cluster={0: np.arange(n)}, counts=np.array([n]), total=n),
-            ws, feats, 1.0)
+        model = train_ridge(np.arange(n), ws, feats, 1.0)
         metrics = evaluate(model, ws, "val", feats)
         assert metrics.avg_mse == pytest.approx(
             np.mean(list(metrics.per_target_mse.values())), rel=1e-12)
@@ -315,9 +305,7 @@ class TestEvaluate:
         feats = rng.normal(size=(n, 2))
         split = ["train"] * 20 + ["val"] * 20
         ws = linear_window_set(rng, n=n, split=split)
-        model = train_ridge(
-            MixtureIndex(per_cluster={0: np.arange(20)}, counts=np.array([20]), total=20),
-            ws, feats, 0.01)
+        model = train_ridge(np.arange(20), ws, feats, 0.01)
         before = evaluate(model, ws, "val", feats)
         ws.targets[:20] = 1e9  # poison the train targets
         after = evaluate(model, ws, "val", feats)
@@ -327,13 +315,13 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         ws = linear_window_set(rng, n=10)
         with pytest.raises(TrainerError, match="val or test"):
-            evaluate(None, ws, "train")
+            evaluate(None, ws, "train", ws.inputs)
 
     def test_empty_split_rejected(self):
         rng = np.random.default_rng(5)
         ws = linear_window_set(rng, n=10, split=["train"] * 10)
         with pytest.raises(TrainerError, match="empty"):
-            evaluate(None, ws, "val")
+            evaluate(None, ws, "val", ws.inputs)
 
 
 STUB_OK = """
@@ -370,7 +358,7 @@ class TestExternalTrainer:
     def test_stub_round_trip(self, tmp_path):
         ws = self._ws()
         metrics = external_trainer_invoke(
-            full_mixture(12), ws, self._protocol(tmp_path, STUB_OK),
+            np.arange(12), ws, self._protocol(tmp_path, STUB_OK),
             TrainConfig(trainer="external"), tmp_path / "handoff")
         assert metrics.avg_mse == 2.0
         assert set(metrics.per_target_mse) == set(ws.target_names)
@@ -378,26 +366,26 @@ class TestExternalTrainer:
     def test_nonzero_exit_reports_cause(self, tmp_path):
         with pytest.raises(ExternalTrainerError, match="exited 3"):
             external_trainer_invoke(
-                full_mixture(12), self._ws(), self._protocol(tmp_path, STUB_FAIL),
+                np.arange(12), self._ws(), self._protocol(tmp_path, STUB_FAIL),
                 TrainConfig(trainer="external"), tmp_path / "handoff")
 
     def test_missing_per_target_entry_is_schema_error(self, tmp_path):
         with pytest.raises(ExternalTrainerError, match="missing per-target"):
             external_trainer_invoke(
-                full_mixture(12), self._ws(), self._protocol(tmp_path, STUB_MALFORMED),
+                np.arange(12), self._ws(), self._protocol(tmp_path, STUB_MALFORMED),
                 TrainConfig(trainer="external"), tmp_path / "handoff")
 
     def test_timeout(self, tmp_path):
         with pytest.raises(ExternalTrainerError, match="timed out"):
             external_trainer_invoke(
-                full_mixture(12), self._ws(),
+                np.arange(12), self._ws(),
                 self._protocol(tmp_path, "import time; time.sleep(5)", timeout=0.4),
                 TrainConfig(trainer="external"), tmp_path / "handoff")
 
     def test_handoff_files_contents(self, tmp_path):
         ws = self._ws()
         handoff = tmp_path / "handoff"
-        external_trainer_invoke(full_mixture(12), ws,
+        external_trainer_invoke(np.arange(12), ws,
                                 self._protocol(tmp_path, STUB_OK),
                                 TrainConfig(trainer="external"), handoff)
         lines = (handoff / "mixture.csv").read_text().splitlines()
