@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     trainer.add_argument("--warmup-fraction", type=float, default=0.3)
     trainer.add_argument("--patch-len", type=int, default=30)
     trainer.add_argument("--embed-dim", type=int, default=32)
-    trainer.add_argument("--hidden-width", type=int, default=32)
     trainer.add_argument("--ridge-lambda", type=float, default=1e-3)
     trainer.add_argument("--external-cmd", default=None,
                          help="external trainer command; {dir} expands to the handoff dir")
@@ -195,7 +194,6 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         warmup_fraction=args.warmup_fraction,
         patch_len=args.patch_len,
         embed_dim=args.embed_dim,
-        hidden_width=args.hidden_width,
         ridge_lambda=args.ridge_lambda,
         seed=args.seed,
     )

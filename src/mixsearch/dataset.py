@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -378,10 +379,6 @@ def make_windows(table: RawTable, length: int, stride: int = 1) -> WindowSet:
     never cross a run boundary.  Runs shorter than ``length`` contribute
     no windows.  The table must already carry split tags.
     """
-    if length < 1:
-        raise DatasetError(f"window length must be >= 1, got {length}")
-    if stride < 1:
-        raise DatasetError(f"stride must be >= 1, got {stride}")
     if table.split is None:
         raise DatasetError("table must be split-tagged before windowing")
 
@@ -392,7 +389,7 @@ def make_windows(table: RawTable, length: int, stride: int = 1) -> WindowSet:
     for pid, sl in table.profile_runs():
         rows = table.values[sl]
         n_rows = rows.shape[0]
-        if n_rows < length:
+        if expected_window_count(n_rows, length, stride) == 0:
             logger.warning("profile %d run of %d rows is shorter than W=%d, skipped",
                            pid, n_rows, length)
             continue
@@ -430,107 +427,58 @@ def make_windows(table: RawTable, length: int, stride: int = 1) -> WindowSet:
 
 def expected_window_count(run_length: int, length: int, stride: int) -> int:
     """Closed-form window count for one run: floor((T-W)/stride)+1 if T >= W."""
+    if length < 1:
+        raise DatasetError(f"window length must be >= 1, got {length}")
+    if stride < 1:
+        raise DatasetError(f"stride must be >= 1, got {stride}")
     if run_length < length:
         return 0
     return (run_length - length) // stride + 1
 
 
 # ---------------------------------------------------------------------------
-# Persistence: processed table as CSV, scaler as a plain-text sidecar.
+# Persistence: the processed table and its scaler as one .npz archive.
 
-def save_table(table: RawTable, path: str | Path) -> None:
-    """Write a (typically split-tagged, scaled) table as CSV.
-
-    Floats are written with shortest round-trip formatting so a reload is
-    bit-exact.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [table.id_column]
-        if table.split is not None:
-            header.append("split")
-        header.extend(table.column_names)
-        writer.writerow(header)
-        for i in range(table.n_rows):
-            row: list[str] = [str(int(table.profile_ids[i]))]
-            if table.split is not None:
-                row.append(str(table.split[i]))
-            row.extend(repr(float(v)) for v in table.values[i])
-            writer.writerow(row)
+PROCESSED_ARRAYS = ("values", "profile_ids", "split", "column_names", "roles",
+                    "id_column", "scaler_min", "scaler_max")
 
 
-def load_processed_table(path: str | Path, roles: dict[str, str],
-                         id_column: str = "profile_id") -> RawTable:
-    """Reload a table written by :func:`save_table` (split column required)."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if header[:2] != [id_column, "split"]:
-            raise DatasetError(f"{path}: expected header starting {id_column},split")
-        value_cols = header[2:]
-        missing = [c for c in value_cols if c not in roles]
-        if missing:
-            raise DatasetError(f"{path}: no role recorded for column(s) {missing}")
-        pids, tags, rows = [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
-            pids.append(_parse_profile_id(row[0], path, row_no, id_column))
-            if row[1] not in (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST):
-                raise DatasetError(f"{path}: row {row_no}: bad split tag {row[1]!r}")
-            tags.append(row[1])
-            rows.append([_parse_cell(v, path, row_no, c) for v, c in zip(row[2:], value_cols)])
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
+def save_table(table: RawTable, scaler: Scaler, path: str | Path) -> None:
+    """Write a split-tagged, scaled table and its scaler as one ``.npz`` of
+    the arrays named in :data:`PROCESSED_ARRAYS`, readable with ``np.load``.
+    Floats are stored in binary, so a reload is bit-exact."""
+    with Path(path).open("wb") as fh:  # a file handle keeps numpy from adding ".npz"
+        np.savez(fh, values=table.values, profile_ids=table.profile_ids,
+                 split=table.split, column_names=np.array(table.column_names),
+                 roles=np.array(table.roles), id_column=np.array(table.id_column),
+                 scaler_min=scaler.mins, scaler_max=scaler.maxs)
+
+
+def load_processed_table(path: str | Path) -> RawTable:
+    """Reload the table written by :func:`save_table`.  A missing, unreadable
+    or incomplete file, split tags that are not train/val/test or do not line
+    up with the rows, and a non-finite value raise :class:`DatasetError`."""
+    try:
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in PROCESSED_ARRAYS}
+    except (OSError, EOFError, ValueError, KeyError, TypeError,
+            zipfile.BadZipFile) as exc:
+        raise DatasetError(f"{path}: unreadable processed table: {exc}") from None
+    values, split = arrays["values"], arrays["split"]
+    if split.shape != values.shape[:1]:
+        raise DatasetError(f"{path}: {split.size} split tags for {len(values)} rows")
+    bad = np.flatnonzero(~np.isin(split, (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)))
+    if bad.size:
+        raise DatasetError(
+            f"{path}: row {bad[0] + 1}: bad split tag {str(split[bad[0]])!r}")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise DatasetError(f"{path}: row {bad[0] + 1}: non-finite value")
     return RawTable(
-        column_names=value_cols,
-        roles=[roles[c] for c in value_cols],
-        profile_ids=np.asarray(pids, dtype=np.int64),
-        values=np.asarray(rows, dtype=np.float64),
-        split=np.asarray(tags, dtype="U5"),
-        id_column=id_column,
+        column_names=arrays["column_names"].tolist(),
+        roles=arrays["roles"].tolist(),
+        profile_ids=arrays["profile_ids"],
+        values=values,
+        split=split,
+        id_column=str(arrays["id_column"]),
     )
-
-
-def save_scaler(scaler: Scaler, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("column,min,max\n")
-        for name, lo, hi in zip(scaler.column_names, scaler.mins, scaler.maxs):
-            fh.write(f"{name},{float(lo)!r},{float(hi)!r}\n")
-
-
-def load_scaler(path: str | Path) -> Scaler:
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such file: {path}")
-    names, mins, maxs = [], [], []
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != "column,min,max":
-            raise DatasetError(f"{path}: not a scaler sidecar file")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DatasetError(f"{path}: line {line_no}: expected column,min,max")
-            names.append(parts[0])
-            mins.append(_parse_cell(parts[1], path, line_no, "min"))
-            maxs.append(_parse_cell(parts[2], path, line_no, "max"))
-    scaler = Scaler(column_names=names,
-                    mins=np.asarray(mins), maxs=np.asarray(maxs))
-    if np.any(scaler.mins > scaler.maxs):
-        raise DatasetError(f"{path}: min exceeds max for some column")
-    return scaler

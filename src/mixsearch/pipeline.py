@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import shlex
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,11 +28,11 @@ from .dataset import (
     WindowSet,
     apply_scaler,
     derive_ewma,
+    expected_window_count,
     fit_scaler,
     load_dataset,
     load_processed_table,
     make_windows,
-    save_scaler,
     save_table,
     split_by_profile,
 )
@@ -80,13 +81,17 @@ class RunManifest:
         path = out_dir / MANIFEST_NAME
         if not path.exists():
             return None
-        payload = json.loads(path.read_text())
-        if payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-            raise PipelineError(
-                f"unsupported manifest schema {payload.get('schema_version')}")
-        return cls(master_seed=int(payload["master_seed"]),
-                   stages=payload["stages"],
-                   tool_version=payload.get("tool_version", "unknown"))
+        try:
+            payload = json.loads(path.read_text())
+            if payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+                raise PipelineError(
+                    f"{path}: unsupported manifest schema {payload.get('schema_version')}")
+            return cls(master_seed=int(payload["master_seed"]),
+                       stages=payload["stages"],
+                       tool_version=payload.get("tool_version", "unknown"))
+        except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+            raise PipelineError(f"{path} is not a readable manifest ({exc}); "
+                                f"delete it and re-run from preprocess") from None
 
     def save(self, out_dir: Path) -> None:
         payload = {
@@ -95,8 +100,10 @@ class RunManifest:
             "master_seed": self.master_seed,
             "stages": self.stages,
         }
-        (out_dir / MANIFEST_NAME).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        # Write then rename, so a crash never leaves a half-written manifest.
+        tmp = out_dir / (MANIFEST_NAME + ".tmp")
+        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, out_dir / MANIFEST_NAME)
 
     def record_stage(self, name: str, params: dict, outputs: dict[str, str],
                      extra: dict | None = None) -> None:
@@ -181,8 +188,7 @@ def load_schema(schema_path: str | None, id_col: str | None,
 
 def _load_windows(out_dir: Path, manifest: RunManifest) -> WindowSet:
     pre = manifest.stages["preprocess"]
-    table = load_processed_table(out_dir / pre["outputs"]["table"], pre["roles"],
-                                 id_column=pre["params"]["id_column"])
+    table = load_processed_table(out_dir / pre["outputs"]["table"])
     return make_windows(table, pre["params"]["window_length"],
                         pre["params"]["stride"])
 
@@ -234,10 +240,11 @@ def stage_preprocess(out_dir: Path, seed: int, force: bool, data: str,
     table = split_by_profile(table, split)
     scaler = fit_scaler(table, split)
     table = apply_scaler(table, scaler)
-    make_windows(table, window_length, stride)  # fail fast if nothing fits
+    if not sum(expected_window_count(sl.stop - sl.start, window_length, stride)
+               for _, sl in table.profile_runs()):
+        raise DatasetError(f"no profile run is long enough for W={window_length}")
 
-    save_table(table, out_dir / "processed.csv")
-    save_scaler(scaler, out_dir / "scaler.txt")
+    save_table(table, scaler, out_dir / "processed.npz")
     params = {
         "data": str(data),
         "schema": dict(sorted(schema.items())),
@@ -248,10 +255,7 @@ def stage_preprocess(out_dir: Path, seed: int, force: bool, data: str,
         "stride": stride,
         "id_column": table.id_column,
     }
-    roles = {c: r for c, r in zip(table.column_names, table.roles)}
-    manifest.record_stage("preprocess", params,
-                          {"table": "processed.csv", "scaler": "scaler.txt"},
-                          extra={"roles": roles})
+    manifest.record_stage("preprocess", params, {"table": "processed.npz"})
     manifest.save(out_dir)
 
 

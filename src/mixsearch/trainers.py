@@ -58,7 +58,6 @@ class TrainConfig:
     warmup_fraction: float = 0.3
     patch_len: int = 30
     embed_dim: int = 32
-    hidden_width: int = 32  # forwarded to external trainers; unused by patch-net
     ridge_lambda: float = 1e-3
     seed: int = 0
 
@@ -71,8 +70,8 @@ class TrainConfig:
             raise TrainerError("warmup fraction must lie strictly between 0 and 1")
         if self.batch_size < 1 or self.patch_len < 1:
             raise TrainerError("batch size and patch length must be >= 1")
-        if self.embed_dim < 1 or self.hidden_width < 1:
-            raise TrainerError("embed dim and hidden width must be >= 1")
+        if self.embed_dim < 1:
+            raise TrainerError("embed dim must be >= 1")
         if self.ridge_lambda <= 0.0:
             raise TrainerError("ridge penalty must be > 0")
 
@@ -138,7 +137,7 @@ def train_ridge(idx: np.ndarray, windows: WindowSet,
     if idx.size == 0:
         raise TrainerError("mixture is empty")
     x = np.asarray(features, dtype=np.float64)[idx]
-    y = windows.targets[idx][:, -1, :]
+    y = windows.targets[idx, -1, :]
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     d = x1.shape[1]
     penalty = lam * np.eye(d)
@@ -260,7 +259,7 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
             f"patch length {config.patch_len} does not divide window length {w}")
     ppw = w // config.patch_len
     x_all = to_patches(windows.inputs[idx], config.patch_len)
-    y_all = windows.targets[idx][:, -1, :]
+    y_all = windows.targets[idx, -1, :]
     n = x_all.shape[0]
     n_targets = y_all.shape[1]
 
@@ -346,7 +345,7 @@ def evaluate(model, windows: WindowSet, split: str,
     mask = windows.split_mask(split)
     if not mask.any():
         raise TrainerError(f"split {split!r} is empty")
-    y = windows.targets[mask][:, -1, :]
+    y = windows.targets[mask, -1, :]
     pred = model.predict(inputs[mask])
 
     err = pred - y
@@ -402,7 +401,7 @@ def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
         for i in idx:
             fh.write(f"{int(i)}\n")
     handoff_config = {
-        "schema_version": 1,
+        "schema_version": 2,
         "train": config.to_dict(),
         "n_windows": int(idx.size),
         "window_length": windows.window_length,

@@ -113,7 +113,8 @@ class TestStages:
     def test_full_staged_pipeline(self, raw_csv, tmp_path):
         out = tmp_path / "run"
         staged_run(out, raw_csv)
-        for name in ("processed.csv", "scaler.txt", "embeddings.tsem",
+        assert not (out / "scaler.txt").exists()
+        for name in ("processed.npz", "embeddings.tsem",
                      "assignments.csv", "centroids.tsem", "trials.jsonl",
                      "study.json", "best_weights.json", "weights.csv",
                      "counts.csv", "sweep.csv", "summary.json", "manifest.json"):
@@ -162,7 +163,7 @@ class TestStages:
                      "--schema", str(schema_path), *PREP]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         pre = manifest["stages"]["preprocess"]
-        table = load_processed_table(out / "processed.csv", pre["roles"])
+        table = load_processed_table(out / pre["outputs"]["table"])
         n = len(make_windows(table, 40, 20))
         rng = np.random.default_rng(0)
         ext = tmp_path / "external.tsem"
@@ -249,7 +250,9 @@ class TestTrainerBranches:
                                                           tmp_path, capsys):
         out = tmp_path / "early"
         common = clustered_run(out, raw_csv)
-        (out / "processed.csv").unlink()  # any load would fail with an io error
+        manifest = json.loads((out / "manifest.json").read_text())
+        # any load would fail with an io error
+        (out / manifest["stages"]["preprocess"]["outputs"]["table"]).unlink()
         assert main(["sweep", *common, "--trainer", "external"]) == 1
         assert "ridge and patch-net" in capsys.readouterr().err
         assert main(["search", *common, "--trainer", "external"]) == 1
@@ -280,6 +283,19 @@ class TestManifestGuards:
                    "--log-level", "warning"])
         assert rc == 1
         assert "seed" in capsys.readouterr().err.lower()
+
+    def test_truncated_manifest_refused(self, raw_csv, tmp_path, capsys):
+        csv_path, schema_path, _ = raw_csv
+        out = tmp_path / "truncated"
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *PREP]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:-40])
+        assert main(["embed", *common]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestConfigFile:

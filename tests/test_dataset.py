@@ -12,9 +12,7 @@ from mixsearch.dataset import (
     fit_scaler,
     load_dataset,
     load_processed_table,
-    load_scaler,
     make_windows,
-    save_scaler,
     save_table,
     split_by_profile,
 )
@@ -297,33 +295,50 @@ class TestMakeWindows:
 
 
 class TestPersistence:
-    def test_table_roundtrip_is_exact(self, tmp_path):
+    def _table(self):
         rng = np.random.default_rng(5)
         table = make_table(rng.normal(size=(20, 3)), [1] * 10 + [2] * 10,
                            roles=["input", "input", "target"],
                            split=["train"] * 10 + ["val"] * 10)
-        path = tmp_path / "t.csv"
-        save_table(table, path)
-        roles = dict(zip(table.column_names, table.roles))
-        back = load_processed_table(path, roles)
+        return table, fit_scaler(table, SplitSpec.of(set(), {2}))
+
+    def test_table_roundtrip_is_exact(self, tmp_path):
+        table, scaler = self._table()
+        path = tmp_path / "t.npz"
+        save_table(table, scaler, path)
+        back = load_processed_table(path)
         np.testing.assert_array_equal(back.values, table.values)
         np.testing.assert_array_equal(back.profile_ids, table.profile_ids)
         np.testing.assert_array_equal(back.split, table.split)
         assert back.column_names == table.column_names
+        assert back.roles == table.roles
+        assert back.id_column == table.id_column
+        with np.load(path) as archive:
+            np.testing.assert_array_equal(archive["scaler_min"], scaler.mins)
+            np.testing.assert_array_equal(archive["scaler_max"], scaler.maxs)
 
-    def test_scaler_roundtrip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(6)
-        table = make_table(rng.normal(size=(9, 2)), [1] * 9)
-        scaler = fit_scaler(table, SplitSpec.of(set(), set()))
-        path = tmp_path / "scaler.txt"
-        save_scaler(scaler, path)
-        back = load_scaler(path)
-        np.testing.assert_array_equal(back.mins, scaler.mins)
-        np.testing.assert_array_equal(back.maxs, scaler.maxs)
-        assert back.column_names == scaler.column_names
+    def test_processed_file_validation(self, tmp_path):
+        table, scaler = self._table()
+        good = tmp_path / "good.npz"
+        save_table(table, scaler, good)
 
-    def test_scaler_file_validation(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not,a,scaler,file\n")
-        with pytest.raises(DatasetError, match="sidecar"):
-            load_scaler(path)
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(good.read_bytes()[:200])
+        with pytest.raises(DatasetError, match="unreadable"):
+            load_processed_table(truncated)
+
+        bad_tag = tmp_path / "bad_tag.npz"
+        table.split[3] = "dev"
+        save_table(table, scaler, bad_tag)
+        with pytest.raises(DatasetError, match="row 4: bad split tag 'dev'"):
+            load_processed_table(bad_tag)
+
+        nan = tmp_path / "nan.npz"
+        table.split[3] = "train"
+        table.values[7, 1] = np.nan
+        save_table(table, scaler, nan)
+        with pytest.raises(DatasetError, match="row 8: non-finite"):
+            load_processed_table(nan)
+
+        with pytest.raises(DatasetError, match="No such file"):
+            load_processed_table(tmp_path / "missing.npz")

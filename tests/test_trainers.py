@@ -392,5 +392,7 @@ class TestExternalTrainer:
         assert lines[0] == "window_index"
         assert [int(x) for x in lines[1:]] == list(range(12))
         config = json.loads((handoff / "config.json").read_text())
+        assert config["schema_version"] == 2
+        assert "hidden_width" not in config["train"]
         assert config["target_names"] == ws.target_names
         assert config["n_windows"] == 12
