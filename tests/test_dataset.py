@@ -313,9 +313,17 @@ class TestPersistence:
         assert back.column_names == table.column_names
         assert back.roles == table.roles
         assert back.id_column == table.id_column
+
+    def test_scaler_roundtrip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(6)
+        table = make_table(rng.normal(size=(9, 2)), [1] * 9, split=["train"] * 9)
+        scaler = fit_scaler(table, SplitSpec.of(set(), set()))
+        path = tmp_path / "t.npz"
+        save_table(table, scaler, path)
         with np.load(path) as archive:
             np.testing.assert_array_equal(archive["scaler_min"], scaler.mins)
             np.testing.assert_array_equal(archive["scaler_max"], scaler.maxs)
+        assert load_processed_table(path).column_names == scaler.column_names
 
     def test_processed_file_validation(self, tmp_path):
         table, scaler = self._table()
