@@ -72,23 +72,23 @@ def generate_regime_corpus(seed: int, n_regimes: int = 12, n_signal: int = 3,
     for regime, tag, count in blocks:
         x, y = _draw_regime_windows(rng, regime, n_regimes, n_signal, count,
                                     window_length)
-        inputs.append(x)
-        targets.append(y)
+        inputs.append(x.reshape(-1, N_INPUT_CHANNELS))
+        targets.append(y.reshape(-1, len(TARGET_NAMES)))
         tags.append(np.full(count, tag, dtype="U5"))
         regimes.append(np.full(count, regime, dtype=np.int64))
 
+    # Windows are drawn independently, so they are laid out back to back:
+    # window i is rows i*W .. (i+1)*W - 1.
     windows = WindowSet(
-        inputs=np.concatenate(inputs),
-        targets=np.concatenate(targets),
+        input_rows=np.concatenate(inputs),
+        target_rows=np.concatenate(targets),
+        start=np.arange(sum(b[2] for b in blocks), dtype=np.int64) * window_length,
         split=np.concatenate(tags),
-        profile=np.concatenate(regimes).copy(),
-        start=np.zeros(sum(b[2] for b in blocks), dtype=np.int64),
         window_length=window_length,
-        stride=window_length,
         input_names=[f"chan_{c}" for c in range(N_INPUT_CHANNELS)],
         target_names=list(TARGET_NAMES),
     )
-    features = embedding.featurize_window_set(windows.inputs)
+    features = embedding.featurize_window_set(windows)
     return BenchmarkData(windows=windows, features=features,
                          regimes=np.concatenate(regimes),
                          signal_regimes=tuple(range(n_signal)))
@@ -122,7 +122,7 @@ class BenchmarkOutcome:
     data: BenchmarkData
     cluster_model: clustering.ClusterModel
     study: search.StudyResult
-    baseline: trainers.TrialMetrics
+    baseline: search.TrialEvaluation   # full-data mixture, all weights 1
     signal_clusters: np.ndarray   # bool per cluster: majority regime is a signal regime
 
     @property
@@ -180,18 +180,13 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
                                 sampler=sampler, seed=master_seed)
     study = search.run_study(config, objective)
 
-    baseline_eval = objective(-1, np.ones(model.k))
-    baseline = trainers.TrialMetrics(
-        per_target_mse=baseline_eval.per_target_mse,
-        per_target_mae=baseline_eval.per_target_mae,
-        avg_mse=baseline_eval.objective,
-        tokens_consumed=0, epochs_run=1)
+    baseline = objective(-1, np.ones(model.k))
 
     outcome = BenchmarkOutcome(
         data=data, cluster_model=model, study=study, baseline=baseline,
         signal_clusters=signal_cluster_mask(data, model))
     logger.info("benchmark seed %d: baseline mse %.5f, best mse %.5f, "
-                "mixture fraction %.3f", master_seed, baseline.avg_mse,
+                "mixture fraction %.3f", master_seed, baseline.objective,
                 study.best_trial.objective, outcome.best_mixture_fraction)
     return outcome
 

@@ -212,8 +212,8 @@ def run_selftest(args: argparse.Namespace) -> int:
     signal_mean, noise_mean = outcome.mean_weights()
     checks = [
         ("best mixture beats full-data baseline",
-         best.objective < outcome.baseline.avg_mse,
-         f"{best.objective:.5f} vs {outcome.baseline.avg_mse:.5f}"),
+         best.objective < outcome.baseline.objective,
+         f"{best.objective:.5f} vs {outcome.baseline.objective:.5f}"),
         ("best mixture uses at most 60% of the corpus",
          outcome.best_mixture_fraction <= 0.60,
          f"fraction {outcome.best_mixture_fraction:.3f}"),
@@ -221,7 +221,7 @@ def run_selftest(args: argparse.Namespace) -> int:
          signal_mean > noise_mean,
          f"{signal_mean:.3f} vs {noise_mean:.3f}"),
     ]
-    report.emit_reports(outcome.study, outcome.cluster_model, outcome.baseline,
+    report.emit_reports(outcome.study, outcome.cluster_model, outcome.baseline.objective,
                         None, out_dir)
     report.export_review_bundle(outcome.study, outcome.cluster_model,
                                 outcome.data.windows,

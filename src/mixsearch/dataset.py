@@ -15,7 +15,7 @@ import csv
 import logging
 import math
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,10 +83,8 @@ class RawTable:
 
     def profiles(self) -> list[int]:
         """Distinct profile ids in first-appearance order."""
-        seen: dict[int, None] = {}
-        for pid in self.profile_ids:
-            seen.setdefault(int(pid), None)
-        return list(seen)
+        _, first = np.unique(self.profile_ids, return_index=True)
+        return [int(p) for p in self.profile_ids[np.sort(first)]]
 
     def profile_runs(self) -> list[tuple[int, slice]]:
         """Contiguous runs of equal profile id, in row order.
@@ -94,14 +92,11 @@ class RawTable:
         Derivations and windowing treat each run as an independent recording;
         a change of profile id is a hard boundary.
         """
-        runs: list[tuple[int, slice]] = []
         ids = self.profile_ids
-        start = 0
-        for i in range(1, len(ids) + 1):
-            if i == len(ids) or ids[i] != ids[start]:
-                runs.append((int(ids[start]), slice(start, i)))
-                start = i
-        return runs
+        if ids.size == 0:
+            return []
+        bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+        return [(int(ids[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -121,13 +116,6 @@ class SplitSpec:
         return cls(frozenset(int(p) for p in test_profiles),
                    frozenset(int(p) for p in val_profiles))
 
-    def tag_for(self, profile: int) -> str:
-        if profile in self.test_profiles:
-            return SPLIT_TEST
-        if profile in self.val_profiles:
-            return SPLIT_VAL
-        return SPLIT_TRAIN
-
 
 @dataclass
 class Scaler:
@@ -146,22 +134,47 @@ class Scaler:
         return self.mins == self.maxs
 
 
+class WindowGather:
+    """``inputs[idx]`` of a :class:`WindowSet`: gathers the windows ``idx``
+    (an int, slice, boolean mask or index array) from the per-row inputs as
+    a (len(idx), W, C_in) copy, or (W, C_in) for an int."""
+
+    def __init__(self, rows: np.ndarray, start: np.ndarray, length: int):
+        self.rows = rows
+        self.start = start
+        self.length = length
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.rows[self.start[idx, None] + np.arange(self.length)]
+
+
 @dataclass
 class WindowSet:
-    """Fixed-length windows cut per profile, with input/target channel split."""
+    """Fixed-length windows as start rows into a per-row table.
 
-    inputs: np.ndarray        # (n, W, C_in)
-    targets: np.ndarray       # (n, W, C_tgt)
+    The table's input and target columns are held once, as ``input_rows``
+    and ``target_rows``; window ``i`` is rows ``start[i] : start[i] + W`` of
+    both, never crossing a profile run.  ``inputs[idx]`` gathers windows on
+    demand (see :class:`WindowGather`) and ``targets`` holds each window's
+    last-step targets, the only ones the forecasters predict.
+    """
+
+    input_rows: np.ndarray    # (rows, C_in)
+    target_rows: np.ndarray   # (rows, C_tgt)
+    start: np.ndarray         # (n,) int, global start row
     split: np.ndarray         # (n,) unicode tags
-    profile: np.ndarray       # (n,) int
-    start: np.ndarray         # (n,) int, row offset within the profile run
     window_length: int
-    stride: int
     input_names: list[str]
     target_names: list[str]
+    inputs: WindowGather = field(init=False, repr=False)
+    targets: np.ndarray = field(init=False, repr=False)  # (n, C_tgt)
+
+    def __post_init__(self) -> None:
+        self.inputs = WindowGather(self.input_rows, self.start, self.window_length)
+        self.targets = self.target_rows[self.start + (self.window_length - 1)]
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.start.shape[0]
 
     def split_mask(self, split: str) -> np.ndarray:
         return self.split == split
@@ -331,7 +344,9 @@ def split_by_profile(table: RawTable, split: SplitSpec) -> RawTable:
         if wanted and present <= wanted:
             raise DatasetError(f"{name} profiles would cover every profile in the data")
 
-    tags = np.array([split.tag_for(int(p)) for p in table.profile_ids], dtype="U5")
+    tags = np.full(table.n_rows, SPLIT_TRAIN, dtype="U5")
+    tags[np.isin(table.profile_ids, sorted(split.val_profiles))] = SPLIT_VAL
+    tags[np.isin(table.profile_ids, sorted(split.test_profiles))] = SPLIT_TEST
     counts = {s: int(np.sum(tags == s)) for s in (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)}
     logger.info("split rows: train=%(train)d val=%(val)d test=%(test)d", counts)
     return replace(table, split=tags, values=table.values.copy())
@@ -373,7 +388,7 @@ def apply_scaler(table: RawTable, scaler: Scaler) -> RawTable:
 
 
 def make_windows(table: RawTable, length: int, stride: int = 1) -> WindowSet:
-    """Cut fixed-length windows per profile run.
+    """Start rows of fixed-length windows, cut per profile run.
 
     Windows start at offsets 0, stride, 2*stride, ... within each run and
     never cross a run boundary.  Runs shorter than ``length`` contribute
@@ -382,38 +397,25 @@ def make_windows(table: RawTable, length: int, stride: int = 1) -> WindowSet:
     if table.split is None:
         raise DatasetError("table must be split-tagged before windowing")
 
-    in_idx = table.role_indices(ROLE_INPUT)
-    tgt_idx = table.role_indices(ROLE_TARGET)
-
-    inputs, targets, tags, profs, starts = [], [], [], [], []
+    starts = []
     for pid, sl in table.profile_runs():
-        rows = table.values[sl]
-        n_rows = rows.shape[0]
+        n_rows = sl.stop - sl.start
         if expected_window_count(n_rows, length, stride) == 0:
             logger.warning("profile %d run of %d rows is shorter than W=%d, skipped",
                            pid, n_rows, length)
             continue
-        view = np.lib.stride_tricks.sliding_window_view(rows, length, axis=0)
-        # view: (n_rows - length + 1, n_cols, length) -> stride and reorder
-        block = view[::stride].transpose(0, 2, 1)
-        inputs.append(block[:, :, in_idx])
-        targets.append(block[:, :, tgt_idx])
-        n_win = block.shape[0]
-        tags.append(np.full(n_win, table.split[sl.start], dtype="U5"))
-        profs.append(np.full(n_win, pid, dtype=np.int64))
-        starts.append(np.arange(0, n_rows - length + 1, stride, dtype=np.int64))
+        starts.append(np.arange(sl.start, sl.stop - length + 1, stride, dtype=np.int64))
 
-    if not inputs:
+    if not starts:
         raise DatasetError(f"no profile run is long enough for W={length}")
 
+    start = np.concatenate(starts)
     ws = WindowSet(
-        inputs=np.ascontiguousarray(np.concatenate(inputs)),
-        targets=np.ascontiguousarray(np.concatenate(targets)),
-        split=np.concatenate(tags),
-        profile=np.concatenate(profs),
-        start=np.concatenate(starts),
+        input_rows=table.values[:, table.role_indices(ROLE_INPUT)],
+        target_rows=table.values[:, table.role_indices(ROLE_TARGET)],
+        start=start,
+        split=table.split[start],
         window_length=length,
-        stride=stride,
         input_names=list(table.input_columns),
         target_names=list(table.target_columns),
     )

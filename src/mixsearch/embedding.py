@@ -24,9 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import WindowSet
+
 MAGIC = b"TSEM"
 FORMAT_VERSION = 1
 STATS_PER_CHANNEL = 7
+FEATURIZE_BLOCK = 256  # windows gathered per featurizer call
 
 PROVENANCE_BUILTIN = "builtin"
 PROVENANCE_EXTERNAL = "external"
@@ -57,14 +60,6 @@ class EmbeddingMatrix:
     @property
     def dims(self) -> int:
         return self.data.shape[1]
-
-
-def featurize_statistical(window: np.ndarray) -> np.ndarray:
-    """Seven summary statistics per channel of one W x C_in window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[:, None]
-    return featurize_windows(window[None, :, :])[0]
 
 
 def featurize_windows(inputs: np.ndarray) -> np.ndarray:
@@ -105,9 +100,16 @@ def featurize_windows(inputs: np.ndarray) -> np.ndarray:
     return stats.reshape(n, c * STATS_PER_CHANNEL)
 
 
-def featurize_window_set(inputs: np.ndarray) -> EmbeddingMatrix:
-    """Featurize a window stack into a builtin-provenance embedding matrix."""
-    return EmbeddingMatrix(featurize_windows(inputs).astype(np.float32),
+def featurize_window_set(windows: WindowSet) -> EmbeddingMatrix:
+    """Featurize every window into a builtin-provenance embedding matrix.
+
+    Windows are gathered and featurized :data:`FEATURIZE_BLOCK` at a time,
+    so memory stays bounded by one block; each window's statistics depend
+    on that window alone, so the result equals one call on the full stack.
+    """
+    blocks = [featurize_windows(windows.inputs[i:i + FEATURIZE_BLOCK])
+              for i in range(0, len(windows), FEATURIZE_BLOCK)]
+    return EmbeddingMatrix(np.concatenate(blocks).astype(np.float32),
                            provenance=PROVENANCE_BUILTIN)
 
 

@@ -267,7 +267,7 @@ def stage_embed(out_dir: Path, seed: int, force: bool,
         matrix = embedding.read_embedding_file(embeddings, expected_rows=len(windows))
         provenance = embedding.PROVENANCE_EXTERNAL
     else:
-        matrix = embedding.featurize_window_set(windows.inputs)
+        matrix = embedding.featurize_window_set(windows)
         provenance = embedding.PROVENANCE_BUILTIN
     embedding.write_embedding_file(matrix, out_dir / "embeddings.tsem")
     params = {"embeddings": str(embeddings) if embeddings else None}
@@ -378,7 +378,7 @@ def stage_sweep(out_dir: Path, seed: int, force: bool, fractions: list[float],
     def score(subset: np.ndarray) -> float:
         return trainers.fit_and_evaluate(train_config, windows, features,
                                          train_idx[subset], SPLIT_TEST,
-                                         train_config.seed).avg_mse
+                                         train_config.seed).objective
 
     rows = report.run_size_sweep(fractions, seed, score, train_idx.size)
     payload = {"schema_version": 1,
@@ -401,18 +401,14 @@ def stage_report(out_dir: Path, seed: int, force: bool) -> None:
     result = search.StudyResult.from_trials(records, study_payload["k"],
                                             study_payload["sampler_config"])
     model = _reconstruct_cluster_model(out_dir, manifest)
-    baseline = trainers.TrialMetrics(
-        per_target_mse=study_payload["baseline"]["per_target_mse"],
-        per_target_mae=study_payload["baseline"]["per_target_mae"],
-        avg_mse=study_payload["baseline"]["avg_mse"],
-        tokens_consumed=0, epochs_run=0)
     sweep_rows = None
     sweep_path = out_dir / "sweep.json"
     if sweep_path.exists():
         sweep_payload = json.loads(sweep_path.read_text())
         sweep_rows = [(row["fraction"], row["n_windows"], row["test_avg_mse"])
                       for row in sweep_payload["rows"]]
-    bundle = report.emit_reports(result, model, baseline, sweep_rows, out_dir)
+    bundle = report.emit_reports(result, model, study_payload["baseline"]["avg_mse"],
+                                 sweep_rows, out_dir)
     manifest.record_stage("report", {}, {name: str(p.relative_to(out_dir))
                                          for name, p in bundle.paths.items()})
     manifest.save(out_dir)

@@ -21,7 +21,6 @@ import numpy as np
 from .clustering import ClusterModel
 from .dataset import WindowSet
 from .search import StudyResult, round_half_up
-from .trainers import TrialMetrics
 
 logger = logging.getLogger(__name__)
 
@@ -43,15 +42,15 @@ class ReportBundle:
 
 
 def emit_reports(study: StudyResult, model: ClusterModel,
-                 baseline: TrialMetrics | None,
+                 baseline: float | None,
                  sweep_rows: list[tuple[float, int, float]] | None,
                  out_dir: str | Path) -> ReportBundle:
     """Write weights.csv, counts.csv, sweep.csv and summary.json.
 
     The counts table recomputes n_k from the best trial's weights with the
     same rounding the mixture builder uses, so it matches what that trial
-    trained on.  Without baseline metrics the summary carries a warning
-    instead of an improvement figure.
+    trained on.  ``baseline`` is the full-data average MSE; without it the
+    summary carries a warning instead of an improvement figure.
     """
     if not study.completed():
         raise ReportError("study has no completed trials to report")
@@ -79,8 +78,8 @@ def emit_reports(study: StudyResult, model: ClusterModel,
         "sampler": study.sampler_config,
     }
     if baseline is not None:
-        summary["baseline_avg_mse"] = baseline.avg_mse
-        summary["relative_improvement"] = (baseline.avg_mse - best.objective) / baseline.avg_mse
+        summary["baseline_avg_mse"] = baseline
+        summary["relative_improvement"] = (baseline - best.objective) / baseline
     else:
         summary["warning"] = "no full-data baseline metrics; improvement omitted"
         logger.warning("emitting summary without a full-data baseline")
@@ -216,7 +215,8 @@ def export_review_bundle(study: StudyResult, model: ClusterModel,
 
 def _write_window_csv(windows: WindowSet, widx: int, path: Path) -> None:
     names = windows.input_names + windows.target_names
-    series = np.hstack([windows.inputs[widx], windows.targets[widx]])
+    rows = slice(windows.start[widx], windows.start[widx] + windows.window_length)
+    series = np.hstack([windows.input_rows[rows], windows.target_rows[rows]])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + names)

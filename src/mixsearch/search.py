@@ -177,7 +177,9 @@ class TrialRecord:
 
 @dataclass
 class TrialEvaluation:
-    """What the objective closure hands back for a completed trial."""
+    """One trained proxy's scores: the objective (average MSE over targets
+    on the val or test split), the trained window count and the per-target
+    maps.  Every trainer and the objective closure return it."""
 
     objective: float
     n_mix: int
@@ -297,12 +299,6 @@ class ParzenDensity:
             p = self._cdf_lo[i] + u[gauss] * (self._cdf_hi[i] - self._cdf_lo[i])
             out[gauss] = self.obs[i] + self.bw[i] * ndtri(p)
         return np.clip(out, 0.0, 1.0)
-
-
-def parzen_density(observations: Sequence[float] | np.ndarray,
-                   x: float | np.ndarray) -> float | np.ndarray:
-    """Density of the observation-set Parzen mixture at x (x in [0, 1])."""
-    return ParzenDensity(observations).pdf(x)
 
 
 def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:

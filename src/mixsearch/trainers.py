@@ -79,15 +79,6 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass
-class TrialMetrics:
-    per_target_mse: dict[str, float]
-    per_target_mae: dict[str, float]
-    avg_mse: float
-    tokens_consumed: int
-    epochs_run: int
-
-
 def compute_epochs(budget: int, n_windows: int, patches_per_window: int) -> int:
     """Epochs needed so every trial sees the same token budget: smaller
     mixtures iterate more often.  Always at least 1."""
@@ -116,8 +107,6 @@ class RidgeModel:
     coef: np.ndarray       # (d, C_tgt)
     intercept: np.ndarray  # (C_tgt,)
     target_names: list[str]
-    tokens_consumed: int = 0
-    epochs_run: int = 1
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.asarray(features, dtype=np.float64) @ self.coef + self.intercept
@@ -137,7 +126,7 @@ def train_ridge(idx: np.ndarray, windows: WindowSet,
     if idx.size == 0:
         raise TrainerError("mixture is empty")
     x = np.asarray(features, dtype=np.float64)[idx]
-    y = windows.targets[idx, -1, :]
+    y = windows.targets[idx]
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     d = x1.shape[1]
     penalty = lam * np.eye(d)
@@ -152,8 +141,7 @@ def train_ridge(idx: np.ndarray, windows: WindowSet,
     if not np.all(np.isfinite(beta)):
         raise TrainerError("ridge solution is non-finite; increase the penalty")
     return RidgeModel(coef=beta[:-1], intercept=beta[-1],
-                      target_names=list(windows.target_names),
-                      tokens_consumed=int(idx.size), epochs_run=1)
+                      target_names=list(windows.target_names))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +164,6 @@ class PatchNetModel:
     window_length: int
     target_names: list[str]
     tokens_consumed: int = 0
-    epochs_run: int = 0
     epoch_losses: list[float] = field(default_factory=list)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
@@ -259,7 +246,7 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
             f"patch length {config.patch_len} does not divide window length {w}")
     ppw = w // config.patch_len
     x_all = to_patches(windows.inputs[idx], config.patch_len)
-    y_all = windows.targets[idx, -1, :]
+    y_all = windows.targets[idx]
     n = x_all.shape[0]
     n_targets = y_all.shape[1]
 
@@ -328,24 +315,25 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     return PatchNetModel(
         params=params, pos_encoding=pe, patch_len=config.patch_len,
         window_length=w, target_names=list(windows.target_names),
-        tokens_consumed=tokens, epochs_run=epochs_run, epoch_losses=epoch_losses)
+        tokens_consumed=tokens, epoch_losses=epoch_losses)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(model, windows: WindowSet, split: str,
-             inputs: np.ndarray) -> TrialMetrics:
+def evaluate(model, windows: WindowSet, split: str, inputs,
+             n_mix: int = 0) -> search.TrialEvaluation:
     """Per-target MSE/MAE of last-timestep predictions on the val or test
-    split.  ``inputs`` holds the model's input for every window (features
-    for ridge, ``windows.inputs`` for patch-net); only the split's rows are
-    read, never the training windows."""
+    split, recorded with the trained window count ``n_mix``.  ``inputs[mask]``
+    is the model's input for the masked windows: the feature array for
+    ridge, the on-demand gather ``windows.inputs`` for patch-net.  Only the
+    split's windows are read, never the training windows."""
     if split not in (SPLIT_VAL, SPLIT_TEST):
         raise TrainerError(f"evaluate only runs on val or test, got {split!r}")
     mask = windows.split_mask(split)
     if not mask.any():
         raise TrainerError(f"split {split!r} is empty")
-    y = windows.targets[mask, -1, :]
+    y = windows.targets[mask]
     pred = model.predict(inputs[mask])
 
     err = pred - y
@@ -354,13 +342,9 @@ def evaluate(model, windows: WindowSet, split: str,
     names = windows.target_names
     per_mse = {name: float(m) for name, m in zip(names, mse)}
     per_mae = {name: float(m) for name, m in zip(names, mae)}
-    return TrialMetrics(
-        per_target_mse=per_mse,
-        per_target_mae=per_mae,
-        avg_mse=float(np.mean(list(per_mse.values()))),
-        tokens_consumed=int(getattr(model, "tokens_consumed", 0)),
-        epochs_run=int(getattr(model, "epochs_run", 0)),
-    )
+    return search.TrialEvaluation(
+        objective=float(np.mean(list(per_mse.values()))), n_mix=n_mix,
+        per_target_mse=per_mse, per_target_mae=per_mae)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +372,7 @@ class ExternalProtocol:
 
 def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
                             protocol: ExternalProtocol, config: TrainConfig,
-                            handoff_dir: str | Path) -> TrialMetrics:
+                            handoff_dir: str | Path) -> search.TrialEvaluation:
     """Write the handoff files, run the command, read back metrics.json.
 
     Nonzero exit, timeout and malformed metrics each raise
@@ -430,10 +414,11 @@ def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
         payload = json.loads(metrics_path.read_text())
     except json.JSONDecodeError as exc:
         raise ExternalTrainerError(f"metrics.json is not valid JSON: {exc}") from None
-    return _parse_external_metrics(payload, windows.target_names)
+    return _parse_external_metrics(payload, windows.target_names, idx.size)
 
 
-def _parse_external_metrics(payload: dict, target_names: list[str]) -> TrialMetrics:
+def _parse_external_metrics(payload: dict, target_names: list[str],
+                            n_mix: int) -> search.TrialEvaluation:
     for key in ("mse", "mae", "avg_mse"):
         if key not in payload:
             raise ExternalTrainerError(f"metrics.json missing key {key!r}")
@@ -454,11 +439,8 @@ def _parse_external_metrics(payload: dict, target_names: list[str]) -> TrialMetr
     avg = payload["avg_mse"]
     if not isinstance(avg, (int, float)) or not math.isfinite(avg):
         raise ExternalTrainerError("metrics.json avg_mse is not a finite number")
-    return TrialMetrics(
-        per_target_mse=per_mse, per_target_mae=per_mae, avg_mse=float(avg),
-        tokens_consumed=int(payload.get("tokens_consumed", 0)),
-        epochs_run=int(payload.get("epochs_run", 0)),
-    )
+    return search.TrialEvaluation(objective=float(avg), n_mix=n_mix,
+                                  per_target_mse=per_mse, per_target_mae=per_mae)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +449,7 @@ def _parse_external_metrics(payload: dict, target_names: list[str]) -> TrialMetr
 def fit_and_evaluate(config: TrainConfig, windows: WindowSet,
                      features: np.ndarray, idx: np.ndarray, split: str,
                      seed: int, protocol: ExternalProtocol | None = None,
-                     handoff_dir: str | Path | None = None) -> TrialMetrics:
+                     handoff_dir: str | Path | None = None) -> search.TrialEvaluation:
     """Train ``config.trainer`` on the windows ``idx`` and score it on ``split``.
 
     ``seed`` seeds patch-net training; ridge is deterministic.  The external
@@ -478,9 +460,9 @@ def fit_and_evaluate(config: TrainConfig, windows: WindowSet,
         return external_trainer_invoke(idx, windows, protocol, config, handoff_dir)
     if config.trainer == TRAINER_RIDGE:
         model = train_ridge(idx, windows, features, config.ridge_lambda)
-        return evaluate(model, windows, split, features)
+        return evaluate(model, windows, split, features, idx.size)
     model = train_patch_net(idx, windows, replace(config, seed=seed))
-    return evaluate(model, windows, split, windows.inputs)
+    return evaluate(model, windows, split, windows.inputs, idx.size)
 
 
 def make_objective(config: TrainConfig, windows: WindowSet, features: np.ndarray,
@@ -500,13 +482,9 @@ def make_objective(config: TrainConfig, windows: WindowSet, features: np.ndarray
         mixture = search.build_mixture(assignments, weights, rng)
         handoff = (None if handoff_root is None
                    else Path(handoff_root) / f"trial_{trial_id:05d}")
-        metrics = fit_and_evaluate(
+        return fit_and_evaluate(
             config, windows, features, train_idx[mixture.indices], split,
             search.trial_seed_int(master_seed, trial_id, search.STREAM_TRAINER),
             protocol, handoff)
-        return search.TrialEvaluation(
-            objective=metrics.avg_mse, n_mix=mixture.total,
-            per_target_mse=metrics.per_target_mse,
-            per_target_mae=metrics.per_target_mae)
 
     return objective

@@ -33,21 +33,20 @@ def make_table(values, profile_ids, roles=None, names=None, split=None):
     )
 
 
-def make_window_set(inputs, targets, split=None, profile=None,
-                    input_names=None, target_names=None, stride=1):
+def make_window_set(inputs, targets, split=None,
+                    input_names=None, target_names=None):
+    """A WindowSet whose (n, W, C) ``inputs``/``targets`` stacks are laid out
+    back to back as rows: window i starts at row i*W."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     n, w, _ = inputs.shape
     return WindowSet(
-        inputs=inputs,
-        targets=targets,
+        input_rows=inputs.reshape(n * w, -1),
+        target_rows=targets.reshape(n * w, -1),
+        start=np.arange(n, dtype=np.int64) * w,
         split=(np.full(n, "train", dtype="U5") if split is None
                else np.asarray(split, dtype="U5")),
-        profile=(np.zeros(n, dtype=np.int64) if profile is None
-                 else np.asarray(profile, dtype=np.int64)),
-        start=np.zeros(n, dtype=np.int64),
         window_length=w,
-        stride=stride,
         input_names=input_names or [f"in{i}" for i in range(inputs.shape[2])],
         target_names=target_names or [f"tgt{i}" for i in range(targets.shape[2])],
     )

@@ -22,7 +22,6 @@ from mixsearch.dataset import expected_window_count, make_windows, split_by_prof
 from mixsearch.search import (
     ParzenDensity,
     StudyConfig,
-    TrialEvaluation,
     build_mixture,
     run_study,
 )
@@ -67,7 +66,7 @@ class TestCriterion01LessIsMore:
         signal_over_noise = 0
         for outcome in tpe_outcomes:
             best = outcome.study.best_trial
-            beats_baseline += best.objective < outcome.baseline.avg_mse
+            beats_baseline += best.objective < outcome.baseline.objective
             small_enough += outcome.best_mixture_fraction <= 0.60
             sig, noise = outcome.mean_weights()
             signal_over_noise += sig > noise
@@ -280,12 +279,10 @@ class TestCriterion10ExternalProtocol:
         kinds = ["ok", "crash", "ok", "malformed", "ok"]
 
         def objective(trial_id, weights):
-            metrics = external_trainer_invoke(
+            return external_trainer_invoke(
                 np.arange(30), windows, protocols[kinds[trial_id]],
                 TrainConfig(trainer="external"),
                 tmp_path / f"handoff_{trial_id}")
-            return TrialEvaluation(metrics.avg_mse, 30, metrics.per_target_mse,
-                                   metrics.per_target_mae)
 
         result = run_study(StudyConfig(n_trials=5, k=2, seed=0), objective)
         states = [t.state for t in result.trials]

@@ -28,7 +28,9 @@ class TestCorpus:
     def test_generation_deterministic(self):
         a = benchmark.generate_regime_corpus(5, windows_per_regime=30)
         b = benchmark.generate_regime_corpus(5, windows_per_regime=30)
-        assert a.windows.inputs.tobytes() == b.windows.inputs.tobytes()
+        assert a.windows.input_rows.tobytes() == b.windows.input_rows.tobytes()
+        assert a.windows.target_rows.tobytes() == b.windows.target_rows.tobytes()
+        assert a.windows.start.tobytes() == b.windows.start.tobytes()
         assert a.features.data.tobytes() == b.features.data.tobytes()
 
     def test_signal_targets_follow_inputs_noise_targets_do_not(self):
@@ -36,7 +38,7 @@ class TestCorpus:
         train = data.windows.split_mask(SPLIT_TRAIN)
         regimes = data.regimes[train]
         x = data.windows.inputs[train][:, -1, :]
-        y = data.windows.targets[train][:, -1, 0]
+        y = data.windows.targets[train][:, 0]
         for regime, should_correlate in ((0, True), (8, False)):
             mask = regimes == regime
             r = abs(np.corrcoef(x[mask, 0], y[mask])[0, 1])
@@ -64,7 +66,7 @@ class TestOutcome:
         def score_fn(subset):
             return fit_and_evaluate(TrainConfig(ridge_lambda=1e-3), data.windows,
                                     features, train_idx[subset], SPLIT_TEST,
-                                    seed=0).avg_mse
+                                    seed=0).objective
 
         rows = run_size_sweep([0.25, 0.5, 0.75, 1.0], seed=0, score_fn=score_fn,
                               n_train=train_idx.size)

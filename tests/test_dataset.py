@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixsearch.dataset import (
@@ -18,6 +18,16 @@ from mixsearch.dataset import (
 )
 
 from conftest import make_table
+
+
+def runs_oracle(ids):
+    """Contiguous equal-id runs, one row at a time."""
+    runs, start = [], 0
+    for i in range(1, len(ids) + 1):
+        if i == len(ids) or ids[i] != ids[start]:
+            runs.append((int(ids[start]), slice(start, i)))
+            start = i
+    return runs
 
 
 def ewma_oracle(x, span):
@@ -73,6 +83,41 @@ class TestLoadDataset:
     def test_schema_needs_roles(self):
         with pytest.raises(DatasetError, match="id column"):
             load_dataset("whatever.csv", {"a": "input", "b": "target"})
+
+
+class TestProfileRuns:
+    profile_ids = st.lists(st.integers(0, 4), max_size=40)
+
+    def test_non_contiguous_repeat_is_a_new_run(self):
+        table = make_table([[0.0, 0.0]] * 4, [1, 1, 2, 1])
+        assert table.profile_runs() == [(1, slice(0, 2)), (2, slice(2, 3)),
+                                        (1, slice(3, 4))]
+        assert table.profiles() == [1, 2]
+
+    def test_empty_table_has_no_runs(self):
+        table = make_table(np.zeros((0, 2)), [])
+        assert table.profile_runs() == []
+        assert table.profiles() == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(profile_ids)
+    def test_runs_and_profiles_match_per_row_oracle(self, ids):
+        table = make_table(np.zeros((len(ids), 2)), ids)
+        assert table.profile_runs() == runs_oracle(ids)
+        assert table.profiles() == list(dict.fromkeys(ids))
+
+    @settings(max_examples=80, deadline=None)
+    @given(profile_ids.filter(bool), st.sets(st.integers(0, 4)),
+           st.sets(st.integers(0, 4)))
+    def test_split_tags_match_per_row_oracle(self, ids, test, val):
+        val = val - test
+        present = set(ids)
+        assume(not (test and present <= test) and not (val and present <= val))
+        out = split_by_profile(make_table(np.zeros((len(ids), 2)), ids),
+                               SplitSpec.of(test, val))
+        expected = ["test" if p in test else "val" if p in val else "train"
+                    for p in ids]
+        assert out.split.tolist() == expected
 
 
 class TestDeriveEwma:
@@ -255,10 +300,11 @@ class TestMakeWindows:
         assert len(ws) == expected_window_count(305, 300, 1) == 6
 
     def test_windows_never_cross_profiles(self):
-        ws = make_windows(self._table([300, 300]), 300, 1)
+        table = self._table([300, 300])
+        ws = make_windows(table, 300, 1)
         assert len(ws) == 2
-        assert list(ws.profile) == [1, 2]
-        assert list(ws.start) == [0, 0]
+        assert list(table.profile_ids[ws.start]) == [1, 2]
+        assert list(ws.start) == [0, 300]
 
     def test_short_profile_skipped_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
@@ -273,9 +319,10 @@ class TestMakeWindows:
     def test_input_target_blocks_split_by_role(self):
         table = self._table([50])
         ws = make_windows(table, 10, 5)
-        assert ws.inputs.shape == (len(ws), 10, 1)
-        assert ws.targets.shape == (len(ws), 10, 1)
-        np.testing.assert_array_equal(ws.inputs[0, :, 0], table.values[:10, 0])
+        assert ws.inputs[:].shape == (len(ws), 10, 1)
+        assert ws.targets.shape == (len(ws), 1)
+        np.testing.assert_array_equal(ws.inputs[0][:, 0], table.values[:10, 0])
+        np.testing.assert_array_equal(ws.targets[0], table.values[9, 1:])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 20), st.integers(1, 10))
@@ -292,6 +339,45 @@ class TestMakeWindows:
         table = make_table([[1.0, 0]] * 10, [1] * 10)
         with pytest.raises(DatasetError, match="split-tagged"):
             make_windows(table, 5, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 30)),
+                    min_size=1, max_size=5),
+           st.integers(1, 12), st.integers(1, 5))
+    def test_windows_are_start_rows_into_the_table(self, runs, length, stride):
+        ids = np.concatenate([np.full(n, pid) for pid, n in runs])
+        rng = np.random.default_rng(len(ids))
+        table = make_table(rng.normal(size=(len(ids), 4)), ids,
+                           roles=["input", "target", "input", "target"],
+                           split=np.where(ids == 2, "val", "train"))
+        # The sliding-window offsets of each run, as windows were once cut.
+        expected = [np.lib.stride_tricks.sliding_window_view(
+                        np.arange(sl.start, sl.stop), length)[::stride, 0]
+                    for _, sl in runs_oracle(ids) if sl.stop - sl.start >= length]
+        if not expected:
+            with pytest.raises(DatasetError, match="long enough"):
+                make_windows(table, length, stride)
+            return
+        ws = make_windows(table, length, stride)
+        start = ws.start
+        np.testing.assert_array_equal(start, np.concatenate(expected))
+        assert (ids[start] == ids[start + length - 1]).all()
+        np.testing.assert_array_equal(ws.split, table.split[start])
+        gathered = ws.inputs[np.arange(len(ws))]
+        for i in range(len(ws)):
+            rows = table.values[start[i]:start[i] + length]
+            np.testing.assert_array_equal(ws.inputs[i], rows[:, [0, 2]])
+            np.testing.assert_array_equal(gathered[i], rows[:, [0, 2]])
+            np.testing.assert_array_equal(ws.targets[i], rows[-1, [1, 3]])
+
+    def test_no_array_has_a_window_axis(self):
+        ws = make_windows(self._table([40, 37]), 13, 1)
+        assert len(ws) == 28 + 25
+        arrays = [v for obj in (ws, ws.inputs) for v in vars(obj).values()
+                  if isinstance(v, np.ndarray)]
+        assert arrays
+        for array in arrays:
+            assert 13 not in array.shape
 
 
 class TestPersistence:

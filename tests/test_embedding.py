@@ -9,15 +9,17 @@ from hypothesis.extra.numpy import arrays
 from mixsearch.embedding import (
     EmbeddingError,
     EmbeddingMatrix,
+    FEATURIZE_BLOCK,
     FORMAT_VERSION,
     MAGIC,
-    featurize_statistical,
     featurize_window_set,
     featurize_windows,
     read_embedding_file,
     write_embedding_file,
     zscore_features,
 )
+
+from conftest import make_window_set
 
 MEAN, STD, MIN, MAX, LAST, SLOPE, AUTOCORR = range(7)
 
@@ -38,11 +40,11 @@ def autocorr_oracle(x):
 
 class TestFeaturizer:
     def test_constant_channel(self):
-        f = featurize_statistical(np.zeros(4))
+        f = featurize_windows(np.zeros((1, 4, 1)))[0]
         np.testing.assert_array_equal(f, np.zeros(7))
 
     def test_ramp_channel(self):
-        f = featurize_statistical(np.array([1.0, 2.0, 3.0, 4.0]))
+        f = featurize_windows(np.array([1.0, 2.0, 3.0, 4.0])[None, :, None])[0]
         assert f[MEAN] == 2.5
         assert f[LAST] == 4.0
         assert f[SLOPE] == pytest.approx(slope_oracle([1, 2, 3, 4]), abs=1e-12)
@@ -50,7 +52,7 @@ class TestFeaturizer:
 
     def test_alternating_channel(self):
         x = np.array([1.0, -1.0, 1.0, -1.0])
-        f = featurize_statistical(x)
+        f = featurize_windows(x[None, :, None])[0]
         assert f[MEAN] == 0.0
         assert f[AUTOCORR] == pytest.approx(autocorr_oracle(x), abs=1e-12)
         assert f[AUTOCORR] == pytest.approx(-1.0, abs=1e-12)
@@ -107,6 +109,13 @@ class TestFeaturizer:
         f = featurize_windows(w)[0]
         assert f[MEAN] == 0.0          # channel 0 stats first
         assert f[7 + MEAN] == 2.5      # then channel 1
+
+    def test_blocked_featurization_equals_one_call(self):
+        rng = np.random.default_rng(6)
+        n = FEATURIZE_BLOCK + 3
+        stack = rng.normal(size=(n, 12, 2))
+        m = featurize_window_set(make_window_set(stack, np.zeros((n, 12, 1))))
+        assert m.data.tobytes() == featurize_windows(stack).astype(np.float32).tobytes()
 
 
 class TestEmbeddingFile:
@@ -205,6 +214,7 @@ class TestZScore:
 
     def test_featurize_window_set_provenance(self):
         rng = np.random.default_rng(5)
-        m = featurize_window_set(rng.normal(size=(4, 10, 2)))
+        m = featurize_window_set(make_window_set(rng.normal(size=(4, 10, 2)),
+                                                 np.zeros((4, 10, 1))))
         assert m.provenance == "builtin"
         assert m.dims == 14

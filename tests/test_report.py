@@ -18,7 +18,6 @@ from mixsearch.search import (
     build_mixture,
     round_half_up,
 )
-from mixsearch.trainers import TrialMetrics
 
 from conftest import make_window_set
 
@@ -46,8 +45,7 @@ def fake_cluster_model(sizes):
 
 
 def metrics(avg):
-    return TrialMetrics(per_target_mse={"t": avg}, per_target_mae={"t": avg},
-                        avg_mse=avg, tokens_consumed=0, epochs_run=1)
+    return avg
 
 
 class TestEmitReports:

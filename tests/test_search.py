@@ -18,7 +18,6 @@ from mixsearch.search import (
     default_gamma,
     gamma_split,
     load_trial_log,
-    parzen_density,
     random_suggest,
     run_study,
     save_best_weights,
@@ -133,14 +132,14 @@ class TestGammaSplit:
 class TestParzenDensity:
     def test_no_observations_is_uniform(self):
         xs = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(parzen_density([], xs), np.ones(11))
+        np.testing.assert_array_equal(ParzenDensity([]).pdf(xs), np.ones(11))
 
     def test_integral_is_one(self):
         rng = np.random.default_rng(0)
         xs = np.linspace(0.0, 1.0, 4001)
         for n in (1, 2, 5, 20, 60):
             obs = rng.uniform(size=n)
-            total = np.trapezoid(parzen_density(obs, xs), xs)
+            total = np.trapezoid(ParzenDensity(obs).pdf(xs), xs)
             assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_symmetric_observations_give_symmetric_density(self):

@@ -96,7 +96,7 @@ class TestRidge:
                                         + 0.7)[:, None, :], 5, axis=1))
         model = train_ridge(np.arange(n), ws, feats, 1e-9)
         pred = model.predict(feats)
-        train_mse = float(((pred - ws.targets[:, -1, :]) ** 2).mean())
+        train_mse = float(((pred - ws.targets) ** 2).mean())
         assert train_mse < 1e-10
 
     def test_infinite_penalty_collapses_to_mean(self):
@@ -107,7 +107,7 @@ class TestRidge:
         model = train_ridge(np.arange(n), ws, feats, 1e12)
         assert np.abs(model.coef).max() < 1e-8
         np.testing.assert_allclose(model.intercept,
-                                   ws.targets[:, -1, :].mean(axis=0), atol=1e-8)
+                                   ws.targets.mean(axis=0), atol=1e-8)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(2)
@@ -119,7 +119,7 @@ class TestRidge:
         x1 = np.hstack([feats, np.ones((n, 1))])
         penalty = lam * np.eye(d + 1)
         penalty[-1, -1] = 0.0
-        oracle = np.linalg.lstsq(x1.T @ x1 + penalty, x1.T @ ws.targets[:, -1, :],
+        oracle = np.linalg.lstsq(x1.T @ x1 + penalty, x1.T @ ws.targets,
                                  rcond=None)[0]
         np.testing.assert_allclose(np.vstack([model.coef, model.intercept]),
                                    oracle, atol=1e-8)
@@ -131,7 +131,7 @@ class TestRidge:
         ws = linear_window_set(rng, n=n, c_in=2, noise=0.3)
         lam = 0.5
         model = train_ridge(np.arange(n), ws, feats, lam)
-        y = ws.targets[:, -1, :]
+        y = ws.targets
 
         def penalized_objective(coef, intercept):
             resid = feats @ coef + intercept - y
@@ -258,7 +258,7 @@ class TestEvaluate:
         model = train_ridge(np.arange(n), ws, feats, 1e-9)
         # trained on val windows themselves: exact interpolation
         metrics = evaluate(model, ws, "val", feats)
-        assert metrics.avg_mse == pytest.approx(0.0, abs=1e-12)
+        assert metrics.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_prediction_definition(self):
         rng = np.random.default_rng(1)
@@ -280,7 +280,7 @@ class TestEvaluate:
         ws = linear_window_set(rng, n=n, noise=0.5, split=["val"] * n)
         model = train_ridge(np.arange(n), ws, feats, 1.0)
         metrics = evaluate(model, ws, "val", feats)
-        assert metrics.avg_mse == pytest.approx(
+        assert metrics.objective == pytest.approx(
             np.mean(list(metrics.per_target_mse.values())), rel=1e-12)
 
     def test_two_target_average_value(self):
@@ -297,7 +297,7 @@ class TestEvaluate:
         metrics = evaluate(model, ws, "val", feats)
         assert metrics.per_target_mse["a"] == pytest.approx(0.65, rel=1e-12)
         assert metrics.per_target_mse["b"] == pytest.approx(0.91, rel=1e-12)
-        assert metrics.avg_mse == pytest.approx(0.78, rel=1e-12)
+        assert metrics.objective == pytest.approx(0.78, rel=1e-12)
 
     def test_never_reads_train_windows(self):
         rng = np.random.default_rng(3)
@@ -309,7 +309,7 @@ class TestEvaluate:
         before = evaluate(model, ws, "val", feats)
         ws.targets[:20] = 1e9  # poison the train targets
         after = evaluate(model, ws, "val", feats)
-        assert before.avg_mse == after.avg_mse
+        assert before.objective == after.objective
 
     def test_train_split_rejected(self):
         rng = np.random.default_rng(4)
@@ -360,7 +360,7 @@ class TestExternalTrainer:
         metrics = external_trainer_invoke(
             np.arange(12), ws, self._protocol(tmp_path, STUB_OK),
             TrainConfig(trainer="external"), tmp_path / "handoff")
-        assert metrics.avg_mse == 2.0
+        assert metrics.objective == 2.0
         assert set(metrics.per_target_mse) == set(ws.target_names)
 
     def test_nonzero_exit_reports_cause(self, tmp_path):
