@@ -1,10 +1,10 @@
 """Synthetic planted-regime benchmark.
 
-The corpus contains a configurable number of behavioral regimes with
-distinct levels, amplitudes and frequencies, so the statistical featurizer
-separates them cleanly and k-means can recover them.  Targets follow one
-shared linear law of the input channels inside the "signal" regimes and are
-pure noise elsewhere; validation and test windows come from the signal
+The corpus contains :data:`N_REGIMES` behavioral regimes with distinct
+levels, amplitudes and frequencies, so the statistical featurizer separates
+them cleanly and k-means can recover them.  Targets follow one shared linear
+law of the input channels inside the :data:`N_SIGNAL` "signal" regimes and
+are pure noise elsewhere; validation and test windows come from the signal
 regimes only.  Training on everything therefore dilutes the fit, while a
 mixture concentrated on the signal regimes approaches the noise floor: the
 setup rewards a search that learns to discard uninformative clusters.
@@ -23,6 +23,10 @@ from .dataset import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, WindowSet
 
 logger = logging.getLogger(__name__)
 
+N_REGIMES = 12
+N_SIGNAL = 3        # regimes 0..N_SIGNAL-1 carry the target law
+WINDOW_LENGTH = 32
+KMEANS_RESTARTS = 3
 N_INPUT_CHANNELS = 3
 TARGET_NAMES = ["target_a", "target_b"]
 # Shared linear law mapping the three input channels to the two targets.
@@ -46,32 +50,27 @@ class BenchmarkData:
         return self.windows.split_indices(SPLIT_TRAIN)
 
 
-def generate_regime_corpus(seed: int, n_regimes: int = 12, n_signal: int = 3,
-                           windows_per_regime: int = 1000,
-                           window_length: int = 32,
+def generate_regime_corpus(seed: int, windows_per_regime: int = 1000,
                            val_per_signal: int = 200,
                            test_per_signal: int = 200) -> BenchmarkData:
     """Build the planted-regime window corpus.
 
-    Signal regimes are ids 0..n_signal-1.  Training windows cover every
-    regime; val and test windows are fresh draws from the signal regimes.
+    Training windows cover every regime; val and test windows are fresh
+    draws from the signal regimes.
     """
-    if not 1 <= n_signal < n_regimes:
-        raise ValueError("need at least one signal and one noise regime")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
 
     blocks = []
-    for regime in range(n_regimes):
+    for regime in range(N_REGIMES):
         blocks.append((regime, SPLIT_TRAIN, windows_per_regime))
-    for regime in range(n_signal):
+    for regime in range(N_SIGNAL):
         blocks.append((regime, SPLIT_VAL, val_per_signal))
-    for regime in range(n_signal):
+    for regime in range(N_SIGNAL):
         blocks.append((regime, SPLIT_TEST, test_per_signal))
 
     inputs, targets, tags, regimes = [], [], [], []
     for regime, tag, count in blocks:
-        x, y = _draw_regime_windows(rng, regime, n_regimes, n_signal, count,
-                                    window_length)
+        x, y = _draw_regime_windows(rng, regime, count)
         inputs.append(x.reshape(-1, N_INPUT_CHANNELS))
         targets.append(y.reshape(-1, len(TARGET_NAMES)))
         tags.append(np.full(count, tag, dtype="U5"))
@@ -82,22 +81,21 @@ def generate_regime_corpus(seed: int, n_regimes: int = 12, n_signal: int = 3,
     windows = WindowSet(
         input_rows=np.concatenate(inputs),
         target_rows=np.concatenate(targets),
-        start=np.arange(sum(b[2] for b in blocks), dtype=np.int64) * window_length,
+        start=np.arange(sum(b[2] for b in blocks), dtype=np.int64) * WINDOW_LENGTH,
         split=np.concatenate(tags),
-        window_length=window_length,
+        window_length=WINDOW_LENGTH,
         input_names=[f"chan_{c}" for c in range(N_INPUT_CHANNELS)],
         target_names=list(TARGET_NAMES),
     )
     features = embedding.featurize_window_set(windows)
     return BenchmarkData(windows=windows, features=features,
                          regimes=np.concatenate(regimes),
-                         signal_regimes=tuple(range(n_signal)))
+                         signal_regimes=tuple(range(N_SIGNAL)))
 
 
-def _draw_regime_windows(rng: np.random.Generator, regime: int, n_regimes: int,
-                         n_signal: int, count: int, window_length: int):
-    t = np.arange(window_length) / window_length
-    level = regime / n_regimes
+def _draw_regime_windows(rng: np.random.Generator, regime: int, count: int):
+    t = np.arange(WINDOW_LENGTH) / WINDOW_LENGTH
+    level = regime / N_REGIMES
     # Amplitudes stay small relative to the level spacing so the phase-random
     # per-window statistics cannot blur regime boundaries in feature space.
     amplitude = 0.06 + 0.04 * (regime % 3)
@@ -109,11 +107,11 @@ def _draw_regime_windows(rng: np.random.Generator, regime: int, n_regimes: int,
     x = level + channel_shift + wave
     x = x + INPUT_NOISE * rng.standard_normal(x.shape)
 
-    if regime < n_signal:
+    if regime < N_SIGNAL:
         y = x @ TARGET_COEF + TARGET_BIAS
         y = y + TARGET_NOISE * rng.standard_normal(y.shape)
     else:
-        y = 0.5 + 0.2 * rng.standard_normal((count, window_length, len(TARGET_NAMES)))
+        y = 0.5 + 0.2 * rng.standard_normal((count, WINDOW_LENGTH, len(TARGET_NAMES)))
     return x, y
 
 
@@ -135,13 +133,14 @@ class BenchmarkOutcome:
         return float(w[self.signal_clusters].mean()), float(w[~self.signal_clusters].mean())
 
 
-def prepare_clusters(data: BenchmarkData, k: int, seed: int,
-                     n_init: int = 3) -> clustering.ClusterModel:
-    """Cluster the training windows in standardized feature space."""
+def prepare_clusters(data: BenchmarkData, seed: int) -> clustering.ClusterModel:
+    """Cluster the training windows in standardized feature space into one
+    cluster per planted regime."""
     normalized = embedding.zscore_features(
         data.features, data.windows.split_mask(SPLIT_TRAIN))
     train_points = normalized[data.train_indices]
-    return clustering.kmeans_fit(train_points, k=k, seed=seed, n_init=n_init)
+    return clustering.kmeans_fit(train_points, k=N_REGIMES, seed=seed,
+                                 n_init=KMEANS_RESTARTS)
 
 
 def signal_cluster_mask(data: BenchmarkData,
@@ -162,17 +161,10 @@ def signal_cluster_mask(data: BenchmarkData,
 
 def run_benchmark_study(master_seed: int, n_trials: int = 60,
                         sampler: str = "tpe", jobs: int = 1,
-                        n_regimes: int = 12, n_signal: int = 3,
-                        windows_per_regime: int = 1000,
-                        window_length: int = 32,
-                        kmeans_restarts: int = 3) -> BenchmarkOutcome:
+                        windows_per_regime: int = 1000) -> BenchmarkOutcome:
     """Full benchmark pass: generate, featurize, cluster, search, baseline."""
-    data = generate_regime_corpus(master_seed, n_regimes=n_regimes,
-                                  n_signal=n_signal,
-                                  windows_per_regime=windows_per_regime,
-                                  window_length=window_length)
-    model = prepare_clusters(data, k=n_regimes, seed=master_seed,
-                             n_init=kmeans_restarts)
+    data = generate_regime_corpus(master_seed, windows_per_regime=windows_per_regime)
+    model = prepare_clusters(data, seed=master_seed)
     objective = trainers.make_objective(
         trainers.TrainConfig(), data.windows, data.features.data.astype(np.float64),
         data.train_indices, model.assignments, master_seed)

@@ -221,10 +221,10 @@ def run_selftest(args: argparse.Namespace) -> int:
          signal_mean > noise_mean,
          f"{signal_mean:.3f} vs {noise_mean:.3f}"),
     ]
-    report.emit_reports(outcome.study, outcome.cluster_model, outcome.baseline.objective,
+    assignments = outcome.cluster_model.assignments
+    report.emit_reports(outcome.study, assignments, outcome.baseline.objective,
                         None, out_dir)
-    report.export_review_bundle(outcome.study, outcome.cluster_model,
-                                outcome.data.windows,
+    report.export_review_bundle(outcome.study, assignments, outcome.data.windows,
                                 outcome.data.train_indices, m=5,
                                 out_dir=out_dir, seed=args.seed)
     all_ok = True

@@ -83,10 +83,6 @@ def kmeans_init_plusplus(points: np.ndarray, k: int,
     n = points.shape[0]
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
-    n_distinct = np.unique(points, axis=0).shape[0]
-    if k > n_distinct:
-        raise ClusteringError(
-            f"k={k} exceeds the number of distinct points ({n_distinct})")
 
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
@@ -94,6 +90,10 @@ def kmeans_init_plusplus(points: np.ndarray, k: int,
     d2 = np.einsum("nd,nd->n", points - centroids[0], points - centroids[0])
     for j in range(1, k):
         total = d2.sum()
+        if total == 0.0:
+            # Every point coincides with one of the j distinct centroids so far.
+            raise ClusteringError(
+                f"k={k} exceeds the number of distinct points ({j})")
         probs = d2 / total
         idx = int(rng.choice(n, p=probs))
         centroids[j] = points[idx]

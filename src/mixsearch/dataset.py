@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 logger = logging.getLogger(__name__)
 
@@ -288,6 +287,10 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
     profile run: y_0 = x_0, y_t = alpha*x_t + (1-alpha)*y_{t-1}.  Runs are
     smoothed independently; no value leaks across a profile boundary.
     """
+    # Imported here, not at module level: scipy.signal takes most of the
+    # package's import time and only preprocess derives features.
+    from scipy.signal import lfilter
+
     if table.n_rows == 0:
         raise DatasetError("cannot derive features from an empty table")
     for s in spans:
@@ -309,7 +312,10 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
             alpha = 2.0 / (int(s) + 1.0)
             out = derived[:, j]
             for _, sl in runs:
-                out[sl] = _ewma_run(x[sl], alpha)
+                # y[t] = alpha*x[t] + (1-alpha)*y[t-1] as a first-order IIR
+                # filter, with state chosen so that y[0] == x[0].
+                zi = np.array([(1.0 - alpha) * x[sl][0]])
+                out[sl], _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x[sl], zi=zi)
             j += 1
 
     return replace(
@@ -319,14 +325,6 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
         values=np.hstack([table.values, derived]),
         split=None if table.split is None else table.split.copy(),
     )
-
-
-def _ewma_run(x: np.ndarray, alpha: float) -> np.ndarray:
-    # y[t] = alpha*x[t] + (1-alpha)*y[t-1] as a first-order IIR filter,
-    # with state chosen so that y[0] == x[0].
-    zi = np.array([(1.0 - alpha) * x[0]])
-    y, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x, zi=zi)
-    return y
 
 
 def split_by_profile(table: RawTable, split: SplitSpec) -> RawTable:

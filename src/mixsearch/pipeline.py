@@ -28,7 +28,6 @@ from .dataset import (
     WindowSet,
     apply_scaler,
     derive_ewma,
-    expected_window_count,
     fit_scaler,
     load_dataset,
     load_processed_table,
@@ -208,21 +207,14 @@ def _load_assignments(out_dir: Path, manifest: RunManifest):
     return rows[:, 0], rows[:, 1]
 
 
-def _reconstruct_cluster_model(out_dir: Path, manifest: RunManifest) -> clustering.ClusterModel:
-    entry = manifest.stages["cluster"]
-    _, assignments = _load_assignments(out_dir, manifest)
-    centroids = embedding.read_embedding_file(
-        out_dir / entry["outputs"]["centroids"], expected_rows=None)
-    k = int(entry["params"]["k"])
-    return clustering.ClusterModel(
-        k=k,
-        centroids=centroids.data.astype(np.float64),
-        assignments=assignments,
-        sizes=np.bincount(assignments, minlength=k).astype(np.int64),
-        inertia=float(entry["inertia"]),
-        n_iter=int(entry["n_iter"]),
-        inertia_history=[],
-    )
+def _load_study(out_dir: Path, manifest: RunManifest) -> tuple[search.StudyResult, dict]:
+    """The finished study and the ``study.json`` payload it was saved with."""
+    outputs = manifest.stages["search"]["outputs"]
+    payload = json.loads((out_dir / outputs["study"]).read_text())
+    records = search.load_trial_log(out_dir / outputs["trials"])
+    result = search.StudyResult.from_trials(records, payload["k"],
+                                            payload["sampler_config"])
+    return result, payload
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +232,7 @@ def stage_preprocess(out_dir: Path, seed: int, force: bool, data: str,
     table = split_by_profile(table, split)
     scaler = fit_scaler(table, split)
     table = apply_scaler(table, scaler)
-    if not sum(expected_window_count(sl.stop - sl.start, window_length, stride)
-               for _, sl in table.profile_runs()):
-        raise DatasetError(f"no profile run is long enough for W={window_length}")
+    make_windows(table, window_length, stride)  # fail now if no window fits
 
     save_table(table, scaler, out_dir / "processed.npz")
     params = {
@@ -395,19 +385,16 @@ def stage_sweep(out_dir: Path, seed: int, force: bool, fractions: list[float],
 
 def stage_report(out_dir: Path, seed: int, force: bool) -> None:
     manifest = open_manifest(out_dir, seed, "report", force)
-    study_payload = json.loads((out_dir / "study.json").read_text())
-    records = search.load_trial_log(
-        out_dir / manifest.stages["search"]["outputs"]["trials"])
-    result = search.StudyResult.from_trials(records, study_payload["k"],
-                                            study_payload["sampler_config"])
-    model = _reconstruct_cluster_model(out_dir, manifest)
+    result, study_payload = _load_study(out_dir, manifest)
+    _, assignments = _load_assignments(out_dir, manifest)
     sweep_rows = None
     sweep_path = out_dir / "sweep.json"
     if sweep_path.exists():
         sweep_payload = json.loads(sweep_path.read_text())
         sweep_rows = [(row["fraction"], row["n_windows"], row["test_avg_mse"])
                       for row in sweep_payload["rows"]]
-    bundle = report.emit_reports(result, model, study_payload["baseline"]["avg_mse"],
+    bundle = report.emit_reports(result, assignments,
+                                 study_payload["baseline"]["avg_mse"],
                                  sweep_rows, out_dir)
     manifest.record_stage("report", {}, {name: str(p.relative_to(out_dir))
                                          for name, p in bundle.paths.items()})
@@ -416,41 +403,11 @@ def stage_report(out_dir: Path, seed: int, force: bool) -> None:
 
 def stage_review_export(out_dir: Path, seed: int, force: bool, m: int) -> None:
     manifest = open_manifest(out_dir, seed, "review-export", force)
-    study_payload = json.loads((out_dir / "study.json").read_text())
-    records = search.load_trial_log(
-        out_dir / manifest.stages["search"]["outputs"]["trials"])
-    result = search.StudyResult.from_trials(records, study_payload["k"],
-                                            study_payload["sampler_config"])
+    result, _ = _load_study(out_dir, manifest)
     windows = _load_windows(out_dir, manifest)
-    model = _reconstruct_cluster_model(out_dir, manifest)
-    train_idx, _ = _load_assignments(out_dir, manifest)
-    report.export_review_bundle(result, model, windows, train_idx, m, out_dir,
-                                seed=seed)
+    train_idx, assignments = _load_assignments(out_dir, manifest)
+    report.export_review_bundle(result, assignments, windows, train_idx, m,
+                                out_dir, seed=seed)
     manifest.record_stage("review-export", {"m": m}, {"review": "review"})
     manifest.save(out_dir)
 
-
-def run_end_to_end(out_dir: Path, seed: int, data: str, schema: dict[str, str],
-                   ewma_spans: list[int], test_profiles: list[int],
-                   val_profiles: list[int], window_length: int, stride: int,
-                   k: int, trials: int, jobs: int = 1, sampler: str = "tpe",
-                   train_config: trainers.TrainConfig | None = None,
-                   fractions: list[float] | None = None,
-                   review_samples: int | None = None,
-                   restarts: int = 10) -> None:
-    """Chain every stage over one directory, exactly as separate invocations
-    would.  Used by tests to confirm staged and single runs agree."""
-    train_config = train_config or trainers.TrainConfig(seed=seed)
-    stage_preprocess(out_dir, seed, False, data, schema, ewma_spans,
-                     test_profiles, val_profiles, window_length, stride)
-    stage_embed(out_dir, seed, False, embeddings=None)
-    stage_cluster(out_dir, seed, False, k=k, max_iter=300, tol=1e-6,
-                  restarts=restarts, centroids_path=None)
-    stage_search(out_dir, seed, False, trials=trials, jobs=jobs, sampler=sampler,
-                 train_config=train_config, external_cmd=None,
-                 external_timeout=600.0)
-    if fractions:
-        stage_sweep(out_dir, seed, False, fractions, train_config)
-    stage_report(out_dir, seed, False)
-    if review_samples:
-        stage_review_export(out_dir, seed, False, review_samples)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterModel
 from .dataset import WindowSet
 from .search import StudyResult, round_half_up
 
@@ -26,6 +25,8 @@ logger = logging.getLogger(__name__)
 
 SUMMARY_SCHEMA_VERSION = 1
 _REVIEW_STREAM = 7  # seed-stream tag so review sampling is independent of trials
+REVIEW_TOP = 3
+REVIEW_BOTTOM = 3
 
 
 class ReportError(ValueError):
@@ -41,13 +42,22 @@ class ReportBundle:
     paths: dict[str, Path]
 
 
-def emit_reports(study: StudyResult, model: ClusterModel,
+def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
+    """Member count per cluster; every id must lie in ``[0, len(weights))``."""
+    k = weights.shape[0]
+    if np.any(assignments < 0) or np.any(assignments >= k):
+        raise ReportError(f"cluster assignments reference clusters outside [0, {k})")
+    return np.bincount(assignments, minlength=k)
+
+
+def emit_reports(study: StudyResult, assignments: np.ndarray,
                  baseline: float | None,
                  sweep_rows: list[tuple[float, int, float]] | None,
                  out_dir: str | Path) -> ReportBundle:
     """Write weights.csv, counts.csv, sweep.csv and summary.json.
 
-    The counts table recomputes n_k from the best trial's weights with the
+    ``assignments`` holds the cluster id of every training window.  The
+    counts table recomputes n_k from the best trial's weights with the
     same rounding the mixture builder uses, so it matches what that trial
     trained on.  ``baseline`` is the full-data average MSE; without it the
     summary carries a warning instead of an improvement figure.
@@ -58,18 +68,18 @@ def emit_reports(study: StudyResult, model: ClusterModel,
     out.mkdir(parents=True, exist_ok=True)
     best = study.best_trial
     weights = np.asarray(best.weights, dtype=np.float64)
-    if weights.shape[0] != model.k:
-        raise ReportError("study weights and cluster model disagree on k")
+    sizes = _cluster_sizes(weights, assignments)
+    k = weights.shape[0]
 
-    order = sorted(range(model.k), key=lambda c: (-weights[c], c))
+    order = sorted(range(k), key=lambda c: (-weights[c], c))
     weights_rows = [(c, float(weights[c]), rank + 1) for rank, c in enumerate(order)]
-    counts_rows = [(c, int(model.sizes[c]), round_half_up(model.sizes[c] * weights[c]))
-                   for c in range(model.k)]
+    counts_rows = [(c, int(sizes[c]), round_half_up(sizes[c] * weights[c]))
+                   for c in range(k)]
 
-    total_windows = int(model.sizes.sum())
+    total_windows = int(sizes.sum())
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
-        "k": model.k,
+        "k": k,
         "best_trial_id": best.trial_id,
         "best_avg_mse": best.objective,
         "best_mixture_size": best.n_mix,
@@ -146,39 +156,38 @@ def run_size_sweep(fractions: list[float], seed: int, score_fn,
 # ---------------------------------------------------------------------------
 # Review bundle
 
-def select_review_clusters(weights: np.ndarray, n_top: int = 3,
-                           n_bottom: int = 3) -> tuple[list[int], list[int]]:
-    """Top and bottom clusters by weight; ties resolve to the lower id.
+def select_review_clusters(weights: np.ndarray) -> tuple[list[int], list[int]]:
+    """The :data:`REVIEW_TOP` heaviest and :data:`REVIEW_BOTTOM` lightest
+    clusters; ties resolve to the lower id.
 
     The bottom set is drawn from clusters not already taken by the top set,
     so the selection always names distinct clusters.
     """
     k = weights.shape[0]
-    if k < n_top + n_bottom:
-        raise ReportError(f"need at least {n_top + n_bottom} clusters, have {k}")
+    if k < REVIEW_TOP + REVIEW_BOTTOM:
+        raise ReportError(
+            f"need at least {REVIEW_TOP + REVIEW_BOTTOM} clusters, have {k}")
     by_weight_desc = sorted(range(k), key=lambda c: (-weights[c], c))
-    top = by_weight_desc[:n_top]
+    top = by_weight_desc[:REVIEW_TOP]
     remaining = [c for c in range(k) if c not in top]
-    bottom = sorted(remaining, key=lambda c: (weights[c], c))[:n_bottom]
+    bottom = sorted(remaining, key=lambda c: (weights[c], c))[:REVIEW_BOTTOM]
     return top, bottom
 
 
-def export_review_bundle(study: StudyResult, model: ClusterModel,
+def export_review_bundle(study: StudyResult, assignments: np.ndarray,
                          windows: WindowSet, train_indices: np.ndarray,
                          m: int, out_dir: str | Path, seed: int = 0) -> dict:
-    """Sample ``m`` windows from each of the 3 heaviest and 3 lightest
-    clusters and write them as per-window CSV series plus the reviewer
-    prompt.
+    """Sample ``m`` windows from each cluster :func:`select_review_clusters`
+    names and write them as per-window CSV series plus the reviewer prompt.
 
-    ``train_indices`` maps positions in ``model.assignments`` to window
-    indices.  Clusters with fewer than ``m`` members export everything they
-    have, with a note in the bundle manifest.
+    ``assignments[i]`` is the cluster of window ``train_indices[i]``.
+    Clusters with fewer than ``m`` members export everything they have,
+    with a note in the bundle manifest.
     """
     if m < 1:
         raise ReportError("m must be >= 1")
     weights = np.asarray(study.best_trial.weights, dtype=np.float64)
-    if weights.shape[0] != model.k:
-        raise ReportError("study weights and cluster model disagree on k")
+    _cluster_sizes(weights, assignments)
     top, bottom = select_review_clusters(weights)
 
     out = Path(out_dir)
@@ -189,7 +198,7 @@ def export_review_bundle(study: StudyResult, model: ClusterModel,
     manifest: dict = {"clusters": {}, "m_requested": m,
                       "top_clusters": top, "bottom_clusters": bottom}
     for cluster in top + bottom:
-        members = train_indices[model.assignments == cluster]
+        members = train_indices[assignments == cluster]
         n_take = min(m, members.size)
         note = None
         if n_take < m:

@@ -16,7 +16,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,6 +27,11 @@ logger = logging.getLogger(__name__)
 
 EPS = 1e-12
 TRIAL_SCHEMA_VERSION = 1
+# TPE's fixed settings (the defaults of Bergstra et al. 2011 and Optuna's
+# TPESampler): uniform proposals until N_STARTUP trials have completed, then
+# the best of N_CANDIDATES draws from the good density per dimension.
+N_STARTUP = 10
+N_CANDIDATES = 24
 # Kernel-width floor scale: floor(n) = BANDWIDTH_FLOOR_SCALE / min(100, n + 1)
 # on the unit domain.  A fixed floor makes the estimator collapse onto early
 # local optima when few observations exist; this adaptive floor keeps early
@@ -192,7 +197,6 @@ class StudyResult:
     trials: list[TrialRecord]  # ordered by trial id
     best_trial_id: int
     k: int
-    bounds: tuple[float, float]
     sampler_config: dict
 
     @property
@@ -213,7 +217,7 @@ class StudyResult:
             raise AllTrialsFailedError("no trial completed")
         best = min(completed, key=lambda t: (t.objective, t.trial_id))
         return cls(trials=ordered, best_trial_id=best.trial_id, k=k,
-                   bounds=(0.0, 1.0), sampler_config=dict(sampler_config))
+                   sampler_config=dict(sampler_config))
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +228,14 @@ def default_gamma(n: int) -> int:
     return min(math.ceil(0.25 * n), 25)
 
 
-def gamma_split(history: Sequence[TrialRecord],
-                gamma_fn: Callable[[int], int] = default_gamma
+def gamma_split(history: Sequence[TrialRecord]
                 ) -> tuple[list[TrialRecord], list[TrialRecord]]:
     """Split completed trials into (good, bad) by ascending objective."""
     completed = [t for t in history if t.state == STATE_COMPLETE]
     if not completed:
         raise SearchError("gamma_split needs at least one completed trial")
     ranked = sorted(completed, key=lambda t: (t.objective, t.trial_id))
-    n_good = min(len(ranked), max(1, math.ceil(gamma_fn(len(ranked)))))
+    n_good = min(len(ranked), max(1, default_gamma(len(ranked))))
     return ranked[:n_good], ranked[n_good:]
 
 
@@ -249,19 +252,17 @@ class ParzenDensity:
     {0, 1}, floored at :func:`bandwidth_floor` of the observation count.
     """
 
-    def __init__(self, observations: Sequence[float] | np.ndarray,
-                 min_bandwidth: float | None = None):
+    def __init__(self, observations: Sequence[float] | np.ndarray):
         obs = np.sort(np.asarray(observations, dtype=np.float64))
         if obs.size and (obs[0] < 0.0 or obs[-1] > 1.0):
             raise SearchError("observations must lie in [0, 1]")
         self.obs = obs
         n = obs.size
         if n:
-            floor = bandwidth_floor(n) if min_bandwidth is None else min_bandwidth
             support = np.concatenate([[0.0], obs, [1.0]])
             left = obs - support[:-2]
             right = support[2:] - obs
-            self.bw = np.maximum(np.maximum(left, right), floor)
+            self.bw = np.maximum(np.maximum(left, right), bandwidth_floor(n))
             lo = ndtr((0.0 - obs) / self.bw)
             hi = ndtr((1.0 - obs) / self.bw)
             self.trunc_mass = hi - lo
@@ -309,31 +310,30 @@ def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def tpe_suggest(history: Sequence[TrialRecord], k: int,
-                n_startup: int = 10, n_candidates: int = 24,
-                rng: np.random.Generator | None = None,
-                gamma_fn: Callable[[int], int] = default_gamma) -> np.ndarray:
+                rng: np.random.Generator | None = None) -> np.ndarray:
     """Propose a weight vector by maximizing the good/bad density ratio.
 
-    Until ``n_startup`` trials have completed the proposal is uniform random.
-    Afterwards each dimension is handled independently: the completed trials
-    are split into good and bad sets, a Parzen density is fitted to each
-    set's values in that dimension, ``n_candidates`` draws are taken from the
-    good density, and the draw maximizing good(x) / (bad(x) + eps) wins.
+    Until :data:`N_STARTUP` trials have completed the proposal is uniform
+    random.  Afterwards each dimension is handled independently: the
+    completed trials are split into good and bad sets, a Parzen density is
+    fitted to each set's values in that dimension, :data:`N_CANDIDATES`
+    draws are taken from the good density, and the draw maximizing
+    good(x) / (bad(x) + eps) wins.
     """
     if k < 1:
         raise SearchError("k must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
     completed = [t for t in history if t.state == STATE_COMPLETE]
-    if len(completed) < n_startup:
+    if len(completed) < N_STARTUP:
         return random_suggest(k, rng)
 
-    good, bad = gamma_split(completed, gamma_fn)
+    good, bad = gamma_split(completed)
     suggestion = np.empty(k, dtype=np.float64)
     for d in range(k):
         density_good = ParzenDensity([t.weights[d] for t in good])
         density_bad = ParzenDensity([t.weights[d] for t in bad])
-        candidates = density_good.sample(rng, n_candidates)
+        candidates = density_good.sample(rng, N_CANDIDATES)
         score = density_good.pdf(candidates) / (density_bad.pdf(candidates) + EPS)
         suggestion[d] = candidates[int(np.argmax(score))]
     return suggestion
@@ -349,9 +349,6 @@ class StudyConfig:
     jobs: int = 1
     sampler: str = "tpe"  # "tpe" | "random"
     seed: int = 0
-    n_startup: int = 10
-    n_candidates: int = 24
-    gamma_fn: Callable[[int], int] = field(default=default_gamma, repr=False)
     trial_log: Path | None = None
 
     def __post_init__(self) -> None:
@@ -368,8 +365,8 @@ class StudyConfig:
         return {
             "sampler": self.sampler,
             "seed": self.seed,
-            "n_startup": self.n_startup,
-            "n_candidates": self.n_candidates,
+            "n_startup": N_STARTUP,
+            "n_candidates": N_CANDIDATES,
             "jobs": self.jobs,
         }
 
@@ -394,8 +391,7 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
             snapshot = list(history)
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
         if config.sampler == "tpe":
-            weights = tpe_suggest(snapshot, config.k, config.n_startup,
-                                  config.n_candidates, rng, config.gamma_fn)
+            weights = tpe_suggest(snapshot, config.k, rng)
         else:
             weights = random_suggest(config.k, rng)
         t0 = time.perf_counter()

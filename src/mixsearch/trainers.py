@@ -106,7 +106,6 @@ def lr_at_step(step: int, total_steps: int, peak: float, warmup_fraction: float)
 class RidgeModel:
     coef: np.ndarray       # (d, C_tgt)
     intercept: np.ndarray  # (C_tgt,)
-    target_names: list[str]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.asarray(features, dtype=np.float64) @ self.coef + self.intercept
@@ -140,8 +139,7 @@ def train_ridge(idx: np.ndarray, windows: WindowSet,
         ) from None
     if not np.all(np.isfinite(beta)):
         raise TrainerError("ridge solution is non-finite; increase the penalty")
-    return RidgeModel(coef=beta[:-1], intercept=beta[-1],
-                      target_names=list(windows.target_names))
+    return RidgeModel(coef=beta[:-1], intercept=beta[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +159,6 @@ class PatchNetModel:
     params: dict[str, np.ndarray]
     pos_encoding: np.ndarray
     patch_len: int
-    window_length: int
-    target_names: list[str]
     tokens_consumed: int = 0
     epoch_losses: list[float] = field(default_factory=list)
 
@@ -240,12 +236,8 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     """
     if idx.size == 0:
         raise TrainerError("mixture is empty")
-    w = windows.window_length
-    if w % config.patch_len != 0:
-        raise TrainerError(
-            f"patch length {config.patch_len} does not divide window length {w}")
-    ppw = w // config.patch_len
     x_all = to_patches(windows.inputs[idx], config.patch_len)
+    ppw = x_all.shape[1]
     y_all = windows.targets[idx]
     n = x_all.shape[0]
     n_targets = y_all.shape[1]
@@ -314,7 +306,6 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
 
     return PatchNetModel(
         params=params, pos_encoding=pe, patch_len=config.patch_len,
-        window_length=w, target_names=list(windows.target_names),
         tokens_consumed=tokens, epoch_losses=epoch_losses)
 
 

@@ -15,7 +15,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mixsearch import benchmark, pipeline
+from mixsearch import benchmark
+from mixsearch.cli import main
 from mixsearch.clustering import kmeans_fit
 from mixsearch.dataset import SplitSpec, apply_scaler, derive_ewma, fit_scaler
 from mixsearch.dataset import expected_window_count, make_windows, split_by_profile
@@ -215,14 +216,24 @@ class TestCriterion08Determinism:
         schema = benchmark.write_raw_profile_csv(csv_path, seed=1,
                                                  profile_ids=tuple(range(8)),
                                                  rows_per_profile=300)
+        schema_path = tmp_path / "schema.txt"
+        schema_path.write_text("".join(f"{c}={r}\n" for c, r in schema.items()))
         outputs = []
         for name in ("one", "two"):
             out = tmp_path / name
-            pipeline.run_end_to_end(
-                out, 5, str(csv_path), schema, ewma_spans=[8, 32],
-                test_profiles=[7], val_profiles=[5, 6], window_length=40,
-                stride=20, k=6, trials=12, jobs=1, sampler="tpe",
-                train_config=TrainConfig(seed=5), restarts=3)
+            common = ["--out", str(out), "--seed", "5", "--log-level", "warning"]
+            codes = [
+                main(["preprocess", *common, "--data", str(csv_path),
+                      "--schema", str(schema_path), "--ewma-spans", "8,32",
+                      "--test-profiles", "7", "--val-profiles", "5,6",
+                      "--window-length", "40", "--stride", "20"]),
+                main(["embed", *common]),
+                main(["cluster", *common, "--k", "6", "--restarts", "3"]),
+                main(["search", *common, "--trials", "12", "--jobs", "1",
+                      "--sampler", "tpe", "--trainer", "ridge"]),
+                main(["report", *common]),
+            ]
+            assert codes == [0] * 5, codes
             outputs.append(out)
         same = all((outputs[0] / f).read_bytes() == (outputs[1] / f).read_bytes()
                    for f in ("summary.json", "weights.csv", "counts.csv"))

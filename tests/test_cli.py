@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import mixsearch
-from mixsearch import benchmark, pipeline
+from mixsearch import benchmark
 from mixsearch.cli import build_parser, main
-from mixsearch.trainers import TrainConfig
 
 SEED = 7
 PREP = ["--ewma-spans", "8,32", "--test-profiles", "7", "--val-profiles", "5,6",
@@ -84,14 +83,24 @@ class TestDispatch:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
 
-    def test_console_script_entry(self):
+    @staticmethod
+    def _child(*args):
         # The child imports the same mixsearch as this process, installed or not.
         src = str(Path(mixsearch.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "mixsearch.cli", "definitely-not-a-command"],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+
+    def test_console_script_entry(self):
+        proc = self._child("-m", "mixsearch.cli", "definitely-not-a-command")
         assert proc.returncode == 2
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal dominates start-up time; only preprocess needs it.
+        proc = self._child(
+            "-c", "import sys, mixsearch.cli; print('scipy.signal' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_full_scale_defaults(self):
         parser = build_parser()
@@ -130,20 +139,6 @@ class TestStages:
         rc = main(["cluster", "--out", str(out), "--seed", "0", "--log-level", "warning"])
         assert rc == 1
         assert "embed" in capsys.readouterr().err
-
-    def test_staged_equals_end_to_end(self, raw_csv, tmp_path):
-        csv_path, schema_path, schema = raw_csv
-        staged = tmp_path / "staged"
-        single = tmp_path / "single"
-        staged_run(staged, raw_csv)
-        pipeline.run_end_to_end(
-            single, SEED, str(csv_path), schema, ewma_spans=[8, 32],
-            test_profiles=[7], val_profiles=[5, 6], window_length=40, stride=20,
-            k=6, trials=12, jobs=1, sampler="tpe",
-            train_config=TrainConfig(seed=SEED), fractions=[0.5, 1.0],
-            review_samples=2, restarts=3)
-        for name in ("summary.json", "weights.csv", "counts.csv", "sweep.csv"):
-            assert (staged / name).read_bytes() == (single / name).read_bytes(), name
 
     def test_determinism_across_runs(self, raw_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -51,7 +51,7 @@ class TestInitPlusPlus:
 
     def test_k_exceeding_distinct_points(self):
         points = np.array([[1.0], [1.0], [2.0]])
-        with pytest.raises(ClusteringError, match="distinct"):
+        with pytest.raises(ClusteringError, match=r"distinct points \(2\)"):
             kmeans_init_plusplus(points, 3, seed=0)
 
 

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from mixsearch.clustering import ClusterModel
 from mixsearch.report import (
     ReportError,
     emit_reports,
@@ -34,14 +33,9 @@ def fake_study(weights_list, objectives, k, sizes=None):
     return StudyResult.from_trials(trials, k=k, sampler_config={"sampler": "tpe"})
 
 
-def fake_cluster_model(sizes):
-    sizes = np.asarray(sizes, dtype=np.int64)
-    k = len(sizes)
-    n = int(sizes.sum())
-    assignments = np.concatenate([np.full(s, c, dtype=np.int64)
-                                  for c, s in enumerate(sizes)])
-    return ClusterModel(k=k, centroids=np.zeros((k, 2)), assignments=assignments,
-                        sizes=sizes, inertia=1.0, n_iter=3, inertia_history=[1.0])
+def fake_assignments(sizes):
+    """Cluster ids of training windows, ``sizes[c]`` of them in cluster c."""
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 def metrics(avg):
@@ -52,14 +46,14 @@ class TestEmitReports:
     def test_headline_improvement_arithmetic(self, tmp_path):
         k = 6
         study = fake_study([[0.5] * k, [0.4] * k], [1.37, 2.0], k)
-        bundle = emit_reports(study, fake_cluster_model([1000] * k),
+        bundle = emit_reports(study, fake_assignments([1000] * k),
                               metrics(1.70), None, tmp_path)
         assert bundle.summary["relative_improvement"] == pytest.approx(0.1941, abs=1e-3)
 
     def test_full_data_best_trial_means_no_compression(self, tmp_path):
         k = 4
         study = fake_study([[1.0] * k], [0.5], k, sizes=[250] * k)
-        bundle = emit_reports(study, fake_cluster_model([250] * k),
+        bundle = emit_reports(study, fake_assignments([250] * k),
                               metrics(0.6), None, tmp_path)
         assert bundle.summary["compression_ratio"] == pytest.approx(1.0)
 
@@ -67,7 +61,7 @@ class TestEmitReports:
         # best mixture at 42.6% of the data compresses roughly 2.35x
         k = 2
         study = fake_study([[0.426, 0.426]], [0.5], k, sizes=[500, 500])
-        bundle = emit_reports(study, fake_cluster_model([500, 500]),
+        bundle = emit_reports(study, fake_assignments([500, 500]),
                               metrics(0.6), None, tmp_path)
         assert bundle.summary["compression_ratio"] == pytest.approx(2.35, abs=0.01)
 
@@ -77,11 +71,11 @@ class TestEmitReports:
         sizes = [120, 40, 310, 77, 53]
         weights = rng.uniform(size=k)
         study = fake_study([weights], [0.3], k)
-        model = fake_cluster_model(sizes)
-        emit_reports(study, model, metrics(0.5), None, tmp_path)
+        assignments = fake_assignments(sizes)
+        emit_reports(study, assignments, metrics(0.5), None, tmp_path)
         with (tmp_path / "counts.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        mixture = build_mixture(model.assignments, weights, seed=0)
+        mixture = build_mixture(assignments, weights, seed=0)
         for row in rows:
             c = int(row["cluster_id"])
             assert int(row["original_count"]) == sizes[c]
@@ -90,7 +84,7 @@ class TestEmitReports:
     def test_weights_sorted_descending_with_rank(self, tmp_path):
         k = 4
         study = fake_study([[0.1, 0.9, 0.5, 0.9]], [0.2], k)
-        emit_reports(study, fake_cluster_model([10] * k), metrics(0.5),
+        emit_reports(study, fake_assignments([10] * k), metrics(0.5),
                      None, tmp_path)
         with (tmp_path / "weights.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -100,7 +94,7 @@ class TestEmitReports:
     def test_missing_baseline_warns_in_summary(self, tmp_path):
         k = 3
         study = fake_study([[0.5] * k], [0.4], k)
-        bundle = emit_reports(study, fake_cluster_model([10] * k), None,
+        bundle = emit_reports(study, fake_assignments([10] * k), None,
                               None, tmp_path)
         assert "warning" in bundle.summary
         assert "relative_improvement" not in bundle.summary
@@ -109,12 +103,20 @@ class TestEmitReports:
         k = 3
         study = fake_study([[0.5] * k], [0.4], k)
         rows = [(0.25, 25, 0.9), (1.0, 100, 0.7)]
-        emit_reports(study, fake_cluster_model([10] * k), metrics(0.8),
+        emit_reports(study, fake_assignments([10] * k), metrics(0.8),
                      rows, tmp_path)
         with (tmp_path / "sweep.csv").open() as fh:
             got = list(csv.DictReader(fh))
         assert [float(r["fraction"]) for r in got] == [0.25, 1.0]
         assert [float(r["test_avg_mse"]) for r in got] == [0.9, 0.7]
+
+    def test_assignment_outside_k_is_error(self, tmp_path):
+        k = 3
+        study = fake_study([[0.5] * k], [0.4], k)
+        for bad in (k, -1):
+            assignments = np.append(fake_assignments([10] * k), bad)
+            with pytest.raises(ReportError, match=r"outside \[0, 3\)"):
+                emit_reports(study, assignments, metrics(0.5), None, tmp_path)
 
 
 class TestSizeSweep:
@@ -181,8 +183,8 @@ class TestReviewBundle:
         k, per = 8, 30
         n = k * per
         study = fake_study([np.linspace(0.05, 0.95, k)], [0.1], k)
-        model = fake_cluster_model([per] * k)
-        manifest = export_review_bundle(study, model, self._windows(n),
+        manifest = export_review_bundle(study, fake_assignments([per] * k),
+                                        self._windows(n),
                                         np.arange(n), m=10, out_dir=tmp_path)
         files = list((tmp_path / "review").rglob("*.csv"))
         assert len(files) == 60
@@ -193,7 +195,7 @@ class TestReviewBundle:
         k, per = 6, 4
         n = k * per
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
-        export_review_bundle(study, fake_cluster_model([per] * k),
+        export_review_bundle(study, fake_assignments([per] * k),
                              self._windows(n), np.arange(n),
                              m=1, out_dir=tmp_path)
         files = list((tmp_path / "review").rglob("*.csv"))
@@ -205,7 +207,7 @@ class TestReviewBundle:
         n = sum(sizes)
         weights = [0.99, 0.8, 0.7, 0.3, 0.2, 0.1]  # cluster 0 is top-1 but tiny
         study = fake_study([weights], [0.1], k)
-        manifest = export_review_bundle(study, fake_cluster_model(sizes),
+        manifest = export_review_bundle(study, fake_assignments(sizes),
                                         self._windows(n), np.arange(n),
                                         m=5, out_dir=tmp_path)
         entry = manifest["clusters"]["0"]
@@ -216,7 +218,7 @@ class TestReviewBundle:
         k, per = 6, 5
         n = k * per
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
-        export_review_bundle(study, fake_cluster_model([per] * k),
+        export_review_bundle(study, fake_assignments([per] * k),
                              self._windows(n), np.arange(n), m=1,
                              out_dir=tmp_path, seed=3)
         sample = next((tmp_path / "review").rglob("*/0.csv"))
@@ -224,12 +226,22 @@ class TestReviewBundle:
             header = next(csv.reader(fh))
         assert header == ["t", "u_d", "u_q", "pm"]
 
+    def test_assignment_outside_k_is_error(self, tmp_path):
+        k, per = 6, 4
+        n = k * per
+        study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
+        assignments = fake_assignments([per] * k)
+        assignments[-1] = k
+        with pytest.raises(ReportError, match=r"outside \[0, 6\)"):
+            export_review_bundle(study, assignments, self._windows(n),
+                                 np.arange(n), m=1, out_dir=tmp_path)
+
     def test_prompt_mentions_selected_clusters(self, tmp_path):
         k, per = 7, 6
         n = k * per
         weights = np.linspace(0.0, 1.0, k)
         study = fake_study([weights], [0.1], k)
-        export_review_bundle(study, fake_cluster_model([per] * k),
+        export_review_bundle(study, fake_assignments([per] * k),
                              self._windows(n), np.arange(n), m=2,
                              out_dir=tmp_path)
         prompt = (tmp_path / "review" / "prompt.txt").read_text()

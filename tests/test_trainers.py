@@ -267,8 +267,7 @@ class TestEvaluate:
         ws = make_window_set(rng.normal(size=(n, 4, 1)), np.ones((n, 4, 1)),
                              split=["val"] * n, target_names=["pm"])
         from mixsearch.trainers import RidgeModel
-        model = RidgeModel(coef=np.zeros((2, 1)), intercept=np.zeros(1),
-                           target_names=["pm"])
+        model = RidgeModel(coef=np.zeros((2, 1)), intercept=np.zeros(1))
         metrics = evaluate(model, ws, "val", feats)
         assert metrics.per_target_mse["pm"] == pytest.approx(1.0)
         assert metrics.per_target_mae["pm"] == pytest.approx(1.0)
@@ -292,8 +291,7 @@ class TestEvaluate:
         targets = np.tile([np.sqrt(0.65), np.sqrt(0.91)], (n, 3, 1))
         ws = make_window_set(np.zeros((n, 3, 1)), targets, split=["val"] * n,
                              target_names=["a", "b"])
-        model = RidgeModel(coef=np.zeros((1, 2)), intercept=np.zeros(2),
-                           target_names=["a", "b"])
+        model = RidgeModel(coef=np.zeros((1, 2)), intercept=np.zeros(2))
         metrics = evaluate(model, ws, "val", feats)
         assert metrics.per_target_mse["a"] == pytest.approx(0.65, rel=1e-12)
         assert metrics.per_target_mse["b"] == pytest.approx(0.91, rel=1e-12)
