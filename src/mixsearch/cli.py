@@ -244,37 +244,32 @@ def dispatch(argv: list[str]) -> int:
     apply_config_overrides(args, parser)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                         format="%(levelname)s %(name)s: %(message)s")
-    out = Path(args.out)
+    if args.command == "selftest":
+        return run_selftest(args)
+    run = pipeline.RunManifest.open(Path(args.out), args.seed, args.command,
+                                    args.force)
 
     if args.command == "preprocess":
         schema = pipeline.load_schema(args.schema, args.id_col,
                                       args.input_cols, args.target_cols)
-        pipeline.stage_preprocess(out, args.seed, args.force, args.data, schema,
-                                  args.ewma_spans, args.test_profiles,
-                                  args.val_profiles, args.window_length,
-                                  args.stride)
+        pipeline.stage_preprocess(run, args.data, schema, args.ewma_spans,
+                                  args.test_profiles, args.val_profiles,
+                                  args.window_length, args.stride)
     elif args.command == "embed":
-        pipeline.stage_embed(out, args.seed, args.force, args.embeddings)
+        pipeline.stage_embed(run, args.embeddings)
     elif args.command == "cluster":
-        pipeline.stage_cluster(out, args.seed, args.force, args.k, args.max_iter,
-                               args.tol, args.restarts, args.centroids)
+        pipeline.stage_cluster(run, args.k, args.max_iter, args.tol,
+                               args.restarts, args.centroids)
     elif args.command == "search":
-        pipeline.stage_search(out, args.seed, args.force, args.trials, args.jobs,
-                              args.sampler, _train_config(args),
-                              args.external_cmd, args.external_timeout,
-                              expected_k=args.k)
+        pipeline.stage_search(run, args.trials, args.jobs, args.sampler,
+                              _train_config(args), args.external_cmd,
+                              args.external_timeout, expected_k=args.k)
     elif args.command == "sweep":
-        pipeline.stage_sweep(out, args.seed, args.force, args.fractions,
-                             _train_config(args))
+        pipeline.stage_sweep(run, args.fractions, _train_config(args))
     elif args.command == "report":
-        pipeline.stage_report(out, args.seed, args.force)
+        pipeline.stage_report(run)
     elif args.command == "review-export":
-        pipeline.stage_review_export(out, args.seed, args.force,
-                                     args.review_samples)
-    elif args.command == "selftest":
-        return run_selftest(args)
-    else:  # unreachable: argparse rejects unknown subcommands
-        return 2
+        pipeline.stage_review_export(run, args.review_samples)
     return 0
 
 

@@ -459,7 +459,7 @@ def load_processed_table(path: str | Path) -> RawTable:
     or incomplete file, split tags that are not train/val/test or do not line
     up with the rows, and a non-finite value raise :class:`DatasetError`."""
     try:
-        with np.load(path) as archive:
+        with Path(path).open("rb") as fh, np.load(fh) as archive:
             arrays = {name: archive[name] for name in PROCESSED_ARRAYS}
     except (OSError, EOFError, ValueError, KeyError, TypeError,
             zipfile.BadZipFile) as exc:

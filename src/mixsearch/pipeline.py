@@ -71,51 +71,66 @@ def _chain_hash(params: dict, parent_hashes: dict[str, str], seed: int) -> str:
 
 @dataclass
 class RunManifest:
+    """The one handle a stage gets: its output directory, the stage it runs
+    and the manifest recorded there.  Upstream products load through the
+    outputs the manifest recorded; :meth:`record` adds the stage's entry."""
+    out_dir: Path
+    stage: str
     master_seed: int
     stages: dict
     tool_version: str = __version__
 
     @classmethod
-    def load(cls, out_dir: Path) -> "RunManifest | None":
+    def open(cls, out_dir: Path, seed: int, stage: str, force: bool) -> "RunManifest":
+        """Read ``manifest.json`` (no products) and check that ``stage`` may run."""
+        out_dir.mkdir(parents=True, exist_ok=True)
+        run = cls(out_dir=out_dir, stage=stage, master_seed=seed, stages={})
         path = out_dir / MANIFEST_NAME
-        if not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-                raise PipelineError(
-                    f"{path}: unsupported manifest schema {payload.get('schema_version')}")
-            return cls(master_seed=int(payload["master_seed"]),
-                       stages=payload["stages"],
-                       tool_version=payload.get("tool_version", "unknown"))
-        except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
-            raise PipelineError(f"{path} is not a readable manifest ({exc}); "
-                                f"delete it and re-run from preprocess") from None
+        if path.exists():
+            try:
+                payload = json.loads(path.read_text())
+                if payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+                    raise PipelineError(
+                        f"{path}: unsupported manifest schema {payload.get('schema_version')}")
+                recorded_seed = int(payload["master_seed"])
+                run.stages = payload["stages"]
+            except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+                raise PipelineError(f"{path} is not a readable manifest ({exc}); "
+                                    f"delete it and re-run from preprocess") from None
+            if recorded_seed == seed:
+                run.tool_version = payload.get("tool_version", "unknown")
+            else:
+                msg = (f"output directory was built with master seed "
+                       f"{recorded_seed}, got --seed {seed}")
+                if not force:
+                    raise StaleManifestError(msg)
+                logger.warning("%s -- forced, reseeding", msg)
+        run.verify_upstream(stage, force)
+        return run
 
-    def save(self, out_dir: Path) -> None:
-        payload = {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "tool_version": self.tool_version,
-            "master_seed": self.master_seed,
-            "stages": self.stages,
-        }
-        # Write then rename, so a crash never leaves a half-written manifest.
-        tmp = out_dir / (MANIFEST_NAME + ".tmp")
+    def write_json(self, name: str, payload) -> None:
+        """Write then rename, so a crash never leaves a half-written file."""
+        tmp = self.out_dir / (name + ".tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, out_dir / MANIFEST_NAME)
+        os.replace(tmp, self.out_dir / name)
 
-    def record_stage(self, name: str, params: dict, outputs: dict[str, str],
-                     extra: dict | None = None) -> None:
-        parent_hashes = {p: self.stages[p]["chain_hash"] for p in STAGE_PARENTS[name]}
-        entry = {
+    def record(self, params: dict, outputs: dict[str, str], **extra) -> None:
+        """Record this stage's entry and save the manifest."""
+        parent_hashes = {p: self.stages[p]["chain_hash"]
+                         for p in STAGE_PARENTS[self.stage]}
+        self.stages[self.stage] = {
             "params": params,
             "outputs": outputs,
             "parent_hashes": parent_hashes,
             "chain_hash": _chain_hash(params, parent_hashes, self.master_seed),
+            **extra,
         }
-        if extra:
-            entry.update(extra)
-        self.stages[name] = entry
+        self.write_json(MANIFEST_NAME, {
+            "schema_version": MANIFEST_SCHEMA_VERSION,
+            "tool_version": self.tool_version,
+            "master_seed": self.master_seed,
+            "stages": self.stages,
+        })
 
     def verify_upstream(self, name: str, force: bool) -> None:
         """Check that every ancestor stage ran and its chain is intact."""
@@ -138,26 +153,36 @@ class RunManifest:
                     raise StaleManifestError(msg)
             self.verify_upstream(parent, force)
 
+    def output(self, stage: str, name: str) -> Path:
+        """Path of the product ``name`` that ``stage`` recorded."""
+        return self.out_dir / self.stages[stage]["outputs"][name]
 
-def open_manifest(out_dir: Path, seed: int, stage: str, force: bool) -> RunManifest:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.load(out_dir)
-    if manifest is None:
-        manifest = RunManifest(master_seed=seed, stages={})
-    elif manifest.master_seed != seed:
-        msg = (f"output directory was built with master seed "
-               f"{manifest.master_seed}, got --seed {seed}")
-        if force:
-            logger.warning("%s -- forced, reseeding", msg)
-            manifest = RunManifest(master_seed=seed, stages=manifest.stages)
-        else:
-            raise StaleManifestError(msg)
-    manifest.verify_upstream(stage, force)
-    return manifest
+    def windows(self) -> WindowSet:
+        params = self.stages["preprocess"]["params"]
+        table = load_processed_table(self.output("preprocess", "table"))
+        return make_windows(table, params["window_length"], params["stride"])
+
+    def embeddings(self, n_windows: int) -> embedding.EmbeddingMatrix:
+        return embedding.read_embedding_file(self.output("embed", "embeddings"),
+                                             expected_rows=n_windows)
+
+    def assignments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(train window indices, local cluster assignments) from assignments.csv."""
+        rows = np.loadtxt(self.output("cluster", "assignments"), delimiter=",",
+                          skiprows=1, dtype=np.int64, ndmin=2)
+        return rows[:, 0], rows[:, 1]
+
+    def study(self) -> tuple[search.StudyResult, dict]:
+        """The finished study and the ``study.json`` payload it was saved with."""
+        payload = json.loads(self.output("search", "study").read_text())
+        records = search.load_trial_log(self.output("search", "trials"))
+        result = search.StudyResult.from_trials(records, payload["k"],
+                                                payload["sampler_config"])
+        return result, payload
 
 
 # ---------------------------------------------------------------------------
-# Schema and shared loaders
+# Command-line inputs
 
 def load_schema(schema_path: str | None, id_col: str | None,
                 input_cols: list[str] | None,
@@ -185,46 +210,22 @@ def load_schema(schema_path: str | None, id_col: str | None,
     return schema
 
 
-def _load_windows(out_dir: Path, manifest: RunManifest) -> WindowSet:
-    pre = manifest.stages["preprocess"]
-    table = load_processed_table(out_dir / pre["outputs"]["table"])
-    return make_windows(table, pre["params"]["window_length"],
-                        pre["params"]["stride"])
-
-
-def _load_embeddings(out_dir: Path, manifest: RunManifest,
-                     n_windows: int) -> embedding.EmbeddingMatrix:
-    entry = manifest.stages["embed"]
-    return embedding.read_embedding_file(out_dir / entry["outputs"]["embeddings"],
-                                         expected_rows=n_windows)
-
-
-def _load_assignments(out_dir: Path, manifest: RunManifest):
-    """(train window indices, local cluster assignments) from assignments.csv."""
-    entry = manifest.stages["cluster"]
-    path = out_dir / entry["outputs"]["assignments"]
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-    return rows[:, 0], rows[:, 1]
-
-
-def _load_study(out_dir: Path, manifest: RunManifest) -> tuple[search.StudyResult, dict]:
-    """The finished study and the ``study.json`` payload it was saved with."""
-    outputs = manifest.stages["search"]["outputs"]
-    payload = json.loads((out_dir / outputs["study"]).read_text())
-    records = search.load_trial_log(out_dir / outputs["trials"])
-    result = search.StudyResult.from_trials(records, payload["k"],
-                                            payload["sampler_config"])
-    return result, payload
+def _check_trainer(run: RunManifest, config: trainers.TrainConfig) -> None:
+    """Refuse a patch length that does not divide the window length before
+    anything loads: every patch-net trial would fail on it."""
+    window_length = run.stages["preprocess"]["params"]["window_length"]
+    if config.trainer == trainers.TRAINER_PATCH_NET and window_length % config.patch_len:
+        raise PipelineError(f"--patch-len {config.patch_len} does not divide "
+                            f"window length {window_length}")
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
-def stage_preprocess(out_dir: Path, seed: int, force: bool, data: str,
-                     schema: dict[str, str], ewma_spans: list[int],
-                     test_profiles: list[int], val_profiles: list[int],
-                     window_length: int, stride: int) -> None:
-    manifest = open_manifest(out_dir, seed, "preprocess", force)
+def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
+                     ewma_spans: list[int], test_profiles: list[int],
+                     val_profiles: list[int], window_length: int,
+                     stride: int) -> None:
     table = load_dataset(data, schema)
     if ewma_spans:
         table = derive_ewma(table, ewma_spans)
@@ -234,7 +235,7 @@ def stage_preprocess(out_dir: Path, seed: int, force: bool, data: str,
     table = apply_scaler(table, scaler)
     make_windows(table, window_length, stride)  # fail now if no window fits
 
-    save_table(table, scaler, out_dir / "processed.npz")
+    save_table(table, scaler, run.out_dir / "processed.npz")
     params = {
         "data": str(data),
         "schema": dict(sorted(schema.items())),
@@ -245,37 +246,32 @@ def stage_preprocess(out_dir: Path, seed: int, force: bool, data: str,
         "stride": stride,
         "id_column": table.id_column,
     }
-    manifest.record_stage("preprocess", params, {"table": "processed.npz"})
-    manifest.save(out_dir)
+    run.record(params, {"table": "processed.npz"})
 
 
-def stage_embed(out_dir: Path, seed: int, force: bool,
-                embeddings: str | None) -> None:
-    manifest = open_manifest(out_dir, seed, "embed", force)
-    windows = _load_windows(out_dir, manifest)
+def stage_embed(run: RunManifest, embeddings: str | None) -> None:
+    windows = run.windows()
     if embeddings:
         matrix = embedding.read_embedding_file(embeddings, expected_rows=len(windows))
         provenance = embedding.PROVENANCE_EXTERNAL
     else:
         matrix = embedding.featurize_window_set(windows)
         provenance = embedding.PROVENANCE_BUILTIN
-    embedding.write_embedding_file(matrix, out_dir / "embeddings.tsem")
-    params = {"embeddings": str(embeddings) if embeddings else None}
-    manifest.record_stage("embed", params, {"embeddings": "embeddings.tsem"},
-                          extra={"provenance": provenance, "dims": matrix.dims})
-    manifest.save(out_dir)
+    embedding.write_embedding_file(matrix, run.out_dir / "embeddings.tsem")
+    run.record({"embeddings": str(embeddings) if embeddings else None},
+               {"embeddings": "embeddings.tsem"},
+               provenance=provenance, dims=matrix.dims)
 
 
-def stage_cluster(out_dir: Path, seed: int, force: bool, k: int,
-                  max_iter: int, tol: float, restarts: int,
-                  centroids_path: str | None) -> None:
-    manifest = open_manifest(out_dir, seed, "cluster", force)
-    windows = _load_windows(out_dir, manifest)
-    matrix = _load_embeddings(out_dir, manifest, len(windows))
+def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
+                  restarts: int, centroids_path: str | None) -> None:
+    out_dir = run.out_dir
+    windows = run.windows()
+    matrix = run.embeddings(len(windows))
     normalized = embedding.zscore_features(matrix, windows.split_mask(SPLIT_TRAIN))
     train_idx = windows.split_indices(SPLIT_TRAIN)
     model = clustering.kmeans_fit(normalized[train_idx], k=k, max_iter=max_iter,
-                                  tol=tol, seed=seed, n_init=restarts)
+                                  tol=tol, seed=run.master_seed, n_init=restarts)
 
     assignments_out = out_dir / "assignments.csv"
     with assignments_out.open("w") as fh:
@@ -287,49 +283,47 @@ def stage_cluster(out_dir: Path, seed: int, force: bool, k: int,
         embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
                                   provenance=embedding.PROVENANCE_BUILTIN),
         centroids_out)
-    params = {"k": k, "max_iter": max_iter, "tol": tol, "restarts": restarts}
-    manifest.record_stage(
-        "cluster", params,
+    run.record(
+        {"k": k, "max_iter": max_iter, "tol": tol, "restarts": restarts},
         {"assignments": "assignments.csv",
          "centroids": str(centroids_out.relative_to(out_dir)
                           if centroids_out.is_relative_to(out_dir) else centroids_out)},
-        extra={"inertia": model.inertia, "n_iter": model.n_iter,
-               "cluster_sizes": [int(s) for s in model.sizes]})
-    manifest.save(out_dir)
+        inertia=model.inertia, n_iter=model.n_iter,
+        cluster_sizes=[int(s) for s in model.sizes])
 
 
-def stage_search(out_dir: Path, seed: int, force: bool, trials: int, jobs: int,
-                 sampler: str, train_config: trainers.TrainConfig,
-                 external_cmd: str | None, external_timeout: float,
-                 expected_k: int | None = None) -> None:
+def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
+                 train_config: trainers.TrainConfig, external_cmd: str | None,
+                 external_timeout: float, expected_k: int | None = None) -> None:
     protocol = None
     if train_config.trainer == trainers.TRAINER_EXTERNAL:
         if not external_cmd:
             raise PipelineError("--trainer external needs --external-cmd")
         protocol = trainers.ExternalProtocol(command=shlex.split(external_cmd),
                                              timeout_s=external_timeout)
-    manifest = open_manifest(out_dir, seed, "search", force)
-    windows = _load_windows(out_dir, manifest)
-    matrix = _load_embeddings(out_dir, manifest, len(windows))
-    features = matrix.data.astype(np.float64)
-    train_idx, assignments = _load_assignments(out_dir, manifest)
-    k = int(manifest.stages["cluster"]["params"]["k"])
+    _check_trainer(run, train_config)
+    k = int(run.stages["cluster"]["params"]["k"])
     if expected_k is not None and expected_k != k:
         raise PipelineError(
             f"--k {expected_k} does not match the clustered k={k}; "
             f"re-run the cluster stage if you want a different search space")
+    windows = run.windows()
+    features = run.embeddings(len(windows)).data.astype(np.float64)
+    train_idx, assignments = run.assignments()
 
+    seed = run.master_seed
     objective = trainers.make_objective(train_config, windows, features,
                                         train_idx, assignments, seed,
                                         protocol=protocol,
-                                        handoff_root=out_dir / "external")
+                                        handoff_root=run.out_dir / "external")
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
-                                seed=seed, trial_log=out_dir / "trials.jsonl")
+                                seed=seed, trial_log=run.out_dir / "trials.jsonl")
     result = search.run_study(config, objective)
-    search.save_best_weights(result, out_dir / "best_weights.json")
+    run.write_json("best_weights.json",
+                   {str(c): float(w) for c, w in enumerate(result.best_trial.weights)})
 
     baseline_eval = objective(-1, np.ones(k))
-    study_payload = {
+    run.write_json("study.json", {
         "schema_version": 1,
         "k": k,
         "n_train": int(train_idx.size),
@@ -342,27 +336,21 @@ def stage_search(out_dir: Path, seed: int, force: bool, trials: int, jobs: int,
             "per_target_mse": baseline_eval.per_target_mse,
             "per_target_mae": baseline_eval.per_target_mae,
         },
-    }
-    (out_dir / "study.json").write_text(
-        json.dumps(study_payload, sort_keys=True, indent=2) + "\n")
-
+    })
     params = {"trials": trials, "jobs": jobs, "sampler": sampler,
               "trainer": train_config.to_dict(),
               "external_cmd": external_cmd}
-    manifest.record_stage("search", params,
-                          {"trials": "trials.jsonl", "study": "study.json",
-                           "best_weights": "best_weights.json"})
-    manifest.save(out_dir)
+    run.record(params, {"trials": "trials.jsonl", "study": "study.json",
+                        "best_weights": "best_weights.json"})
 
 
-def stage_sweep(out_dir: Path, seed: int, force: bool, fractions: list[float],
+def stage_sweep(run: RunManifest, fractions: list[float],
                 train_config: trainers.TrainConfig) -> None:
     if train_config.trainer == trainers.TRAINER_EXTERNAL:
         raise PipelineError("size sweep supports the ridge and patch-net trainers")
-    manifest = open_manifest(out_dir, seed, "sweep", force)
-    windows = _load_windows(out_dir, manifest)
-    matrix = _load_embeddings(out_dir, manifest, len(windows))
-    features = matrix.data.astype(np.float64)
+    _check_trainer(run, train_config)
+    windows = run.windows()
+    features = run.embeddings(len(windows)).data.astype(np.float64)
     train_idx = windows.split_indices(SPLIT_TRAIN)
 
     def score(subset: np.ndarray) -> float:
@@ -370,44 +358,40 @@ def stage_sweep(out_dir: Path, seed: int, force: bool, fractions: list[float],
                                          train_idx[subset], SPLIT_TEST,
                                          train_config.seed).objective
 
-    rows = report.run_size_sweep(fractions, seed, score, train_idx.size)
-    payload = {"schema_version": 1,
-               "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
-                        for f, n, m in rows]}
-    (out_dir / "sweep.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    manifest.record_stage("sweep",
-                          {"fractions": [float(f) for f in fractions],
-                           "trainer": train_config.to_dict()},
-                          {"sweep": "sweep.json"})
-    manifest.save(out_dir)
+    rows = report.run_size_sweep(fractions, run.master_seed, score, train_idx.size)
+    run.write_json("sweep.json", {
+        "schema_version": 1,
+        "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
+                 for f, n, m in rows]})
+    run.record({"fractions": [float(f) for f in fractions],
+                "trainer": train_config.to_dict()},
+               {"sweep": "sweep.json"})
 
 
-def stage_report(out_dir: Path, seed: int, force: bool) -> None:
-    manifest = open_manifest(out_dir, seed, "report", force)
-    result, study_payload = _load_study(out_dir, manifest)
-    _, assignments = _load_assignments(out_dir, manifest)
+def stage_report(run: RunManifest) -> None:
+    result, study_payload = run.study()
+    _, assignments = run.assignments()
     sweep_rows = None
-    sweep_path = out_dir / "sweep.json"
-    if sweep_path.exists():
-        sweep_payload = json.loads(sweep_path.read_text())
-        sweep_rows = [(row["fraction"], row["n_windows"], row["test_avg_mse"])
-                      for row in sweep_payload["rows"]]
+    sweep = run.stages.get("sweep")
+    if sweep is not None:
+        if sweep["parent_hashes"] == {"cluster": run.stages["cluster"]["chain_hash"]}:
+            payload = json.loads(run.output("sweep", "sweep").read_text())
+            sweep_rows = [(row["fraction"], row["n_windows"], row["test_avg_mse"])
+                          for row in payload["rows"]]
+        else:
+            logger.warning("the size sweep predates the current cluster stage and "
+                           "is left out; re-run sweep to report them")
     bundle = report.emit_reports(result, assignments,
                                  study_payload["baseline"]["avg_mse"],
-                                 sweep_rows, out_dir)
-    manifest.record_stage("report", {}, {name: str(p.relative_to(out_dir))
-                                         for name, p in bundle.paths.items()})
-    manifest.save(out_dir)
+                                 sweep_rows, run.out_dir)
+    run.record({}, {name: str(p.relative_to(run.out_dir))
+                    for name, p in bundle.paths.items()})
 
 
-def stage_review_export(out_dir: Path, seed: int, force: bool, m: int) -> None:
-    manifest = open_manifest(out_dir, seed, "review-export", force)
-    result, _ = _load_study(out_dir, manifest)
-    windows = _load_windows(out_dir, manifest)
-    train_idx, assignments = _load_assignments(out_dir, manifest)
+def stage_review_export(run: RunManifest, m: int) -> None:
+    result, _ = run.study()
+    windows = run.windows()
+    train_idx, assignments = run.assignments()
     report.export_review_bundle(result, assignments, windows, train_idx, m,
-                                out_dir, seed=seed)
-    manifest.record_stage("review-export", {"m": m}, {"review": "review"})
-    manifest.save(out_dir)
-
+                                run.out_dir, seed=run.master_seed)
+    run.record({"m": m}, {"review": "review"})

@@ -451,8 +451,3 @@ def load_trial_log(path: str | Path) -> list[TrialRecord]:
                 records.append(TrialRecord.from_json(line))
     return records
 
-
-def save_best_weights(result: StudyResult, path: str | Path) -> None:
-    """Best trial's weights as a JSON map cluster id -> weight."""
-    weights = {str(c): float(w) for c, w in enumerate(result.best_trial.weights)}
-    Path(path).write_text(json.dumps(weights, sort_keys=True, indent=2) + "\n")

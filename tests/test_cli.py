@@ -131,8 +131,32 @@ class TestStages:
         assert (out / "review" / "prompt.txt").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["k"] == 6
+        study = json.loads((out / "study.json").read_text())
+        trials = {r["trial_id"]: r for r in map(
+            json.loads, (out / "trials.jsonl").read_text().splitlines())}
+        best = trials[study["best_trial_id"]]["weights"]
         weights = json.loads((out / "best_weights.json").read_text())
-        assert set(weights) == {str(c) for c in range(6)}
+        assert weights == {str(c): w for c, w in enumerate(best)}
+        assert len(weights) == 6
+
+    def test_failed_json_write_keeps_previous_product(self, raw_csv, tmp_path,
+                                                      monkeypatch, capsys):
+        out = tmp_path / "atomic"
+        staged_run(out, raw_csv)
+        study = (out / "study.json").read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "study.json":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        assert main(["search", *common, "--trials", "4", "--jobs", "1",
+                     "--trainer", "ridge", "--sampler", "random"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert (out / "study.json").read_bytes() == study
 
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -241,6 +265,18 @@ class TestTrainerBranches:
         assert "ridge and patch-net" in capsys.readouterr().err
         assert not (out / "sweep.json").exists()
 
+    def test_patch_len_not_dividing_window_fails_before_loading(self, raw_csv,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "patch-len"
+        common = clustered_run(out, raw_csv)
+        bad = [*TINY_PATCH_NET, "--patch-len", "7"]
+        for command in ("search", "sweep"):
+            assert main([command, *common, *bad]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "--patch-len 7" in err[0]
+        assert not (out / "trials.jsonl").exists()
+        assert not (out / "sweep.json").exists()
+
     def test_trainer_misconfiguration_fails_before_loading(self, raw_csv,
                                                           tmp_path, capsys):
         out = tmp_path / "early"
@@ -270,6 +306,19 @@ class TestManifestGuards:
         assert "stale" in capsys.readouterr().err.lower()
         assert main(["search", *common, "--trials", "2", "--trainer", "ridge",
                      "--force"]) == 0
+
+    def test_report_leaves_out_sweep_of_earlier_clusters(self, raw_csv, tmp_path,
+                                                          caplog):
+        out = tmp_path / "old-sweep"
+        staged_run(out, raw_csv)
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        assert main(["cluster", *common, "--k", "6", "--restarts", "2"]) == 0
+        assert main(["search", *common, "--trials", "4", "--jobs", "1",
+                     "--trainer", "ridge"]) == 0
+        assert main(["report", *common]) == 0
+        assert "re-run sweep" in caplog.text
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            "fraction,n_windows,test_avg_mse"]
 
     def test_seed_mismatch_refused(self, raw_csv, tmp_path, capsys):
         out = tmp_path / "seeded"

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from mixsearch.search import (
     load_trial_log,
     random_suggest,
     run_study,
-    save_best_weights,
     tpe_suggest,
     trial_rng,
 )
@@ -285,14 +283,6 @@ class TestRunStudy:
             assert loaded.state == orig.state
             assert loaded.objective == orig.objective
             np.testing.assert_array_equal(loaded.weights, orig.weights)
-
-    def test_best_weights_json(self, tmp_path):
-        result = StudyResult.from_trials(
-            [record(0, [0.2, 0.8], 1.0), record(1, [0.4, 0.6], 0.5)],
-            k=2, sampler_config={})
-        path = tmp_path / "w.json"
-        save_best_weights(result, path)
-        assert json.loads(path.read_text()) == {"0": 0.4, "1": 0.6}
 
     def test_dense_id_validation(self):
         with pytest.raises(SearchError, match="dense"):
