@@ -284,6 +284,14 @@ class TestRunStudy:
             assert loaded.objective == orig.objective
             np.testing.assert_array_equal(loaded.weights, orig.weights)
 
+    def test_best_weights_json(self):
+        # The search stage writes best_weights.json from best_trial.weights.
+        result = StudyResult.from_trials(
+            [record(0, [0.2, 0.8], 1.0), record(1, [0.4, 0.6], 0.5)],
+            k=2, sampler_config={})
+        assert result.best_trial_id == 1
+        np.testing.assert_array_equal(result.best_trial.weights, [0.4, 0.6])
+
     def test_dense_id_validation(self):
         with pytest.raises(SearchError, match="dense"):
             StudyResult.from_trials([record(0, 0.5, 1.0), record(2, 0.5, 2.0)],
