@@ -165,9 +165,9 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
     """Full benchmark pass: generate, featurize, cluster, search, baseline."""
     data = generate_regime_corpus(master_seed, windows_per_regime=windows_per_regime)
     model = prepare_clusters(data, seed=master_seed)
-    objective = trainers.make_objective(
-        trainers.TrainConfig(), data.windows, data.features.data.astype(np.float64),
-        data.train_indices, model.assignments, master_seed)
+    context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
+                                    data.features.data.astype(np.float64))
+    objective = context.objective(data.train_indices, model.assignments, master_seed)
     config = search.StudyConfig(n_trials=n_trials, k=model.k, jobs=jobs,
                                 sampler=sampler, seed=master_seed)
     study = search.run_study(config, objective)
@@ -187,10 +187,10 @@ def evaluate_weights_on_test(outcome: BenchmarkOutcome,
                              weights: np.ndarray, trial_tag: int = -2) -> float:
     """Average test MSE of a ridge model trained on the mixture for ``weights``."""
     data = outcome.data
-    objective = trainers.make_objective(
-        trainers.TrainConfig(), data.windows, data.features.data.astype(np.float64),
-        data.train_indices, outcome.cluster_model.assignments,
-        outcome.study.sampler_config["seed"], split=SPLIT_TEST)
+    context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
+                                    data.features.data.astype(np.float64), split=SPLIT_TEST)
+    objective = context.objective(data.train_indices, outcome.cluster_model.assignments,
+                                  outcome.study.sampler_config["seed"])
     return objective(trial_tag, weights).objective
 
 

@@ -299,8 +299,7 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
     if train_config.trainer == trainers.TRAINER_EXTERNAL:
         if not external_cmd:
             raise PipelineError("--trainer external needs --external-cmd")
-        protocol = trainers.ExternalProtocol(command=shlex.split(external_cmd),
-                                             timeout_s=external_timeout)
+        protocol = trainers.ExternalProtocol(shlex.split(external_cmd), external_timeout)
     _check_trainer(run, train_config)
     k = int(run.stages["cluster"]["params"]["k"])
     if expected_k is not None and expected_k != k:
@@ -311,16 +310,15 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
     features = run.embeddings(len(windows)).data.astype(np.float64)
     train_idx, assignments = run.assignments()
 
-    seed = run.master_seed
-    objective = trainers.make_objective(train_config, windows, features,
-                                        train_idx, assignments, seed,
-                                        protocol=protocol,
-                                        handoff_root=run.out_dir / "external")
+    context = trainers.TrialContext(train_config, windows, features, protocol=protocol,
+                                    handoff_root=run.out_dir / "external")
+    objective = context.objective(train_idx, assignments, run.master_seed)
+    # The trial log is swapped in only once study.json and best_weights.json
+    # are written, so a failed search leaves the previous search's products intact.
+    trial_log = run.out_dir / "trials.jsonl.tmp"
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
-                                seed=seed, trial_log=run.out_dir / "trials.jsonl")
+                                seed=run.master_seed, trial_log=trial_log)
     result = search.run_study(config, objective)
-    run.write_json("best_weights.json",
-                   {str(c): float(w) for c, w in enumerate(result.best_trial.weights)})
 
     baseline_eval = objective(-1, np.ones(k))
     run.write_json("study.json", {
@@ -337,6 +335,9 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
             "per_target_mae": baseline_eval.per_target_mae,
         },
     })
+    run.write_json("best_weights.json",
+                   {str(c): float(w) for c, w in enumerate(result.best_trial.weights)})
+    os.replace(trial_log, run.out_dir / "trials.jsonl")
     params = {"trials": trials, "jobs": jobs, "sampler": sampler,
               "trainer": train_config.to_dict(),
               "external_cmd": external_cmd}
@@ -352,11 +353,10 @@ def stage_sweep(run: RunManifest, fractions: list[float],
     windows = run.windows()
     features = run.embeddings(len(windows)).data.astype(np.float64)
     train_idx = windows.split_indices(SPLIT_TRAIN)
+    context = trainers.TrialContext(train_config, windows, features, split=SPLIT_TEST)
 
     def score(subset: np.ndarray) -> float:
-        return trainers.fit_and_evaluate(train_config, windows, features,
-                                         train_idx[subset], SPLIT_TEST,
-                                         train_config.seed).objective
+        return context.score(train_idx[subset], train_config.seed).objective
 
     rows = report.run_size_sweep(fractions, run.master_seed, score, train_idx.size)
     run.write_json("sweep.json", {

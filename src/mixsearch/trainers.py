@@ -1,10 +1,9 @@
 """Proxy forecasters trained per trial under a fixed token budget.
 
-Every trial takes one path: :func:`fit_and_evaluate` trains the configured
-proxy on an array of window indices and scores its last-timestep
-predictions on the val or test split, and :func:`make_objective` turns
-per-cluster weights into that index array for the weight search.  Search,
-size sweep and the synthetic benchmark all call these two.  Trainer kinds:
+Search, size sweep and the synthetic benchmark fix the trainer and the scored
+split once per study in a :class:`TrialContext`.  ``score`` trains the proxy on
+window indices and scores its last-step predictions on the val or test windows;
+``objective`` turns per-cluster weights into those indices.  Trainer kinds:
 
 * ridge: closed-form regression from per-window feature vectors; fully
   deterministic, the fast path for weight search.
@@ -107,8 +106,8 @@ class RidgeModel:
     coef: np.ndarray       # (d, C_tgt)
     intercept: np.ndarray  # (C_tgt,)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) @ self.coef + self.intercept
+    def predict(self, context: TrialContext, idx: np.ndarray) -> np.ndarray:
+        return context.features[idx] @ self.coef + self.intercept
 
 
 def train_ridge(idx: np.ndarray, windows: WindowSet,
@@ -162,8 +161,8 @@ class PatchNetModel:
     tokens_consumed: int = 0
     epoch_losses: list[float] = field(default_factory=list)
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        x = to_patches(inputs, self.patch_len)
+    def predict(self, context: TrialContext, idx: np.ndarray) -> np.ndarray:
+        x = to_patches(context.windows.inputs[idx], self.patch_len)
         pred, _ = patch_net_forward(self.params, x, self.pos_encoding)
         return pred
 
@@ -233,14 +232,17 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     where the cumulative token count (rows in the batch times patches per
     window) reaches the budget, so consumption overshoots by less than one
     batch.  The learning-rate schedule spans exactly that planned step count.
+    Each batch gathers its own windows, so one batch is held at a time.
     """
     if idx.size == 0:
         raise TrainerError("mixture is empty")
-    x_all = to_patches(windows.inputs[idx], config.patch_len)
-    ppw = x_all.shape[1]
-    y_all = windows.targets[idx]
-    n = x_all.shape[0]
-    n_targets = y_all.shape[1]
+    w = windows.window_length
+    if w % config.patch_len:
+        raise TrainerError(f"patch length {config.patch_len} does not divide window length {w}")
+    ppw = w // config.patch_len
+    in_dim = config.patch_len * windows.input_rows.shape[1]
+    n = idx.size
+    n_targets = windows.targets.shape[1]
 
     epochs = compute_epochs(config.token_budget, n, ppw)
     batch = min(config.batch_size, n)
@@ -262,7 +264,7 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
 
     rng = np.random.default_rng(config.seed)
     pe = sinusoidal_position_encoding(ppw, config.embed_dim)
-    params = init_patch_net(x_all.shape[2], config.embed_dim, n_targets, rng)
+    params = init_patch_net(in_dim, config.embed_dim, n_targets, rng)
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -278,9 +280,10 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
         perm = rng.permutation(n)
         losses = []
         for b in range(steps_per_epoch):
-            take = perm[bounds[b]:bounds[b + 1]]
+            take = idx[perm[bounds[b]:bounds[b + 1]]]
             lr = lr_at_step(step, planned_steps, config.peak_lr, config.warmup_fraction)
-            loss, grads = patch_net_loss_and_grads(params, x_all[take], y_all[take], pe)
+            x = to_patches(windows.inputs[take], config.patch_len)
+            loss, grads = patch_net_loss_and_grads(params, x, windows.targets[take], pe)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at step {step} (epoch {epochs_run})")
@@ -312,30 +315,17 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(model, windows: WindowSet, split: str, inputs,
-             n_mix: int = 0) -> search.TrialEvaluation:
-    """Per-target MSE/MAE of last-timestep predictions on the val or test
-    split, recorded with the trained window count ``n_mix``.  ``inputs[mask]``
-    is the model's input for the masked windows: the feature array for
-    ridge, the on-demand gather ``windows.inputs`` for patch-net.  Only the
-    split's windows are read, never the training windows."""
-    if split not in (SPLIT_VAL, SPLIT_TEST):
-        raise TrainerError(f"evaluate only runs on val or test, got {split!r}")
-    mask = windows.split_mask(split)
-    if not mask.any():
-        raise TrainerError(f"split {split!r} is empty")
-    y = windows.targets[mask]
-    pred = model.predict(inputs[mask])
-
-    err = pred - y
+def evaluate(model, context: TrialContext, n_mix: int = 0) -> search.TrialEvaluation:
+    """Per-target MSE/MAE of last-timestep predictions on the context's scored
+    windows (never the training windows), recorded with the trained count ``n_mix``."""
+    err = model.predict(context, context.scored_idx) - context.scored_targets
     mse = np.mean(err * err, axis=0)
     mae = np.mean(np.abs(err), axis=0)
-    names = windows.target_names
-    per_mse = {name: float(m) for name, m in zip(names, mse)}
-    per_mae = {name: float(m) for name, m in zip(names, mae)}
+    names = context.windows.target_names
     return search.TrialEvaluation(
-        objective=float(np.mean(list(per_mse.values()))), n_mix=n_mix,
-        per_target_mse=per_mse, per_target_mae=per_mae)
+        objective=float(np.mean(mse)), n_mix=n_mix,
+        per_target_mse=dict(zip(names, mse.tolist())),
+        per_target_mae=dict(zip(names, mae.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -437,45 +427,54 @@ def _parse_external_metrics(payload: dict, target_names: list[str],
 # ---------------------------------------------------------------------------
 # Trial path
 
-def fit_and_evaluate(config: TrainConfig, windows: WindowSet,
-                     features: np.ndarray, idx: np.ndarray, split: str,
-                     seed: int, protocol: ExternalProtocol | None = None,
-                     handoff_dir: str | Path | None = None) -> search.TrialEvaluation:
-    """Train ``config.trainer`` on the windows ``idx`` and score it on ``split``.
+@dataclass
+class TrialContext:
+    """What a study fixes for all its trials: the trainer settings, the windows and
+    their ridge features, the scored split's indices and targets (taken once here),
+    and an external trainer's protocol and handoff root."""
 
-    ``seed`` seeds patch-net training; ridge is deterministic.  The external
-    trainer receives ``config`` unchanged in ``handoff_dir`` and reports its
-    own metrics, so ``split`` and ``seed`` do not reach it.
-    """
-    if config.trainer == TRAINER_EXTERNAL:
-        return external_trainer_invoke(idx, windows, protocol, config, handoff_dir)
-    if config.trainer == TRAINER_RIDGE:
-        model = train_ridge(idx, windows, features, config.ridge_lambda)
-        return evaluate(model, windows, split, features, idx.size)
-    model = train_patch_net(idx, windows, replace(config, seed=seed))
-    return evaluate(model, windows, split, windows.inputs, idx.size)
+    config: TrainConfig
+    windows: WindowSet
+    features: np.ndarray | None = None  # (n, d)
+    split: str = SPLIT_VAL
+    protocol: ExternalProtocol | None = None
+    handoff_root: Path | None = None
+    scored_idx: np.ndarray = field(init=False, repr=False)
+    scored_targets: np.ndarray = field(init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.split not in (SPLIT_VAL, SPLIT_TEST):
+            raise TrainerError(f"trials are scored on val or test, got {self.split!r}")
+        if self.config.trainer == TRAINER_RIDGE and self.features is None:
+            raise TrainerError("the ridge trainer needs per-window features")
+        if self.config.trainer == TRAINER_EXTERNAL and None in (self.protocol, self.handoff_root):
+            raise TrainerError("the external trainer needs a protocol and a handoff root")
+        self.scored_idx = self.windows.split_indices(self.split)
+        if self.scored_idx.size == 0:
+            raise TrainerError(f"split {self.split!r} is empty")
+        self.scored_targets = self.windows.targets[self.scored_idx]
 
-def make_objective(config: TrainConfig, windows: WindowSet, features: np.ndarray,
-                   train_idx: np.ndarray, assignments: np.ndarray,
-                   master_seed: int, split: str = SPLIT_VAL,
-                   protocol: ExternalProtocol | None = None,
-                   handoff_root: str | Path | None = None) -> search.Objective:
-    """Trial evaluator for :func:`search.run_study`.
+    def score(self, idx: np.ndarray, seed: int, tag: int = 0) -> search.TrialEvaluation:
+        """Train the proxy on the windows ``idx`` (patch-net seeded by ``seed``)
+        and score it.  An external trainer reports its own metrics from the
+        handoff directory ``trial_<tag:05d>``; the split and seed do not reach it."""
+        if self.config.trainer == TRAINER_EXTERNAL:
+            return external_trainer_invoke(idx, self.windows, self.protocol, self.config,
+                                           self.handoff_root / f"trial_{tag:05d}")
+        if self.config.trainer == TRAINER_RIDGE:
+            model = train_ridge(idx, self.windows, self.features, self.config.ridge_lambda)
+        else:
+            model = train_patch_net(idx, self.windows, replace(self.config, seed=seed))
+        return evaluate(model, self, idx.size)
 
-    ``assignments[i]`` is the cluster of window ``train_idx[i]``.  Trial
-    ``t`` draws its mixture and patch-net seed from independent streams of
-    ``master_seed``; an external trainer hands off in
-    ``handoff_root/trial_<t:05d>``.
-    """
-    def objective(trial_id: int, weights: np.ndarray) -> search.TrialEvaluation:
-        rng = search.trial_rng(master_seed, trial_id, search.STREAM_MIXTURE)
-        mixture = search.build_mixture(assignments, weights, rng)
-        handoff = (None if handoff_root is None
-                   else Path(handoff_root) / f"trial_{trial_id:05d}")
-        return fit_and_evaluate(
-            config, windows, features, train_idx[mixture.indices], split,
-            search.trial_seed_int(master_seed, trial_id, search.STREAM_TRAINER),
-            protocol, handoff)
+    def objective(self, train_idx: np.ndarray, assignments: np.ndarray,
+                  master_seed: int) -> search.Objective:
+        """Trial evaluator for :func:`search.run_study`; ``assignments`` are the clusters
+        of ``train_idx``, and each trial seeds its mixture and training from ``master_seed``."""
+        def objective(trial_id: int, weights: np.ndarray) -> search.TrialEvaluation:
+            rng = search.trial_rng(master_seed, trial_id, search.STREAM_MIXTURE)
+            mixture = search.build_mixture(assignments, weights, rng)
+            seed = search.trial_seed_int(master_seed, trial_id, search.STREAM_TRAINER)
+            return self.score(train_idx[mixture.indices], seed, trial_id)
 
-    return objective
+        return objective

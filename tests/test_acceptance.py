@@ -29,8 +29,8 @@ from mixsearch.search import (
 from mixsearch.trainers import (
     ExternalProtocol,
     TrainConfig,
+    TrialContext,
     compute_epochs,
-    external_trainer_invoke,
     init_patch_net,
     patch_net_loss_and_grads,
     sinusoidal_position_encoding,
@@ -280,20 +280,21 @@ class TestCriterion10ExternalProtocol:
         rng = np.random.default_rng(0)
         windows = make_window_set(rng.normal(size=(30, 10, 2)),
                                   rng.normal(size=(30, 10, 2)),
+                                  split=["train"] * 20 + ["val"] * 10,
                                   target_names=["pm", "winding"])
-        protocols = {}
+        contexts = {}
         for name, source in self.STUBS.items():
             stub = tmp_path / f"{name}.py"
             stub.write_text(source)
-            protocols[name] = ExternalProtocol(
+            protocol = ExternalProtocol(
                 command=[sys.executable, str(stub), "{dir}"], timeout_s=30.0)
+            contexts[name] = TrialContext(
+                TrainConfig(trainer="external"), windows,
+                protocol=protocol, handoff_root=tmp_path / f"handoff_{name}")
         kinds = ["ok", "crash", "ok", "malformed", "ok"]
 
         def objective(trial_id, weights):
-            return external_trainer_invoke(
-                np.arange(30), windows, protocols[kinds[trial_id]],
-                TrainConfig(trainer="external"),
-                tmp_path / f"handoff_{trial_id}")
+            return contexts[kinds[trial_id]].score(np.arange(20), 0, trial_id)
 
         result = run_study(StudyConfig(n_trials=5, k=2, seed=0), objective)
         states = [t.state for t in result.trials]

@@ -4,7 +4,7 @@ import pytest
 from mixsearch import benchmark
 from mixsearch.dataset import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL
 from mixsearch.report import run_size_sweep
-from mixsearch.trainers import TrainConfig, fit_and_evaluate
+from mixsearch.trainers import TrainConfig, TrialContext
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +63,11 @@ class TestOutcome:
         features = data.features.data.astype(np.float64)
         train_idx = data.train_indices
 
+        context = TrialContext(TrainConfig(ridge_lambda=1e-3), data.windows,
+                               features, split=SPLIT_TEST)
+
         def score_fn(subset):
-            return fit_and_evaluate(TrainConfig(ridge_lambda=1e-3), data.windows,
-                                    features, train_idx[subset], SPLIT_TEST,
-                                    seed=0).objective
+            return context.score(train_idx[subset], seed=0).objective
 
         rows = run_size_sweep([0.25, 0.5, 0.75, 1.0], seed=0, score_fn=score_fn,
                               n_train=train_idx.size)

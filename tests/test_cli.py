@@ -143,7 +143,8 @@ class TestStages:
                                                       monkeypatch, capsys):
         out = tmp_path / "atomic"
         staged_run(out, raw_csv)
-        study = (out / "study.json").read_bytes()
+        before = {name: (out / name).read_bytes()
+                  for name in ("study.json", "trials.jsonl", "best_weights.json")}
         real_replace = os.replace
 
         def replace(src, dst):
@@ -156,7 +157,8 @@ class TestStages:
         assert main(["search", *common, "--trials", "4", "--jobs", "1",
                      "--trainer", "ridge", "--sampler", "random"]) == 1
         assert "disk full" in capsys.readouterr().err
-        assert (out / "study.json").read_bytes() == study
+        for name, content in before.items():
+            assert (out / name).read_bytes() == content, name
 
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"

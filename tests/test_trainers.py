@@ -12,6 +12,7 @@ from mixsearch.trainers import (
     TrainConfig,
     TrainerError,
     TrainingDivergedError,
+    TrialContext,
     compute_epochs,
     evaluate,
     external_trainer_invoke,
@@ -93,9 +94,10 @@ class TestRidge:
         feats = rng.normal(size=(n, 3))
         ws = make_window_set(rng.normal(size=(n, 5, 1)),
                              np.repeat((feats @ np.array([[0.5], [1.0], [-2.0]])
-                                        + 0.7)[:, None, :], 5, axis=1))
+                                        + 0.7)[:, None, :], 5, axis=1),
+                             split=["val"] * n)
         model = train_ridge(np.arange(n), ws, feats, 1e-9)
-        pred = model.predict(feats)
+        pred = model.predict(TrialContext(TrainConfig(), ws, feats), np.arange(n))
         train_mse = float(((pred - ws.targets) ** 2).mean())
         assert train_mse < 1e-10
 
@@ -257,7 +259,7 @@ class TestEvaluate:
             split=["val"] * n)
         model = train_ridge(np.arange(n), ws, feats, 1e-9)
         # trained on val windows themselves: exact interpolation
-        metrics = evaluate(model, ws, "val", feats)
+        metrics = evaluate(model, TrialContext(TrainConfig(), ws, feats))
         assert metrics.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_prediction_definition(self):
@@ -268,7 +270,7 @@ class TestEvaluate:
                              split=["val"] * n, target_names=["pm"])
         from mixsearch.trainers import RidgeModel
         model = RidgeModel(coef=np.zeros((2, 1)), intercept=np.zeros(1))
-        metrics = evaluate(model, ws, "val", feats)
+        metrics = evaluate(model, TrialContext(TrainConfig(), ws, feats))
         assert metrics.per_target_mse["pm"] == pytest.approx(1.0)
         assert metrics.per_target_mae["pm"] == pytest.approx(1.0)
 
@@ -278,7 +280,7 @@ class TestEvaluate:
         feats = rng.normal(size=(n, 2))
         ws = linear_window_set(rng, n=n, noise=0.5, split=["val"] * n)
         model = train_ridge(np.arange(n), ws, feats, 1.0)
-        metrics = evaluate(model, ws, "val", feats)
+        metrics = evaluate(model, TrialContext(TrainConfig(), ws, feats))
         assert metrics.objective == pytest.approx(
             np.mean(list(metrics.per_target_mse.values())), rel=1e-12)
 
@@ -292,7 +294,7 @@ class TestEvaluate:
         ws = make_window_set(np.zeros((n, 3, 1)), targets, split=["val"] * n,
                              target_names=["a", "b"])
         model = RidgeModel(coef=np.zeros((1, 2)), intercept=np.zeros(2))
-        metrics = evaluate(model, ws, "val", feats)
+        metrics = evaluate(model, TrialContext(TrainConfig(), ws, feats))
         assert metrics.per_target_mse["a"] == pytest.approx(0.65, rel=1e-12)
         assert metrics.per_target_mse["b"] == pytest.approx(0.91, rel=1e-12)
         assert metrics.objective == pytest.approx(0.78, rel=1e-12)
@@ -304,22 +306,44 @@ class TestEvaluate:
         split = ["train"] * 20 + ["val"] * 20
         ws = linear_window_set(rng, n=n, split=split)
         model = train_ridge(np.arange(20), ws, feats, 0.01)
-        before = evaluate(model, ws, "val", feats)
+        before = evaluate(model, TrialContext(TrainConfig(), ws, feats))
         ws.targets[:20] = 1e9  # poison the train targets
-        after = evaluate(model, ws, "val", feats)
+        after = evaluate(model, TrialContext(TrainConfig(), ws, feats))
         assert before.objective == after.objective
 
-    def test_train_split_rejected(self):
-        rng = np.random.default_rng(4)
-        ws = linear_window_set(rng, n=10)
-        with pytest.raises(TrainerError, match="val or test"):
-            evaluate(None, ws, "train", ws.inputs)
 
-    def test_empty_split_rejected(self):
-        rng = np.random.default_rng(5)
-        ws = linear_window_set(rng, n=10, split=["train"] * 10)
-        with pytest.raises(TrainerError, match="empty"):
-            evaluate(None, ws, "val", ws.inputs)
+class TestTrialContext:
+    @pytest.mark.parametrize("split_tags, split, config, match", [
+        (None, "train", TrainConfig(), "val or test"),
+        (["train"] * 10, "val", TrainConfig(), "empty"),
+        (["val"] * 10, "val", TrainConfig(trainer="external"), "protocol"),
+    ], ids=["train_split", "empty_split", "external_without_protocol"])
+    def test_unscorable_study_rejected(self, split_tags, split, config, match):
+        rng = np.random.default_rng(4)
+        ws = linear_window_set(rng, n=10, split=split_tags)
+        with pytest.raises(TrainerError, match=match):
+            TrialContext(config, ws, np.zeros((10, 1)), split=split)
+
+    def test_scored_split_taken_once(self):
+        rng = np.random.default_rng(6)
+        ws = linear_window_set(rng, n=12, split=["train"] * 4 + ["val"] * 4 + ["test"] * 4)
+        context = TrialContext(TrainConfig(), ws, rng.normal(size=(12, 2)), split="test")
+        np.testing.assert_array_equal(context.scored_idx, np.arange(8, 12))
+        np.testing.assert_array_equal(context.scored_targets, ws.targets[8:])
+
+    def test_patch_net_reads_window_inputs(self):
+        rng = np.random.default_rng(7)
+        ws = linear_window_set(rng, n=40, w=20, split=["train"] * 30 + ["val"] * 10)
+        config = TrainConfig(trainer="patch-net", token_budget=2000, batch_size=8,
+                             patch_len=5, embed_dim=8, seed=0)
+        context = TrialContext(config, ws)
+        model = train_patch_net(np.arange(30), ws, config)
+        pred, _ = patch_net_forward(model.params, to_patches(ws.inputs[30:], 5),
+                                    model.pos_encoding)
+        np.testing.assert_array_equal(model.predict(context, context.scored_idx), pred)
+        metrics = context.score(np.arange(30), seed=0)
+        assert metrics.n_mix == 30
+        assert metrics.objective == evaluate(model, context, 30).objective
 
 
 STUB_OK = """
