@@ -108,11 +108,16 @@ class RunManifest:
         run.verify_upstream(stage, force)
         return run
 
-    def write_json(self, name: str, payload) -> None:
-        """Write then rename, so a crash never leaves a half-written file."""
-        tmp = self.out_dir / (name + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, self.out_dir / name)
+    def write_json(self, payloads: dict[str, object],
+                   staged: dict[str, Path] | None = None) -> None:
+        """Write every payload under a temporary name, then rename them and the
+        already-written ``staged`` files into place back to back, so a failed
+        write leaves every previous product intact."""
+        tmps = {name: self.out_dir / (name + ".tmp") for name in payloads}
+        for name, payload in payloads.items():
+            tmps[name].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        for name, tmp in {**tmps, **(staged or {})}.items():
+            os.replace(tmp, self.out_dir / name)
 
     def record(self, params: dict, outputs: dict[str, str], **extra) -> None:
         """Record this stage's entry and save the manifest."""
@@ -125,12 +130,12 @@ class RunManifest:
             "chain_hash": _chain_hash(params, parent_hashes, self.master_seed),
             **extra,
         }
-        self.write_json(MANIFEST_NAME, {
+        self.write_json({MANIFEST_NAME: {
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "master_seed": self.master_seed,
             "stages": self.stages,
-        })
+        }})
 
     def verify_upstream(self, name: str, force: bool) -> None:
         """Check that every ancestor stage ran and its chain is intact."""
@@ -313,31 +318,30 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
     context = trainers.TrialContext(train_config, windows, features, protocol=protocol,
                                     handoff_root=run.out_dir / "external")
     objective = context.objective(train_idx, assignments, run.master_seed)
-    # The trial log is swapped in only once study.json and best_weights.json
-    # are written, so a failed search leaves the previous search's products intact.
+    # Renamed into place with study.json and best_weights.json once both are written.
     trial_log = run.out_dir / "trials.jsonl.tmp"
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
                                 seed=run.master_seed, trial_log=trial_log)
     result = search.run_study(config, objective)
 
     baseline_eval = objective(-1, np.ones(k))
-    run.write_json("study.json", {
-        "schema_version": 1,
-        "k": k,
-        "n_train": int(train_idx.size),
-        "best_trial_id": result.best_trial_id,
-        "best_objective": result.best_trial.objective,
-        "sampler_config": result.sampler_config,
-        "trainer_config": train_config.to_dict(),
-        "baseline": {
-            "avg_mse": baseline_eval.objective,
-            "per_target_mse": baseline_eval.per_target_mse,
-            "per_target_mae": baseline_eval.per_target_mae,
+    run.write_json({
+        "study.json": {
+            "schema_version": 1,
+            "k": k,
+            "n_train": int(train_idx.size),
+            "best_trial_id": result.best_trial_id,
+            "best_objective": result.best_trial.objective,
+            "sampler_config": result.sampler_config,
+            "trainer_config": train_config.to_dict(),
+            "baseline": {
+                "avg_mse": baseline_eval.objective,
+                "per_target_mse": baseline_eval.per_target_mse,
+                "per_target_mae": baseline_eval.per_target_mae,
+            },
         },
-    })
-    run.write_json("best_weights.json",
-                   {str(c): float(w) for c, w in enumerate(result.best_trial.weights)})
-    os.replace(trial_log, run.out_dir / "trials.jsonl")
+        "best_weights.json": {str(c): float(w) for c, w in enumerate(result.best_trial.weights)},
+    }, staged={"trials.jsonl": trial_log})
     params = {"trials": trials, "jobs": jobs, "sampler": sampler,
               "trainer": train_config.to_dict(),
               "external_cmd": external_cmd}
@@ -359,10 +363,10 @@ def stage_sweep(run: RunManifest, fractions: list[float],
         return context.score(train_idx[subset], train_config.seed).objective
 
     rows = report.run_size_sweep(fractions, run.master_seed, score, train_idx.size)
-    run.write_json("sweep.json", {
+    run.write_json({"sweep.json": {
         "schema_version": 1,
         "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
-                 for f, n, m in rows]})
+                 for f, n, m in rows]}})
     run.record({"fractions": [float(f) for f in fractions],
                 "trainer": train_config.to_dict()},
                {"sweep": "sweep.json"})

@@ -236,13 +236,8 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     """
     if idx.size == 0:
         raise TrainerError("mixture is empty")
-    w = windows.window_length
-    if w % config.patch_len:
-        raise TrainerError(f"patch length {config.patch_len} does not divide window length {w}")
-    ppw = w // config.patch_len
-    in_dim = config.patch_len * windows.input_rows.shape[1]
+    _, ppw, in_dim = to_patches(windows.inputs[idx[:1]], config.patch_len).shape
     n = idx.size
-    n_targets = windows.targets.shape[1]
 
     epochs = compute_epochs(config.token_budget, n, ppw)
     batch = min(config.batch_size, n)
@@ -264,7 +259,7 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
 
     rng = np.random.default_rng(config.seed)
     pe = sinusoidal_position_encoding(ppw, config.embed_dim)
-    params = init_patch_net(in_dim, config.embed_dim, n_targets, rng)
+    params = init_patch_net(in_dim, config.embed_dim, windows.targets.shape[1], rng)
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -430,8 +425,8 @@ def _parse_external_metrics(payload: dict, target_names: list[str],
 @dataclass
 class TrialContext:
     """What a study fixes for all its trials: the trainer settings, the windows and
-    their ridge features, the scored split's indices and targets (taken once here),
-    and an external trainer's protocol and handoff root."""
+    their ridge features, the scored split's indices and targets (taken once here,
+    for a trainer scored locally), and an external trainer's protocol and handoff root."""
 
     config: TrainConfig
     windows: WindowSet
@@ -439,25 +434,26 @@ class TrialContext:
     split: str = SPLIT_VAL
     protocol: ExternalProtocol | None = None
     handoff_root: Path | None = None
-    scored_idx: np.ndarray = field(init=False, repr=False)
-    scored_targets: np.ndarray = field(init=False, repr=False)
+    scored_idx: np.ndarray | None = field(init=False, repr=False, default=None)
+    scored_targets: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.split not in (SPLIT_VAL, SPLIT_TEST):
             raise TrainerError(f"trials are scored on val or test, got {self.split!r}")
+        if self.config.trainer == TRAINER_EXTERNAL:
+            if None in (self.protocol, self.handoff_root):
+                raise TrainerError("the external trainer needs a protocol and a handoff root")
+            return
         if self.config.trainer == TRAINER_RIDGE and self.features is None:
             raise TrainerError("the ridge trainer needs per-window features")
-        if self.config.trainer == TRAINER_EXTERNAL and None in (self.protocol, self.handoff_root):
-            raise TrainerError("the external trainer needs a protocol and a handoff root")
         self.scored_idx = self.windows.split_indices(self.split)
         if self.scored_idx.size == 0:
             raise TrainerError(f"split {self.split!r} is empty")
         self.scored_targets = self.windows.targets[self.scored_idx]
 
     def score(self, idx: np.ndarray, seed: int, tag: int = 0) -> search.TrialEvaluation:
-        """Train the proxy on the windows ``idx`` (patch-net seeded by ``seed``)
-        and score it.  An external trainer reports its own metrics from the
-        handoff directory ``trial_<tag:05d>``; the split and seed do not reach it."""
+        """Train the proxy on the windows ``idx`` (patch-net seeded by ``seed``) and score it.
+        An external trainer reports its own metrics from handoff directory ``trial_<tag:05d>``."""
         if self.config.trainer == TRAINER_EXTERNAL:
             return external_trainer_invoke(idx, self.windows, self.protocol, self.config,
                                            self.handoff_root / f"trial_{tag:05d}")

@@ -280,7 +280,6 @@ class TestCriterion10ExternalProtocol:
         rng = np.random.default_rng(0)
         windows = make_window_set(rng.normal(size=(30, 10, 2)),
                                   rng.normal(size=(30, 10, 2)),
-                                  split=["train"] * 20 + ["val"] * 10,
                                   target_names=["pm", "winding"])
         contexts = {}
         for name, source in self.STUBS.items():
@@ -294,7 +293,7 @@ class TestCriterion10ExternalProtocol:
         kinds = ["ok", "crash", "ok", "malformed", "ok"]
 
         def objective(trial_id, weights):
-            return contexts[kinds[trial_id]].score(np.arange(20), 0, trial_id)
+            return contexts[kinds[trial_id]].score(np.arange(30), 0, trial_id)
 
         result = run_study(StudyConfig(n_trials=5, k=2, seed=0), objective)
         states = [t.state for t in result.trials]

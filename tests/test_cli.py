@@ -145,20 +145,31 @@ class TestStages:
         staged_run(out, raw_csv)
         before = {name: (out / name).read_bytes()
                   for name in ("study.json", "trials.jsonl", "best_weights.json")}
-        real_replace = os.replace
+        real_replace, real_write_text = os.replace, Path.write_text
 
         def replace(src, dst):
             if Path(dst).name == "study.json":
                 raise OSError("disk full")
             real_replace(src, dst)
 
-        monkeypatch.setattr(os, "replace", replace)
+        def failing_write(product):
+            def write_text(path, *args, **kwargs):
+                if path.name == product + ".tmp":
+                    raise OSError("disk full")
+                return real_write_text(path, *args, **kwargs)
+            return write_text
+
         common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
-        assert main(["search", *common, "--trials", "4", "--jobs", "1",
-                     "--trainer", "ridge", "--sampler", "random"]) == 1
-        assert "disk full" in capsys.readouterr().err
-        for name, content in before.items():
-            assert (out / name).read_bytes() == content, name
+        for target, name, fake in [(os, "replace", replace),
+                                   (Path, "write_text", failing_write("study.json")),
+                                   (Path, "write_text", failing_write("best_weights.json"))]:
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, fake)
+                assert main(["search", *common, "--trials", "4", "--jobs", "1",
+                             "--trainer", "ridge", "--sampler", "random"]) == 1
+            assert "disk full" in capsys.readouterr().err
+            for product, content in before.items():
+                assert (out / product).read_bytes() == content, product
 
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -247,6 +258,26 @@ class TestTrainerBranches:
         baseline = out / "external" / "trial_-0001"
         assert len((baseline / "mixture.csv").read_text().splitlines()) - 1 \
             == study["n_train"]
+
+    def test_search_external_without_val_windows(self, raw_csv, tmp_path):
+        # An external trainer scores itself, so a run with no val windows can search.
+        csv_path, schema_path, _ = raw_csv
+        out = tmp_path / "ext-no-val"
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        prep = [*PREP]
+        prep[prep.index("--val-profiles") + 1] = ""
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *prep]) == 0
+        assert main(["embed", *common]) == 0
+        assert main(["cluster", *common, "--k", "6", "--restarts", "3"]) == 0
+        stub = tmp_path / "stub.py"
+        stub.write_text(STUB_TRAINER)
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        assert main(["search", *common, "--trials", "3", "--jobs", "1",
+                     "--trainer", "external", "--external-cmd", cmd]) == 0
+        records = [json.loads(line)
+                   for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert [r["state"] for r in records] == ["complete"] * 3
 
     def test_sweep_patch_net(self, raw_csv, tmp_path):
         out = tmp_path / "sweep-pn"
