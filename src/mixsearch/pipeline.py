@@ -112,12 +112,16 @@ class RunManifest:
                    staged: dict[str, Path] | None = None) -> None:
         """Write every payload under a temporary name, then rename them and the
         already-written ``staged`` files into place back to back, so a failed
-        write leaves every previous product intact."""
+        write leaves every previous product intact and no temporary file."""
         tmps = {name: self.out_dir / (name + ".tmp") for name in payloads}
-        for name, payload in payloads.items():
-            tmps[name].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        for name, tmp in {**tmps, **(staged or {})}.items():
-            os.replace(tmp, self.out_dir / name)
+        try:
+            for name, payload in payloads.items():
+                tmps[name].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            for name, tmp in {**tmps, **(staged or {})}.items():
+                os.replace(tmp, self.out_dir / name)
+        finally:  # after a full success every temporary name is already gone
+            for tmp in tmps.values():
+                tmp.unlink(missing_ok=True)
 
     def record(self, params: dict, outputs: dict[str, str], **extra) -> None:
         """Record this stage's entry and save the manifest."""
@@ -224,6 +228,15 @@ def _check_trainer(run: RunManifest, config: trainers.TrainConfig) -> None:
                             f"window length {window_length}")
 
 
+def _ridge_features(run: RunManifest, config: trainers.TrainConfig,
+                    n_windows: int) -> np.ndarray | None:
+    """The embeddings as float64 ridge features; None for the other trainers,
+    which never read them."""
+    if config.trainer != trainers.TRAINER_RIDGE:
+        return None
+    return run.embeddings(n_windows).data.astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -312,36 +325,40 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
             f"--k {expected_k} does not match the clustered k={k}; "
             f"re-run the cluster stage if you want a different search space")
     windows = run.windows()
-    features = run.embeddings(len(windows)).data.astype(np.float64)
+    features = _ridge_features(run, train_config, len(windows))
     train_idx, assignments = run.assignments()
 
     context = trainers.TrialContext(train_config, windows, features, protocol=protocol,
                                     handoff_root=run.out_dir / "external")
     objective = context.objective(train_idx, assignments, run.master_seed)
-    # Renamed into place with study.json and best_weights.json once both are written.
+    # Renamed into place with study.json and best_weights.json once both are
+    # written; removed if the study or any write fails.
     trial_log = run.out_dir / "trials.jsonl.tmp"
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
                                 seed=run.master_seed, trial_log=trial_log)
-    result = search.run_study(config, objective)
-
-    baseline_eval = objective(-1, np.ones(k))
-    run.write_json({
-        "study.json": {
-            "schema_version": 1,
-            "k": k,
-            "n_train": int(train_idx.size),
-            "best_trial_id": result.best_trial_id,
-            "best_objective": result.best_trial.objective,
-            "sampler_config": result.sampler_config,
-            "trainer_config": train_config.to_dict(),
-            "baseline": {
-                "avg_mse": baseline_eval.objective,
-                "per_target_mse": baseline_eval.per_target_mse,
-                "per_target_mae": baseline_eval.per_target_mae,
+    try:
+        result = search.run_study(config, objective)
+        baseline_eval = objective(-1, np.ones(k))
+        run.write_json({
+            "study.json": {
+                "schema_version": 1,
+                "k": k,
+                "n_train": int(train_idx.size),
+                "best_trial_id": result.best_trial_id,
+                "best_objective": result.best_trial.objective,
+                "sampler_config": result.sampler_config,
+                "trainer_config": train_config.to_dict(),
+                "baseline": {
+                    "avg_mse": baseline_eval.objective,
+                    "per_target_mse": baseline_eval.per_target_mse,
+                    "per_target_mae": baseline_eval.per_target_mae,
+                },
             },
-        },
-        "best_weights.json": {str(c): float(w) for c, w in enumerate(result.best_trial.weights)},
-    }, staged={"trials.jsonl": trial_log})
+            "best_weights.json": {str(c): float(w)
+                                  for c, w in enumerate(result.best_trial.weights)},
+        }, staged={"trials.jsonl": trial_log})
+    finally:
+        trial_log.unlink(missing_ok=True)
     params = {"trials": trials, "jobs": jobs, "sampler": sampler,
               "trainer": train_config.to_dict(),
               "external_cmd": external_cmd}
@@ -355,7 +372,7 @@ def stage_sweep(run: RunManifest, fractions: list[float],
         raise PipelineError("size sweep supports the ridge and patch-net trainers")
     _check_trainer(run, train_config)
     windows = run.windows()
-    features = run.embeddings(len(windows)).data.astype(np.float64)
+    features = _ridge_features(run, train_config, len(windows))
     train_idx = windows.split_indices(SPLIT_TRAIN)
     context = trainers.TrialContext(train_config, windows, features, split=SPLIT_TEST)
 

@@ -37,6 +37,10 @@ N_CANDIDATES = 24
 # local optima when few observations exist; this adaptive floor keeps early
 # kernels wide and tightens as evidence accumulates.
 BANDWIDTH_FLOOR_SCALE = 2.0
+# ParzenDensity.pdf evaluates a (k, n) density this many rows at a time, so its
+# (rows, candidates, observations) work buffer stays near 0.5 MB at n = 300
+# instead of growing with k.
+PDF_BLOCK_ROWS = 8
 
 # Stream tags for deriving independent per-trial generators from one seed.
 STREAM_SUGGEST = 0
@@ -247,59 +251,85 @@ class ParzenDensity:
     """Mixture of a uniform prior on [0, 1] and one truncated Gaussian per
     observation, all components equally weighted.
 
-    The bandwidth of each Gaussian is the larger of the gaps to its left and
-    right neighbors among the observations extended with the domain edges
-    {0, 1}, floored at :func:`bandwidth_floor` of the observation count.
+    ``observations`` is a vector (one density) or a (k, n) matrix whose k rows
+    are k independent densities over n observations each; ``obs``, ``bw`` and
+    ``trunc_mass`` hold one row per density either way.  The bandwidth of each
+    Gaussian is the larger of the gaps to its left and right neighbors among
+    its row's observations extended with the domain edges {0, 1}, floored at
+    :func:`bandwidth_floor` of the observation count.
     """
 
     def __init__(self, observations: Sequence[float] | np.ndarray):
-        obs = np.sort(np.asarray(observations, dtype=np.float64))
-        if obs.size and (obs[0] < 0.0 or obs[-1] > 1.0):
+        obs = np.asarray(observations, dtype=np.float64)
+        if obs.ndim not in (1, 2):
+            raise SearchError("observations must be a vector or a (k, n) matrix")
+        self._vector = obs.ndim == 1
+        obs = np.sort(np.atleast_2d(obs), axis=1)
+        if obs.size and (obs.min() < 0.0 or obs.max() > 1.0):
             raise SearchError("observations must lie in [0, 1]")
         self.obs = obs
-        n = obs.size
-        if n:
-            support = np.concatenate([[0.0], obs, [1.0]])
-            left = obs - support[:-2]
-            right = support[2:] - obs
-            self.bw = np.maximum(np.maximum(left, right), bandwidth_floor(n))
-            lo = ndtr((0.0 - obs) / self.bw)
-            hi = ndtr((1.0 - obs) / self.bw)
-            self.trunc_mass = hi - lo
-            self._cdf_lo = lo
-            self._cdf_hi = hi
-        else:
-            self.bw = np.empty(0)
-            self.trunc_mass = np.empty(0)
+        edge = np.zeros((len(obs), 1))
+        support = np.concatenate([edge, obs, edge + 1.0], axis=1)
+        left = obs - support[:, :-2]
+        right = support[:, 2:] - obs
+        self.bw = np.maximum(np.maximum(left, right), bandwidth_floor(obs.shape[1]))
+        self._cdf_lo = ndtr((0.0 - obs) / self.bw)
+        self._cdf_hi = ndtr((1.0 - obs) / self.bw)
+        self.trunc_mass = self._cdf_hi - self._cdf_lo
 
     @property
     def n_components(self) -> int:
-        return self.obs.size + 1
+        return self.obs.shape[1] + 1
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        """Density at ``x``: a scalar or vector for one density, a (k, m)
+        matrix for k rows, row i evaluated under density i."""
+        x_arr = np.asarray(x, dtype=np.float64)
         if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
             raise SearchError("density is defined on [0, 1]")
-        total = np.ones_like(x_arr)  # uniform prior component
-        if self.obs.size:
-            z = (x_arr[:, None] - self.obs[None, :]) / self.bw
-            kernel = np.exp(-0.5 * z * z) / (self.bw * math.sqrt(2.0 * math.pi))
-            total = total + (kernel / self.trunc_mass).sum(axis=1)
+        x2 = np.atleast_1d(x_arr)[None, :] if self._vector else x_arr
+        obs, bw, mass = self.obs, self.bw, self.trunc_mass
+        norm = bw * math.sqrt(2.0 * math.pi)
+        total = np.ones_like(x2)  # uniform prior component
+        if obs.shape[1]:
+            # One (rows, m, n) buffer, reused by every block and worked in
+            # place, keeps the per-element arithmetic of the one-density formula.
+            buf = np.empty((min(PDF_BLOCK_ROWS, len(obs)), x2.shape[1], obs.shape[1]))
+            for start in range(0, len(obs), PDF_BLOCK_ROWS):
+                b = slice(start, start + PDF_BLOCK_ROWS)
+                z = np.subtract(x2[b, :, None], obs[b, None, :], out=buf[:len(obs[b])])
+                z /= bw[b, None, :]
+                z *= z
+                z *= -0.5
+                np.exp(z, out=z)
+                z /= norm[b, None, :]
+                z /= mass[b, None, :]
+                total[b] += z.sum(axis=2)
         result = total / self.n_components
-        return result if np.ndim(x) else float(result[0])
+        if not self._vector:
+            return result
+        return result[0] if np.ndim(x) else float(result[0, 0])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        comp = rng.integers(0, self.n_components, size=size)
-        u = rng.uniform(size=size)
-        out = np.empty(size, dtype=np.float64)
-        uniform_mask = comp == 0
-        out[uniform_mask] = u[uniform_mask]
-        gauss = ~uniform_mask
+        """``size`` draws per density: a vector for one density, (k, size) for k
+        rows.  Each row draws its component indices, then its uniforms, row by
+        row in row order, as k one-density calls would."""
+        k = len(self.obs)
+        comp = np.empty((k, size), dtype=np.int64)
+        u = np.empty((k, size), dtype=np.float64)
+        for row in range(k):
+            comp[row] = rng.integers(0, self.n_components, size=size)
+            u[row] = rng.uniform(size=size)
+        out = u.copy()  # draws of the uniform component (index 0) are u itself
+        gauss = comp > 0
         if gauss.any():
+            row, _ = np.nonzero(gauss)
             i = comp[gauss] - 1
-            p = self._cdf_lo[i] + u[gauss] * (self._cdf_hi[i] - self._cdf_lo[i])
-            out[gauss] = self.obs[i] + self.bw[i] * ndtri(p)
-        return np.clip(out, 0.0, 1.0)
+            lo, hi = self._cdf_lo[row, i], self._cdf_hi[row, i]
+            p = lo + u[gauss] * (hi - lo)
+            out[gauss] = self.obs[row, i] + self.bw[row, i] * ndtri(p)
+        out = np.clip(out, 0.0, 1.0)
+        return out[0] if self._vector else out
 
 
 def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -314,11 +344,12 @@ def tpe_suggest(history: Sequence[TrialRecord], k: int,
     """Propose a weight vector by maximizing the good/bad density ratio.
 
     Until :data:`N_STARTUP` trials have completed the proposal is uniform
-    random.  Afterwards each dimension is handled independently: the
-    completed trials are split into good and bad sets, a Parzen density is
-    fitted to each set's values in that dimension, :data:`N_CANDIDATES`
-    draws are taken from the good density, and the draw maximizing
-    good(x) / (bad(x) + eps) wins.
+    random.  Afterwards the completed trials are split into good and bad
+    sets, and each dimension is handled independently as one row of two
+    (k, n) Parzen densities: one fitted to the good set's values, one to the
+    bad set's.  :data:`N_CANDIDATES` draws are taken per row from the good
+    density, dimension by dimension in order, and in each row the draw
+    maximizing good(x) / (bad(x) + eps) wins.
     """
     if k < 1:
         raise SearchError("k must be >= 1")
@@ -328,15 +359,12 @@ def tpe_suggest(history: Sequence[TrialRecord], k: int,
     if len(completed) < N_STARTUP:
         return random_suggest(k, rng)
 
-    good, bad = gamma_split(completed)
-    suggestion = np.empty(k, dtype=np.float64)
-    for d in range(k):
-        density_good = ParzenDensity([t.weights[d] for t in good])
-        density_bad = ParzenDensity([t.weights[d] for t in bad])
-        candidates = density_good.sample(rng, N_CANDIDATES)
-        score = density_good.pdf(candidates) / (density_bad.pdf(candidates) + EPS)
-        suggestion[d] = candidates[int(np.argmax(score))]
-    return suggestion
+    density_good, density_bad = (
+        ParzenDensity(np.array([t.weights for t in part]).reshape(len(part), k).T)
+        for part in gamma_split(completed))
+    candidates = density_good.sample(rng, N_CANDIDATES)
+    score = density_good.pdf(candidates) / (density_bad.pdf(candidates) + EPS)
+    return candidates[np.arange(k), np.argmax(score, axis=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import mixsearch
 from mixsearch import benchmark
 from mixsearch.cli import build_parser, main
+from mixsearch.pipeline import RunManifest
 
 SEED = 7
 PREP = ["--ewma-spans", "8,32", "--test-profiles", "7", "--val-profiles", "5,6",
@@ -44,6 +45,10 @@ names = cfg["target_names"]
     {"mse": {n: 1.0 for n in names}, "mae": {n: 1.0 for n in names},
      "avg_mse": 1.0 / cfg["n_windows"]}))
 """
+
+
+def unreadable_embeddings(run, n_windows):
+    raise OSError("embeddings read")
 
 
 def clustered_run(out, raw_csv):
@@ -170,6 +175,22 @@ class TestStages:
             assert "disk full" in capsys.readouterr().err
             for product, content in before.items():
                 assert (out / product).read_bytes() == content, product
+            assert not list(out.glob("*.tmp"))
+
+    def test_failed_study_keeps_previous_product(self, raw_csv, tmp_path, capsys):
+        # Every trial of an external search fails, so the study raises.
+        out = tmp_path / "all-failed"
+        staged_run(out, raw_csv)
+        before = (out / "trials.jsonl").read_bytes()
+        stub = tmp_path / "fail.py"
+        stub.write_text("import sys\nsys.exit(1)\n")
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        assert main(["search", "--out", str(out), "--seed", str(SEED),
+                     "--log-level", "warning", "--trials", "2", "--jobs", "1",
+                     "--trainer", "external", "--external-cmd", cmd]) == 1
+        assert "AllTrialsFailedError" in capsys.readouterr().err
+        assert (out / "trials.jsonl").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
 
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -222,9 +243,11 @@ class TestStages:
 
 
 class TestTrainerBranches:
-    def test_search_patch_net(self, raw_csv, tmp_path):
+    def test_search_patch_net(self, raw_csv, tmp_path, monkeypatch):
         out = tmp_path / "pn"
         common = clustered_run(out, raw_csv)
+        # Only the ridge trainer reads the embeddings.
+        monkeypatch.setattr(RunManifest, "embeddings", unreadable_embeddings)
         assert main(["search", *common, "--trials", "3", "--jobs", "1",
                      *TINY_PATCH_NET]) == 0
         records = [json.loads(line)
@@ -279,9 +302,10 @@ class TestTrainerBranches:
                    for line in (out / "trials.jsonl").read_text().splitlines()]
         assert [r["state"] for r in records] == ["complete"] * 3
 
-    def test_sweep_patch_net(self, raw_csv, tmp_path):
+    def test_sweep_patch_net(self, raw_csv, tmp_path, monkeypatch):
         out = tmp_path / "sweep-pn"
         common = clustered_run(out, raw_csv)
+        monkeypatch.setattr(RunManifest, "embeddings", unreadable_embeddings)
         assert main(["sweep", *common, "--fractions", "0.5,1.0",
                      *TINY_PATCH_NET]) == 0
         rows = json.loads((out / "sweep.json").read_text())["rows"]

@@ -1,10 +1,16 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsearch.search import (
+    EPS,
+    N_CANDIDATES,
+    N_STARTUP,
+    STATE_COMPLETE,
     AllTrialsFailedError,
     EmptyMixtureError,
     ParzenDensity,
@@ -30,6 +36,30 @@ def record(trial_id, weights, objective, state="complete"):
                        per_target_mae={}, state=state,
                        error=None if state == "complete" else "boom",
                        wall_time_s=0.0)
+
+
+def reference_tpe_suggest(history, k, rng):
+    """The per-dimension TPE proposal: two one-row densities per dimension."""
+    completed = [t for t in history if t.state == STATE_COMPLETE]
+    if len(completed) < N_STARTUP:
+        return random_suggest(k, rng)
+    good, bad = gamma_split(completed)
+    suggestion = np.empty(k, dtype=np.float64)
+    for d in range(k):
+        density_good = ParzenDensity([t.weights[d] for t in good])
+        density_bad = ParzenDensity([t.weights[d] for t in bad])
+        candidates = density_good.sample(rng, N_CANDIDATES)
+        score = density_good.pdf(candidates) / (density_bad.pdf(candidates) + EPS)
+        suggestion[d] = candidates[int(np.argmax(score))]
+    return suggestion
+
+
+def reference_pdf(density, x):
+    """A one-row density's pdf at a vector ``x``, in one (m, n) broadcast."""
+    obs, bw, mass = density.obs[0], density.bw[0], density.trunc_mass[0]
+    z = (x[:, None] - obs[None, :]) / bw
+    kernel = np.exp(-0.5 * z * z) / (bw * np.sqrt(2.0 * np.pi))
+    return (1.0 + (kernel / mass).sum(axis=1)) / density.n_components
 
 
 def quadratic_objective(center):
@@ -161,6 +191,22 @@ class TestParzenDensity:
         with pytest.raises(SearchError):
             ParzenDensity([0.5]).pdf(-0.2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_rows_match_one_dimensional_densities(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        obs = rng.uniform(size=(k, n))
+        x = rng.uniform(size=(k, 7))
+        rows = ParzenDensity(obs)
+        pdf = rows.pdf(x)
+        samples = rows.sample(np.random.default_rng(seed), 5)
+        draw_rng = np.random.default_rng(seed)
+        for r in range(k):
+            single = ParzenDensity(obs[r])
+            assert pdf[r].tobytes() == single.pdf(x[r]).tobytes()
+            assert pdf[r].tobytes() == reference_pdf(single, x[r]).tobytes()
+            assert samples[r].tobytes() == single.sample(draw_rng, 5).tobytes()
+
 
 class TestSuggest:
     def test_random_suggest_bounds_and_determinism(self):
@@ -197,6 +243,37 @@ class TestSuggest:
         wins = sum(tpe_suggest(history, 1, rng=np.random.default_rng(s))[0] > 0.5
                    for s in range(200))
         assert wins >= 190  # probability >= 0.95 over rng seeds
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 36]), st.integers(10, 300), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 0.5), st.integers(0, 3), st.integers(1, 17))
+    def test_matches_per_dimension_reference(self, k, n_trials, seed, failed_share,
+                                             objective_digits, weight_digits):
+        # Few objective digits tie many trials; few weight digits tie observations
+        # and put some on the domain edges.
+        rng = np.random.default_rng(seed)
+        history = []
+        for t in range(n_trials):
+            weights = np.round(rng.uniform(size=k), weight_digits)
+            if rng.uniform() < failed_share:
+                history.append(record(t, weights, None, state="failed"))
+            else:
+                history.append(record(t, weights, round(rng.uniform(), objective_digits)))
+        expected = reference_tpe_suggest(history, k, np.random.default_rng(seed))
+        got = tpe_suggest(history, k, np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_memory_peak_of_one_proposal(self):
+        # The densities' work buffer is bounded by rows per block, not by k.
+        rng = np.random.default_rng(0)
+        history = [record(t, rng.uniform(size=36), rng.uniform()) for t in range(300)]
+        tracemalloc.start()
+        try:
+            tpe_suggest(history, 36, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_one_dimensional_quadratic_study(self):
         hits = 0
