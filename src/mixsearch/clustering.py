@@ -39,11 +39,15 @@ class ClusterModel:
 
 
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, computed per centroid.
+    """(n, k) squared Euclidean distances, one ``cdist`` call.
 
-    The per-centroid difference keeps the arithmetic symmetric, so points
-    exactly equidistant from two centroids produce exactly equal entries.
+    Each entry sums the squares of its own point-centroid difference, so
+    points exactly equidistant from two centroids produce exactly equal entries.
     """
+    # Imported here, not at module level: scipy.spatial costs every other
+    # stage's start-up time and only the cluster stage computes distances.
+    from scipy.spatial.distance import cdist
+
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     if points.ndim != 2 or centroids.ndim != 2:
@@ -52,11 +56,7 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         raise ClusteringError(
             f"dimension mismatch: points have {points.shape[1]}, "
             f"centroids have {centroids.shape[1]}")
-    out = np.empty((points.shape[0], centroids.shape[0]), dtype=np.float64)
-    for j in range(centroids.shape[0]):
-        diff = points - centroids[j]
-        out[:, j] = np.einsum("nd,nd->n", diff, diff)
-    return out
+    return cdist(points, centroids, "sqeuclidean")
 
 
 def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -291,21 +291,32 @@ def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
     model = clustering.kmeans_fit(normalized[train_idx], k=k, max_iter=max_iter,
                                   tol=tol, seed=run.master_seed, n_init=restarts)
 
-    assignments_out = out_dir / "assignments.csv"
-    with assignments_out.open("w") as fh:
-        fh.write("window_index,cluster_id\n")
-        for widx, cid in zip(train_idx, model.assignments):
-            fh.write(f"{int(widx)},{int(cid)}\n")
     centroids_out = Path(centroids_path) if centroids_path else out_dir / "centroids.tsem"
-    embedding.write_embedding_file(
-        embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
-                                  provenance=embedding.PROVENANCE_BUILTIN),
-        centroids_out)
+    in_dir = centroids_out.is_relative_to(out_dir)
+    centroids_name = str(centroids_out.relative_to(out_dir) if in_dir else centroids_out)
+    # Products in the output directory are written under temporary names and
+    # renamed into place back to back, assignments.csv last since search reads
+    # it; a failed write or rename leaves the previous products and no *.tmp.
+    staged = {}
+    if in_dir:
+        staged[centroids_name] = centroids_out.with_name(centroids_out.name + ".tmp")
+    staged["assignments.csv"] = out_dir / "assignments.csv.tmp"
+    try:
+        with staged["assignments.csv"].open("w") as fh:
+            fh.write("window_index,cluster_id\n")
+            for widx, cid in zip(train_idx, model.assignments):
+                fh.write(f"{int(widx)},{int(cid)}\n")
+        embedding.write_embedding_file(
+            embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
+                                      provenance=embedding.PROVENANCE_BUILTIN),
+            staged.get(centroids_name, centroids_out))
+        run.write_json({}, staged=staged)
+    finally:  # after a full success every temporary name is already gone
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
     run.record(
         {"k": k, "max_iter": max_iter, "tol": tol, "restarts": restarts},
-        {"assignments": "assignments.csv",
-         "centroids": str(centroids_out.relative_to(out_dir)
-                          if centroids_out.is_relative_to(out_dir) else centroids_out)},
+        {"assignments": "assignments.csv", "centroids": centroids_name},
         inertia=model.inertia, n_iter=model.n_iter,
         cluster_sizes=[int(s) for s in model.sizes])
 

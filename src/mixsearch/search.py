@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 logger = logging.getLogger(__name__)
 
@@ -110,7 +109,7 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
         raise SearchError("assignments must be non-empty")
     if weights.ndim != 1:
         raise SearchError("weights must be a vector")
-    if np.any(weights < 0.0) or np.any(weights > 1.0):
+    if not np.all((weights >= 0.0) & (weights <= 1.0)):  # NaN fails too
         raise SearchError("weights must lie in [0, 1]")
     k = weights.shape[0]
     if assignments.min() < 0 or assignments.max() >= k:
@@ -118,19 +117,19 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sizes = np.bincount(assignments, minlength=k)
-    counts = np.array([round_half_up(sizes[c] * weights[c]) for c in range(k)],
-                      dtype=np.int64)
+    counts = np.floor(sizes * weights + 0.5).astype(np.int64)  # round_half_up per cluster
     if not counts.any():
         raise EmptyMixtureError("all per-cluster counts rounded to zero")
 
+    # A stable sort lists every cluster's members in ascending position, one
+    # contiguous run per cluster, so no cluster rescans the assignments.
+    order = np.argsort(assignments, kind="stable")
+    ends = np.cumsum(sizes)
     parts = []
-    for c in range(k):
-        members = np.flatnonzero(assignments == c)
-        n_c = int(counts[c])
-        if n_c == 0:
-            continue
-        if n_c < members.size:
-            members = np.sort(rng.choice(members, size=n_c, replace=False))
+    for c in np.flatnonzero(counts):
+        members = order[ends[c] - sizes[c]:ends[c]]
+        if counts[c] < members.size:
+            members = np.sort(rng.choice(members, size=int(counts[c]), replace=False))
         parts.append(members)
     return MixtureIndex(indices=np.concatenate(parts), counts=counts)
 
@@ -260,6 +259,10 @@ class ParzenDensity:
     """
 
     def __init__(self, observations: Sequence[float] | np.ndarray):
+        # Imported here and in sample, not at module level: scipy.special
+        # costs every other stage's start-up time and only TPE fits densities.
+        from scipy.special import ndtr
+
         obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim not in (1, 2):
             raise SearchError("observations must be a vector or a (k, n) matrix")
@@ -314,6 +317,8 @@ class ParzenDensity:
         """``size`` draws per density: a vector for one density, (k, size) for k
         rows.  Each row draws its component indices, then its uniforms, row by
         row in row order, as k one-density calls would."""
+        from scipy.special import ndtri
+
         k = len(self.obs)
         comp = np.empty((k, size), dtype=np.int64)
         u = np.empty((k, size), dtype=np.float64)

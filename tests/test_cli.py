@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mixsearch
-from mixsearch import benchmark
+from mixsearch import benchmark, embedding
 from mixsearch.cli import build_parser, main
 from mixsearch.pipeline import RunManifest
 
@@ -107,6 +107,17 @@ class TestDispatch:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_start_up_loads_no_stage_scipy_module(self):
+        # Each stage imports the scipy module only it needs: preprocess signal,
+        # cluster spatial, search (TPE) special.  Start-up loads none of them.
+        loaded = ("print(sorted(m for m in ('scipy.special', 'scipy.spatial', "
+                  "'scipy.signal') if m in sys.modules))")
+        for run in ("import mixsearch.cli",
+                    "from mixsearch.cli import main; assert main(['--version']) == 0"):
+            proc = self._child("-c", f"import sys; {run}; {loaded}")
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]", run
+
     def test_full_scale_defaults(self):
         parser = build_parser()
         search = parser.parse_args(["search"])
@@ -191,6 +202,38 @@ class TestStages:
         assert "AllTrialsFailedError" in capsys.readouterr().err
         assert (out / "trials.jsonl").read_bytes() == before
         assert not list(out.glob("*.tmp"))
+
+    def test_failed_cluster_write_keeps_previous_product(self, raw_csv, tmp_path,
+                                                         monkeypatch, capsys):
+        out = tmp_path / "atomic-cluster"
+        common = clustered_run(out, raw_csv)
+        before = {name: (out / name).read_bytes()
+                  for name in ("assignments.csv", "centroids.tsem", "manifest.json")}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "assignments.csv":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        def write_embedding_file(matrix, path):
+            raise OSError("disk full")
+
+        # A re-run with another k writes different assignments; neither a failed
+        # rename nor a failed centroid write may leave them in place.
+        for target, name, fake in [(os, "replace", replace),
+                                   (embedding, "write_embedding_file",
+                                    write_embedding_file)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, fake)
+                assert main(["cluster", *common, "--k", "5", "--restarts", "1"]) == 1
+            assert "disk full" in capsys.readouterr().err
+            assert (out / "assignments.csv").read_bytes() == before["assignments.csv"]
+            assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+            assert not list(out.glob("*.tmp"))
+        assert main(["cluster", *common, "--k", "5", "--restarts", "1"]) == 0
+        assert (out / "assignments.csv").read_bytes() != before["assignments.csv"]
+        assert (out / "centroids.tsem").read_bytes() != before["centroids.tsem"]
 
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixsearch.clustering import (
     ClusteringError,
@@ -12,6 +14,28 @@ from mixsearch.clustering import (
     squared_distances,
     _repair_empty,
 )
+
+
+def reference_squared_distances(points, centroids):
+    """(n, k) squared distances, one ``einsum`` over the differences per centroid."""
+    out = np.empty((points.shape[0], centroids.shape[0]))
+    for j in range(centroids.shape[0]):
+        diff = points - centroids[j]
+        out[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return out
+
+
+@st.composite
+def distance_cases(draw):
+    """Points and centroids of shared dimension, spread over several scales."""
+    n, k, d = draw(st.integers(1, 60)), draw(st.integers(1, 36)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    points = rng.normal(size=(n, d)) * scale
+    centroids = rng.normal(size=(k, d)) * scale
+    if draw(st.booleans()):  # centroids on points give exact zeros
+        centroids[: min(n, k)] = points[: min(n, k)]
+    return points, centroids
 
 
 def brute_force_bipartition(points):
@@ -73,6 +97,41 @@ class TestAssignAndInertia:
         labels = assign(points, centroids)
         assert labels.shape == (40,)
         assert np.all((labels >= 0) & (labels < 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(distance_cases())
+    def test_matches_per_centroid_reference(self, case):
+        points, centroids = case
+        got = squared_distances(points, centroids)
+        ref = reference_squared_distances(points, centroids)
+        tol = 1e-9 * ref.max()
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= tol
+        # Wherever the reference's nearest centroid wins by more than the
+        # tolerance, the assignment must agree with it.
+        ranked = np.sort(ref, axis=1)
+        clear = (ranked[:, 1] - ranked[:, 0] > tol if ref.shape[1] > 1
+                 else np.ones(len(ref), dtype=bool))
+        np.testing.assert_array_equal(assign(points, centroids)[clear],
+                                      np.argmin(ref, axis=1)[clear])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_mirrored_centroids_give_equal_columns(self, n, d, seed):
+        # Points and c are 0 on the mirrored axes (axis 0 and a random subset)
+        # and v is non-zero only there, so c + v and c - v mirror each other
+        # across the points' subspace: every point is exactly equidistant.
+        rng = np.random.default_rng(seed)
+        mirrored = rng.random(d + 1) < 0.5
+        mirrored[0] = True
+        points = rng.normal(size=(n, d + 1)) * 10.0 ** rng.integers(-3, 4)
+        points[:, mirrored] = 0.0
+        c = np.where(mirrored, 0.0, rng.normal(size=d + 1))
+        v = np.where(mirrored, rng.normal(size=d + 1), 0.0)
+        dist = squared_distances(points, np.stack([c + v, c - v]))
+        assert dist[:, 0].tobytes() == dist[:, 1].tobytes()
+        np.testing.assert_array_equal(assign(points, np.stack([c + v, c - v])),
+                                      np.zeros(n, dtype=np.int64))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ClusteringError, match="mismatch"):

@@ -24,6 +24,7 @@ from mixsearch.search import (
     gamma_split,
     load_trial_log,
     random_suggest,
+    round_half_up,
     run_study,
     tpe_suggest,
     trial_rng,
@@ -60,6 +61,38 @@ def reference_pdf(density, x):
     z = (x[:, None] - obs[None, :]) / bw
     kernel = np.exp(-0.5 * z * z) / (bw * np.sqrt(2.0 * np.pi))
     return (1.0 + (kernel / mass).sum(axis=1)) / density.n_components
+
+
+def reference_build_mixture(assignments, weights, rng):
+    """The per-cluster mixture: one scan of the assignments and one
+    ``round_half_up`` per cluster."""
+    k = weights.shape[0]
+    sizes = np.bincount(assignments, minlength=k)
+    counts = np.array([round_half_up(sizes[c] * weights[c]) for c in range(k)],
+                      dtype=np.int64)
+    parts = []
+    for c in range(k):
+        members = np.flatnonzero(assignments == c)
+        n_c = int(counts[c])
+        if n_c == 0:
+            continue
+        if n_c < members.size:
+            members = np.sort(rng.choice(members, size=n_c, replace=False))
+        parts.append(members)
+    return np.concatenate(parts) if parts else np.empty(0, np.int64), counts
+
+
+@st.composite
+def mixture_cases(draw):
+    """Assignments over k clusters, some of them empty, and weights that
+    include exact 0s and 1s and products landing on a half."""
+    k = draw(st.sampled_from([1, 2, 5, 36]))
+    used = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    assignments = np.asarray(draw(st.lists(st.sampled_from(used), min_size=1,
+                                           max_size=400)), dtype=np.int64)
+    weight = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    weights = np.asarray(draw(st.lists(weight, min_size=k, max_size=k)))
+    return assignments, weights, draw(st.integers(0, 2**32 - 1))
 
 
 def quadratic_objective(center):
@@ -128,6 +161,24 @@ class TestBuildMixture:
     def test_rejects_bad_weights(self):
         with pytest.raises(SearchError, match=r"\[0, 1\]"):
             build_mixture(np.zeros(3, dtype=np.int64), np.array([1.2]), seed=0)
+
+    def test_rejects_nan_weights(self):
+        with pytest.raises(SearchError, match=r"\[0, 1\]"):
+            build_mixture(np.zeros(3, dtype=np.int64), np.array([np.nan]), seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixture_cases())
+    def test_matches_per_cluster_reference(self, case):
+        assignments, weights, seed = case
+        indices, counts = reference_build_mixture(assignments, weights,
+                                                  np.random.default_rng(seed))
+        if not counts.any():
+            with pytest.raises(EmptyMixtureError):
+                build_mixture(assignments, weights, seed=seed)
+            return
+        mix = build_mixture(assignments, weights, seed=seed)
+        assert mix.counts.tobytes() == counts.tobytes()
+        assert mix.indices.tobytes() == indices.tobytes()
 
 
 class TestGammaSplit:
