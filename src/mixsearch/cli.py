@@ -246,30 +246,29 @@ def dispatch(argv: list[str]) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command == "selftest":
         return run_selftest(args)
-    run = pipeline.RunManifest.open(Path(args.out), args.seed, args.command,
-                                    args.force)
-
-    if args.command == "preprocess":
-        schema = pipeline.load_schema(args.schema, args.id_col,
-                                      args.input_cols, args.target_cols)
-        pipeline.stage_preprocess(run, args.data, schema, args.ewma_spans,
-                                  args.test_profiles, args.val_profiles,
-                                  args.window_length, args.stride)
-    elif args.command == "embed":
-        pipeline.stage_embed(run, args.embeddings)
-    elif args.command == "cluster":
-        pipeline.stage_cluster(run, args.k, args.max_iter, args.tol,
-                               args.restarts, args.centroids)
-    elif args.command == "search":
-        pipeline.stage_search(run, args.trials, args.jobs, args.sampler,
-                              _train_config(args), args.external_cmd,
-                              args.external_timeout, expected_k=args.k)
-    elif args.command == "sweep":
-        pipeline.stage_sweep(run, args.fractions, _train_config(args))
-    elif args.command == "report":
-        pipeline.stage_report(run)
-    elif args.command == "review-export":
-        pipeline.stage_review_export(run, args.review_samples)
+    with pipeline.RunManifest.open(Path(args.out), args.seed, args.command,
+                                   args.force) as run:
+        if args.command == "preprocess":
+            schema = pipeline.load_schema(args.schema, args.id_col,
+                                          args.input_cols, args.target_cols)
+            pipeline.stage_preprocess(run, args.data, schema, args.ewma_spans,
+                                      args.test_profiles, args.val_profiles,
+                                      args.window_length, args.stride)
+        elif args.command == "embed":
+            pipeline.stage_embed(run, args.embeddings)
+        elif args.command == "cluster":
+            pipeline.stage_cluster(run, args.k, args.max_iter, args.tol,
+                                   args.restarts, args.centroids)
+        elif args.command == "search":
+            pipeline.stage_search(run, args.trials, args.jobs, args.sampler,
+                                  _train_config(args), args.external_cmd,
+                                  args.external_timeout, expected_k=args.k)
+        elif args.command == "sweep":
+            pipeline.stage_sweep(run, args.fractions, _train_config(args))
+        elif args.command == "report":
+            pipeline.stage_report(run)
+        elif args.command == "review-export":
+            pipeline.stage_review_export(run, args.review_samples)
     return 0
 
 

@@ -5,6 +5,12 @@ there, and records its parameters in ``manifest.json`` together with a
 chained configuration hash.  A downstream stage refuses to consume
 intermediates whose recorded chain no longer matches (for example after an
 upstream stage was re-run with different parameters) unless forced.
+
+Products are written under temporary names (:meth:`RunManifest.staging_path`)
+and :meth:`RunManifest.record` renames them into place back to back, the
+manifest last, so a stage that fails at any point leaves the previous
+products and manifest as they were and no temporary file.  ``report`` and
+``review-export`` write in place: no stage reads their products.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import json
 import logging
 import os
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +79,15 @@ def _chain_hash(params: dict, parent_hashes: dict[str, str], seed: int) -> str:
 class RunManifest:
     """The one handle a stage gets: its output directory, the stage it runs
     and the manifest recorded there.  Upstream products load through the
-    outputs the manifest recorded; :meth:`record` adds the stage's entry."""
+    outputs the manifest recorded; :meth:`record` adds the stage's entry.
+    Used as a context manager, it removes every temporary name still there
+    when the stage ends, whether or not it failed."""
     out_dir: Path
     stage: str
     master_seed: int
     stages: dict
     tool_version: str = __version__
+    staged: dict[str, Path] = field(init=False, default_factory=dict)
 
     @classmethod
     def open(cls, out_dir: Path, seed: int, stage: str, force: bool) -> "RunManifest":
@@ -108,23 +117,24 @@ class RunManifest:
         run.verify_upstream(stage, force)
         return run
 
-    def write_json(self, payloads: dict[str, object],
-                   staged: dict[str, Path] | None = None) -> None:
-        """Write every payload under a temporary name, then rename them and the
-        already-written ``staged`` files into place back to back, so a failed
-        write leaves every previous product intact and no temporary file."""
-        tmps = {name: self.out_dir / (name + ".tmp") for name in payloads}
-        try:
-            for name, payload in payloads.items():
-                tmps[name].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-            for name, tmp in {**tmps, **(staged or {})}.items():
-                os.replace(tmp, self.out_dir / name)
-        finally:  # after a full success every temporary name is already gone
-            for tmp in tmps.values():
-                tmp.unlink(missing_ok=True)
+    def __enter__(self) -> "RunManifest":
+        return self
 
-    def record(self, params: dict, outputs: dict[str, str], **extra) -> None:
-        """Record this stage's entry and save the manifest."""
+    def __exit__(self, *exc_info) -> None:
+        for tmp in self.staged.values():  # after a full record all are renamed
+            tmp.unlink(missing_ok=True)
+
+    def staging_path(self, name: str) -> Path:
+        """Temporary path the product ``name`` is written to; :meth:`record`
+        renames it to ``out_dir / name``."""
+        self.staged[name] = self.out_dir / f"{name}.tmp"
+        return self.staged[name]
+
+    def record(self, params: dict, outputs: dict[str, str],
+               payloads: dict[str, object] | None = None, **extra) -> None:
+        """Record this stage's entry and commit its products: write the JSON
+        ``payloads`` and the manifest under temporary names, then rename the
+        payloads, the staged files and the manifest, last, into place."""
         parent_hashes = {p: self.stages[p]["chain_hash"]
                          for p in STAGE_PARENTS[self.stage]}
         self.stages[self.stage] = {
@@ -134,12 +144,19 @@ class RunManifest:
             "chain_hash": _chain_hash(params, parent_hashes, self.master_seed),
             **extra,
         }
-        self.write_json({MANIFEST_NAME: {
+        files = list(self.staged)
+        payloads = {**(payloads or {}), MANIFEST_NAME: {
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "master_seed": self.master_seed,
             "stages": self.stages,
-        }})
+        }}
+        for name, payload in payloads.items():
+            self.staging_path(name).write_text(
+                json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        *json_names, manifest = payloads
+        for name in [*json_names, *files, manifest]:
+            os.replace(self.staged[name], self.out_dir / name)
 
     def verify_upstream(self, name: str, force: bool) -> None:
         """Check that every ancestor stage ran and its chain is intact."""
@@ -253,7 +270,7 @@ def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
     table = apply_scaler(table, scaler)
     make_windows(table, window_length, stride)  # fail now if no window fits
 
-    save_table(table, scaler, run.out_dir / "processed.npz")
+    save_table(table, scaler, run.staging_path("processed.npz"))
     params = {
         "data": str(data),
         "schema": dict(sorted(schema.items())),
@@ -275,7 +292,7 @@ def stage_embed(run: RunManifest, embeddings: str | None) -> None:
     else:
         matrix = embedding.featurize_window_set(windows)
         provenance = embedding.PROVENANCE_BUILTIN
-    embedding.write_embedding_file(matrix, run.out_dir / "embeddings.tsem")
+    embedding.write_embedding_file(matrix, run.staging_path("embeddings.tsem"))
     run.record({"embeddings": str(embeddings) if embeddings else None},
                {"embeddings": "embeddings.tsem"},
                provenance=provenance, dims=matrix.dims)
@@ -294,26 +311,14 @@ def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
     centroids_out = Path(centroids_path) if centroids_path else out_dir / "centroids.tsem"
     in_dir = centroids_out.is_relative_to(out_dir)
     centroids_name = str(centroids_out.relative_to(out_dir) if in_dir else centroids_out)
-    # Products in the output directory are written under temporary names and
-    # renamed into place back to back, assignments.csv last since search reads
-    # it; a failed write or rename leaves the previous products and no *.tmp.
-    staged = {}
-    if in_dir:
-        staged[centroids_name] = centroids_out.with_name(centroids_out.name + ".tmp")
-    staged["assignments.csv"] = out_dir / "assignments.csv.tmp"
-    try:
-        with staged["assignments.csv"].open("w") as fh:
-            fh.write("window_index,cluster_id\n")
-            for widx, cid in zip(train_idx, model.assignments):
-                fh.write(f"{int(widx)},{int(cid)}\n")
-        embedding.write_embedding_file(
-            embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
-                                      provenance=embedding.PROVENANCE_BUILTIN),
-            staged.get(centroids_name, centroids_out))
-        run.write_json({}, staged=staged)
-    finally:  # after a full success every temporary name is already gone
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
+    embedding.write_embedding_file(
+        embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
+                                  provenance=embedding.PROVENANCE_BUILTIN),
+        run.staging_path(centroids_name) if in_dir else centroids_out)
+    with run.staging_path("assignments.csv").open("w") as fh:
+        fh.write("window_index,cluster_id\n")
+        for widx, cid in zip(train_idx, model.assignments):
+            fh.write(f"{int(widx)},{int(cid)}\n")
     run.record(
         {"k": k, "max_iter": max_iter, "tol": tol, "restarts": restarts},
         {"assignments": "assignments.csv", "centroids": centroids_name},
@@ -342,39 +347,33 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
     context = trainers.TrialContext(train_config, windows, features, protocol=protocol,
                                     handoff_root=run.out_dir / "external")
     objective = context.objective(train_idx, assignments, run.master_seed)
-    # Renamed into place with study.json and best_weights.json once both are
-    # written; removed if the study or any write fails.
-    trial_log = run.out_dir / "trials.jsonl.tmp"
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
-                                seed=run.master_seed, trial_log=trial_log)
-    try:
-        result = search.run_study(config, objective)
-        baseline_eval = objective(-1, np.ones(k))
-        run.write_json({
-            "study.json": {
-                "schema_version": 1,
-                "k": k,
-                "n_train": int(train_idx.size),
-                "best_trial_id": result.best_trial_id,
-                "best_objective": result.best_trial.objective,
-                "sampler_config": result.sampler_config,
-                "trainer_config": train_config.to_dict(),
-                "baseline": {
-                    "avg_mse": baseline_eval.objective,
-                    "per_target_mse": baseline_eval.per_target_mse,
-                    "per_target_mae": baseline_eval.per_target_mae,
-                },
-            },
-            "best_weights.json": {str(c): float(w)
-                                  for c, w in enumerate(result.best_trial.weights)},
-        }, staged={"trials.jsonl": trial_log})
-    finally:
-        trial_log.unlink(missing_ok=True)
+                                seed=run.master_seed,
+                                trial_log=run.staging_path("trials.jsonl"))
+    result = search.run_study(config, objective)
+    baseline_eval = objective(-1, np.ones(k))
     params = {"trials": trials, "jobs": jobs, "sampler": sampler,
               "trainer": train_config.to_dict(),
               "external_cmd": external_cmd}
     run.record(params, {"trials": "trials.jsonl", "study": "study.json",
-                        "best_weights": "best_weights.json"})
+                        "best_weights": "best_weights.json"}, {
+        "study.json": {
+            "schema_version": 1,
+            "k": k,
+            "n_train": int(train_idx.size),
+            "best_trial_id": result.best_trial_id,
+            "best_objective": result.best_trial.objective,
+            "sampler_config": result.sampler_config,
+            "trainer_config": train_config.to_dict(),
+            "baseline": {
+                "avg_mse": baseline_eval.objective,
+                "per_target_mse": baseline_eval.per_target_mse,
+                "per_target_mae": baseline_eval.per_target_mae,
+            },
+        },
+        "best_weights.json": {str(c): float(w)
+                              for c, w in enumerate(result.best_trial.weights)},
+    })
 
 
 def stage_sweep(run: RunManifest, fractions: list[float],
@@ -391,13 +390,12 @@ def stage_sweep(run: RunManifest, fractions: list[float],
         return context.score(train_idx[subset], train_config.seed).objective
 
     rows = report.run_size_sweep(fractions, run.master_seed, score, train_idx.size)
-    run.write_json({"sweep.json": {
-        "schema_version": 1,
-        "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
-                 for f, n, m in rows]}})
     run.record({"fractions": [float(f) for f in fractions],
                 "trainer": train_config.to_dict()},
-               {"sweep": "sweep.json"})
+               {"sweep": "sweep.json"},
+               {"sweep.json": {"schema_version": 1,
+                               "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
+                                        for f, n, m in rows]}})
 
 
 def stage_report(run: RunManifest) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import shutil
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -190,9 +191,10 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
     _cluster_sizes(weights, assignments)
     top, bottom = select_review_clusters(weights)
 
-    out = Path(out_dir)
-    review_dir = out / "review"
-    review_dir.mkdir(parents=True, exist_ok=True)
+    review_dir = Path(out_dir) / "review"
+    if review_dir.exists():  # a bundle replaces the previous one as a whole
+        shutil.rmtree(review_dir)
+    review_dir.mkdir(parents=True)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _REVIEW_STREAM)))
 
     manifest: dict = {"clusters": {}, "m_requested": m,
@@ -206,7 +208,7 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
             logger.warning("review cluster %d: %s", cluster, note)
         chosen = np.sort(rng.choice(members, size=n_take, replace=False))
         cdir = review_dir / str(cluster)
-        cdir.mkdir(exist_ok=True)
+        cdir.mkdir()
         for j, widx in enumerate(chosen):
             _write_window_csv(windows, int(widx), cdir / f"{j}.csv")
         entry = {"weight": float(weights[cluster]), "n_exported": int(n_take),

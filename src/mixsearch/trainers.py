@@ -241,21 +241,13 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
 
     epochs = compute_epochs(config.token_budget, n, ppw)
     batch = min(config.batch_size, n)
-    bounds = list(range(0, n, batch)) + [n]
-    step_rows = [bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1)]
-    steps_per_epoch = len(step_rows)
-
-    # Number of steps until the cumulative token count first reaches the budget.
-    planned_steps = 0
-    consumed_plan = 0
-    for _ in range(epochs):
-        for rows in step_rows:
-            planned_steps += 1
-            consumed_plan += rows * ppw
-            if consumed_plan >= config.token_budget:
-                break
-        if consumed_plan >= config.token_budget:
-            break
+    steps_per_epoch = -(-n // batch)
+    # Every epoch before the last is full; the last one stops at the first
+    # step whose cumulative token count reaches what is left of the budget.
+    last_epoch_tokens = np.minimum(np.arange(1, steps_per_epoch + 1) * batch, n) * ppw
+    left = config.token_budget - (epochs - 1) * n * ppw
+    planned_steps = ((epochs - 1) * steps_per_epoch
+                     + int(np.searchsorted(last_epoch_tokens, left)) + 1)
 
     rng = np.random.default_rng(config.seed)
     pe = sinusoidal_position_encoding(ppw, config.embed_dim)
@@ -263,44 +255,34 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    step = 0
     tokens = 0
-    epochs_run = 0
-    epoch_losses: list[float] = []
-    done = False
-    for _ in range(epochs):
-        if done:
-            break
-        epochs_run += 1
-        perm = rng.permutation(n)
-        losses = []
-        for b in range(steps_per_epoch):
-            take = idx[perm[bounds[b]:bounds[b + 1]]]
-            lr = lr_at_step(step, planned_steps, config.peak_lr, config.warmup_fraction)
-            x = to_patches(windows.inputs[take], config.patch_len)
-            loss, grads = patch_net_loss_and_grads(params, x, windows.targets[take], pe)
-            if not math.isfinite(loss):
+    losses: list[float] = []
+    for step in range(planned_steps):
+        epoch, b = divmod(step, steps_per_epoch)
+        if b == 0:
+            perm = rng.permutation(n)
+        take = idx[perm[b * batch:(b + 1) * batch]]
+        lr = lr_at_step(step, planned_steps, config.peak_lr, config.warmup_fraction)
+        x = to_patches(windows.inputs[take], config.patch_len)
+        loss, grads = patch_net_loss_and_grads(params, x, windows.targets[take], pe)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(
+                f"non-finite loss at step {step} (epoch {epoch + 1})")
+        losses.append(loss)
+        t = step + 1
+        for key in params:
+            m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * grads[key]
+            v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * grads[key] ** 2
+            m_hat = m[key] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v[key] / (1.0 - ADAM_BETA2 ** t)
+            params[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if not np.all(np.isfinite(params[key])):
                 raise TrainingDivergedError(
-                    f"non-finite loss at step {step} (epoch {epochs_run})")
-            losses.append(loss)
-            t = step + 1
-            for key in params:
-                m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * grads[key]
-                v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * grads[key] ** 2
-                m_hat = m[key] / (1.0 - ADAM_BETA1 ** t)
-                v_hat = v[key] / (1.0 - ADAM_BETA2 ** t)
-                params[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                if not np.all(np.isfinite(params[key])):
-                    raise TrainingDivergedError(
-                        f"parameter {key!r} became non-finite at step {step} "
-                        f"(epoch {epochs_run})")
-            tokens += take.size * ppw
-            step += 1
-            if step >= planned_steps:
-                done = True
-                break
-        if losses:
-            epoch_losses.append(float(np.mean(losses)))
+                    f"parameter {key!r} became non-finite at step {step} "
+                    f"(epoch {epoch + 1})")
+        tokens += take.size * ppw
+    epoch_losses = [float(np.mean(losses[i:i + steps_per_epoch]))
+                    for i in range(0, planned_steps, steps_per_epoch)]
 
     return PatchNetModel(
         params=params, pos_encoding=pe, patch_len=config.patch_len,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mixsearch
-from mixsearch import benchmark, embedding
+from mixsearch import benchmark, embedding, pipeline
 from mixsearch.cli import build_parser, main
 from mixsearch.pipeline import RunManifest
 
@@ -160,7 +160,8 @@ class TestStages:
         out = tmp_path / "atomic"
         staged_run(out, raw_csv)
         before = {name: (out / name).read_bytes()
-                  for name in ("study.json", "trials.jsonl", "best_weights.json")}
+                  for name in ("study.json", "trials.jsonl", "best_weights.json",
+                               "manifest.json")}
         real_replace, real_write_text = os.replace, Path.write_text
 
         def replace(src, dst):
@@ -178,7 +179,8 @@ class TestStages:
         common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
         for target, name, fake in [(os, "replace", replace),
                                    (Path, "write_text", failing_write("study.json")),
-                                   (Path, "write_text", failing_write("best_weights.json"))]:
+                                   (Path, "write_text", failing_write("best_weights.json")),
+                                   (Path, "write_text", failing_write("manifest.json"))]:
             with monkeypatch.context() as patch:
                 patch.setattr(target, name, fake)
                 assert main(["search", *common, "--trials", "4", "--jobs", "1",
@@ -209,7 +211,7 @@ class TestStages:
         common = clustered_run(out, raw_csv)
         before = {name: (out / name).read_bytes()
                   for name in ("assignments.csv", "centroids.tsem", "manifest.json")}
-        real_replace = os.replace
+        real_replace, real_write_text = os.replace, Path.write_text
 
         def replace(src, dst):
             if Path(dst).name == "assignments.csv":
@@ -219,21 +221,62 @@ class TestStages:
         def write_embedding_file(matrix, path):
             raise OSError("disk full")
 
+        def write_text(path, *args, **kwargs):
+            if path.name == "manifest.json.tmp":
+                raise OSError("disk full")
+            return real_write_text(path, *args, **kwargs)
+
         # A re-run with another k writes different assignments; neither a failed
-        # rename nor a failed centroid write may leave them in place.
+        # rename nor a failed centroid or manifest write may leave them in place.
         for target, name, fake in [(os, "replace", replace),
                                    (embedding, "write_embedding_file",
-                                    write_embedding_file)]:
+                                    write_embedding_file),
+                                   (Path, "write_text", write_text)]:
+            current = {name: (out / name).read_bytes() for name in before}
             with monkeypatch.context() as patch:
                 patch.setattr(target, name, fake)
                 assert main(["cluster", *common, "--k", "5", "--restarts", "1"]) == 1
             assert "disk full" in capsys.readouterr().err
             assert (out / "assignments.csv").read_bytes() == before["assignments.csv"]
             assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+            # centroids.tsem is renamed just before assignments.csv, so only a
+            # failure before the renames keeps it too.
+            kept = [n for n in before if fake is not replace or n != "centroids.tsem"]
+            for product in kept:
+                assert (out / product).read_bytes() == current[product], product
             assert not list(out.glob("*.tmp"))
         assert main(["cluster", *common, "--k", "5", "--restarts", "1"]) == 0
         assert (out / "assignments.csv").read_bytes() != before["assignments.csv"]
         assert (out / "centroids.tsem").read_bytes() != before["centroids.tsem"]
+
+    def test_failed_rewrite_keeps_previous_product(self, raw_csv, tmp_path,
+                                                   monkeypatch, capsys):
+        # A forced preprocess or embed re-run whose writer fails part-way keeps
+        # the previous product, and the next stage still reads it.
+        out = tmp_path / "atomic-rewrite"
+        common = clustered_run(out, raw_csv)
+        csv_path, schema_path, _ = raw_csv
+        preprocess = ["preprocess", *common, "--data", str(csv_path),
+                      "--schema", str(schema_path), *PREP]
+
+        def partial_write(*args):
+            Path(args[-1]).write_bytes(b"PK\x03\x04partial")
+            raise OSError("disk full")
+
+        for argv, product, module, writer, next_stage in [
+                (preprocess, "processed.npz", pipeline, "save_table", "embed"),
+                (["embed", *common], "embeddings.tsem", embedding,
+                 "write_embedding_file", "cluster")]:
+            before = {name: (out / name).read_bytes()
+                      for name in (product, "manifest.json")}
+            with monkeypatch.context() as patch:
+                patch.setattr(module, writer, partial_write)
+                assert main([*argv, "--force"]) == 1
+            assert "disk full" in capsys.readouterr().err
+            for name, content in before.items():
+                assert (out / name).read_bytes() == content, name
+            assert not list(out.glob("*.tmp"))
+            assert main([next_stage, *common]) == 0
 
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -201,6 +201,20 @@ class TestReviewBundle:
         files = list((tmp_path / "review").rglob("*.csv"))
         assert len(files) == 6
 
+    def test_re_export_replaces_previous_bundle(self, tmp_path):
+        k, per = 6, 5
+        n = k * per
+        study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
+        for m in (3, 1):
+            manifest = export_review_bundle(study, fake_assignments([per] * k),
+                                            self._windows(n), np.arange(n),
+                                            m=m, out_dir=tmp_path)
+        review = tmp_path / "review"
+        for cluster, entry in manifest["clusters"].items():
+            assert entry["n_exported"] == 1
+            assert sorted(p.name for p in (review / cluster).iterdir()) == ["0.csv"]
+        assert len(list(review.rglob("*.csv"))) == 6
+
     def test_small_cluster_exports_all_with_note(self, tmp_path):
         k = 6
         sizes = [2, 10, 10, 10, 10, 10]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsearch import trainers
 from mixsearch.trainers import (
     ExternalProtocol,
     ExternalTrainerError,
@@ -27,6 +28,23 @@ from mixsearch.trainers import (
 )
 
 from conftest import make_window_set
+
+
+def reference_planned_steps(budget, n, batch_size, ppw):
+    """The step count planned by walking every step of every epoch until the
+    cumulative token count first reaches the budget."""
+    batch = min(batch_size, n)
+    bounds = list(range(0, n, batch)) + [n]
+    step_rows = [bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1)]
+    planned_steps = 0
+    consumed = 0
+    for _ in range(compute_epochs(budget, n, ppw)):
+        for rows in step_rows:
+            planned_steps += 1
+            consumed += rows * ppw
+            if consumed >= budget:
+                return planned_steps
+    return planned_steps
 
 
 def linear_window_set(rng, n=60, w=20, c_in=2, c_tgt=2, noise=0.0, split=None):
@@ -219,6 +237,27 @@ class TestPatchNet:
         ppw = 20 // 5
         assert model.tokens_consumed >= config.token_budget
         assert model.tokens_consumed - config.token_budget < config.batch_size * ppw
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 64), st.integers(1, 1000),
+           st.sampled_from([4, 10, 20]))
+    def test_planned_steps_match_reference(self, n, batch_size, budget, patch_len):
+        ws = linear_window_set(np.random.default_rng(0), n=n, w=20)
+        config = TrainConfig(trainer="patch-net", token_budget=budget,
+                             batch_size=batch_size, patch_len=patch_len,
+                             embed_dim=2, seed=0)
+        totals = set()
+        real_lr_at_step = trainers.lr_at_step
+
+        def spy(step, total_steps, peak, warmup_fraction):
+            totals.add(total_steps)
+            return real_lr_at_step(step, total_steps, peak, warmup_fraction)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainers, "lr_at_step", spy)
+            train_patch_net(np.arange(n), ws, config)
+        assert totals == {reference_planned_steps(budget, n, batch_size,
+                                                  20 // patch_len)}
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
