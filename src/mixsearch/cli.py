@@ -33,6 +33,8 @@ DEFAULT_OUT_ENV = "MIXSEARCH_OUT"
 DEFAULT_EWMA_SPANS = [200, 500, 1500, 4000]
 DEFAULT_TEST_PROFILES = [65]
 DEFAULT_VAL_PROFILES = [18, 39, 46, 56, 75]
+BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
 _ERROR_CATEGORIES = (
     DatasetError, EmbeddingError, ClusteringError, SearchError, TrainerError,
@@ -176,7 +178,10 @@ def apply_config_overrides(args: argparse.Namespace, parser: argparse.ArgumentPa
         if action is None or not hasattr(args, dest):
             raise PipelineError(f"{path}: line {line_no}: unknown option {key!r}")
         if action.nargs == 0:
-            coerced = value.lower() in ("1", "true", "yes", "on")
+            coerced = BOOLEAN_WORDS.get(value.lower())
+            if coerced is None:
+                raise PipelineError(f"{path}: line {line_no}: {key} expects one of "
+                                    f"{', '.join(BOOLEAN_WORDS)}, got {value!r}")
         else:
             try:
                 coerced = subparser._get_values(action, [value])

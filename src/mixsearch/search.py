@@ -4,8 +4,8 @@ A weight vector w in [0, 1]^k turns cluster sizes into a concrete training
 mixture: n_k = round(C_k * w_k) windows drawn uniformly without replacement
 from cluster k.  The search itself is a from-scratch Tree-structured Parzen
 Estimator over the unit hypercube, with a uniform random sampler as
-baseline.  Trials can evaluate concurrently; proposals read whatever history
-snapshot is available at proposal time (stale reads are allowed).
+baseline.  Trials run in batches of ``jobs``: trial t is proposed from the
+trials with ids below t - t mod jobs, so a seeded study is the same on every run.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -408,23 +408,19 @@ Objective = Callable[[int, np.ndarray], TrialEvaluation]
 
 
 def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
-    """Run ``n_trials`` trials, up to ``jobs`` concurrently.
+    """Run ``n_trials`` trials in batches of ``jobs`` concurrent trials.
 
-    The shared history is an append-only log behind a lock; proposals use
-    the snapshot available when the trial starts.  A crashing objective
-    marks its trial failed and the study continues; if every trial fails
-    the study itself raises :class:`AllTrialsFailedError`.
+    Trial t is proposed from exactly the trials with ids below t - t % jobs,
+    which join the history and the trial log in id order once their batch has
+    returned.  A crashing objective marks its trial failed and the study
+    continues; if every trial fails the study raises :class:`AllTrialsFailedError`.
     """
-    lock = threading.Lock()
     history: list[TrialRecord] = []
-    log_fh = open(config.trial_log, "w") if config.trial_log else None
 
-    def run_one(trial_id: int) -> None:
-        with lock:
-            snapshot = list(history)
+    def run_one(trial_id: int) -> TrialRecord:
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
         if config.sampler == "tpe":
-            weights = tpe_suggest(snapshot, config.k, rng)
+            weights = tpe_suggest(history, config.k, rng)
         else:
             weights = random_suggest(config.k, rng)
         t0 = time.perf_counter()
@@ -448,24 +444,20 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
                 error=f"{type(exc).__name__}: {exc}",
                 wall_time_s=time.perf_counter() - t0)
             logger.debug("trial %d failed: %s", trial_id, record.error)
-        with lock:
-            history.append(record)
-            if log_fh is not None:
-                log_fh.write(record.to_json() + "\n")
-                log_fh.flush()
+        return record
 
-    try:
-        if config.jobs == 1:
-            for trial_id in range(config.n_trials):
-                run_one(trial_id)
-        else:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                futures = [pool.submit(run_one, t) for t in range(config.n_trials)]
-                for f in futures:
-                    f.result()
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    with ExitStack() as stack:
+        log_fh = stack.enter_context(open(config.trial_log, "w")) if config.trial_log else None
+        # No pool at jobs=1: a one-worker pool raised search-patchnet peak RSS 71 -> 104 MB.
+        run_batch = (stack.enter_context(ThreadPoolExecutor(config.jobs)).map
+                     if config.jobs > 1 else map)
+        for start in range(0, config.n_trials, config.jobs):
+            ids = range(start, min(start + config.jobs, config.n_trials))
+            batch = list(run_batch(run_one, ids))
+            history.extend(batch)
+            if log_fh is not None:
+                log_fh.writelines(record.to_json() + "\n" for record in batch)
+                log_fh.flush()
 
     result = StudyResult.from_trials(history, config.k, config.sampler_config())
     best = result.best_trial

@@ -390,12 +390,13 @@ def _parse_external_metrics(payload: dict, target_names: list[str],
                 raise ExternalTrainerError(
                     f"metrics.json {group!r} missing per-target entry {name!r}")
             value = table[name]
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            # type(), not isinstance(): JSON true/false load as bool, an int subclass.
+            if type(value) not in (int, float) or not math.isfinite(value):
                 raise ExternalTrainerError(
                     f"metrics.json {group}[{name!r}] is not a finite number")
             sink[name] = float(value)
     avg = payload["avg_mse"]
-    if not isinstance(avg, (int, float)) or not math.isfinite(avg):
+    if type(avg) not in (int, float) or not math.isfinite(avg):
         raise ExternalTrainerError("metrics.json avg_mse is not a finite number")
     return search.TrialEvaluation(objective=float(avg), n_mix=n_mix,
                                   per_target_mse=per_mse, per_target_mae=per_mae)

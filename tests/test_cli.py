@@ -284,12 +284,21 @@ class TestStages:
         assert rc == 1
         assert "embed" in capsys.readouterr().err
 
-    def test_determinism_across_runs(self, raw_csv, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_determinism_across_runs(self, raw_csv, tmp_path, jobs):
+        # 16 trials: at --jobs 4 the last batch is the first that TPE proposes.
         a, b = tmp_path / "a", tmp_path / "b"
-        staged_run(a, raw_csv)
-        staged_run(b, raw_csv)
-        for name in ("summary.json", "weights.csv", "counts.csv"):
+        staged_run(a, raw_csv, trials=16, extra_search=("--jobs", jobs))
+        staged_run(b, raw_csv, trials=16, extra_search=("--jobs", jobs))
+        for name in ("summary.json", "weights.csv", "counts.csv", "study.json",
+                     "best_weights.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+        def trials(out):
+            lines = (out / "trials.jsonl").read_text().splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_time_s"}
+                    for line in lines]
+        assert trials(a) == trials(b)
 
     def test_external_embeddings_bypass_featurizer(self, raw_csv, tmp_path):
         from mixsearch.embedding import EmbeddingMatrix, write_embedding_file
@@ -509,6 +518,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("entry, message", [
         ("k = six", "invalid int value"),
         ("log-level = loud", "invalid choice"),
+        ("force = maybe", "force expects one of"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, entry, message):
         config = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from mixsearch.search import (
     N_CANDIDATES,
     N_STARTUP,
     STATE_COMPLETE,
+    STREAM_SUGGEST,
     AllTrialsFailedError,
     EmptyMixtureError,
     ParzenDensity,
@@ -395,6 +397,17 @@ class TestRunStudy:
             assert np.array_equal(ta.weights, tb.weights)
             assert ta.n_mix == tb.n_mix
         assert a.best_trial_id == b.best_trial_id
+
+    @pytest.mark.parametrize("jobs", [1, 3, 4])
+    def test_trial_proposed_from_earlier_batches(self, jobs):
+        def objective(trial_id, weights):
+            time.sleep(0.002 * ((-trial_id) % jobs))  # a batch's later trials finish first
+            return TrialEvaluation(float(((weights - 0.4) ** 2).sum()), 1, {}, {})
+        result = run_study(StudyConfig(n_trials=24, k=3, jobs=jobs, seed=11), objective)
+        for t, trial in enumerate(result.trials):
+            expected = tpe_suggest(result.trials[:t - t % jobs], 3,
+                                   trial_rng(11, t, STREAM_SUGGEST))
+            np.testing.assert_array_equal(trial.weights, expected)
 
     def test_trial_log_roundtrip(self, tmp_path):
         log = tmp_path / "trials.jsonl"

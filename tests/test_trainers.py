@@ -436,6 +436,18 @@ class TestExternalTrainer:
                 np.arange(12), self._ws(), self._protocol(tmp_path, STUB_MALFORMED),
                 TrainConfig(trainer="external"), tmp_path / "handoff")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"mse": {"pm": True}, "mae": {"pm": 1.0}, "avg_mse": 1.0},
+         r"mse\['pm'\] is not a finite number"),
+        ({"mse": {"pm": 1.0}, "mae": {"pm": False}, "avg_mse": 1.0},
+         r"mae\['pm'\] is not a finite number"),
+        ({"mse": {"pm": 1.0}, "mae": {"pm": 1.0}, "avg_mse": False},
+         "avg_mse is not a finite number"),
+    ], ids=["mse", "mae", "avg_mse"])
+    def test_boolean_metric_rejected(self, payload, message):
+        with pytest.raises(ExternalTrainerError, match=message):
+            trainers._parse_external_metrics(payload, ["pm"], 3)
+
     def test_timeout(self, tmp_path):
         with pytest.raises(ExternalTrainerError, match="timed out"):
             external_trainer_invoke(
