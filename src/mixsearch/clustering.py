@@ -172,9 +172,15 @@ def _lloyd_once(points: np.ndarray, k: int, max_iter: int, tol: float,
 
 
 def _cluster_means(points: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    # A stable sort lists every cluster's members in ascending position, one
+    # contiguous run per cluster; keeping that order keeps each mean's
+    # summation order, so the centroids are those of a per-cluster mask.
+    order = np.argsort(assignments, kind="stable")
+    sizes = np.bincount(assignments, minlength=k)
+    ends = np.cumsum(sizes)
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     for j in range(k):
-        members = points[assignments == j]
+        members = points[order[ends[j] - sizes[j]:ends[j]]]
         centroids[j] = members.mean(axis=0)
     return centroids
 

@@ -144,7 +144,7 @@ class WindowGather:
         self.length = length
 
     def __getitem__(self, idx) -> np.ndarray:
-        return self.rows[self.start[idx, None] + np.arange(self.length)]
+        return self.rows.take(self.start[idx, None] + np.arange(self.length), axis=0)
 
 
 @dataclass

@@ -35,6 +35,10 @@ TRAINER_RIDGE = "ridge"
 TRAINER_PATCH_NET = "patch-net"
 TRAINER_EXTERNAL = "external"
 
+# Windows gathered per patch-net prediction block, so scoring a split holds
+# one block of windows at a time.
+PREDICT_BLOCK = 256
+
 
 class TrainerError(ValueError):
     pass
@@ -162,9 +166,13 @@ class PatchNetModel:
     epoch_losses: list[float] = field(default_factory=list)
 
     def predict(self, context: TrialContext, idx: np.ndarray) -> np.ndarray:
-        x = to_patches(context.windows.inputs[idx], self.patch_len)
-        pred, _ = patch_net_forward(self.params, x, self.pos_encoding)
-        return pred
+        """Predictions for windows ``idx``, gathered :data:`PREDICT_BLOCK` at a
+        time; each window's prediction depends on that window alone."""
+        blocks = []
+        for i in range(0, idx.size, PREDICT_BLOCK):
+            x = to_patches(context.windows.inputs[idx[i:i + PREDICT_BLOCK]], self.patch_len)
+            blocks.append(patch_net_forward(self.params, x, self.pos_encoding)[0])
+        return np.concatenate(blocks)
 
 
 def to_patches(inputs: np.ndarray, patch_len: int) -> np.ndarray:
@@ -219,7 +227,9 @@ def patch_net_loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
         d_pooled = g_pred @ params["w_head"].T          # (n, d)
         d_z = d_pooled[:, None, :] / z.shape[1]          # mean-pool backprop
         d_pre = d_z * (1.0 - z * z)
-        grads["w_embed"] = np.einsum("npi,npd->id", x_in, d_pre)
+        # Summed over batch and patches as one (i, n·P) @ (n·P, d) product.
+        grads["w_embed"] = (x_in.reshape(-1, x_in.shape[-1]).T
+                            @ d_pre.reshape(-1, d_pre.shape[-1]))
         grads["b_embed"] = d_pre.sum(axis=(0, 1))
     return loss, grads
 

@@ -12,6 +12,7 @@ from mixsearch.clustering import (
     kmeans_fit,
     kmeans_init_plusplus,
     squared_distances,
+    _cluster_means,
     _repair_empty,
 )
 
@@ -234,3 +235,12 @@ class TestKMeansFit:
         assert new_assign[2] == 1
         assert new_centroids[1, 0] == 10.0
         assert np.bincount(new_assign, minlength=2).min() == 1
+
+    def test_cluster_means_equal_boolean_mask_reference(self):
+        rng = np.random.default_rng(11)
+        sizes = [1, 57, 3, 200, 8, 2]
+        assignments = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        points = rng.normal(size=(assignments.size, 5)) * 10.0 ** rng.integers(-3, 4, 5)
+        want = np.array([points[assignments == j].mean(axis=0)
+                         for j in range(len(sizes))])
+        assert _cluster_means(points, assignments, len(sizes)).tobytes() == want.tobytes()

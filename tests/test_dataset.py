@@ -379,6 +379,20 @@ class TestMakeWindows:
         for array in arrays:
             assert 13 not in array.shape
 
+    @pytest.mark.parametrize("key", [
+        5, slice(3, 40, 4), np.arange(53) % 3 == 0,
+        np.array([52, 0, 7, 7, 30]), np.array([], dtype=np.int64)],
+        ids=["int", "slice", "mask", "index-array", "empty"])
+    def test_gather_equals_per_window_row_slices(self, key):
+        ws = make_windows(self._table([40, 37]), 13, 1)
+        before = ws.input_rows.copy()
+        got = ws.inputs[key]
+        want = np.array([ws.input_rows[s:s + 13] for s in ws.start])[key]
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        got[...] = 99.0
+        np.testing.assert_array_equal(ws.input_rows, before)
+
 
 class TestPersistence:
     def _table(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mixsearch import trainers
 from mixsearch.trainers import (
+    PREDICT_BLOCK,
     ExternalProtocol,
     ExternalTrainerError,
     TrainConfig,
@@ -209,6 +210,17 @@ class TestPatchNet:
                 worst = max(worst, abs(fd - gflat[i]) / denom)
         assert worst < 1e-3
 
+    def test_embed_gradient_matches_einsum_formula(self):
+        params, x, y, pe = self._setup(n=256, w=300, c_in=15, patch_len=30, embed=32)
+        assert x.shape == (256, 10, 450)
+        _, grads = patch_net_loss_and_grads(params, x, y, pe)
+        pred, (_, z, _) = patch_net_forward(params, x, pe)
+        g_pred = 2.0 * (pred - y) / y.size
+        d_pre = (g_pred @ params["w_head"].T)[:, None, :] / x.shape[1] * (1.0 - z * z)
+        want = np.einsum("npi,npd->id", x, d_pre)
+        np.testing.assert_allclose(grads["w_embed"], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
     def test_position_encoding_shape_and_values(self):
         pe = sinusoidal_position_encoding(4, 6)
         assert pe.shape == (4, 6)
@@ -383,6 +395,23 @@ class TestTrialContext:
         metrics = context.score(np.arange(30), seed=0)
         assert metrics.n_mix == 30
         assert metrics.objective == evaluate(model, context, 30).objective
+
+    def test_patch_net_predicts_in_blocks(self):
+        rng = np.random.default_rng(8)
+        n_val = 2 * PREDICT_BLOCK + 1
+        ws = linear_window_set(rng, n=n_val + 10, w=20,
+                               split=["train"] * 10 + ["val"] * n_val)
+        config = TrainConfig(trainer="patch-net", patch_len=5, embed_dim=8)
+        context = TrialContext(config, ws)
+        model = trainers.PatchNetModel(
+            params=init_patch_net(10, 8, 2, rng),
+            pos_encoding=sinusoidal_position_encoding(4, 8), patch_len=5)
+        pred, _ = patch_net_forward(model.params, to_patches(ws.inputs[10:], 5),
+                                    model.pos_encoding)
+        got = model.predict(context, context.scored_idx)
+        assert got.shape == (n_val, 2)
+        # The one-window last block may take a different BLAS path: rounding only.
+        np.testing.assert_allclose(got, pred, rtol=1e-12, atol=1e-15)
 
 
 STUB_OK = """
