@@ -13,7 +13,7 @@ setup rewards a search that learns to discard uninformative clusters.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +121,7 @@ class BenchmarkOutcome:
     cluster_model: clustering.ClusterModel
     study: search.StudyResult
     baseline: search.TrialEvaluation   # full-data mixture, all weights 1
+    context: trainers.TrialContext     # the study's ridge context, scored on val
     signal_clusters: np.ndarray   # bool per cluster: majority regime is a signal regime
 
     @property
@@ -175,7 +176,7 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
     baseline = objective(-1, np.ones(model.k))
 
     outcome = BenchmarkOutcome(
-        data=data, cluster_model=model, study=study, baseline=baseline,
+        data=data, cluster_model=model, study=study, baseline=baseline, context=context,
         signal_clusters=signal_cluster_mask(data, model))
     logger.info("benchmark seed %d: baseline mse %.5f, best mse %.5f, "
                 "mixture fraction %.3f", master_seed, baseline.objective,
@@ -186,10 +187,9 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
 def evaluate_weights_on_test(outcome: BenchmarkOutcome,
                              weights: np.ndarray, trial_tag: int = -2) -> float:
     """Average test MSE of a ridge model trained on the mixture for ``weights``."""
-    data = outcome.data
-    context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
-                                    data.features.data.astype(np.float64), split=SPLIT_TEST)
-    objective = context.objective(data.train_indices, outcome.cluster_model.assignments,
+    context = replace(outcome.context, split=SPLIT_TEST)
+    objective = context.objective(outcome.data.train_indices,
+                                  outcome.cluster_model.assignments,
                                   outcome.study.sampler_config["seed"])
     return objective(trial_tag, weights).objective
 

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, benchmark, pipeline, report
+from . import __version__, benchmark, pipeline, report, trainers
 from .dataset import DatasetError
 from .embedding import EmbeddingError
 from .clustering import ClusteringError
@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["debug", "info", "warning", "error"])
 
     trainer = argparse.ArgumentParser(add_help=False)
-    trainer.add_argument("--trainer", default="ridge",
-                         choices=["ridge", "patch-net", "external"])
+    trainer.add_argument("--trainer", default=TrainConfig.trainer,
+                         choices=list(trainers.TRAINERS))
     trainer.add_argument("--budget-tokens", type=int, default=2_000_000,
                          help="training tokens per trial (a token is one patch)")
     trainer.add_argument("--batch-size", type=int, default=1024)

@@ -8,6 +8,7 @@ model always exposes exactly k populated clusters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,8 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300,
         raise ClusteringError("points must be a non-empty 2-D array")
     if max_iter < 1:
         raise ClusteringError("max_iter must be >= 1")
-    if tol < 0:
-        raise ClusteringError("tol must be >= 0")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ClusteringError("tol must be finite and >= 0")
     n_distinct = np.unique(points, axis=0).shape[0]
     if n_distinct == 1 and k > 1:
         raise ClusteringError(

@@ -29,6 +29,7 @@ from . import __version__, clustering, embedding, report, search, trainers
 from .dataset import (
     SPLIT_TEST,
     SPLIT_TRAIN,
+    SPLIT_VAL,
     DatasetError,
     SplitSpec,
     WindowSet,
@@ -236,22 +237,20 @@ def load_schema(schema_path: str | None, id_col: str | None,
     return schema
 
 
-def _check_trainer(run: RunManifest, config: trainers.TrainConfig) -> None:
-    """Refuse a patch length that does not divide the window length before
-    anything loads: every patch-net trial would fail on it."""
+def _trial_context(run: RunManifest, config: trainers.TrainConfig, split: str,
+                   protocol: trainers.ExternalProtocol | None = None) -> trainers.TrialContext:
+    """The study's trial context.  A patch length every trial would fail on is refused
+    before anything loads; the embeddings load only for a trainer that reads them."""
+    trainer = trainers.TRAINERS[config.trainer]
     window_length = run.stages["preprocess"]["params"]["window_length"]
-    if config.trainer == trainers.TRAINER_PATCH_NET and window_length % config.patch_len:
+    if trainer.patched and window_length % config.patch_len:
         raise PipelineError(f"--patch-len {config.patch_len} does not divide "
                             f"window length {window_length}")
-
-
-def _ridge_features(run: RunManifest, config: trainers.TrainConfig,
-                    n_windows: int) -> np.ndarray | None:
-    """The embeddings as float64 ridge features; None for the other trainers,
-    which never read them."""
-    if config.trainer != trainers.TRAINER_RIDGE:
-        return None
-    return run.embeddings(n_windows).data.astype(np.float64)
+    windows = run.windows()
+    features = (run.embeddings(len(windows)).data.astype(np.float64)
+                if trainer.needs_features else None)
+    return trainers.TrialContext(config, windows, features, split, protocol,
+                                 run.out_dir / "external")
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +329,17 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
                  train_config: trainers.TrainConfig, external_cmd: str | None,
                  external_timeout: float, expected_k: int | None = None) -> None:
     protocol = None
-    if train_config.trainer == trainers.TRAINER_EXTERNAL:
+    if trainers.TRAINERS[train_config.trainer].fit is None:
         if not external_cmd:
             raise PipelineError("--trainer external needs --external-cmd")
         protocol = trainers.ExternalProtocol(shlex.split(external_cmd), external_timeout)
-    _check_trainer(run, train_config)
     k = int(run.stages["cluster"]["params"]["k"])
     if expected_k is not None and expected_k != k:
         raise PipelineError(
             f"--k {expected_k} does not match the clustered k={k}; "
             f"re-run the cluster stage if you want a different search space")
-    windows = run.windows()
-    features = _ridge_features(run, train_config, len(windows))
+    context = _trial_context(run, train_config, SPLIT_VAL, protocol)
     train_idx, assignments = run.assignments()
-
-    context = trainers.TrialContext(train_config, windows, features, protocol=protocol,
-                                    handoff_root=run.out_dir / "external")
     objective = context.objective(train_idx, assignments, run.master_seed)
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
                                 seed=run.master_seed,
@@ -378,13 +372,10 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
 
 def stage_sweep(run: RunManifest, fractions: list[float],
                 train_config: trainers.TrainConfig) -> None:
-    if train_config.trainer == trainers.TRAINER_EXTERNAL:
+    if trainers.TRAINERS[train_config.trainer].fit is None:
         raise PipelineError("size sweep supports the ridge and patch-net trainers")
-    _check_trainer(run, train_config)
-    windows = run.windows()
-    features = _ridge_features(run, train_config, len(windows))
-    train_idx = windows.split_indices(SPLIT_TRAIN)
-    context = trainers.TrialContext(train_config, windows, features, split=SPLIT_TEST)
+    context = _trial_context(run, train_config, SPLIT_TEST)
+    train_idx = context.windows.split_indices(SPLIT_TRAIN)
 
     def score(subset: np.ndarray) -> float:
         return context.score(train_idx[subset], train_config.seed).objective

@@ -3,7 +3,7 @@
 Search, size sweep and the synthetic benchmark fix the trainer and the scored
 split once per study in a :class:`TrialContext`.  ``score`` trains the proxy on
 window indices and scores its last-step predictions on the val or test windows;
-``objective`` turns per-cluster weights into those indices.  Trainer kinds:
+``objective`` turns per-cluster weights into those indices.  Trainer kinds (:data:`TRAINERS`):
 
 * ridge: closed-form regression from per-window feature vectors; fully
   deterministic, the fast path for weight search.
@@ -21,6 +21,7 @@ import math
 import subprocess
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +31,6 @@ from .dataset import SPLIT_TEST, SPLIT_VAL, WindowSet
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-TRAINER_RIDGE = "ridge"
-TRAINER_PATCH_NET = "patch-net"
-TRAINER_EXTERNAL = "external"
 
 # Windows gathered per patch-net prediction block, so scoring a split holds
 # one block of windows at a time.
@@ -54,7 +51,7 @@ class ExternalTrainerError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    trainer: str = TRAINER_RIDGE
+    trainer: str = "ridge"
     token_budget: int = 2_000_000
     batch_size: int = 1024
     peak_lr: float = 1e-4
@@ -65,7 +62,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.trainer not in (TRAINER_RIDGE, TRAINER_PATCH_NET, TRAINER_EXTERNAL):
+        if self.trainer not in TRAINERS:
             raise TrainerError(f"unknown trainer {self.trainer!r}")
         if self.token_budget < 1:
             raise TrainerError("token budget must be >= 1")
@@ -75,8 +72,10 @@ class TrainConfig:
             raise TrainerError("batch size and patch length must be >= 1")
         if self.embed_dim < 1:
             raise TrainerError("embed dim must be >= 1")
-        if self.ridge_lambda <= 0.0:
-            raise TrainerError("ridge penalty must be > 0")
+        if not (self.peak_lr > 0.0 and math.isfinite(self.peak_lr)):
+            raise TrainerError("peak learning rate must be finite and > 0")
+        if not (self.ridge_lambda > 0.0 and math.isfinite(self.ridge_lambda)):
+            raise TrainerError("ridge penalty must be finite and > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -123,8 +122,8 @@ def train_ridge(idx: np.ndarray, windows: WindowSet,
     is never shrunk (in the large-lambda limit the prediction collapses to
     the mean target).
     """
-    if lam <= 0.0:
-        raise TrainerError("ridge penalty must be > 0")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise TrainerError("ridge penalty must be finite and > 0")
     if idx.size == 0:
         raise TrainerError("mixture is empty")
     x = np.asarray(features, dtype=np.float64)[idx]
@@ -334,8 +333,8 @@ class ExternalProtocol:
     def __post_init__(self) -> None:
         if not self.command:
             raise TrainerError("external trainer command must be configured")
-        if self.timeout_s <= 0:
-            raise TrainerError("timeout must be positive")
+        if not (self.timeout_s > 0 and math.isfinite(self.timeout_s)):
+            raise TrainerError("timeout must be finite and positive")
 
 
 def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
@@ -415,6 +414,25 @@ def _parse_external_metrics(payload: dict, target_names: list[str],
 # ---------------------------------------------------------------------------
 # Trial path
 
+@dataclass(frozen=True)
+class Trainer:
+    """One trainer kind; ``fit(context, idx, seed)`` returns a model with ``predict``.  The fits
+    look up ``train_ridge``/``train_patch_net`` when called, so a module-level wrapper runs."""
+
+    fit: Callable[[TrialContext, np.ndarray, int], object] | None  # None: scores itself
+    needs_features: bool = False  # reads the per-window embeddings
+    patched: bool = False         # its patch length must divide the window length
+
+
+TRAINERS: dict[str, Trainer] = {
+    "ridge": Trainer(lambda ctx, idx, seed: train_ridge(
+        idx, ctx.windows, ctx.features, ctx.config.ridge_lambda), needs_features=True),
+    "patch-net": Trainer(lambda ctx, idx, seed: train_patch_net(
+        idx, ctx.windows, replace(ctx.config, seed=seed)), patched=True),
+    "external": Trainer(None),
+}
+
+
 @dataclass
 class TrialContext:
     """What a study fixes for all its trials: the trainer settings, the windows and
@@ -433,12 +451,13 @@ class TrialContext:
     def __post_init__(self) -> None:
         if self.split not in (SPLIT_VAL, SPLIT_TEST):
             raise TrainerError(f"trials are scored on val or test, got {self.split!r}")
-        if self.config.trainer == TRAINER_EXTERNAL:
+        trainer = TRAINERS[self.config.trainer]
+        if trainer.fit is None:
             if None in (self.protocol, self.handoff_root):
                 raise TrainerError("the external trainer needs a protocol and a handoff root")
             return
-        if self.config.trainer == TRAINER_RIDGE and self.features is None:
-            raise TrainerError("the ridge trainer needs per-window features")
+        if trainer.needs_features and self.features is None:
+            raise TrainerError(f"the {self.config.trainer} trainer needs per-window features")
         self.scored_idx = self.windows.split_indices(self.split)
         if self.scored_idx.size == 0:
             raise TrainerError(f"split {self.split!r} is empty")
@@ -447,14 +466,11 @@ class TrialContext:
     def score(self, idx: np.ndarray, seed: int, tag: int = 0) -> search.TrialEvaluation:
         """Train the proxy on the windows ``idx`` (patch-net seeded by ``seed``) and score it.
         An external trainer reports its own metrics from handoff directory ``trial_<tag:05d>``."""
-        if self.config.trainer == TRAINER_EXTERNAL:
+        fit = TRAINERS[self.config.trainer].fit
+        if fit is None:
             return external_trainer_invoke(idx, self.windows, self.protocol, self.config,
                                            self.handoff_root / f"trial_{tag:05d}")
-        if self.config.trainer == TRAINER_RIDGE:
-            model = train_ridge(idx, self.windows, self.features, self.config.ridge_lambda)
-        else:
-            model = train_patch_net(idx, self.windows, replace(self.config, seed=seed))
-        return evaluate(model, self, idx.size)
+        return evaluate(fit(self, idx, seed), self, idx.size)
 
     def objective(self, train_idx: np.ndarray, assignments: np.ndarray,
                   master_seed: int) -> search.Objective:

@@ -353,9 +353,11 @@ class TestTrainerBranches:
         assert math.isfinite(study["baseline"]["avg_mse"])
         assert main(["report", *common]) == 0
 
-    def test_search_external_stub(self, raw_csv, tmp_path):
+    def test_search_external_stub(self, raw_csv, tmp_path, monkeypatch):
         out = tmp_path / "ext"
         common = clustered_run(out, raw_csv)
+        # An external trainer reads no embeddings.
+        monkeypatch.setattr(RunManifest, "embeddings", unreadable_embeddings)
         stub = tmp_path / "stub.py"
         stub.write_text(STUB_TRAINER)
         cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"

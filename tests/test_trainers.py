@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsearch import trainers
+from mixsearch.clustering import ClusteringError, kmeans_fit
 from mixsearch.trainers import (
     PREDICT_BLOCK,
     ExternalProtocol,
@@ -412,6 +413,27 @@ class TestTrialContext:
         assert got.shape == (n_val, 2)
         # The one-window last block may take a different BLAS path: rounding only.
         np.testing.assert_allclose(got, pred, rtol=1e-12, atol=1e-15)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: TrainConfig(peak_lr=-1.0), TrainerError, "learning rate"),
+    (lambda: TrainConfig(peak_lr=0.0), TrainerError, "learning rate"),
+    (lambda: TrainConfig(peak_lr=NAN), TrainerError, "learning rate"),
+    (lambda: TrainConfig(ridge_lambda=NAN), TrainerError, "ridge penalty"),
+    (lambda: TrainConfig(ridge_lambda=float("inf")), TrainerError, "ridge penalty"),
+    (lambda: train_ridge(np.arange(4), linear_window_set(np.random.default_rng(0), n=4),
+                         np.zeros((4, 1)), NAN), TrainerError, "ridge penalty"),
+    (lambda: ExternalProtocol(["x"], NAN), TrainerError, "timeout"),
+    (lambda: kmeans_fit(np.arange(8.0).reshape(4, 2), k=2, tol=NAN),
+     ClusteringError, "tol"),
+], ids=["peak_lr_negative", "peak_lr_zero", "peak_lr_nan", "ridge_lambda_nan",
+        "ridge_lambda_inf", "train_ridge_nan", "timeout_nan", "kmeans_tol_nan"])
+def test_non_finite_or_out_of_range_setting_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 STUB_OK = """
