@@ -78,17 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     trainer = argparse.ArgumentParser(add_help=False)
     trainer.add_argument("--trainer", default=TrainConfig.trainer,
                          choices=list(trainers.TRAINERS))
-    trainer.add_argument("--budget-tokens", type=int, default=2_000_000,
+    trainer.add_argument("--budget-tokens", type=int, default=TrainConfig.token_budget,
                          help="training tokens per trial (a token is one patch)")
-    trainer.add_argument("--batch-size", type=int, default=1024)
-    trainer.add_argument("--lr", type=float, default=1e-4, help="peak learning rate")
-    trainer.add_argument("--warmup-fraction", type=float, default=0.3)
-    trainer.add_argument("--patch-len", type=int, default=30)
-    trainer.add_argument("--embed-dim", type=int, default=32)
-    trainer.add_argument("--ridge-lambda", type=float, default=1e-3)
+    trainer.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    trainer.add_argument("--lr", type=float, default=TrainConfig.peak_lr,
+                         help="peak learning rate")
+    trainer.add_argument("--warmup-fraction", type=float, default=TrainConfig.warmup_fraction)
+    trainer.add_argument("--patch-len", type=int, default=TrainConfig.patch_len)
+    trainer.add_argument("--embed-dim", type=int, default=TrainConfig.embed_dim)
+    trainer.add_argument("--ridge-lambda", type=float, default=TrainConfig.ridge_lambda)
     trainer.add_argument("--external-cmd", default=None,
                          help="external trainer command; {dir} expands to the handoff dir")
-    trainer.add_argument("--external-timeout", type=float, default=600.0)
+    trainer.add_argument("--external-timeout", type=float,
+                         default=trainers.ExternalProtocol.timeout_s)
 
     sub = parser.add_subparsers(dest="command", metavar="command")
 

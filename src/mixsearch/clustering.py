@@ -1,9 +1,10 @@
 """K-means clustering over embedding vectors.
 
 Lloyd's algorithm with k-means++ seeding, restarted a configurable number of
-times with the best run (lowest inertia) kept.  Empty clusters are repaired
-by promoting the worst-fit point to be the empty cluster's centroid, so the
-model always exposes exactly k populated clusters.
+times with the best run (lowest inertia) kept; ties between restarts go to
+the lowest restart index.  Empty clusters are repaired by promoting the
+worst-fit point to be the empty cluster's centroid, so the model always
+exposes exactly k populated clusters.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def kmeans_init_plusplus(points: np.ndarray, k: int,
                          seed: int | np.random.Generator) -> np.ndarray:
     """k-means++ seeding: first centroid uniform, each next one drawn with
     probability proportional to its squared distance to the nearest chosen
-    centroid.  Deterministic for a fixed seed."""
+    centroid.  Deterministic for a fixed seed.  Raises when fewer than k
+    distinct points exist."""
     points = np.asarray(points, dtype=np.float64)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = points.shape[0]
@@ -86,20 +88,19 @@ def kmeans_init_plusplus(points: np.ndarray, k: int,
         raise ClusteringError(f"k must be >= 1, got {k}")
 
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = points[first]
-    d2 = np.einsum("nd,nd->n", points - centroids[0], points - centroids[0])
-    for j in range(1, k):
-        total = d2.sum()
-        if total == 0.0:
-            # Every point coincides with one of the j distinct centroids so far.
-            raise ClusteringError(
-                f"k={k} exceeds the number of distinct points ({j})")
-        probs = d2 / total
-        idx = int(rng.choice(n, p=probs))
+    d2 = np.full(n, np.inf)
+    for j in range(k):
+        if j == 0:
+            idx = int(rng.integers(n))
+        else:
+            total = d2.sum()
+            if total == 0.0:  # every point is one of the j centroids so far
+                raise ClusteringError(
+                    f"degenerate input: all {n} points identical, cannot fit k={k}"
+                    if j == 1 else f"k={k} exceeds the number of distinct points ({j})")
+            idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = points[idx]
-        diff = points - centroids[j]
-        d2 = np.minimum(d2, np.einsum("nd,nd->n", diff, diff))
+        d2 = np.minimum(d2, squared_distances(points, centroids[j:j + 1])[:, 0])
     return centroids
 
 
@@ -114,43 +115,22 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300,
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ClusteringError("points must be a non-empty 2-D array")
-    if max_iter < 1:
-        raise ClusteringError("max_iter must be >= 1")
+    if max_iter < 1 or n_init < 1:
+        raise ClusteringError("max_iter and n_init must be >= 1")
     if not (tol >= 0 and math.isfinite(tol)):
         raise ClusteringError("tol must be finite and >= 0")
-    n_distinct = np.unique(points, axis=0).shape[0]
-    if n_distinct == 1 and k > 1:
-        raise ClusteringError(
-            f"degenerate input: all {points.shape[0]} points identical, cannot fit k={k}")
-    if k > n_distinct:
-        raise ClusteringError(
-            f"k={k} exceeds the number of distinct points ({n_distinct})")
-
     streams = np.random.SeedSequence(seed).spawn(n_init)
-    best: tuple | None = None
-    for stream in streams:
-        run = _lloyd_once(points, k, max_iter, tol, np.random.default_rng(stream))
-        if best is None or run[2] < best[2]:
-            best = run
-    centroids, assignments, final_inertia, history, n_iter = best
-    return ClusterModel(
-        k=k,
-        centroids=centroids,
-        assignments=assignments,
-        sizes=np.bincount(assignments, minlength=k).astype(np.int64),
-        inertia=final_inertia,
-        n_iter=n_iter,
-        inertia_history=history,
-    )
+    return min((_lloyd_once(points, k, max_iter, tol, np.random.default_rng(stream))
+                for stream in streams), key=lambda model: model.inertia)
 
 
 def _lloyd_once(points: np.ndarray, k: int, max_iter: int, tol: float,
-                rng: np.random.Generator):
+                rng: np.random.Generator) -> ClusterModel:
+    """One seeded Lloyd run; the pass after the last update is the final assignment."""
     centroids = kmeans_init_plusplus(points, k, rng)
     history: list[float] = []
-    assignments = np.zeros(points.shape[0], dtype=np.int64)
-    it = 0
-    for it in range(1, max_iter + 1):
+    shift = math.inf
+    for n_iter in range(max_iter + 1):
         assignments = assign(points, centroids)
         assignments, centroids = _repair_empty(points, assignments, centroids, k)
         cur = inertia(points, assignments, centroids)
@@ -158,18 +138,14 @@ def _lloyd_once(points: np.ndarray, k: int, max_iter: int, tol: float,
             raise RuntimeError(
                 f"inertia increased between Lloyd iterations ({history[-1]} -> {cur})")
         history.append(cur)
+        if shift < tol or n_iter == max_iter:
+            break
         new_centroids = _cluster_means(points, assignments, k)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
-            break
-    assignments = assign(points, centroids)
-    assignments, centroids = _repair_empty(points, assignments, centroids, k)
-    final = inertia(points, assignments, centroids)
-    if history and final > history[-1] + 1e-9 * max(1.0, history[-1]):
-        raise RuntimeError("inertia increased at the final assignment")
-    history.append(final)
-    return centroids, assignments, final, history, it
+    sizes = np.bincount(assignments, minlength=k).astype(np.int64)
+    return ClusterModel(k=k, centroids=centroids, assignments=assignments, sizes=sizes,
+                        inertia=cur, n_iter=n_iter, inertia_history=history)
 
 
 def _cluster_means(points: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:

@@ -184,6 +184,15 @@ class RunManifest:
         """Path of the product ``name`` that ``stage`` recorded."""
         return self.out_dir / self.stages[stage]["outputs"][name]
 
+    def read(self, stage: str, name: str, load=lambda path: json.loads(path.read_text())):
+        """The product ``name`` of ``stage`` through ``load``, JSON by default."""
+        path = self.output(stage, name)
+        try:
+            return load(path)
+        except json.JSONDecodeError as exc:
+            raise PipelineError(f"{path} is truncated or corrupt ({exc}); "
+                                f"re-run {stage!r}") from None
+
     def windows(self) -> WindowSet:
         params = self.stages["preprocess"]["params"]
         table = load_processed_table(self.output("preprocess", "table"))
@@ -201,8 +210,8 @@ class RunManifest:
 
     def study(self) -> tuple[search.StudyResult, dict]:
         """The finished study and the ``study.json`` payload it was saved with."""
-        payload = json.loads(self.output("search", "study").read_text())
-        records = search.load_trial_log(self.output("search", "trials"))
+        payload = self.read("search", "study")
+        records = self.read("search", "trials", search.load_trial_log)
         result = search.StudyResult.from_trials(records, payload["k"],
                                                 payload["sampler_config"])
         return result, payload
@@ -396,9 +405,8 @@ def stage_report(run: RunManifest) -> None:
     sweep = run.stages.get("sweep")
     if sweep is not None:
         if sweep["parent_hashes"] == {"cluster": run.stages["cluster"]["chain_hash"]}:
-            payload = json.loads(run.output("sweep", "sweep").read_text())
             sweep_rows = [(row["fraction"], row["n_windows"], row["test_avg_mse"])
-                          for row in payload["rows"]]
+                          for row in run.read("sweep", "sweep")["rows"]]
         else:
             logger.warning("the size sweep predates the current cluster stage and "
                            "is left out; re-run sweep to report them")

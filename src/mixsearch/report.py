@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import WindowSet
-from .search import StudyResult, round_half_up
+from .search import StudyResult, mixture_counts, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +59,10 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
 
     ``assignments`` holds the cluster id of every training window.  The
     counts table recomputes n_k from the best trial's weights with the
-    same rounding the mixture builder uses, so it matches what that trial
-    trained on.  ``baseline`` is the full-data average MSE; without it the
-    summary carries a warning instead of an improvement figure.
+    mixture builder's own :func:`~.search.mixture_counts`, so it matches
+    what that trial trained on.  ``baseline`` is the full-data average MSE;
+    without it the summary carries a warning instead of an improvement
+    figure.
     """
     if not study.completed():
         raise ReportError("study has no completed trials to report")
@@ -74,8 +75,8 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
 
     order = sorted(range(k), key=lambda c: (-weights[c], c))
     weights_rows = [(c, float(weights[c]), rank + 1) for rank, c in enumerate(order)]
-    counts_rows = [(c, int(sizes[c]), round_half_up(sizes[c] * weights[c]))
-                   for c in range(k)]
+    counts = mixture_counts(sizes, weights)
+    counts_rows = [(c, int(sizes[c]), int(counts[c])) for c in range(k)]
 
     total_windows = int(sizes.sum())
     summary = {

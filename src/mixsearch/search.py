@@ -98,6 +98,11 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def mixture_counts(sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """n_k = round_half_up(C_k * w_k): the windows a mixture takes per cluster."""
+    return np.floor(sizes * weights + 0.5).astype(np.int64)
+
+
 def build_mixture(assignments: np.ndarray, weights: np.ndarray,
                   seed: int | np.random.Generator) -> MixtureIndex:
     """Sample n_k = round(C_k * w_k) member indices per cluster, uniformly
@@ -117,7 +122,7 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sizes = np.bincount(assignments, minlength=k)
-    counts = np.floor(sizes * weights + 0.5).astype(np.int64)  # round_half_up per cluster
+    counts = mixture_counts(sizes, weights)
     if not counts.any():
         raise EmptyMixtureError("all per-cluster counts rounded to zero")
 

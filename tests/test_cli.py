@@ -11,8 +11,9 @@ import pytest
 
 import mixsearch
 from mixsearch import benchmark, embedding, pipeline
-from mixsearch.cli import build_parser, main
+from mixsearch.cli import _train_config, build_parser, main
 from mixsearch.pipeline import RunManifest
+from mixsearch.trainers import ExternalProtocol, TrainConfig
 
 SEED = 7
 PREP = ["--ewma-spans", "8,32", "--test-profiles", "7", "--val-profiles", "5,6",
@@ -132,6 +133,11 @@ class TestDispatch:
         assert pre.ewma_spans == [200, 500, 1500, 4000]
         assert pre.test_profiles == [65]
         assert pre.val_profiles == [18, 39, 46, 56, 75]
+
+    def test_trainer_defaults_come_from_train_config(self):
+        args = build_parser().parse_args(["search"])
+        assert _train_config(args) == TrainConfig()
+        assert args.external_timeout == ExternalProtocol(["x"]).timeout_s
 
 
 class TestStages:
@@ -493,6 +499,19 @@ class TestManifestGuards:
         assert main(["embed", *common]) == 1
         err = capsys.readouterr().err
         assert "manifest.json" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name, stage", [
+        ("study.json", "search"), ("trials.jsonl", "search"), ("sweep.json", "sweep")])
+    def test_truncated_product_refused(self, raw_csv, tmp_path, capsys, name, stage):
+        out = tmp_path / "truncated"
+        staged_run(out, raw_csv)
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        product = out / name
+        product.write_bytes(product.read_bytes()[:-40])
+        assert main(["report", *common]) == 1
+        err = capsys.readouterr().err
+        assert name in err and f"re-run {stage!r}" in err
         assert len(err.strip().splitlines()) == 1
 
 

@@ -79,6 +79,18 @@ class TestInitPlusPlus:
         with pytest.raises(ClusteringError, match=r"distinct points \(2\)"):
             kmeans_init_plusplus(points, 3, seed=0)
 
+    def test_distances_come_from_the_lloyd_kernel(self, monkeypatch):
+        calls = []
+
+        def counted(points, centroids):
+            calls.append(centroids.shape)
+            return squared_distances(points, centroids)
+
+        monkeypatch.setattr("mixsearch.clustering.squared_distances", counted)
+        points = np.random.default_rng(2).normal(size=(40, 3))
+        kmeans_init_plusplus(points, 5, seed=4)
+        assert calls == [(1, 3)] * 5
+
 
 class TestAssignAndInertia:
     def test_point_on_centroid(self):
@@ -201,6 +213,22 @@ class TestKMeansFit:
         points = np.ones((10, 2))
         with pytest.raises(ClusteringError, match="identical"):
             kmeans_fit(points, 2, seed=0)
+
+    def test_k_exceeding_distinct_points_rejected(self):
+        points = np.array([[1.0], [1.0], [2.0]])
+        with pytest.raises(ClusteringError, match=r"distinct points \(2\)"):
+            kmeans_fit(points, 3, seed=0)
+
+    @pytest.mark.parametrize("max_iter", [300, 1], ids=["converged", "max_iter_1"])
+    def test_history_holds_one_inertia_per_update_and_the_final(self, max_iter):
+        points = np.random.default_rng(7).normal(size=(200, 4))
+        model = kmeans_fit(points, 5, max_iter=max_iter, seed=1)
+        if max_iter == 1:
+            assert model.n_iter == 1
+        else:
+            assert model.n_iter < max_iter  # stopped by tol, not by the cap
+        assert len(model.inertia_history) == model.n_iter + 1
+        assert model.inertia_history[-1] == model.inertia
 
     def test_fixed_seed_byte_identical(self):
         rng = np.random.default_rng(8)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixsearch.search import (
@@ -25,6 +25,7 @@ from mixsearch.search import (
     default_gamma,
     gamma_split,
     load_trial_log,
+    mixture_counts,
     random_suggest,
     round_half_up,
     run_study,
@@ -148,6 +149,16 @@ class TestBuildMixture:
     def test_round_half_up(self):
         assignments = np.zeros(3, dtype=np.int64)
         assert build_mixture(assignments, np.array([0.5]), seed=0).counts[0] == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10_000), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=40))
+    @example([(1, 0.5), (5, 0.5), (0, 0.7), (8, 0.0625)])  # exact halves
+    def test_mixture_counts_round_half_up_per_cluster(self, pairs):
+        sizes = np.array([size for size, _ in pairs])
+        weights = np.array([weight for _, weight in pairs])
+        want = [round_half_up(size * weight) for size, weight in zip(sizes, weights)]
+        assert mixture_counts(sizes, weights).tolist() == want
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 500), st.floats(0.0, 1.0))

@@ -429,8 +429,11 @@ NAN = float("nan")
     (lambda: ExternalProtocol(["x"], NAN), TrainerError, "timeout"),
     (lambda: kmeans_fit(np.arange(8.0).reshape(4, 2), k=2, tol=NAN),
      ClusteringError, "tol"),
+    (lambda: kmeans_fit(np.arange(8.0).reshape(4, 2), k=2, n_init=0),
+     ClusteringError, "n_init"),
 ], ids=["peak_lr_negative", "peak_lr_zero", "peak_lr_nan", "ridge_lambda_nan",
-        "ridge_lambda_inf", "train_ridge_nan", "timeout_nan", "kmeans_tol_nan"])
+        "ridge_lambda_inf", "train_ridge_nan", "timeout_nan", "kmeans_tol_nan",
+        "kmeans_n_init_zero"])
 def test_non_finite_or_out_of_range_setting_rejected(build, error, match):
     with pytest.raises(error, match=match):
         build()
