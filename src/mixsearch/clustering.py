@@ -88,19 +88,16 @@ def kmeans_init_plusplus(points: np.ndarray, k: int,
         raise ClusteringError(f"k must be >= 1, got {k}")
 
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    centroids[0] = points[int(rng.integers(n))]
     d2 = np.full(n, np.inf)
-    for j in range(k):
-        if j == 0:
-            idx = int(rng.integers(n))
-        else:
-            total = d2.sum()
-            if total == 0.0:  # every point is one of the j centroids so far
-                raise ClusteringError(
-                    f"degenerate input: all {n} points identical, cannot fit k={k}"
-                    if j == 1 else f"k={k} exceeds the number of distinct points ({j})")
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, squared_distances(points, centroids[j:j + 1])[:, 0])
+    for j in range(1, k):
+        d2 = np.minimum(d2, squared_distances(points, centroids[j - 1:j])[:, 0])
+        total = d2.sum()
+        if total == 0.0:  # every point is one of the j centroids so far
+            raise ClusteringError(
+                f"degenerate input: all {n} points identical, cannot fit k={k}"
+                if j == 1 else f"k={k} exceeds the number of distinct points ({j})")
+        centroids[j] = points[int(rng.choice(n, p=d2 / total))]
     return centroids
 
 

@@ -283,14 +283,18 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
     """Append exponentially weighted moving averages of every input column.
 
     For each input column x and span s a new input column is appended with
-    smoothing alpha = 2/(s+1), seeded with the first observation of each
-    profile run: y_0 = x_0, y_t = alpha*x_t + (1-alpha)*y_{t-1}.  Runs are
-    smoothed independently; no value leaks across a profile boundary.
-    """
-    # Imported here, not at module level: scipy.signal takes most of the
-    # package's import time and only preprocess derives features.
-    from scipy.signal import lfilter
+    smoothing alpha = 2/(s+1) and keep = 1 - alpha.  Each profile run is
+    smoothed independently, so no value leaks across a profile boundary.
+    The arithmetic is that of the first-order IIR filter
+    ``scipy.signal.lfilter([alpha], [1, -keep], x, zi=[keep*x_0])``,
+    evaluated in the same order so the result is bit-identical:
 
+        y_0 = keep*x_0 + alpha*x_0
+        y_t = keep*y_{t-1} + (0*x_{t-1} + alpha*x_t)
+
+    y_0 is x_0 up to rounding, not always exactly.  The ``0*x_{t-1}`` term
+    is the filter's zero numerator tap; it only decides the sign of a zero.
+    """
     if table.n_rows == 0:
         raise DatasetError("cannot derive features from an empty table")
     for s in spans:
@@ -303,26 +307,42 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
     if clash:
         raise DatasetError(f"derived column name(s) already present: {sorted(clash)}")
 
-    derived = np.empty((table.n_rows, len(new_names)), dtype=np.float64)
+    # Step-major layout: block t holds row t of every run longer than t, runs
+    # longest first, so each block's runs are a prefix of the block before
+    # and one step of every run is one slice operation.
     runs = table.profile_runs()
-    j = 0
-    for _, idx in base_cols:
-        x = table.values[:, idx]
-        for s in spans:
-            alpha = 2.0 / (int(s) + 1.0)
-            out = derived[:, j]
-            for _, sl in runs:
-                # y[t] = alpha*x[t] + (1-alpha)*y[t-1] as a first-order IIR
-                # filter, with state chosen so that y[0] == x[0].
-                zi = np.array([(1.0 - alpha) * x[sl][0]])
-                out[sl], _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x[sl], zi=zi)
-            j += 1
+    starts = np.array([sl.start for _, sl in runs], dtype=np.intp)
+    lengths = np.array([sl.stop - sl.start for _, sl in runs], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    active = len(runs) - np.cumsum(np.bincount(lengths))[:-1]  # runs longer than t
+    offset = np.cumsum(active) - active                         # block t's first row
+    step = np.repeat(np.arange(active.size), active)
+    src = starts[order][np.arange(table.n_rows) - offset[step]] + step  # table row
 
+    alpha = 2.0 / (np.array([int(s) for s in spans], dtype=np.float64) + 1.0)
+    keep = 1.0 - alpha
+    x = table.values[:, [idx for _, idx in base_cols]]
+    first = len(runs)  # block 0: every run's first row
+    y = alpha * x[src, :, None]
+    y[first:] += x[src[first:] - 1, :, None] * 0.0  # 0*x_{t-1}
+    y[:first] += keep * x[src[:first], :, None]      # y_0
+    y = y.reshape(table.n_rows, len(new_names))
+    keep = np.tile(keep, len(base_cols))
+    prev = y[:first]
+    for lo, m in zip(offset[1:].tolist(), active[1:].tolist()):
+        cur = y[lo:lo + m]
+        cur += keep * prev[:m]
+        prev = cur
+
+    n_cols = table.values.shape[1]
+    values = np.empty((table.n_rows, n_cols + y.shape[1]))
+    values[:, :n_cols] = table.values
+    values[src, n_cols:] = y
     return replace(
         table,
         column_names=table.column_names + new_names,
         roles=table.roles + [ROLE_INPUT] * len(new_names),
-        values=np.hstack([table.values, derived]),
+        values=values,
         split=None if table.split is None else table.split.copy(),
     )
 

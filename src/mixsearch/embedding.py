@@ -125,10 +125,11 @@ def zscore_features(matrix: EmbeddingMatrix, train_mask: np.ndarray) -> np.ndarr
     if not train_mask.any():
         raise EmbeddingError("no training windows to standardize against")
     data = matrix.data.astype(np.float64)
-    mu = data[train_mask].mean(axis=0)
-    sigma = data[train_mask].std(axis=0)
-    sigma = np.where(sigma > 0.0, sigma, 1.0)
-    return (data - mu) / sigma
+    train = data[train_mask]
+    mu, sigma = train.mean(axis=0), train.std(axis=0)
+    data -= mu
+    data /= np.where(sigma > 0.0, sigma, 1.0)
+    return data
 
 
 def write_embedding_file(matrix: EmbeddingMatrix, path: str | Path) -> None:

@@ -102,15 +102,15 @@ class TestDispatch:
         assert proc.returncode == 2
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal dominates start-up time; only preprocess needs it.
+        # scipy.signal takes over a second to import, and no stage needs it.
         proc = self._child(
             "-c", "import sys, mixsearch.cli; print('scipy.signal' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
     def test_start_up_loads_no_stage_scipy_module(self):
-        # Each stage imports the scipy module only it needs: preprocess signal,
-        # cluster spatial, search (TPE) special.  Start-up loads none of them.
+        # Each stage imports the scipy module only it needs: cluster spatial,
+        # search (TPE) special.  Start-up loads none of them.
         loaded = ("print(sorted(m for m in ('scipy.special', 'scipy.spatial', "
                   "'scipy.signal') if m in sys.modules))")
         for run in ("import mixsearch.cli",
@@ -118,6 +118,16 @@ class TestDispatch:
             proc = self._child("-c", f"import sys; {run}; {loaded}")
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.splitlines()[-1] == "[]", run
+
+    def test_preprocess_loads_no_scipy_signal(self, raw_csv, tmp_path):
+        csv_path, schema_path, _ = raw_csv
+        args = ["preprocess", "--out", str(tmp_path), "--log-level", "warning",
+                "--data", str(csv_path), "--schema", str(schema_path), *PREP]
+        proc = self._child("-c", "import sys; from mixsearch.cli import main; "
+                           f"assert main({args!r}) == 0; "
+                           "print('scipy.signal' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_full_scale_defaults(self):
         parser = build_parser()

@@ -89,7 +89,7 @@ class TestInitPlusPlus:
         monkeypatch.setattr("mixsearch.clustering.squared_distances", counted)
         points = np.random.default_rng(2).normal(size=(40, 3))
         kmeans_init_plusplus(points, 5, seed=4)
-        assert calls == [(1, 3)] * 5
+        assert calls == [(1, 3)] * 4
 
 
 class TestAssignAndInertia:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mixsearch.dataset import (
@@ -38,6 +38,14 @@ def ewma_oracle(x, span):
     for t in range(1, len(x)):
         out[t] = alpha * x[t] + (1.0 - alpha) * out[t - 1]
     return out
+
+
+def lfilter_ewma(x, span):
+    """One run through scipy's first-order IIR filter, seeded so y_0 ~ x_0."""
+    from scipy.signal import lfilter
+    alpha = 2.0 / (span + 1.0)
+    zi = np.array([(1.0 - alpha) * x[0]])
+    return lfilter([alpha], [1.0, -(1.0 - alpha)], x, zi=zi)[0]
 
 
 class TestLoadDataset:
@@ -169,6 +177,27 @@ class TestDeriveEwma:
         out2 = derive_ewma(swapped, [4])
         np.testing.assert_array_equal(out2.values[5:, 2], out.values[:6, 2])
         np.testing.assert_array_equal(out2.values[:5, 2], out.values[6:, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324]),
+                             min_size=1, max_size=30), min_size=1, max_size=6),
+           st.lists(st.integers(1, 60), min_size=1, max_size=3))
+    @example(runs=[[-1e-323, 0.0, -0.0]], spans=[3])  # the result's sign is the filter's
+    @example(runs=[[2.0], [-3.5, 0.0, 1.0], [7.0]], spans=[1])
+    def test_bit_identical_to_lfilter_per_run(self, runs, spans):
+        x = np.concatenate([np.asarray(r, dtype=np.float64) for r in runs])
+        ids = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
+        table = make_table(np.column_stack([x, -x, np.zeros(len(x))]), ids)
+        out = derive_ewma(table, spans).values
+        j = 3
+        for col in (x, -x):
+            for span in spans:
+                expected = np.concatenate([lfilter_ewma(col[ids == r], span)
+                                           for r in range(len(runs))])
+                # compared as bits, so a zero's sign must match as well
+                np.testing.assert_array_equal(out[:, j].view(np.uint64),
+                                              expected.view(np.uint64))
+                j += 1
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
