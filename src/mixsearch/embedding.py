@@ -18,6 +18,7 @@ TSEM format, little-endian throughout:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,28 +150,32 @@ def read_embedding_file(path: str | Path, expected_rows: int | None) -> Embeddin
     path = Path(path)
     if not path.exists():
         raise EmbeddingError(f"no such file: {path}")
-    raw = path.read_bytes()
     header_len = 4 + 4 + 8 + 4
-    if len(raw) < header_len:
-        raise EmbeddingError(f"{path}: truncated header")
-    if raw[:4] != MAGIC:
-        raise EmbeddingError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    version, = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise EmbeddingError(f"{path}: unsupported format version {version}")
-    rows, = struct.unpack_from("<Q", raw, 8)
-    dims, = struct.unpack_from("<I", raw, 16)
-    if dims < 1:
-        raise EmbeddingError(f"{path}: dimension must be >= 1, got {dims}")
-    expected_bytes = header_len + rows * dims * 4
-    if len(raw) != expected_bytes:
-        raise EmbeddingError(
-            f"{path}: payload is {len(raw) - header_len} bytes, "
-            f"expected {rows * dims * 4} for {rows}x{dims}")
-    if expected_rows is not None and rows != expected_rows:
-        raise EmbeddingError(
-            f"{path}: file has {rows} rows but {expected_rows} windows were expected")
-    data = np.frombuffer(raw, dtype="<f4", offset=header_len).reshape(rows, dims)
+    with path.open("rb") as fh:
+        raw = fh.read(header_len)
+        if len(raw) < header_len:
+            raise EmbeddingError(f"{path}: truncated header")
+        if raw[:4] != MAGIC:
+            raise EmbeddingError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+        version, = struct.unpack_from("<I", raw, 4)
+        if version != FORMAT_VERSION:
+            raise EmbeddingError(f"{path}: unsupported format version {version}")
+        rows, = struct.unpack_from("<Q", raw, 8)
+        dims, = struct.unpack_from("<I", raw, 16)
+        if dims < 1:
+            raise EmbeddingError(f"{path}: dimension must be >= 1, got {dims}")
+        payload_bytes = os.fstat(fh.fileno()).st_size - header_len
+        if payload_bytes != rows * dims * 4:
+            raise EmbeddingError(
+                f"{path}: payload is {payload_bytes} bytes, "
+                f"expected {rows * dims * 4} for {rows}x{dims}")
+        if expected_rows is not None and rows != expected_rows:
+            raise EmbeddingError(
+                f"{path}: file has {rows} rows but {expected_rows} windows were expected")
+        # Read straight into the matrix: no bytes object, no second copy.
+        data = np.empty((rows, dims), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise EmbeddingError(f"{path}: payload shrank while it was read")
     if not np.all(np.isfinite(data)):
         raise EmbeddingError(f"{path}: payload contains non-finite values")
-    return EmbeddingMatrix(data.copy(), provenance=PROVENANCE_EXTERNAL)
+    return EmbeddingMatrix(data, provenance=PROVENANCE_EXTERNAL)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -109,8 +110,8 @@ class TestDispatch:
         assert proc.stdout.strip() == "False"
 
     def test_start_up_loads_no_stage_scipy_module(self):
-        # Each stage imports the scipy module only it needs: cluster spatial,
-        # search (TPE) special.  Start-up loads none of them.
+        # Each stage imports the scipy module only it needs: search (TPE)
+        # special; preprocess and cluster need none.  Start-up loads none.
         loaded = ("print(sorted(m for m in ('scipy.special', 'scipy.spatial', "
                   "'scipy.signal') if m in sys.modules))")
         for run in ("import mixsearch.cli",
@@ -126,6 +127,30 @@ class TestDispatch:
         proc = self._child("-c", "import sys; from mixsearch.cli import main; "
                            f"assert main({args!r}) == 0; "
                            "print('scipy.signal' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_cluster_loads_no_scipy_spatial(self, raw_csv, tmp_path):
+        # k-means distances are numpy: no module of the package imports
+        # scipy.spatial, and running the stage does not load it.
+        for source in Path(mixsearch.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                assert not any(n.startswith("scipy.spatial") for n in names), source
+        csv_path, schema_path, _ = raw_csv
+        common = ["--out", str(tmp_path), "--log-level", "warning"]
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *PREP]) == 0
+        assert main(["embed", *common]) == 0
+        args = ["cluster", *common, "--k", "6", "--restarts", "2"]
+        proc = self._child("-c", "import sys; from mixsearch.cli import main; "
+                           f"assert main({args!r}) == 0; "
+                           "print('scipy.spatial' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 

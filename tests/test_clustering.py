@@ -1,9 +1,11 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from mixsearch.clustering import (
     ClusteringError,
@@ -24,6 +26,86 @@ def reference_squared_distances(points, centroids):
         diff = points - centroids[j]
         out[:, j] = np.einsum("nd,nd->n", diff, diff)
     return out
+
+
+def running_sum_squared_distances(points, centroids):
+    """(n, k) squared distances, each summed one dimension at a time in order."""
+    out = np.zeros((points.shape[0], centroids.shape[0]))
+    for j in range(points.shape[1]):
+        out += (points[:, j, None] - centroids[None, :, j]) ** 2
+    return out
+
+
+class RecordingGenerator(np.random.Generator):
+    """A PCG64 generator that keeps the bytes of every ``choice`` weight vector."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.weights = []
+
+    def choice(self, a, p=None, **kwargs):
+        self.weights.append(p.tobytes())
+        return super().choice(a, p=p, **kwargs)
+
+
+def brute_force_seeding(points, k, rng):
+    """kmeans_init_plusplus with every distance from cdist."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
+    for j in range(1, k):
+        d2 = np.minimum(d2, cdist(points, centroids[j - 1:j], "sqeuclidean")[:, 0])
+        centroids[j] = points[int(rng.choice(n, p=d2 / d2.sum()))]
+    return centroids
+
+
+def brute_force_lloyd(points, k, seed, n_init, max_iter=300, tol=1e-6):
+    """kmeans_fit's restarts, seeding and Lloyd loop with every distance from cdist.
+
+    Returns (centroids, assignments, inertia, history, n_iter) of the restart
+    with the lowest inertia, the first one on a tie.
+    """
+    best = None
+    for stream in np.random.SeedSequence(seed).spawn(n_init):
+        centroids = brute_force_seeding(points, k, np.random.default_rng(stream))
+        history, shift = [], np.inf
+        for n_iter in range(max_iter + 1):
+            labels = np.argmin(cdist(points, centroids, "sqeuclidean"), axis=1)
+            labels, centroids = _repair_empty(points, labels, centroids, k)
+            history.append(inertia(points, labels, centroids))
+            if shift < tol or n_iter == max_iter:
+                break
+            new = np.array([points[labels == j].mean(axis=0) for j in range(k)])
+            shift = np.sqrt(((new - centroids) ** 2).sum(axis=1)).max()
+            centroids = new
+        if best is None or history[-1] < best[2]:
+            best = (centroids, labels, history[-1], history, n_iter)
+    return best
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Points and centroids whose distances the screen cannot tell apart.
+
+    ``ulps``: every centroid a few ulps from one base vector; ``lattice``:
+    integer grids, full of exact ties; ``normal``: Gaussian draws.  Scales
+    run from 1e-8 to 1e8, and k may be 1.
+    """
+    n, k, d = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    kind = draw(st.sampled_from(["ulps", "lattice", "normal"]))
+    if kind == "lattice":
+        points = rng.integers(-3, 4, size=(n, d)) * scale
+        centroids = rng.integers(-3, 4, size=(k, d)) * scale
+    else:
+        points = rng.normal(size=(n, d)) * scale
+        centroids = rng.normal(size=(k, d)) * scale
+        if kind == "ulps":
+            base = centroids[0]
+            centroids = base + rng.integers(-4, 5, size=(k, d)) * np.spacing(base)
+    return kind, points, centroids
 
 
 @st.composite
@@ -78,6 +160,27 @@ class TestInitPlusPlus:
         points = np.array([[1.0], [1.0], [2.0]])
         with pytest.raises(ClusteringError, match=r"distinct points \(2\)"):
             kmeans_init_plusplus(points, 3, seed=0)
+
+    def test_draw_weights_bit_identical_to_cdist_seeding(self):
+        # The q rows lie on the plane that mirrors a onto b, and b sits a few
+        # ulps nearer to it, so drawing b after a lowers every q's d2 by a few
+        # ulps: inside the screen's slack, where only exact rows keep the bits.
+        # The q rows' d2 differ widely, so the next draw's weights change too.
+        lead = 1e3
+        a = np.array([lead, 0.0, 0.0, 0.0])
+        b = np.array([-(lead - 4 * np.spacing(lead)), 0.0, 0.0, 0.0])
+        q = np.column_stack([np.zeros(5),
+                             np.random.default_rng(0).normal(size=(5, 3)) * lead])
+        points = np.vstack([np.tile(a, (10, 1)), b, q])
+        hits = 0
+        for seed in range(20):
+            got, want = RecordingGenerator(seed), RecordingGenerator(seed)
+            centroids = kmeans_init_plusplus(points, 4, got)
+            assert centroids.tobytes() == brute_force_seeding(points, 4, want).tobytes()
+            assert got.weights == want.weights
+            folded = list(centroids[:3, 0])  # the last draw's distances are never folded in
+            hits += lead in folded and b[0] in folded[folded.index(lead):]
+        assert hits  # some seed folded in a, then b
 
     def test_distances_come_from_the_lloyd_kernel(self, monkeypatch):
         calls = []
@@ -145,6 +248,29 @@ class TestAssignAndInertia:
         assert dist[:, 0].tobytes() == dist[:, 1].tobytes()
         np.testing.assert_array_equal(assign(points, np.stack([c + v, c - v])),
                                       np.zeros(n, dtype=np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(distance_cases())
+    def test_kernel_bytes_equal_running_sum_and_cdist(self, case):
+        points, centroids = case
+        got = squared_distances(points, centroids).tobytes()
+        assert got == running_sum_squared_distances(points, centroids).tobytes()
+        assert got == cdist(points, centroids, "sqeuclidean").tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tie_cases())
+    def test_assign_equals_argmin_of_exact_distances(self, case):
+        kind, points, centroids = case
+        ref = cdist(points, centroids, "sqeuclidean")
+        assert squared_distances(points, centroids).tobytes() == ref.tobytes()
+        with mock.patch("mixsearch.clustering.squared_distances",
+                        side_effect=squared_distances) as exact:
+            got = assign(points, centroids)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.argmin(ref, axis=1))
+        if kind == "ulps" and centroids.shape[0] > 1:
+            # Centroids ulps apart are inside every point's slack.
+            assert [c.args[0].shape[0] for c in exact.call_args_list] == [len(points)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ClusteringError, match="mismatch"):
@@ -229,6 +355,40 @@ class TestKMeansFit:
             assert model.n_iter < max_iter  # stopped by tol, not by the cap
         assert len(model.inertia_history) == model.n_iter + 1
         assert model.inertia_history[-1] == model.inertia
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_byte_identical_to_brute_force_cdist_lloyd(self, seed):
+        # Gaussian blobs plus integer-grid points, which tie exactly.
+        rng = np.random.default_rng(seed)
+        blobs = rng.normal(size=(6, 5)) * 4.0
+        points = np.concatenate([
+            blobs[rng.integers(6, size=150)] + rng.normal(size=(150, 5)),
+            rng.integers(-2, 3, size=(90, 5)).astype(float)])
+        model = kmeans_fit(points, 8, seed=seed, n_init=3)
+        centroids, labels, best, history, n_iter = brute_force_lloyd(points, 8, seed, 3)
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.assignments.tobytes() == labels.astype(np.int64).tobytes()
+        assert model.inertia == best
+        assert model.inertia_history == history
+        assert model.n_iter == n_iter
+
+    def test_logs_one_line_per_restart(self, caplog):
+        points = np.random.default_rng(7).normal(size=(200, 4))
+        with caplog.at_level("INFO", logger="mixsearch.clustering"):
+            model = kmeans_fit(points, 5, seed=1, n_init=3)
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.split(":")[0] for line in lines] == [
+            f"k-means restart {i}/3" for i in (1, 2, 3)]
+        assert "(best so far)" in lines[0]
+        best = [line for line in lines if "(best so far)" in line][-1]
+        assert f"{model.n_iter} iterations, inertia {model.inertia:.6g} " in best
+
+    def test_equal_restarts_keep_the_first(self, caplog):
+        points = np.random.default_rng(5).normal(size=(6, 2))
+        with caplog.at_level("INFO", logger="mixsearch.clustering"):
+            kmeans_fit(points, 6, seed=0, n_init=3)  # every restart has inertia 0
+        marked = ["(best so far)" in r.getMessage() for r in caplog.records]
+        assert marked == [True, False, False]
 
     def test_fixed_seed_byte_identical(self):
         rng = np.random.default_rng(8)
