@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clustering, embedding, search, trainers
+from . import clustering, embedding, pipeline, search, trainers
 from .dataset import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, WindowSet
 
 logger = logging.getLogger(__name__)
@@ -134,16 +134,6 @@ class BenchmarkOutcome:
         return float(w[self.signal_clusters].mean()), float(w[~self.signal_clusters].mean())
 
 
-def prepare_clusters(data: BenchmarkData, seed: int) -> clustering.ClusterModel:
-    """Cluster the training windows in standardized feature space into one
-    cluster per planted regime."""
-    normalized = embedding.zscore_features(
-        data.features, data.windows.split_mask(SPLIT_TRAIN))
-    train_points = normalized[data.train_indices]
-    return clustering.kmeans_fit(train_points, k=N_REGIMES, seed=seed,
-                                 n_init=KMEANS_RESTARTS)
-
-
 def signal_cluster_mask(data: BenchmarkData,
                         model: clustering.ClusterModel) -> np.ndarray:
     """Majority vote: a cluster is a signal cluster when most of its members
@@ -163,18 +153,16 @@ def signal_cluster_mask(data: BenchmarkData,
 def run_benchmark_study(master_seed: int, n_trials: int = 60,
                         sampler: str = "tpe", jobs: int = 1,
                         windows_per_regime: int = 1000) -> BenchmarkOutcome:
-    """Full benchmark pass: generate, featurize, cluster, search, baseline."""
+    """Full benchmark pass: generate and featurize, cluster into one cluster per
+    planted regime, then search and score the baseline, as the stages do."""
     data = generate_regime_corpus(master_seed, windows_per_regime=windows_per_regime)
-    model = prepare_clusters(data, seed=master_seed)
+    train_idx, model = pipeline.cluster_points(data.features, data.windows, N_REGIMES,
+                                               master_seed, KMEANS_RESTARTS)
     context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
                                     data.features.data.astype(np.float64))
-    objective = context.objective(data.train_indices, model.assignments, master_seed)
     config = search.StudyConfig(n_trials=n_trials, k=model.k, jobs=jobs,
                                 sampler=sampler, seed=master_seed)
-    study = search.run_study(config, objective)
-
-    baseline = objective(-1, np.ones(model.k))
-
+    study, baseline = pipeline.search_mixture(context, train_idx, model.assignments, config)
     outcome = BenchmarkOutcome(
         data=data, cluster_model=model, study=study, baseline=baseline, context=context,
         signal_clusters=signal_cluster_mask(data, model))

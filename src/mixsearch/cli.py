@@ -230,7 +230,7 @@ def run_selftest(args: argparse.Namespace) -> int:
     ]
     assignments = outcome.cluster_model.assignments
     report.emit_reports(outcome.study, assignments, outcome.baseline.objective,
-                        None, out_dir)
+                        None, out_dir.joinpath)
     report.export_review_bundle(outcome.study, assignments, outcome.data.windows,
                                 outcome.data.train_indices, m=5,
                                 out_dir=out_dir, seed=args.seed)

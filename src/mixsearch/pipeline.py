@@ -9,8 +9,9 @@ upstream stage was re-run with different parameters) unless forced.
 Products are written under temporary names (:meth:`RunManifest.staging_path`)
 and :meth:`RunManifest.record` renames them into place back to back, the
 manifest last, so a stage that fails at any point leaves the previous
-products and manifest as they were and no temporary file.  ``report`` and
-``review-export`` write in place: no stage reads their products.
+products and manifest as they were and no temporary file.  Only
+``review-export`` writes in place, as no stage reads its products; the
+selftest, which has no manifest, writes its reports directly.
 """
 
 from __future__ import annotations
@@ -263,6 +264,29 @@ def _trial_context(run: RunManifest, config: trainers.TrainConfig, split: str,
 
 
 # ---------------------------------------------------------------------------
+# The method, shared by the stages and the selftest
+
+def cluster_points(matrix: embedding.EmbeddingMatrix, windows: WindowSet, k: int,
+                   seed: int, restarts: int, max_iter: int = 300, tol: float = 1e-6
+                   ) -> tuple[np.ndarray, clustering.ClusterModel]:
+    """(train window indices, their k-means model), clustered in the
+    embedding standardized on the training windows."""
+    normalized = embedding.zscore_features(matrix, windows.split_mask(SPLIT_TRAIN))
+    train_idx = windows.split_indices(SPLIT_TRAIN)
+    return train_idx, clustering.kmeans_fit(normalized[train_idx], k=k, max_iter=max_iter,
+                                            tol=tol, seed=seed, n_init=restarts)
+
+
+def search_mixture(context: trainers.TrialContext, train_idx: np.ndarray,
+                   assignments: np.ndarray, config: search.StudyConfig
+                   ) -> tuple[search.StudyResult, search.TrialEvaluation]:
+    """The study over per-cluster weights of ``train_idx`` and the full-data
+    mixture it is compared with: all weights 1, scored as trial -1."""
+    objective = context.objective(train_idx, assignments, config.seed)
+    return search.run_study(config, objective), objective(-1, np.ones(config.k))
+
+
+# ---------------------------------------------------------------------------
 # Stages
 
 def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
@@ -310,11 +334,8 @@ def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
                   restarts: int, centroids_path: str | None) -> None:
     out_dir = run.out_dir
     windows = run.windows()
-    matrix = run.embeddings(len(windows))
-    normalized = embedding.zscore_features(matrix, windows.split_mask(SPLIT_TRAIN))
-    train_idx = windows.split_indices(SPLIT_TRAIN)
-    model = clustering.kmeans_fit(normalized[train_idx], k=k, max_iter=max_iter,
-                                  tol=tol, seed=run.master_seed, n_init=restarts)
+    train_idx, model = cluster_points(run.embeddings(len(windows)), windows, k,
+                                      run.master_seed, restarts, max_iter, tol)
 
     centroids_out = Path(centroids_path) if centroids_path else out_dir / "centroids.tsem"
     in_dir = centroids_out.is_relative_to(out_dir)
@@ -349,12 +370,10 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
             f"re-run the cluster stage if you want a different search space")
     context = _trial_context(run, train_config, SPLIT_VAL, protocol)
     train_idx, assignments = run.assignments()
-    objective = context.objective(train_idx, assignments, run.master_seed)
     config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
                                 seed=run.master_seed,
                                 trial_log=run.staging_path("trials.jsonl"))
-    result = search.run_study(config, objective)
-    baseline_eval = objective(-1, np.ones(k))
+    result, baseline_eval = search_mixture(context, train_idx, assignments, config)
     params = {"trials": trials, "jobs": jobs, "sampler": sampler,
               "trainer": train_config.to_dict(),
               "external_cmd": external_cmd}
@@ -410,11 +429,9 @@ def stage_report(run: RunManifest) -> None:
         else:
             logger.warning("the size sweep predates the current cluster stage and "
                            "is left out; re-run sweep to report them")
-    bundle = report.emit_reports(result, assignments,
-                                 study_payload["baseline"]["avg_mse"],
-                                 sweep_rows, run.out_dir)
-    run.record({}, {name: str(p.relative_to(run.out_dir))
-                    for name, p in bundle.paths.items()})
+    report.emit_reports(result, assignments, study_payload["baseline"]["avg_mse"],
+                        sweep_rows, run.staging_path)
+    run.record({}, report.REPORT_FILES)
 
 
 def stage_review_export(run: RunManifest, m: int) -> None:

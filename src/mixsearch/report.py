@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import shutil
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -28,6 +29,9 @@ SUMMARY_SCHEMA_VERSION = 1
 _REVIEW_STREAM = 7  # seed-stream tag so review sampling is independent of trials
 REVIEW_TOP = 3
 REVIEW_BOTTOM = 3
+# Product name -> file that emit_reports writes.
+REPORT_FILES = {"weights": "weights.csv", "counts": "counts.csv",
+                "sweep": "sweep.csv", "summary": "summary.json"}
 
 
 class ReportError(ValueError):
@@ -40,7 +44,6 @@ class ReportBundle:
     counts_rows: list[tuple[int, int, int]]          # (cluster, C_k, n_k)
     sweep_rows: list[tuple[float, int, float]]       # (fraction, n_windows, test mse)
     summary: dict
-    paths: dict[str, Path]
 
 
 def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
@@ -54,20 +57,18 @@ def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
 def emit_reports(study: StudyResult, assignments: np.ndarray,
                  baseline: float | None,
                  sweep_rows: list[tuple[float, int, float]] | None,
-                 out_dir: str | Path) -> ReportBundle:
-    """Write weights.csv, counts.csv, sweep.csv and summary.json.
+                 path_of: Callable[[str], Path]) -> ReportBundle:
+    """Write the :data:`REPORT_FILES`, each file ``name`` to ``path_of(name)``.
 
     ``assignments`` holds the cluster id of every training window.  The
     counts table recomputes n_k from the best trial's weights with the
     mixture builder's own :func:`~.search.mixture_counts`, so it matches
     what that trial trained on.  ``baseline`` is the full-data average MSE;
-    without it the summary carries a warning instead of an improvement
-    figure.
+    without it, or when it is 0, the summary carries a warning instead of an
+    improvement figure.
     """
     if not study.completed():
         raise ReportError("study has no completed trials to report")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     best = study.best_trial
     weights = np.asarray(best.weights, dtype=np.float64)
     sizes = _cluster_sizes(weights, assignments)
@@ -91,36 +92,31 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
     }
     if baseline is not None:
         summary["baseline_avg_mse"] = baseline
+    if baseline:
         summary["relative_improvement"] = (baseline - best.objective) / baseline
     else:
-        summary["warning"] = "no full-data baseline metrics; improvement omitted"
-        logger.warning("emitting summary without a full-data baseline")
+        summary["warning"] = ("no full-data baseline metrics" if baseline is None else
+                              "full-data baseline avg_mse is 0") + "; improvement omitted"
+        logger.warning("summary: %s", summary["warning"])
 
-    paths = {
-        "weights": out / "weights.csv",
-        "counts": out / "counts.csv",
-        "sweep": out / "sweep.csv",
-        "summary": out / "summary.json",
-    }
-    with paths["weights"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "weight", "rank"])
-        for c, w, rank in weights_rows:
-            writer.writerow([c, repr(w), rank])
-    with paths["counts"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "original_count", "weighted_count"])
-        for row in counts_rows:
-            writer.writerow(list(row))
     sweep_rows = list(sweep_rows or [])
-    with paths["sweep"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "n_windows", "test_avg_mse"])
-        for fraction, n_windows, mse in sweep_rows:
-            writer.writerow([repr(float(fraction)), n_windows, repr(float(mse))])
-    paths["summary"].write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_csv(path_of(REPORT_FILES["weights"]), ["cluster_id", "weight", "rank"],
+               ([c, repr(w), rank] for c, w, rank in weights_rows))
+    _write_csv(path_of(REPORT_FILES["counts"]),
+               ["cluster_id", "original_count", "weighted_count"], counts_rows)
+    _write_csv(path_of(REPORT_FILES["sweep"]), ["fraction", "n_windows", "test_avg_mse"],
+               ([repr(float(f)), n, repr(float(mse))] for f, n, mse in sweep_rows))
+    path_of(REPORT_FILES["summary"]).write_text(
+        json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return ReportBundle(weights_rows=weights_rows, counts_rows=counts_rows,
-                        sweep_rows=sweep_rows, summary=summary, paths=paths)
+                        sweep_rows=sweep_rows, summary=summary)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_size_sweep(fractions: list[float], seed: int, score_fn,
@@ -229,11 +225,8 @@ def _write_window_csv(windows: WindowSet, widx: int, path: Path) -> None:
     names = windows.input_names + windows.target_names
     rows = slice(windows.start[widx], windows.start[widx] + windows.window_length)
     series = np.hstack([windows.input_rows[rows], windows.target_rows[rows]])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + names)
-        for t in range(series.shape[0]):
-            writer.writerow([t] + [repr(float(v)) for v in series[t]])
+    _write_csv(path, ["t"] + names,
+               ([t] + [repr(float(v)) for v in row] for t, row in enumerate(series)))
 
 
 def _render_prompt(weights: np.ndarray, top: list[int], bottom: list[int],

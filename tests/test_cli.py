@@ -231,6 +231,40 @@ class TestStages:
                 assert (out / product).read_bytes() == content, product
             assert not list(out.glob("*.tmp"))
 
+    def test_failed_report_write_keeps_previous_reports(self, raw_csv, tmp_path,
+                                                        monkeypatch, capsys):
+        out = tmp_path / "atomic-report"
+        staged_run(out, raw_csv)
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        # A new study, so a report that got through would change the summary.
+        assert main(["search", *common, "--trials", "4", "--jobs", "1",
+                     "--trainer", "ridge", "--sampler", "random"]) == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("weights.csv", "counts.csv", "sweep.csv", "summary.json",
+                               "manifest.json")}
+
+        def failing(real, product, path_arg):
+            def fake(*args, **kwargs):
+                if Path(args[path_arg]).name == product:
+                    raise OSError("disk full")
+                return real(*args, **kwargs)
+            return fake
+
+        # weights.csv is written and renamed first, summary.json written last.
+        for target, name, fake in [
+                (Path, "open", failing(Path.open, "weights.csv.tmp", 0)),
+                (Path, "write_text", failing(Path.write_text, "summary.json.tmp", 0)),
+                (os, "replace", failing(os.replace, "weights.csv", 1))]:
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, fake)
+                assert main(["report", *common]) == 1
+            assert "disk full" in capsys.readouterr().err
+            for product, content in before.items():
+                assert (out / product).read_bytes() == content, product
+            assert not list(out.glob("*.tmp"))
+        assert main(["report", *common]) == 0
+        assert (out / "summary.json").read_bytes() != before["summary.json"]
+
     def test_failed_study_keeps_previous_product(self, raw_csv, tmp_path, capsys):
         # Every trial of an external search fails, so the study raises.
         out = tmp_path / "all-failed"

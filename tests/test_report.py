@@ -47,14 +47,14 @@ class TestEmitReports:
         k = 6
         study = fake_study([[0.5] * k, [0.4] * k], [1.37, 2.0], k)
         bundle = emit_reports(study, fake_assignments([1000] * k),
-                              metrics(1.70), None, tmp_path)
+                              metrics(1.70), None, tmp_path.joinpath)
         assert bundle.summary["relative_improvement"] == pytest.approx(0.1941, abs=1e-3)
 
     def test_full_data_best_trial_means_no_compression(self, tmp_path):
         k = 4
         study = fake_study([[1.0] * k], [0.5], k, sizes=[250] * k)
         bundle = emit_reports(study, fake_assignments([250] * k),
-                              metrics(0.6), None, tmp_path)
+                              metrics(0.6), None, tmp_path.joinpath)
         assert bundle.summary["compression_ratio"] == pytest.approx(1.0)
 
     def test_fractional_mixture_compression(self, tmp_path):
@@ -62,7 +62,7 @@ class TestEmitReports:
         k = 2
         study = fake_study([[0.426, 0.426]], [0.5], k, sizes=[500, 500])
         bundle = emit_reports(study, fake_assignments([500, 500]),
-                              metrics(0.6), None, tmp_path)
+                              metrics(0.6), None, tmp_path.joinpath)
         assert bundle.summary["compression_ratio"] == pytest.approx(2.35, abs=0.01)
 
     def test_counts_match_mixture_builder(self, tmp_path):
@@ -72,7 +72,7 @@ class TestEmitReports:
         weights = rng.uniform(size=k)
         study = fake_study([weights], [0.3], k)
         assignments = fake_assignments(sizes)
-        emit_reports(study, assignments, metrics(0.5), None, tmp_path)
+        emit_reports(study, assignments, metrics(0.5), None, tmp_path.joinpath)
         with (tmp_path / "counts.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         mixture = build_mixture(assignments, weights, seed=0)
@@ -85,7 +85,7 @@ class TestEmitReports:
         k = 4
         study = fake_study([[0.1, 0.9, 0.5, 0.9]], [0.2], k)
         emit_reports(study, fake_assignments([10] * k), metrics(0.5),
-                     None, tmp_path)
+                     None, tmp_path.joinpath)
         with (tmp_path / "weights.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["cluster_id"]) for r in rows] == [1, 3, 2, 0]  # tie: lower id first
@@ -95,16 +95,28 @@ class TestEmitReports:
         k = 3
         study = fake_study([[0.5] * k], [0.4], k)
         bundle = emit_reports(study, fake_assignments([10] * k), None,
-                              None, tmp_path)
+                              None, tmp_path.joinpath)
         assert "warning" in bundle.summary
         assert "relative_improvement" not in bundle.summary
+
+    def test_zero_baseline_warns_instead_of_dividing(self, tmp_path):
+        # An external trainer may report avg_mse 0 for the all-ones baseline.
+        k = 3
+        study = fake_study([[0.5] * k], [0.4], k)
+        bundle = emit_reports(study, fake_assignments([10] * k), 0.0,
+                              None, tmp_path.joinpath)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == bundle.summary
+        assert summary["baseline_avg_mse"] == 0.0
+        assert "relative_improvement" not in summary
+        assert "baseline avg_mse is 0" in summary["warning"]
 
     def test_sweep_rows_written(self, tmp_path):
         k = 3
         study = fake_study([[0.5] * k], [0.4], k)
         rows = [(0.25, 25, 0.9), (1.0, 100, 0.7)]
         emit_reports(study, fake_assignments([10] * k), metrics(0.8),
-                     rows, tmp_path)
+                     rows, tmp_path.joinpath)
         with (tmp_path / "sweep.csv").open() as fh:
             got = list(csv.DictReader(fh))
         assert [float(r["fraction"]) for r in got] == [0.25, 1.0]
@@ -116,7 +128,7 @@ class TestEmitReports:
         for bad in (k, -1):
             assignments = np.append(fake_assignments([10] * k), bad)
             with pytest.raises(ReportError, match=r"outside \[0, 3\)"):
-                emit_reports(study, assignments, metrics(0.5), None, tmp_path)
+                emit_reports(study, assignments, metrics(0.5), None, tmp_path.joinpath)
 
 
 class TestSizeSweep:
