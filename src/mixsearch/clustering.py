@@ -145,7 +145,8 @@ def inertia(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) 
     assignments = np.asarray(assignments)
     if assignments.shape[0] != points.shape[0]:
         raise ClusteringError("one assignment per point required")
-    diff = points - centroids[assignments]
+    diff = np.asarray(centroids, dtype=np.float64)[assignments]
+    np.subtract(points, diff, out=diff)  # points - centroids[assignments], one array
     return float(np.einsum("nd,nd->", diff, diff))
 
 
@@ -237,17 +238,18 @@ def _lloyd_once(points: np.ndarray, sq_norms: np.ndarray, k: int, max_iter: int,
                         inertia=cur, n_iter=n_iter, inertia_history=history)
 
 
-def _cluster_means(points: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
-    # A stable sort lists every cluster's members in ascending position, one
-    # contiguous run per cluster; keeping that order keeps each mean's
-    # summation order, so the centroids are those of a per-cluster mask.
+def cluster_members(assignments: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each cluster's member positions in ascending order: one stable sort, split per cluster."""
     order = np.argsort(assignments, kind="stable")
-    sizes = np.bincount(assignments, minlength=k)
-    ends = np.cumsum(sizes)
+    return np.split(order, np.cumsum(np.bincount(assignments, minlength=k))[:-1])
+
+
+def _cluster_means(points: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    # Members in ascending position keep each mean's summation order, so the
+    # centroids are those of a per-cluster mask.
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    for j in range(k):
-        members = points[order[ends[j] - sizes[j]:ends[j]]]
-        centroids[j] = np.add.reduce(members, axis=0) / sizes[j]
+    for j, members in enumerate(cluster_members(assignments, k)):
+        centroids[j] = np.add.reduce(points[members], axis=0) / members.size
     return centroids
 
 
@@ -263,7 +265,8 @@ def _repair_empty(points: np.ndarray, assignments: np.ndarray,
         return assignments, centroids
     assignments = assignments.copy()
     centroids = centroids.copy()
-    diff = points - centroids[assignments]
+    diff = centroids[assignments]
+    np.subtract(points, diff, out=diff)
     dist = np.einsum("nd,nd->n", diff, diff)
     for e in empties:
         eligible = sizes[assignments] > 1

@@ -104,30 +104,24 @@ def featurize_windows(inputs: np.ndarray) -> np.ndarray:
 def featurize_window_set(windows: WindowSet) -> EmbeddingMatrix:
     """Featurize every window into a builtin-provenance embedding matrix.
 
-    Windows are gathered and featurized :data:`FEATURIZE_BLOCK` at a time,
-    so memory stays bounded by one block; each window's statistics depend
-    on that window alone, so the result equals one call on the full stack.
+    Windows are featurized :data:`FEATURIZE_BLOCK` at a time into one float32
+    output; each window's statistics depend on that window alone, so the
+    result equals one call on the full stack, cast to float32.
     """
-    blocks = [featurize_windows(windows.inputs[i:i + FEATURIZE_BLOCK])
-              for i in range(0, len(windows), FEATURIZE_BLOCK)]
-    return EmbeddingMatrix(np.concatenate(blocks).astype(np.float32),
-                           provenance=PROVENANCE_BUILTIN)
+    out = np.empty((len(windows), windows.input_rows.shape[1] * STATS_PER_CHANNEL),
+                   dtype=np.float32)
+    for i in range(0, len(windows), FEATURIZE_BLOCK):
+        out[i:i + FEATURIZE_BLOCK] = featurize_windows(windows.inputs[i:i + FEATURIZE_BLOCK])
+    return EmbeddingMatrix(out, provenance=PROVENANCE_BUILTIN)
 
 
-def zscore_features(matrix: EmbeddingMatrix, train_mask: np.ndarray) -> np.ndarray:
-    """Standardize each dimension using statistics of the training windows.
-
-    Returns float64 data ready for clustering.  Dimensions constant on the
-    training windows are centered but not rescaled.
-    """
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if train_mask.shape != (matrix.rows,):
-        raise EmbeddingError("train mask length must equal the number of rows")
-    if not train_mask.any():
+def zscore_features(matrix: EmbeddingMatrix, rows: np.ndarray) -> np.ndarray:
+    """Only ``rows`` (indices or a mask) as float64, standardized per dimension
+    on their own statistics; dimensions constant on them are only centered."""
+    data = matrix.data[rows].astype(np.float64)
+    if data.shape[0] == 0:
         raise EmbeddingError("no training windows to standardize against")
-    data = matrix.data.astype(np.float64)
-    train = data[train_mask]
-    mu, sigma = train.mean(axis=0), train.std(axis=0)
+    mu, sigma = data.mean(axis=0), data.std(axis=0)
     data -= mu
     data /= np.where(sigma > 0.0, sigma, 1.0)
     return data

@@ -190,7 +190,7 @@ class RunManifest:
         path = self.output(stage, name)
         try:
             return load(path)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError is a ValueError
             raise PipelineError(f"{path} is truncated or corrupt ({exc}); "
                                 f"re-run {stage!r}") from None
 
@@ -204,9 +204,16 @@ class RunManifest:
                                              expected_rows=n_windows)
 
     def assignments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(train window indices, local cluster assignments) from assignments.csv."""
-        rows = np.loadtxt(self.output("cluster", "assignments"), delimiter=",",
-                          skiprows=1, dtype=np.int64, ndmin=2)
+        """(train window indices, local cluster assignments) from assignments.csv,
+        refused unless its cluster ids count up to the recorded cluster sizes."""
+        sizes = self.stages["cluster"]["cluster_sizes"]
+        def load(path: Path) -> np.ndarray:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+            if (rows.shape[1:] != (2,) or rows[:, 1].min(initial=0) < 0
+                    or np.bincount(rows[:, 1], minlength=len(sizes)).tolist() != sizes):
+                raise ValueError("cluster ids do not add up to the recorded cluster sizes")
+            return rows
+        rows = self.read("cluster", "assignments", load)
         return rows[:, 0], rows[:, 1]
 
     def study(self) -> tuple[search.StudyResult, dict]:
@@ -271,10 +278,10 @@ def cluster_points(matrix: embedding.EmbeddingMatrix, windows: WindowSet, k: int
                    ) -> tuple[np.ndarray, clustering.ClusterModel]:
     """(train window indices, their k-means model), clustered in the
     embedding standardized on the training windows."""
-    normalized = embedding.zscore_features(matrix, windows.split_mask(SPLIT_TRAIN))
     train_idx = windows.split_indices(SPLIT_TRAIN)
-    return train_idx, clustering.kmeans_fit(normalized[train_idx], k=k, max_iter=max_iter,
-                                            tol=tol, seed=seed, n_init=restarts)
+    return train_idx, clustering.kmeans_fit(embedding.zscore_features(matrix, train_idx),
+                                            k=k, max_iter=max_iter, tol=tol, seed=seed,
+                                            n_init=restarts)
 
 
 def search_mixture(context: trainers.TrialContext, train_idx: np.ndarray,
@@ -344,10 +351,9 @@ def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
         embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
                                   provenance=embedding.PROVENANCE_BUILTIN),
         run.staging_path(centroids_name) if in_dir else centroids_out)
-    with run.staging_path("assignments.csv").open("w") as fh:
-        fh.write("window_index,cluster_id\n")
-        for widx, cid in zip(train_idx, model.assignments):
-            fh.write(f"{int(widx)},{int(cid)}\n")
+    np.savetxt(run.staging_path("assignments.csv"),
+               np.column_stack([train_idx, model.assignments]), fmt="%d", delimiter=",",
+               header="window_index,cluster_id", comments="")
     run.record(
         {"k": k, "max_iter": max_iter, "tol": tol, "restarts": restarts},
         {"assignments": "assignments.csv", "centroids": centroids_name},

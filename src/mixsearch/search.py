@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .clustering import cluster_members
+
 logger = logging.getLogger(__name__)
 
 EPS = 1e-12
@@ -126,16 +128,9 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
     if not counts.any():
         raise EmptyMixtureError("all per-cluster counts rounded to zero")
 
-    # A stable sort lists every cluster's members in ascending position, one
-    # contiguous run per cluster, so no cluster rescans the assignments.
-    order = np.argsort(assignments, kind="stable")
-    ends = np.cumsum(sizes)
-    parts = []
-    for c in np.flatnonzero(counts):
-        members = order[ends[c] - sizes[c]:ends[c]]
-        if counts[c] < members.size:
-            members = np.sort(rng.choice(members, size=int(counts[c]), replace=False))
-        parts.append(members)
+    groups = cluster_members(assignments, k)
+    parts = [np.sort(rng.choice(groups[c], size=int(counts[c]), replace=False))
+             if counts[c] < sizes[c] else groups[c] for c in np.flatnonzero(counts)]
     return MixtureIndex(indices=np.concatenate(parts), counts=counts)
 
 

@@ -571,7 +571,8 @@ class TestManifestGuards:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("name, stage", [
-        ("study.json", "search"), ("trials.jsonl", "search"), ("sweep.json", "sweep")])
+        ("study.json", "search"), ("trials.jsonl", "search"), ("sweep.json", "sweep"),
+        ("assignments.csv", "cluster")])
     def test_truncated_product_refused(self, raw_csv, tmp_path, capsys, name, stage):
         out = tmp_path / "truncated"
         staged_run(out, raw_csv)
@@ -581,6 +582,21 @@ class TestManifestGuards:
         assert main(["report", *common]) == 1
         err = capsys.readouterr().err
         assert name in err and f"re-run {stage!r}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda lines: lines[:len(lines) // 2],  # cut at a line boundary
+        lambda lines: [*lines[:-1], lines[-1].split(",")[0] + ",6"],  # id = k
+    ], ids=["line-boundary", "id-equals-k"])
+    def test_assignments_not_matching_cluster_sizes_refused(self, raw_csv, tmp_path,
+                                                            capsys, corrupt):
+        out = tmp_path / "corrupt"
+        common = clustered_run(out, raw_csv)
+        product = out / "assignments.csv"
+        product.write_text("\n".join(corrupt(product.read_text().splitlines())) + "\n")
+        assert main(["search", *common, "--trials", "2", "--trainer", "ridge"]) == 1
+        err = capsys.readouterr().err
+        assert "assignments.csv" in err and "re-run 'cluster'" in err
         assert len(err.strip().splitlines()) == 1
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -10,6 +11,7 @@ from scipy.spatial.distance import cdist
 from mixsearch.clustering import (
     ClusteringError,
     assign,
+    cluster_members,
     inertia,
     kmeans_fit,
     kmeans_init_plusplus,
@@ -302,6 +304,27 @@ class TestAssignAndInertia:
                      for i in range(30))
         assert inertia(points, labels, centroids) == pytest.approx(oracle, rel=1e-12)
 
+    def test_inertia_equals_einsum_of_differences(self):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(500, 7)) * 10.0 ** rng.integers(-3, 4, 7)
+        centroids = rng.normal(size=(9, 7))
+        labels = assign(points, centroids)
+        diff = points - centroids[labels]
+        assert inertia(points, labels, centroids) == float(np.einsum("nd,nd->", diff, diff))
+
+    def test_inertia_peak_is_one_gather(self):
+        rng = np.random.default_rng(13)
+        points = rng.normal(size=(20_000, 16))
+        centroids = rng.normal(size=(8, 16))
+        labels = rng.integers(8, size=points.shape[0])
+        tracemalloc.start()
+        try:
+            inertia(points, labels, centroids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * points.nbytes
+
 
 class TestKMeansFit:
     def test_two_far_pairs(self):
@@ -423,6 +446,14 @@ class TestKMeansFit:
         assert new_assign[2] == 1
         assert new_centroids[1, 0] == 10.0
         assert np.bincount(new_assign, minlength=2).min() == 1
+
+    def test_cluster_members_equal_per_cluster_positions(self):
+        assignments = np.random.default_rng(14).integers(5, size=300)
+        assignments[assignments == 3] = 1  # cluster 3 empty
+        groups = cluster_members(assignments, 6)
+        assert len(groups) == 6
+        for j, members in enumerate(groups):
+            np.testing.assert_array_equal(members, np.flatnonzero(assignments == j))
 
     def test_cluster_means_equal_boolean_mask_reference(self):
         rng = np.random.default_rng(11)
