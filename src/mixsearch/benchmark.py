@@ -156,8 +156,9 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
     """Full benchmark pass: generate and featurize, cluster into one cluster per
     planted regime, then search and score the baseline, as the stages do."""
     data = generate_regime_corpus(master_seed, windows_per_regime=windows_per_regime)
-    train_idx, model = pipeline.cluster_points(data.features, data.windows, N_REGIMES,
-                                               master_seed, KMEANS_RESTARTS)
+    train_idx = data.train_indices
+    model = clustering.kmeans_fit(embedding.zscore_features(data.features, train_idx),
+                                  N_REGIMES, seed=master_seed, n_init=KMEANS_RESTARTS)
     context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
                                     data.features.data.astype(np.float64))
     config = search.StudyConfig(n_trials=n_trials, k=model.k, jobs=jobs,

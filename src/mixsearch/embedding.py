@@ -30,7 +30,8 @@ from .dataset import WindowSet
 MAGIC = b"TSEM"
 FORMAT_VERSION = 1
 STATS_PER_CHANNEL = 7
-FEATURIZE_BLOCK = 256  # windows gathered per featurizer call
+MEAN, STD, MIN, MAX, LAST, SLOPE, AUTOCORR = range(STATS_PER_CHANNEL)
+FEATURIZE_BLOCK = 256  # windows per featurizer block
 
 PROVENANCE_BUILTIN = "builtin"
 PROVENANCE_EXTERNAL = "external"
@@ -104,15 +105,176 @@ def featurize_windows(inputs: np.ndarray) -> np.ndarray:
 def featurize_window_set(windows: WindowSet) -> EmbeddingMatrix:
     """Featurize every window into a builtin-provenance embedding matrix.
 
-    Windows are featurized :data:`FEATURIZE_BLOCK` at a time into one float32
-    output; each window's statistics depend on that window alone, so the
-    result equals one call on the full stack, cast to float32.
+    Windows are featurized :data:`FEATURIZE_BLOCK` at a time by
+    :func:`featurize_block`, straight from the per-row table, into one
+    float32 output.  It equals :func:`featurize_windows` on the gathered
+    stack, cast to float32, except that a channel constant on a window has
+    std, slope and autocorrelation exactly 0.  Each block reads the rows
+    from its first to its last window, so starts in row order, as
+    :func:`~mixsearch.dataset.make_windows` cuts them, keep that span short.
     """
-    out = np.empty((len(windows), windows.input_rows.shape[1] * STATS_PER_CHANNEL),
-                   dtype=np.float32)
-    for i in range(0, len(windows), FEATURIZE_BLOCK):
-        out[i:i + FEATURIZE_BLOCK] = featurize_windows(windows.inputs[i:i + FEATURIZE_BLOCK])
+    w = windows.window_length
+    if w < 2:
+        raise EmbeddingError(f"windows must have at least 2 timesteps, got {w}")
+    n, c = len(windows), windows.input_rows.shape[1]
+    out = np.empty((n, c * STATS_PER_CHANNEL), dtype=np.float32)
+    for i in range(0, n, FEATURIZE_BLOCK):
+        stats, _ = featurize_block(windows.input_rows, windows.start[i:i + FEATURIZE_BLOCK], w)
+        out[i:i + FEATURIZE_BLOCK] = stats.reshape(len(stats), -1)
     return EmbeddingMatrix(out, provenance=PROVENANCE_BUILTIN)
+
+
+def featurize_block(rows: np.ndarray, start: np.ndarray, w: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics of the windows ``rows[start[i] : start[i] + w]`` as
+    (len(start), C, 7) float64, and a bound on each one's distance from the
+    value :func:`featurize_windows` computes for the same window.
+
+    No window is gathered.  The rows the block spans are recentred, per
+    group of overlapping windows (one profile run, at a stride below W), on
+    the group's mean as y.  Each window's sums of y, y², j·y and
+    y_j·y_{j+1} (j the row's index in the span) are differences of prefix
+    sums made exact up to one final rounding by compensation, and its min
+    and max come from a van Herk/Gil-Werman scan.  The bound covers the
+    rounding of those sums, of the formulas built on them and of the
+    reference itself.  A window with a value whose bound reaches a float32
+    rounding boundary is featurized by :func:`featurize_windows` instead, so
+    every value casts to the reference's float32, except on a channel
+    constant on the window: there std, slope and autocorrelation are exactly
+    0 (bound 0), where the reference may leave rounding residue.
+    """
+    first = int(start.min())
+    x = rows[first:int(start.max()) + w]
+    s = start - first   # each window's first and last row in the span
+    e = s + (w - 1)
+    r, c = x.shape
+    stats = np.empty((start.size, c, STATS_PER_CHANNEL))
+    bound = np.zeros_like(stats)
+    lo, hi = _sliding_extrema(x, s, w)
+    stats[:, :, MIN], stats[:, :, MAX], stats[:, :, LAST] = lo, hi, x[e]
+
+    step = np.diff(s)  # starts out of order make one group
+    cut = np.flatnonzero(step >= w) + 1 if (step >= 0).all() else np.empty(0, np.intp)
+    first_rows = np.r_[0, s[cut]]
+    size = np.diff(np.r_[first_rows, r])
+    centre = np.add.reduceat(x, first_rows, axis=0) / size[:, None]
+    y = x - np.repeat(centre, size, axis=0)
+    mu = np.repeat(centre, np.diff(np.r_[0, cut, s.size]), axis=0)  # each window's centre
+    y_first, y_last = y[s], y[e]
+    terms, prefix, comp = np.empty((r, c)), np.zeros((r + 1, c)), np.zeros((r + 1, c))
+    sums, slack = [], []
+    for k in range(4):  # each window's sums of y, y², j·y and y_j·y_{j+1}
+        if k == 0:
+            terms[...] = y
+        elif k == 3:
+            np.multiply(y[:-1], y[1:], out=terms[:-1])
+            terms[-1] = 0.0
+        else:
+            np.multiply(y, y if k == 1 else np.arange(r, dtype=np.float64)[:, None], out=terms)
+        _compensated_cumsum(terms, prefix, comp)
+        end = e if k == 3 else e + 1
+        sums.append((prefix[end] - prefix[s]) + (comp[end] - comp[s]))
+        slack.append(r * np.abs(comp).max(axis=0))  # comp's own rounding, over 2u
+    total, squares, moment, pairs = sums
+    del y, terms, prefix, comp
+
+    # Every bound uses eps, twice the unit roundoff, for a factor 2 of slack.
+    eps = np.finfo(np.float64).eps
+    dev = np.maximum(hi - mu, mu - lo)            # max |y| on the window
+    ref_mean = (w + 2) * eps * np.maximum(np.abs(lo), np.abs(hi))  # the reference's mean error
+    d_total = eps * (np.abs(total) + w * dev + slack[0])
+    d_head = d_total + eps * (np.abs(total) + dev)  # head and tail sums
+    # Squared deviations of the window, its head and tail, and the lag product.
+    d_square = (eps * (5 * squares + 2 * dev * dev + np.maximum(slack[1], slack[3]))
+                + 2 * dev * d_head + d_head * d_head / (w - 1))
+    d_moment = eps * (np.abs(moment) + (s[:, None] + w) * w * dev + slack[2])
+
+    stats[:, :, MEAN] = total / w + mu
+    bound[:, :, MEAN] = d_total / w + 2 * eps * (np.abs(mu) + dev) + ref_mean
+
+    std = np.sqrt(np.maximum(squares - total * total / w, 0.0) / w)
+    d_var = d_square / w + eps * std * std
+    stats[:, :, STD] = std
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound[:, :, STD] = (d_var / np.maximum(std, np.sqrt(d_var)) + (w + 4) * eps * std
+                            + ref_mean * ref_mean / np.maximum(ref_mean, std))
+
+    middle = s[:, None] + (w - 1) / 2             # each window's middle row
+    ssq_t = w * (w * w - 1) / 12                  # sum of squared centred timesteps
+    slope = (moment - middle * total) / ssq_t
+    stats[:, :, SLOPE] = slope
+    bound[:, :, SLOPE] = ((d_moment + middle * d_total
+                           + eps * (np.abs(moment) + middle * np.abs(total))
+                           + (w + 2) * eps * w * w / 4 * (2 * dev + ref_mean)) / ssq_t
+                          + eps * np.abs(slope))
+
+    head, tail = total - y_last, total - y_first
+    head_sq = squares - y_last * y_last - head * head / (w - 1)
+    tail_sq = squares - y_first * y_first - tail * tail / (w - 1)
+    denom = np.sqrt(np.maximum(head_sq, 0.0) * np.maximum(tail_sq, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        autocorr = np.where(denom > 0.0, (pairs - head * tail / (w - 1)) / denom, 0.0)
+        gain = 1.0 / denom + np.abs(autocorr) * (1.0 / head_sq + 1.0 / tail_sq) / 2
+        stats[:, :, AUTOCORR] = autocorr
+        bound[:, :, AUTOCORR] = np.where(
+            4 * d_square < np.minimum(head_sq, tail_sq),  # else first order does not hold
+            2 * gain * (d_square + (w - 1) * ref_mean * ref_mean) + 2 * (w + 4) * eps,
+            np.inf)
+
+    zeroed = np.zeros(stats.shape, dtype=bool)
+    zeroed[:, :, [STD, SLOPE, AUTOCORR]] = (lo == hi)[:, :, None]
+    redo = np.flatnonzero(~(_rounds_alike(stats, bound) | zeroed).all(axis=(1, 2)))
+    gathered = x.take(s[redo, None] + np.arange(w), axis=0)  # most often none
+    stats[redo] = featurize_windows(gathered).reshape(-1, c, STATS_PER_CHANNEL)
+    bound[redo] = 0.0
+    stats[zeroed] = bound[zeroed] = 0.0
+    return stats, bound
+
+
+def _compensated_cumsum(terms: np.ndarray, prefix: np.ndarray, comp: np.ndarray) -> None:
+    """``prefix[1:]`` = cumsum(terms) and ``comp[1:]`` the cumsum of each
+    step's rounding error, found exactly by Knuth's TwoSum, so ``prefix + comp``
+    is the exact prefix sum up to ``comp``'s own rounding.  Row 0 of both
+    stays as it is; ``terms`` is overwritten."""
+    before, after, lost = prefix[:-1], prefix[1:], comp[1:]
+    np.cumsum(terms, axis=0, out=after)
+    np.subtract(after, before, out=lost)  # the term as it was added
+    np.subtract(terms, lost, out=terms)   # what the term lost
+    np.subtract(after, lost, out=lost)
+    np.subtract(before, lost, out=lost)   # what the running sum lost
+    lost += terms
+    np.cumsum(lost, axis=0, out=lost)
+
+
+def _rounds_alike(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Whether every value within ``bound`` of each of ``values`` rounds to
+    the same float32: False also where the bound is not finite."""
+    single = values.astype(np.float32)
+    with np.errstate(invalid="ignore", over="ignore"):
+        below = (single.astype(np.float64)
+                 + np.nextafter(single, np.float32(-np.inf)).astype(np.float64)) / 2
+        above = (single.astype(np.float64)
+                 + np.nextafter(single, np.float32(np.inf)).astype(np.float64)) / 2
+        return (values - below > bound) & (above - values > bound)
+
+
+def _sliding_extrema(x: np.ndarray, s: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of ``x[s:s + w]`` for each start ``s``, by the van
+    Herk/Gil-Werman scan: running extrema forward and backward within blocks
+    of ``w`` rows, so a window is the backward value at its first row and
+    the forward value at its last."""
+    r, c = x.shape
+    padded = np.empty((-(-r // w) * w, c))
+    padded[:r] = x
+    padded[r:] = x[-1]  # never inside a window
+    blocks = padded.reshape(-1, w, c)
+    forward, backward = np.empty_like(blocks), np.empty_like(blocks)
+    extrema = []
+    for op in (np.minimum, np.maximum):
+        op.accumulate(blocks, axis=1, out=forward)
+        op.accumulate(blocks[:, ::-1], axis=1, out=backward[:, ::-1])
+        extrema.append(op(backward.reshape(-1, c)[s], forward.reshape(-1, c)[s + (w - 1)]))
+    return extrema[0], extrema[1]
 
 
 def zscore_features(matrix: EmbeddingMatrix, rows: np.ndarray) -> np.ndarray:
@@ -130,13 +292,13 @@ def zscore_features(matrix: EmbeddingMatrix, rows: np.ndarray) -> np.ndarray:
 def write_embedding_file(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Write a matrix in the TSEM binary layout (bit-exact, see module doc)."""
     path = Path(path)
-    payload = np.ascontiguousarray(matrix.data, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(matrix.data, dtype="<f4")  # no copy on little-endian
     with path.open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", matrix.rows))
         fh.write(struct.pack("<I", matrix.dims))
-        fh.write(payload)
+        fh.write(payload.data)
 
 
 def read_embedding_file(path: str | Path, expected_rows: int | None) -> EmbeddingMatrix:

@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import shlex
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,6 +204,14 @@ class RunManifest:
         return embedding.read_embedding_file(self.output("embed", "embeddings"),
                                              expected_rows=n_windows)
 
+    def train_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """(train window indices, their embeddings standardized on them): the
+        points k-means clusters.  The windows and the float32 matrix are
+        dropped on return, so only these stay loaded through the fit."""
+        windows = self.windows()
+        train_idx = windows.split_indices(SPLIT_TRAIN)
+        return train_idx, embedding.zscore_features(self.embeddings(len(windows)), train_idx)
+
     def assignments(self) -> tuple[np.ndarray, np.ndarray]:
         """(train window indices, local cluster assignments) from assignments.csv,
         refused unless its cluster ids count up to the recorded cluster sizes."""
@@ -273,17 +282,6 @@ def _trial_context(run: RunManifest, config: trainers.TrainConfig, split: str,
 # ---------------------------------------------------------------------------
 # The method, shared by the stages and the selftest
 
-def cluster_points(matrix: embedding.EmbeddingMatrix, windows: WindowSet, k: int,
-                   seed: int, restarts: int, max_iter: int = 300, tol: float = 1e-6
-                   ) -> tuple[np.ndarray, clustering.ClusterModel]:
-    """(train window indices, their k-means model), clustered in the
-    embedding standardized on the training windows."""
-    train_idx = windows.split_indices(SPLIT_TRAIN)
-    return train_idx, clustering.kmeans_fit(embedding.zscore_features(matrix, train_idx),
-                                            k=k, max_iter=max_iter, tol=tol, seed=seed,
-                                            n_init=restarts)
-
-
 def search_mixture(context: trainers.TrialContext, train_idx: np.ndarray,
                    assignments: np.ndarray, config: search.StudyConfig
                    ) -> tuple[search.StudyResult, search.TrialEvaluation]:
@@ -324,6 +322,7 @@ def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
 
 
 def stage_embed(run: RunManifest, embeddings: str | None) -> None:
+    started = time.perf_counter()
     windows = run.windows()
     if embeddings:
         matrix = embedding.read_embedding_file(embeddings, expected_rows=len(windows))
@@ -335,14 +334,17 @@ def stage_embed(run: RunManifest, embeddings: str | None) -> None:
     run.record({"embeddings": str(embeddings) if embeddings else None},
                {"embeddings": "embeddings.tsem"},
                provenance=provenance, dims=matrix.dims)
+    seconds = time.perf_counter() - started
+    logger.info("embedded %d windows into %d dims in %.2f s (%.0f windows/s)",
+                matrix.rows, matrix.dims, seconds, matrix.rows / seconds)
 
 
 def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
                   restarts: int, centroids_path: str | None) -> None:
     out_dir = run.out_dir
-    windows = run.windows()
-    train_idx, model = cluster_points(run.embeddings(len(windows)), windows, k,
-                                      run.master_seed, restarts, max_iter, tol)
+    train_idx, points = run.train_points()
+    model = clustering.kmeans_fit(points, k=k, max_iter=max_iter, tol=tol,
+                                  seed=run.master_seed, n_init=restarts)
 
     centroids_out = Path(centroids_path) if centroids_path else out_dir / "centroids.tsem"
     in_dir = centroids_out.is_relative_to(out_dir)

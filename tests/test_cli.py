@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -153,6 +154,19 @@ class TestDispatch:
                            "print('scipy.spatial' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_embed_loads_no_scipy(self, raw_csv, tmp_path):
+        # The featurizer's sliding min/max is a numpy scan, not scipy.ndimage.
+        csv_path, schema_path, _ = raw_csv
+        common = ["--out", str(tmp_path), "--log-level", "warning"]
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *PREP]) == 0
+        args = ["embed", *common]
+        proc = self._child("-c", "import sys; from mixsearch.cli import main; "
+                           f"assert main({args!r}) == 0; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_full_scale_defaults(self):
         parser = build_parser()
@@ -396,6 +410,20 @@ class TestStages:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"]["embed"]["provenance"] == "external"
         assert manifest["stages"]["embed"]["dims"] == 5
+
+    def test_embed_logs_one_line_when_done(self, raw_csv, tmp_path, caplog):
+        csv_path, schema_path, _ = raw_csv
+        common = ["--out", str(tmp_path), "--log-level", "info"]
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *PREP]) == 0
+        caplog.clear()
+        with caplog.at_level("INFO", logger="mixsearch.pipeline"):
+            assert main(["embed", *common]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "mixsearch.pipeline"]
+        matrix = embedding.read_embedding_file(tmp_path / "embeddings.tsem", None)
+        assert len(lines) == 1
+        assert re.fullmatch(rf"embedded {matrix.rows} windows into {matrix.dims} dims "
+                            r"in \d+\.\d\d s \(\d+ windows/s\)", lines[0]), lines
 
     def test_wrong_row_count_external_embeddings(self, raw_csv, tmp_path, capsys):
         from mixsearch.embedding import EmbeddingMatrix, write_embedding_file

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mixsearch.dataset import WindowSet
 from mixsearch.embedding import (
     EmbeddingError,
     EmbeddingMatrix,
     FEATURIZE_BLOCK,
     FORMAT_VERSION,
     MAGIC,
+    featurize_block,
     featurize_window_set,
     featurize_windows,
     read_embedding_file,
@@ -129,6 +132,100 @@ class TestFeaturizer:
         finally:
             tracemalloc.stop()
         assert peak < n * m.dims * np.dtype(np.float64).itemsize
+
+
+def profile_windows(rows, lengths, w, stride):
+    """A WindowSet over ``rows`` cut into runs of ``lengths`` rows, windows
+    starting every ``stride`` rows of each run as ``make_windows`` cuts them."""
+    bounds = np.cumsum([0, *lengths])
+    start = np.concatenate([np.arange(a, b - w + 1, stride)
+                            for a, b in zip(bounds[:-1], bounds[1:])])
+    return WindowSet(input_rows=rows, target_rows=np.zeros((len(rows), 1)), start=start,
+                     split=np.full(start.size, "train", dtype="U5"), window_length=w,
+                     input_names=[f"in{i}" for i in range(rows.shape[1])],
+                     target_names=["tgt0"])
+
+
+@st.composite
+def profile_window_sets(draw):
+    """Windows over one to four profile runs of different lengths: white
+    noise, a slow drift or a shifted level around an offset far above the
+    spread, with a constant stretch of one channel inside some runs."""
+    w = draw(st.integers(2, 24))
+    stride = draw(st.sampled_from([1, 2, 3, w, w + 5]))
+    c = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(w, w + 300), min_size=1, max_size=4))
+    offset = draw(st.sampled_from([0.0, 1e4, -250.0]))
+    spread = draw(st.sampled_from([1e-2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = []
+    for length in lengths:
+        kind = rng.integers(3)
+        noise = rng.normal(size=(length, c))
+        if kind == 1:
+            noise = np.cumsum(noise, axis=0) / np.sqrt(length)
+        run = offset + spread * (noise + rng.uniform(-50, 50) * (kind == 2))
+        if length >= w + 2 and rng.random() < 0.6:
+            a = int(rng.integers(0, length - w))
+            run[a:a + w + int(rng.integers(0, 3)), rng.integers(c)] = run[a, 0] + 0.5 * spread
+        runs.append(run)
+    windows = profile_windows(np.concatenate(runs), lengths, w, stride)
+    if draw(st.booleans()):  # starts need not be in row order
+        order = rng.permutation(len(windows))
+        windows = replace(windows, start=windows.start[order], split=windows.split[order])
+    return windows
+
+
+class TestWindowSetFeaturizer:
+    @settings(max_examples=60, deadline=None)
+    @given(profile_window_sets())
+    def test_matches_the_reference(self, windows):
+        # Every value casts to the reference's float32; on a channel constant
+        # on the window, std, slope and autocorrelation are exactly 0.  Before
+        # the cast each value is within its stated bound of the reference,
+        # and that bound is below a quarter of a float32 step.
+        n, w, c = len(windows), windows.window_length, windows.input_rows.shape[1]
+        ref = featurize_windows(windows.inputs[np.arange(n)]).reshape(n, c, 7)
+        got = featurize_window_set(windows).data.reshape(n, c, 7)
+        zeroed = np.zeros(ref.shape, dtype=bool)
+        zeroed[:, :, [STD, SLOPE, AUTOCORR]] = (ref[:, :, MIN] == ref[:, :, MAX])[:, :, None]
+        assert np.all(got[zeroed] == 0.0)
+        assert got[~zeroed].tobytes() == ref.astype(np.float32)[~zeroed].tobytes()
+        for i in range(0, n, FEATURIZE_BLOCK):
+            stats, bound = featurize_block(windows.input_rows,
+                                           windows.start[i:i + FEATURIZE_BLOCK], w)
+            keep = ~zeroed[i:i + FEATURIZE_BLOCK]
+            error = np.abs(stats - ref[i:i + FEATURIZE_BLOCK])[keep]
+            assert np.all(error <= bound[keep])
+            assert np.all(bound[keep] <= 2.0**-22 * np.abs(stats[keep]))
+
+    def test_unresolved_windows_come_from_the_reference(self):
+        # The windows one row before and after a constant stretch have a
+        # constant tail or head: the prefix sums cannot resolve its variance,
+        # so the reference featurizes them and their bound is 0.
+        rows = np.random.default_rng(10).normal(size=(400, 1))
+        rows[100:200] = 0.3
+        windows = profile_windows(rows, [400], 50, 1)
+        stats, bound = featurize_block(windows.input_rows, windows.start[:FEATURIZE_BLOCK], 50)
+        edges = [99, 151]
+        assert np.all(bound[edges] == 0.0)
+        assert stats[edges].tobytes() == featurize_windows(windows.inputs[edges]).tobytes()
+
+    def test_memory_does_not_grow_with_overlapping_windows(self):
+        # W=300, stride 1: one gathered block would be 256 x 300 rows; the
+        # featurizer holds a few copies of the block's 555 rows instead.
+        w, c = 300, 2
+        rng = np.random.default_rng(11)
+        for blocks in (2, 16):
+            n = blocks * FEATURIZE_BLOCK
+            windows = profile_windows(rng.normal(size=(n + w - 1, c)), [n + w - 1], w, 1)
+            tracemalloc.start()
+            try:
+                m = featurize_window_set(windows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - m.data.nbytes < FEATURIZE_BLOCK * w * c * 8 // 2
 
 
 class TestEmbeddingFile:
