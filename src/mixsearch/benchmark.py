@@ -160,7 +160,7 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
     model = clustering.kmeans_fit(embedding.zscore_features(data.features, train_idx),
                                   N_REGIMES, seed=master_seed, n_init=KMEANS_RESTARTS)
     context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
-                                    data.features.data.astype(np.float64))
+                                    data.features.data)
     config = search.StudyConfig(n_trials=n_trials, k=model.k, jobs=jobs,
                                 sampler=sampler, seed=master_seed)
     study, baseline = pipeline.search_mixture(context, train_idx, model.assignments, config)

@@ -233,7 +233,7 @@ def run_selftest(args: argparse.Namespace) -> int:
                         None, out_dir.joinpath)
     report.export_review_bundle(outcome.study, assignments, outcome.data.windows,
                                 outcome.data.train_indices, m=5,
-                                out_dir=out_dir, seed=args.seed)
+                                review_dir=out_dir / "review", seed=args.seed)
     all_ok = True
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name} ({detail})")

@@ -429,8 +429,9 @@ def make_windows(table: RawTable, length: int, stride: int = 1) -> WindowSet:
 
     start = np.concatenate(starts)
     ws = WindowSet(
-        input_rows=table.values[:, table.role_indices(ROLE_INPUT)],
-        target_rows=table.values[:, table.role_indices(ROLE_TARGET)],
+        # take keeps the rows C-ordered, so a window gather copies no table.
+        input_rows=table.values.take(table.role_indices(ROLE_INPUT), axis=1),
+        target_rows=table.values.take(table.role_indices(ROLE_TARGET), axis=1),
         start=start,
         split=table.split[start],
         window_length=length,

@@ -70,8 +70,10 @@ def featurize_windows(inputs: np.ndarray) -> np.ndarray:
     Per channel, in order: mean, standard deviation (population), min, max,
     last value, least-squares slope against the timestep index, and lag-1
     autocorrelation (Pearson correlation of the series against itself
-    shifted by one step).  A constant channel yields std 0, slope 0 and
-    autocorrelation 0.
+    shifted by one step).  On a constant channel std, slope and
+    autocorrelation carry the float mean's rounding (std 1.4e-17 and
+    autocorrelation 1.0 on 300 rows of 0.1); :func:`featurize_window_set`
+    sets them to exactly 0.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:

@@ -6,12 +6,11 @@ chained configuration hash.  A downstream stage refuses to consume
 intermediates whose recorded chain no longer matches (for example after an
 upstream stage was re-run with different parameters) unless forced.
 
-Products are written under temporary names (:meth:`RunManifest.staging_path`)
-and :meth:`RunManifest.record` renames them into place back to back, the
-manifest last, so a stage that fails at any point leaves the previous
-products and manifest as they were and no temporary file.  Only
-``review-export`` writes in place, as no stage reads its products; the
-selftest, which has no manifest, writes its reports directly.
+Every product, file or directory, is written under a temporary name
+(:meth:`RunManifest.staging_path`) and :meth:`RunManifest.record` renames
+them into place back to back, the manifest last, so a failed stage leaves
+the previous products and manifest as they were and no temporary file.
+The selftest, which has no manifest, writes its reports directly.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import json
 import logging
 import os
 import shlex
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,12 +69,9 @@ class PipelineError(RuntimeError):
     pass
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _chain_hash(params: dict, parent_hashes: dict[str, str], seed: int) -> str:
-    payload = _canonical({"params": params, "parents": parent_hashes, "seed": seed})
+    payload = json.dumps({"params": params, "parents": parent_hashes, "seed": seed},
+                         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -91,6 +88,7 @@ class RunManifest:
     stages: dict
     tool_version: str = __version__
     staged: dict[str, Path] = field(init=False, default_factory=dict)
+    outputs: dict[str, str] = field(init=False, default_factory=dict)
 
     @classmethod
     def open(cls, out_dir: Path, seed: int, stage: str, force: bool) -> "RunManifest":
@@ -125,61 +123,69 @@ class RunManifest:
 
     def __exit__(self, *exc_info) -> None:
         for tmp in self.staged.values():  # after a full record all are renamed
-            tmp.unlink(missing_ok=True)
+            shutil.rmtree(tmp) if tmp.is_dir() else tmp.unlink(missing_ok=True)
 
-    def staging_path(self, name: str) -> Path:
-        """Temporary path the product ``name`` is written to; :meth:`record`
-        renames it to ``out_dir / name``."""
+    def staging_path(self, name: str, product: str | None = None) -> Path:
+        """Temporary path the output ``name``, a file or a directory, is
+        written to; :meth:`record` renames it to ``out_dir / name`` and
+        records it as ``product``, by default the name's stem."""
+        self.outputs[product or Path(name).stem] = name
         self.staged[name] = self.out_dir / f"{name}.tmp"
         return self.staged[name]
 
-    def record(self, params: dict, outputs: dict[str, str],
-               payloads: dict[str, object] | None = None, **extra) -> None:
-        """Record this stage's entry and commit its products: write the JSON
-        ``payloads`` and the manifest under temporary names, then rename the
-        payloads, the staged files and the manifest, last, into place."""
-        parent_hashes = {p: self.stages[p]["chain_hash"]
-                         for p in STAGE_PARENTS[self.stage]}
+    def record(self, params: dict, payloads: dict[str, object] | None = None,
+               **extra) -> None:
+        """Record this stage's entry with every staged output and JSON
+        payload, and commit them: write the ``payloads`` and the manifest
+        under temporary names, then rename the payloads, the staged outputs
+        (a directory replaces the old one whole) and the manifest, last."""
+        files = list(self.staged)
+        payloads = payloads or {}
+        for name, payload in payloads.items():
+            report.write_json(self.staging_path(name), payload)
+        parent_hashes = self._parent_hashes(self.stage)
         self.stages[self.stage] = {
             "params": params,
-            "outputs": outputs,
+            "outputs": dict(self.outputs),  # copied before the manifest is staged
             "parent_hashes": parent_hashes,
             "chain_hash": _chain_hash(params, parent_hashes, self.master_seed),
             **extra,
         }
-        files = list(self.staged)
-        payloads = {**(payloads or {}), MANIFEST_NAME: {
+        report.write_json(self.staging_path(MANIFEST_NAME), {
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "master_seed": self.master_seed,
             "stages": self.stages,
-        }}
-        for name, payload in payloads.items():
-            self.staging_path(name).write_text(
-                json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        *json_names, manifest = payloads
-        for name in [*json_names, *files, manifest]:
-            os.replace(self.staged[name], self.out_dir / name)
+        })
+        for name in [*payloads, *files, MANIFEST_NAME]:
+            target = self.out_dir / name
+            if target.is_dir():
+                shutil.rmtree(target)
+            os.replace(self.staged[name], target)
+
+    def _parent_hashes(self, stage: str) -> dict[str, str]:
+        return {p: self.stages[p]["chain_hash"]
+                for p in STAGE_PARENTS[stage] if p in self.stages}
+
+    def fresh(self, stage: str) -> bool:
+        """Whether ``stage``'s recorded chain hash is the one its params and
+        its parents' current chain hashes give: nothing upstream changed."""
+        entry = self.stages[stage]
+        return entry["chain_hash"] == _chain_hash(
+            entry["params"], self._parent_hashes(stage), self.master_seed)
 
     def verify_upstream(self, name: str, force: bool) -> None:
-        """Check that every ancestor stage ran and its chain is intact."""
+        """Check that every ancestor stage ran and is :meth:`fresh`."""
         for parent in STAGE_PARENTS[name]:
             if parent not in self.stages:
                 raise PipelineError(
                     f"stage {name!r} needs {parent!r} outputs; run {parent!r} first")
-            entry = self.stages[parent]
-            expected = _chain_hash(entry["params"], entry["parent_hashes"],
-                                   self.master_seed)
-            grandparents = {g: self.stages[g]["chain_hash"]
-                            for g in STAGE_PARENTS[parent] if g in self.stages}
-            fresh = entry["parent_hashes"] == grandparents
-            if entry["chain_hash"] != expected or not fresh:
+            if not self.fresh(parent):
                 msg = (f"manifest hash for stage {parent!r} is stale; re-run it "
                        f"(or pass --force to use the old outputs)")
-                if force:
-                    logger.warning("%s -- forced, continuing", msg)
-                else:
+                if not force:
                     raise StaleManifestError(msg)
+                logger.warning("%s -- forced, continuing", msg)
             self.verify_upstream(parent, force)
 
     def output(self, stage: str, name: str) -> Path:
@@ -257,10 +263,8 @@ def load_schema(schema_path: str | None, id_col: str | None,
     if not (id_col and input_cols and target_cols):
         raise DatasetError(
             "provide --schema or all of --id-col/--input-cols/--target-cols")
-    schema = {id_col: "id"}
-    schema.update({c: "input" for c in input_cols})
-    schema.update({c: "target" for c in target_cols})
-    return schema
+    return {id_col: "id", **dict.fromkeys(input_cols, "input"),
+            **dict.fromkeys(target_cols, "target")}
 
 
 def _trial_context(run: RunManifest, config: trainers.TrainConfig, split: str,
@@ -273,8 +277,7 @@ def _trial_context(run: RunManifest, config: trainers.TrainConfig, split: str,
         raise PipelineError(f"--patch-len {config.patch_len} does not divide "
                             f"window length {window_length}")
     windows = run.windows()
-    features = (run.embeddings(len(windows)).data.astype(np.float64)
-                if trainer.needs_features else None)
+    features = run.embeddings(len(windows)).data if trainer.needs_features else None
     return trainers.TrialContext(config, windows, features, split, protocol,
                                  run.out_dir / "external")
 
@@ -307,7 +310,7 @@ def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
     table = apply_scaler(table, scaler)
     make_windows(table, window_length, stride)  # fail now if no window fits
 
-    save_table(table, scaler, run.staging_path("processed.npz"))
+    save_table(table, scaler, run.staging_path("processed.npz", "table"))
     params = {
         "data": str(data),
         "schema": dict(sorted(schema.items())),
@@ -318,7 +321,7 @@ def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
         "stride": stride,
         "id_column": table.id_column,
     }
-    run.record(params, {"table": "processed.npz"})
+    run.record(params)
 
 
 def stage_embed(run: RunManifest, embeddings: str | None) -> None:
@@ -332,7 +335,6 @@ def stage_embed(run: RunManifest, embeddings: str | None) -> None:
         provenance = embedding.PROVENANCE_BUILTIN
     embedding.write_embedding_file(matrix, run.staging_path("embeddings.tsem"))
     run.record({"embeddings": str(embeddings) if embeddings else None},
-               {"embeddings": "embeddings.tsem"},
                provenance=provenance, dims=matrix.dims)
     seconds = time.perf_counter() - started
     logger.info("embedded %d windows into %d dims in %.2f s (%.0f windows/s)",
@@ -341,24 +343,21 @@ def stage_embed(run: RunManifest, embeddings: str | None) -> None:
 
 def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
                   restarts: int, centroids_path: str | None) -> None:
-    out_dir = run.out_dir
     train_idx, points = run.train_points()
     model = clustering.kmeans_fit(points, k=k, max_iter=max_iter, tol=tol,
                                   seed=run.master_seed, n_init=restarts)
 
-    centroids_out = Path(centroids_path) if centroids_path else out_dir / "centroids.tsem"
-    in_dir = centroids_out.is_relative_to(out_dir)
-    centroids_name = str(centroids_out.relative_to(out_dir) if in_dir else centroids_out)
+    centroids_name = (os.path.relpath(centroids_path, run.out_dir) if centroids_path
+                      else "centroids.tsem")
     embedding.write_embedding_file(
         embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
                                   provenance=embedding.PROVENANCE_BUILTIN),
-        run.staging_path(centroids_name) if in_dir else centroids_out)
+        run.staging_path(centroids_name, "centroids"))
     np.savetxt(run.staging_path("assignments.csv"),
                np.column_stack([train_idx, model.assignments]), fmt="%d", delimiter=",",
                header="window_index,cluster_id", comments="")
     run.record(
         {"k": k, "max_iter": max_iter, "tol": tol, "restarts": restarts},
-        {"assignments": "assignments.csv", "centroids": centroids_name},
         inertia=model.inertia, n_iter=model.n_iter,
         cluster_sizes=[int(s) for s in model.sizes])
 
@@ -385,8 +384,7 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
     params = {"trials": trials, "jobs": jobs, "sampler": sampler,
               "trainer": train_config.to_dict(),
               "external_cmd": external_cmd}
-    run.record(params, {"trials": "trials.jsonl", "study": "study.json",
-                        "best_weights": "best_weights.json"}, {
+    run.record(params, {
         "study.json": {
             "schema_version": 1,
             "k": k,
@@ -419,7 +417,6 @@ def stage_sweep(run: RunManifest, fractions: list[float],
     rows = report.run_size_sweep(fractions, run.master_seed, score, train_idx.size)
     run.record({"fractions": [float(f) for f in fractions],
                 "trainer": train_config.to_dict()},
-               {"sweep": "sweep.json"},
                {"sweep.json": {"schema_version": 1,
                                "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
                                         for f, n, m in rows]}})
@@ -429,9 +426,8 @@ def stage_report(run: RunManifest) -> None:
     result, study_payload = run.study()
     _, assignments = run.assignments()
     sweep_rows = None
-    sweep = run.stages.get("sweep")
-    if sweep is not None:
-        if sweep["parent_hashes"] == {"cluster": run.stages["cluster"]["chain_hash"]}:
+    if "sweep" in run.stages:
+        if run.fresh("sweep"):
             sweep_rows = [(row["fraction"], row["n_windows"], row["test_avg_mse"])
                           for row in run.read("sweep", "sweep")["rows"]]
         else:
@@ -439,7 +435,7 @@ def stage_report(run: RunManifest) -> None:
                            "is left out; re-run sweep to report them")
     report.emit_reports(result, assignments, study_payload["baseline"]["avg_mse"],
                         sweep_rows, run.staging_path)
-    run.record({}, report.REPORT_FILES)
+    run.record({})
 
 
 def stage_review_export(run: RunManifest, m: int) -> None:
@@ -447,5 +443,5 @@ def stage_review_export(run: RunManifest, m: int) -> None:
     windows = run.windows()
     train_idx, assignments = run.assignments()
     report.export_review_bundle(result, assignments, windows, train_idx, m,
-                                run.out_dir, seed=run.master_seed)
-    run.record({"m": m}, {"review": "review"})
+                                run.staging_path("review"), seed=run.master_seed)
+    run.record({"m": m})

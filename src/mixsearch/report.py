@@ -29,9 +29,6 @@ SUMMARY_SCHEMA_VERSION = 1
 _REVIEW_STREAM = 7  # seed-stream tag so review sampling is independent of trials
 REVIEW_TOP = 3
 REVIEW_BOTTOM = 3
-# Product name -> file that emit_reports writes.
-REPORT_FILES = {"weights": "weights.csv", "counts": "counts.csv",
-                "sweep": "sweep.csv", "summary": "summary.json"}
 
 
 class ReportError(ValueError):
@@ -58,7 +55,8 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
                  baseline: float | None,
                  sweep_rows: list[tuple[float, int, float]] | None,
                  path_of: Callable[[str], Path]) -> ReportBundle:
-    """Write the :data:`REPORT_FILES`, each file ``name`` to ``path_of(name)``.
+    """Write ``weights.csv``, ``counts.csv``, ``sweep.csv`` and
+    ``summary.json``, each file ``name`` to ``path_of(name)``.
 
     ``assignments`` holds the cluster id of every training window.  The
     counts table recomputes n_k from the best trial's weights with the
@@ -100,16 +98,20 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
         logger.warning("summary: %s", summary["warning"])
 
     sweep_rows = list(sweep_rows or [])
-    _write_csv(path_of(REPORT_FILES["weights"]), ["cluster_id", "weight", "rank"],
+    _write_csv(path_of("weights.csv"), ["cluster_id", "weight", "rank"],
                ([c, repr(w), rank] for c, w, rank in weights_rows))
-    _write_csv(path_of(REPORT_FILES["counts"]),
+    _write_csv(path_of("counts.csv"),
                ["cluster_id", "original_count", "weighted_count"], counts_rows)
-    _write_csv(path_of(REPORT_FILES["sweep"]), ["fraction", "n_windows", "test_avg_mse"],
+    _write_csv(path_of("sweep.csv"), ["fraction", "n_windows", "test_avg_mse"],
                ([repr(float(f)), n, repr(float(mse))] for f, n, mse in sweep_rows))
-    path_of(REPORT_FILES["summary"]).write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(path_of("summary.json"), summary)
     return ReportBundle(weights_rows=weights_rows, counts_rows=counts_rows,
                         sweep_rows=sweep_rows, summary=summary)
+
+
+def write_json(path: Path, payload) -> None:
+    """Write ``payload`` as the indented, key-sorted JSON of every product."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -174,9 +176,10 @@ def select_review_clusters(weights: np.ndarray) -> tuple[list[int], list[int]]:
 
 def export_review_bundle(study: StudyResult, assignments: np.ndarray,
                          windows: WindowSet, train_indices: np.ndarray,
-                         m: int, out_dir: str | Path, seed: int = 0) -> dict:
+                         m: int, review_dir: Path, seed: int = 0) -> dict:
     """Sample ``m`` windows from each cluster :func:`select_review_clusters`
-    names and write them as per-window CSV series plus the reviewer prompt.
+    names and write them into ``review_dir`` as per-window CSV series plus
+    the reviewer prompt.  The bundle replaces a previous one there whole.
 
     ``assignments[i]`` is the cluster of window ``train_indices[i]``.
     Clusters with fewer than ``m`` members export everything they have,
@@ -188,8 +191,7 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
     _cluster_sizes(weights, assignments)
     top, bottom = select_review_clusters(weights)
 
-    review_dir = Path(out_dir) / "review"
-    if review_dir.exists():  # a bundle replaces the previous one as a whole
+    if review_dir.exists():
         shutil.rmtree(review_dir)
     review_dir.mkdir(parents=True)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _REVIEW_STREAM)))
@@ -216,8 +218,7 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
 
     prompt = _render_prompt(weights, top, bottom, m)
     (review_dir / "prompt.txt").write_text(prompt)
-    (review_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(review_dir / "manifest.json", manifest)
     return manifest
 
 

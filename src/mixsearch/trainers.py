@@ -126,7 +126,7 @@ def train_ridge(idx: np.ndarray, windows: WindowSet,
         raise TrainerError("ridge penalty must be finite and > 0")
     if idx.size == 0:
         raise TrainerError("mixture is empty")
-    x = np.asarray(features, dtype=np.float64)[idx]
+    x = features[idx].astype(np.float64)
     y = windows.targets[idx]
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     d = x1.shape[1]

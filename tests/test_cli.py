@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mixsearch
-from mixsearch import benchmark, embedding, pipeline
+from mixsearch import benchmark, embedding, pipeline, report
 from mixsearch.cli import _train_config, build_parser, main
 from mixsearch.pipeline import RunManifest
 from mixsearch.trainers import ExternalProtocol, TrainConfig
@@ -367,6 +367,92 @@ class TestStages:
             assert not list(out.glob("*.tmp"))
             assert main([next_stage, *common]) == 0
 
+    def test_failed_review_export_keeps_previous_bundle(self, raw_csv, tmp_path,
+                                                        monkeypatch, capsys):
+        out = tmp_path / "atomic-review"
+        staged_run(out, raw_csv)
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+
+        def bundle():
+            return {str(p.relative_to(out)): p.read_bytes()
+                    for p in sorted((out / "review").rglob("*")) if p.is_file()}
+        before = bundle()
+        manifest = (out / "manifest.json").read_bytes()
+        real_write = report._write_window_csv
+        written = []
+
+        def write_window_csv(*args):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(args[-1])
+            real_write(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(report, "_write_window_csv", write_window_csv)
+            assert main(["review-export", *common, "--review-samples", "1"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert bundle() == before
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert not (out / "review.tmp").exists()
+
+        assert main(["review-export", *common, "--review-samples", "1"]) == 0
+        clusters = json.loads((out / "review" / "manifest.json").read_text())["clusters"]
+        assert sorted(bundle()) == sorted(
+            ["review/manifest.json", "review/prompt.txt",
+             *(f"review/{c}/0.csv" for c in clusters)])
+        assert not (out / "review.tmp").exists()
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_centroids_outside_out_dir_are_staged(self, raw_csv, tmp_path, monkeypatch,
+                                                  capsys, absolute):
+        out = tmp_path / "run"
+        common = clustered_run(out, raw_csv)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        centroids = elsewhere / "c.tsem"
+        argv = ["cluster", *common, "--k", "5", "--restarts", "1",
+                "--centroids", str(centroids if absolute else centroids.name)]
+        real_write_text = Path.write_text
+
+        def write_text(path, *args, **kwargs):
+            if path.name == "manifest.json.tmp":
+                raise OSError("disk full")
+            return real_write_text(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", write_text)
+            assert main(argv) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert list(elsewhere.iterdir()) == []
+        assert not list(out.glob("*.tmp"))
+
+        assert main(argv) == 0
+        recorded = RunManifest.open(out, SEED, "search", False).output("cluster", "centroids")
+        assert recorded.resolve() == centroids.resolve()
+        assert embedding.read_embedding_file(recorded, expected_rows=5).dims > 0
+        assert list(elsewhere.iterdir()) == [centroids]
+
+    def test_preprocess_column_flags_match_schema_file(self, raw_csv, tmp_path):
+        csv_path, schema_path, _ = raw_csv
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        common = ["--seed", str(SEED), "--log-level", "warning",
+                  "--data", str(csv_path), *PREP]
+        assert main(["preprocess", "--out", str(by_file), *common,
+                     "--schema", str(schema_path)]) == 0
+        assert main(["preprocess", "--out", str(by_flags), *common,
+                     "--id-col", "profile_id", "--input-cols", " u_d, u_q,speed,",
+                     "--target-cols", "pm,winding"]) == 0
+        for name in ("processed.npz", "manifest.json"):
+            assert (by_flags / name).read_bytes() == (by_file / name).read_bytes(), name
+
+    def test_preprocess_needs_every_column_flag(self, raw_csv, tmp_path, capsys):
+        csv_path, _, _ = raw_csv
+        assert main(["preprocess", "--out", str(tmp_path / "partial"), "--seed", "0",
+                     "--log-level", "warning", "--data", str(csv_path), *PREP,
+                     "--id-col", "profile_id", "--input-cols", "u_d,u_q,speed"]) == 1
+        assert "provide --schema or all of" in capsys.readouterr().err
+
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
         rc = main(["cluster", "--out", str(out), "--seed", "0", "--log-level", "warning"])
@@ -576,6 +662,32 @@ class TestManifestGuards:
         assert "re-run sweep" in caplog.text
         assert (out / "sweep.csv").read_text().splitlines() == [
             "fraction,n_windows,test_avg_mse"]
+
+    def test_report_leaves_out_sweep_with_edited_params(self, raw_csv, tmp_path,
+                                                         caplog):
+        out = tmp_path / "edited-sweep"
+        staged_run(out, raw_csv)
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        manifest = out / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["stages"]["sweep"]["params"]["fractions"] = [1.0]
+        manifest.write_text(json.dumps(payload))
+        assert main(["report", *common]) == 0
+        assert "re-run sweep" in caplog.text
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            "fraction,n_windows,test_avg_mse"]
+
+    def test_search_k_must_match_clustered_k(self, raw_csv, tmp_path, capsys):
+        out = tmp_path / "k-mismatch"
+        common = clustered_run(out, raw_csv)
+        assert main(["search", *common, "--trials", "2", "--trainer", "ridge"]) == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("trials.jsonl", "manifest.json")}
+        assert main(["search", *common, "--trials", "2", "--trainer", "ridge",
+                     "--k", "5"]) == 1
+        assert "does not match the clustered k=6" in capsys.readouterr().err
+        for name, content in before.items():
+            assert (out / name).read_bytes() == content, name
 
     def test_seed_mismatch_refused(self, raw_csv, tmp_path, capsys):
         out = tmp_path / "seeded"

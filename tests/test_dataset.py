@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -421,6 +423,20 @@ class TestMakeWindows:
         np.testing.assert_array_equal(got, want)
         got[...] = 99.0
         np.testing.assert_array_equal(ws.input_rows, before)
+
+    def test_gather_copies_no_table(self):
+        # An M-sized table: 240,000 rows of 15 inputs and one target.
+        rows = 240_000
+        table = make_table(np.random.default_rng(5).normal(size=(rows, 16)),
+                           np.ones(rows), split=np.full(rows, "train"))
+        ws = make_windows(table, 300, 1)
+        tracemalloc.start()
+        try:
+            ws.inputs[np.array([0, 7, 1_000, 50_000, 200_000])]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.input_rows.nbytes / 20
 
 
 class TestPersistence:

@@ -196,8 +196,8 @@ class TestReviewBundle:
         n = k * per
         study = fake_study([np.linspace(0.05, 0.95, k)], [0.1], k)
         manifest = export_review_bundle(study, fake_assignments([per] * k),
-                                        self._windows(n),
-                                        np.arange(n), m=10, out_dir=tmp_path)
+                                        self._windows(n), np.arange(n), m=10,
+                                        review_dir=tmp_path / "review")
         files = list((tmp_path / "review").rglob("*.csv"))
         assert len(files) == 60
         assert (tmp_path / "review" / "prompt.txt").exists()
@@ -209,7 +209,7 @@ class TestReviewBundle:
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
         export_review_bundle(study, fake_assignments([per] * k),
                              self._windows(n), np.arange(n),
-                             m=1, out_dir=tmp_path)
+                             m=1, review_dir=tmp_path / "review")
         files = list((tmp_path / "review").rglob("*.csv"))
         assert len(files) == 6
 
@@ -220,7 +220,7 @@ class TestReviewBundle:
         for m in (3, 1):
             manifest = export_review_bundle(study, fake_assignments([per] * k),
                                             self._windows(n), np.arange(n),
-                                            m=m, out_dir=tmp_path)
+                                            m=m, review_dir=tmp_path / "review")
         review = tmp_path / "review"
         for cluster, entry in manifest["clusters"].items():
             assert entry["n_exported"] == 1
@@ -235,7 +235,7 @@ class TestReviewBundle:
         study = fake_study([weights], [0.1], k)
         manifest = export_review_bundle(study, fake_assignments(sizes),
                                         self._windows(n), np.arange(n),
-                                        m=5, out_dir=tmp_path)
+                                        m=5, review_dir=tmp_path / "review")
         entry = manifest["clusters"]["0"]
         assert entry["n_exported"] == 2
         assert "note" in entry
@@ -246,7 +246,7 @@ class TestReviewBundle:
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
         export_review_bundle(study, fake_assignments([per] * k),
                              self._windows(n), np.arange(n), m=1,
-                             out_dir=tmp_path, seed=3)
+                             review_dir=tmp_path / "review", seed=3)
         sample = next((tmp_path / "review").rglob("*/0.csv"))
         with sample.open() as fh:
             header = next(csv.reader(fh))
@@ -260,7 +260,7 @@ class TestReviewBundle:
         assignments[-1] = k
         with pytest.raises(ReportError, match=r"outside \[0, 6\)"):
             export_review_bundle(study, assignments, self._windows(n),
-                                 np.arange(n), m=1, out_dir=tmp_path)
+                                 np.arange(n), m=1, review_dir=tmp_path / "review")
 
     def test_prompt_mentions_selected_clusters(self, tmp_path):
         k, per = 7, 6
@@ -269,7 +269,7 @@ class TestReviewBundle:
         study = fake_study([weights], [0.1], k)
         export_review_bundle(study, fake_assignments([per] * k),
                              self._windows(n), np.arange(n), m=2,
-                             out_dir=tmp_path)
+                             review_dir=tmp_path / "review")
         prompt = (tmp_path / "review" / "prompt.txt").read_text()
         top, bottom = select_review_clusters(weights)
         for c in top + bottom:
