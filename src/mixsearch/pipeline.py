@@ -128,7 +128,12 @@ class RunManifest:
     def staging_path(self, name: str, product: str | None = None) -> Path:
         """Temporary path the output ``name``, a file or a directory, is
         written to; :meth:`record` renames it to ``out_dir / name`` and
-        records it as ``product``, by default the name's stem."""
+        records it as ``product``, by default the name's stem.  A name this
+        or another stage already uses for an output is refused."""
+        others = {n for stage, entry in self.stages.items() if stage != self.stage
+                  for n in entry["outputs"].values()}
+        if name == MANIFEST_NAME or name in self.staged or name in others:
+            raise PipelineError(f"{name} is already an output of this run")
         self.outputs[product or Path(name).stem] = name
         self.staged[name] = self.out_dir / f"{name}.tmp"
         return self.staged[name]
@@ -146,12 +151,13 @@ class RunManifest:
         parent_hashes = self._parent_hashes(self.stage)
         self.stages[self.stage] = {
             "params": params,
-            "outputs": dict(self.outputs),  # copied before the manifest is staged
+            "outputs": self.outputs,
             "parent_hashes": parent_hashes,
             "chain_hash": _chain_hash(params, parent_hashes, self.master_seed),
             **extra,
         }
-        report.write_json(self.staging_path(MANIFEST_NAME), {
+        self.staged[MANIFEST_NAME] = self.out_dir / f"{MANIFEST_NAME}.tmp"
+        report.write_json(self.staged[MANIFEST_NAME], {
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "master_seed": self.master_seed,
@@ -159,7 +165,7 @@ class RunManifest:
         })
         for name in [*payloads, *files, MANIFEST_NAME]:
             target = self.out_dir / name
-            if target.is_dir():
+            if self.staged[name].is_dir() and target.is_dir():
                 shutil.rmtree(target)
             os.replace(self.staged[name], target)
 
@@ -183,9 +189,10 @@ class RunManifest:
             if not self.fresh(parent):
                 msg = (f"manifest hash for stage {parent!r} is stale; re-run it "
                        f"(or pass --force to use the old outputs)")
-                if not force:
+                if force:
+                    logger.warning("%s -- forced, continuing", msg)
+                else:
                     raise StaleManifestError(msg)
-                logger.warning("%s -- forced, continuing", msg)
             self.verify_upstream(parent, force)
 
     def output(self, stage: str, name: str) -> Path:
@@ -263,8 +270,10 @@ def load_schema(schema_path: str | None, id_col: str | None,
     if not (id_col and input_cols and target_cols):
         raise DatasetError(
             "provide --schema or all of --id-col/--input-cols/--target-cols")
-    return {id_col: "id", **dict.fromkeys(input_cols, "input"),
-            **dict.fromkeys(target_cols, "target")}
+    schema = {id_col: "id"}
+    schema.update({c: "input" for c in input_cols})
+    schema.update({c: "target" for c in target_cols})
+    return schema
 
 
 def _trial_context(run: RunManifest, config: trainers.TrainConfig, split: str,
@@ -343,12 +352,16 @@ def stage_embed(run: RunManifest, embeddings: str | None) -> None:
 
 def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
                   restarts: int, centroids_path: str | None) -> None:
+    centroids_name = "centroids.tsem"
+    if centroids_path:  # named from resolved paths, so symlinks resolve as when opened
+        target = Path(centroids_path).resolve()
+        if target.is_dir():
+            raise PipelineError(f"--centroids {centroids_path} is a directory")
+        centroids_name = os.path.relpath(target, run.out_dir.resolve())
     train_idx, points = run.train_points()
     model = clustering.kmeans_fit(points, k=k, max_iter=max_iter, tol=tol,
                                   seed=run.master_seed, n_init=restarts)
 
-    centroids_name = (os.path.relpath(centroids_path, run.out_dir) if centroids_path
-                      else "centroids.tsem")
     embedding.write_embedding_file(
         embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
                                   provenance=embedding.PROVENANCE_BUILTIN),

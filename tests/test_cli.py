@@ -433,6 +433,41 @@ class TestStages:
         assert embedding.read_embedding_file(recorded, expected_rows=5).dims > 0
         assert list(elsewhere.iterdir()) == [centroids]
 
+    @pytest.mark.parametrize("target", [".", "run", "kept", "run/assignments.csv",
+                                        "run/manifest.json", "run/processed.npz"])
+    def test_centroids_on_a_directory_or_product_refused(self, raw_csv, tmp_path,
+                                                         monkeypatch, capsys, target):
+        monkeypatch.chdir(tmp_path)
+        common = clustered_run(Path("run"), raw_csv)
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "data.txt").write_text("user data\n")
+
+        def snapshot():
+            return {p: p.read_bytes() if p.is_file() else None
+                    for p in sorted(tmp_path.rglob("*"))}
+        before = snapshot()
+        assert main(["cluster", *common, "--k", "5", "--restarts", "1",
+                     "--centroids", target]) == 1
+        err = capsys.readouterr().err
+        assert "is a directory" in err or "already an output" in err
+        assert snapshot() == before
+
+    def test_centroids_beside_a_symlinked_out_dir(self, raw_csv, tmp_path, monkeypatch):
+        real, work = tmp_path / "real", tmp_path / "work"
+        real.mkdir()
+        work.mkdir()
+        (work / "run").symlink_to(real / "run", target_is_directory=True)
+        (real / "run").mkdir()
+        monkeypatch.chdir(work)
+        common = clustered_run(Path("run"), raw_csv)
+        assert main(["cluster", *common, "--k", "5", "--restarts", "1",
+                     "--centroids", "c.tsem"]) == 0
+        assert (work / "c.tsem").is_file()
+        assert not (real / "c.tsem").exists()
+        recorded = RunManifest.open(Path("run"), SEED, "search", False).output(
+            "cluster", "centroids")
+        assert recorded.resolve() == (work / "c.tsem").resolve()
+
     def test_preprocess_column_flags_match_schema_file(self, raw_csv, tmp_path):
         csv_path, schema_path, _ = raw_csv
         by_file, by_flags = tmp_path / "file", tmp_path / "flags"
