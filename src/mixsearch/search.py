@@ -246,6 +246,149 @@ def bandwidth_floor(n_observations: int) -> float:
     return BANDWIDTH_FLOOR_SCALE / min(100.0, n_observations + 1.0)
 
 
+# ---------------------------------------------------------------------------
+# Standard normal CDF and quantile: Cephes' ndtr (with its erf and erfc) and
+# ndtri, the algorithms and constants behind scipy.special.ndtr and ndtri,
+# giving their results to the bit.  Polynomials are numpy, evaluated in the
+# same operation order (Horner, no fused multiply-add); exp and log go through
+# the C library one element at a time, because numpy's vectorized exp and log
+# round some arguments differently.
+
+_SQRTH = 7.07106781186547524401e-1  # 1/sqrt(2)
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x) underflows beyond
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _coefficients(*polys: tuple) -> np.ndarray:
+    """Polynomials' coefficients, highest degree first, as a (degree + 1, m, 1)
+    array: entry i holds the i-th coefficient of each of the m polynomials,
+    zero-padded in front to one length."""
+    width = max(map(len, polys))
+    return np.array([(0.0,) * (width - len(p)) + p for p in polys]).T[:, :, None]
+
+
+# A Q, S or U polynomial starts with p1evl's implied leading 1.
+_ERF_TU = _coefficients(_ERF_T, (1.0, *_ERF_U))
+_ERFC_PQ = _coefficients(_ERFC_P, (1.0, *_ERFC_Q))
+_ERFC_RS = _coefficients(_ERFC_R, (1.0, *_ERFC_S))
+_NDTRI_PQ0 = _coefficients(_NDTRI_P0, (1.0, *_NDTRI_Q0))
+_NDTRI_PQ1 = _coefficients(_NDTRI_P1, (1.0, *_NDTRI_Q1))
+_NDTRI_PQ2 = _coefficients(_NDTRI_P2, (1.0, *_NDTRI_Q2))
+
+
+def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Each of :func:`_coefficients`' m polynomials at every element of x, an
+    (m, x.size) array, in Cephes' polevl steps: ans = ans * x + c from the
+    leading coefficient.  A leading 1 gives p1evl's steps and leading zeros
+    those of the shorter polynomial, exactly, at finite x."""
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array, bit-identical to ``scipy.special.ndtr``."""
+    a = np.asarray(a, dtype=np.float64)
+    x = a.reshape(-1) * _SQRTH
+    z = np.abs(x)
+    up = x > 0.0
+    y = up.astype(np.float64)
+    # Both tails are exact without arithmetic: from z = 6.5 up erfc(z) / 2 <
+    # 2^-64, so 1 - erfc(z) / 2 rounds to 1.0, and below, where exp(-z^2)
+    # underflows, erfc is 0.
+    with np.errstate(over="ignore"):
+        todo = np.flatnonzero(np.where(up, z < 6.5, ~(z * z > _MAXLOG)))
+    x, z, up = x[todo], z[todo], up[todo]
+    # 0.5 + 0.5 erf(x) below z = sqrt(1/2); else erfc(z) / 2, reflected for
+    # x > 0, with erfc = 1 - erf(z) below 1, exp(-z^2) P(z)/Q(z) below 8 and
+    # exp(-z^2) R(z)/S(z) from 8 on.
+    near = z < _SQRTH
+    small = z < 1.0
+    w = np.where(near, x, z)[small]
+    w2 = w * w
+    t, u = _horner(w2, _ERF_TU)
+    erf = w * t / u
+    erfc = np.empty_like(z)
+    erfc[small] = 1.0 - erf
+    tail = ~small
+    zt = z[tail]
+    p, q = _horner(zt, _ERFC_PQ)
+    far = np.flatnonzero(zt >= 8.0)
+    if far.size:
+        p[far], q[far] = _horner(zt[far], _ERFC_RS)
+    erfc[tail] = _libm(math.exp, -zt * zt) * p / q
+    half = 0.5 * erfc
+    out = np.where(up, 1.0 - half, half)
+    out[near] = 0.5 + 0.5 * erf[near[small]]
+    y[todo] = out
+    return y.reshape(a.shape)
+
+
+def ndtri(y0: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of an array, bit-identical to
+    ``scipy.special.ndtri``: -inf at 0, inf at 1, NaN outside [0, 1]."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    out = np.where(y0 == 0.0, -np.inf, np.where(y0 == 1.0, np.inf, np.nan))
+    # Above 1 - exp(-2) the quantile of y is minus that of 1 - y.  Only y in
+    # (0, 1) lands in either branch below.
+    flip = y0 > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - y0, y0)
+    central = np.flatnonzero(y > _EXP_M2)
+    c = y[central] - 0.5
+    c2 = c * c
+    p0, q0 = _horner(c2, _NDTRI_PQ0)
+    out[central] = (c + c * (c2 * p0 / q0)) * _S2PI
+    tail = np.flatnonzero((y > 0.0) & (y <= _EXP_M2))
+    t = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    x0 = t - _libm(math.log, t) / t
+    r = 1.0 / t
+    p, q = _horner(r, _NDTRI_PQ1)
+    far = np.flatnonzero(t >= 8.0)
+    if far.size:
+        p[far], q[far] = _horner(r[far], _NDTRI_PQ2)
+    d = x0 - r * p / q
+    out[tail] = np.where(flip[tail], d, -d)
+    return out
+
+
 class ParzenDensity:
     """Mixture of a uniform prior on [0, 1] and one truncated Gaussian per
     observation, all components equally weighted.
@@ -256,13 +399,12 @@ class ParzenDensity:
     Gaussian is the larger of the gaps to its left and right neighbors among
     its row's observations extended with the domain edges {0, 1}, floored at
     :func:`bandwidth_floor` of the observation count.
+
+    A density built with ``sampled=False`` only evaluates :meth:`pdf`: it
+    skips the normal CDFs that sampling needs but no kernel's mass does.
     """
 
-    def __init__(self, observations: Sequence[float] | np.ndarray):
-        # Imported here and in sample, not at module level: scipy.special
-        # costs every other stage's start-up time and only TPE fits densities.
-        from scipy.special import ndtr
-
+    def __init__(self, observations: Sequence[float] | np.ndarray, sampled: bool = True):
         obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim not in (1, 2):
             raise SearchError("observations must be a vector or a (k, n) matrix")
@@ -276,9 +418,19 @@ class ParzenDensity:
         left = obs - support[:, :-2]
         right = support[:, 2:] - obs
         self.bw = np.maximum(np.maximum(left, right), bandwidth_floor(obs.shape[1]))
-        self._cdf_lo = ndtr((0.0 - obs) / self.bw)
-        self._cdf_hi = ndtr((1.0 - obs) / self.bw)
-        self.trunc_mass = self._cdf_hi - self._cdf_lo
+        # Each kernel's mass on [0, 1] is ndtr(upper) - ndtr(lower) of the
+        # domain edges in its own units.  ndtr(upper) is at least 0.5; where
+        # lower * sqrt(1/2) <= -6.5, ndtr(lower) is below 2^-64, under half an
+        # ulp of that, so taking it as 0 leaves the mass exact.
+        upper = ((1.0 - obs) / self.bw).reshape(-1)
+        lower = ((0.0 - obs) / self.bw).reshape(-1)
+        need = slice(None) if sampled else np.flatnonzero(lower * _SQRTH > -6.5)
+        cdf = ndtr(np.concatenate([upper, lower[need]]))
+        cdf_lo = np.zeros_like(lower)
+        cdf_lo[need] = cdf[upper.size:]
+        self._cdf_hi = cdf[:upper.size].reshape(obs.shape)
+        self._cdf_lo = cdf_lo.reshape(obs.shape) if sampled else None
+        self.trunc_mass = self._cdf_hi - cdf_lo.reshape(obs.shape)
 
     @property
     def n_components(self) -> int:
@@ -317,8 +469,8 @@ class ParzenDensity:
         """``size`` draws per density: a vector for one density, (k, size) for k
         rows.  Each row draws its component indices, then its uniforms, row by
         row in row order, as k one-density calls would."""
-        from scipy.special import ndtri
-
+        if self._cdf_lo is None:
+            raise SearchError("density was built with sampled=False")
         k = len(self.obs)
         comp = np.empty((k, size), dtype=np.int64)
         u = np.empty((k, size), dtype=np.float64)
@@ -344,29 +496,45 @@ def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(size=k)
 
 
+def fit_tpe(history: Sequence[TrialRecord], k: int
+            ) -> tuple[ParzenDensity, ParzenDensity] | None:
+    """The good and bad (k, n) Parzen densities of a history, or None while
+    fewer than :data:`N_STARTUP` trials have completed.
+
+    The completed trials are split into good and bad sets, and each dimension
+    is one row of both densities: row d of the good density is fitted to the
+    good set's values of weight d, row d of the bad density to the bad set's.
+    """
+    completed = [t for t in history if t.state == STATE_COMPLETE]
+    if len(completed) < N_STARTUP:
+        return None
+    good, bad = (np.array([t.weights for t in part]).reshape(len(part), k).T
+                 for part in gamma_split(completed))
+    return ParzenDensity(good), ParzenDensity(bad, sampled=False)
+
+
 def tpe_suggest(history: Sequence[TrialRecord], k: int,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+                rng: np.random.Generator | None = None,
+                densities: tuple[ParzenDensity, ParzenDensity] | None = None
+                ) -> np.ndarray:
     """Propose a weight vector by maximizing the good/bad density ratio.
 
     Until :data:`N_STARTUP` trials have completed the proposal is uniform
-    random.  Afterwards the completed trials are split into good and bad
-    sets, and each dimension is handled independently as one row of two
-    (k, n) Parzen densities: one fitted to the good set's values, one to the
-    bad set's.  :data:`N_CANDIDATES` draws are taken per row from the good
-    density, dimension by dimension in order, and in each row the draw
-    maximizing good(x) / (bad(x) + eps) wins.
+    random.  Afterwards :data:`N_CANDIDATES` draws are taken per row from the
+    good density of :func:`fit_tpe`, dimension by dimension in order, and in
+    each row the draw maximizing good(x) / (bad(x) + eps) wins.  ``densities``
+    is ``fit_tpe(history, k)`` when the caller has fitted it already; without
+    it the history is fitted here.
     """
     if k < 1:
         raise SearchError("k must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    completed = [t for t in history if t.state == STATE_COMPLETE]
-    if len(completed) < N_STARTUP:
+    if densities is None:
+        densities = fit_tpe(history, k)
+    if densities is None:
         return random_suggest(k, rng)
-
-    density_good, density_bad = (
-        ParzenDensity(np.array([t.weights for t in part]).reshape(len(part), k).T)
-        for part in gamma_split(completed))
+    density_good, density_bad = densities
     candidates = density_good.sample(rng, N_CANDIDATES)
     score = density_good.pdf(candidates) / (density_bad.pdf(candidates) + EPS)
     return candidates[np.arange(k), np.argmax(score, axis=1)]
@@ -416,11 +584,12 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
     continues; if every trial fails the study raises :class:`AllTrialsFailedError`.
     """
     history: list[TrialRecord] = []
+    densities = None
 
     def run_one(trial_id: int) -> TrialRecord:
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
         if config.sampler == "tpe":
-            weights = tpe_suggest(history, config.k, rng)
+            weights = tpe_suggest(history, config.k, rng, densities)
         else:
             weights = random_suggest(config.k, rng)
         t0 = time.perf_counter()
@@ -451,13 +620,23 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
         # No pool at jobs=1: a one-worker pool raised search-patchnet peak RSS 71 -> 104 MB.
         run_batch = (stack.enter_context(ThreadPoolExecutor(config.jobs)).map
                      if config.jobs > 1 else map)
+        best_objective = math.inf
         for start in range(0, config.n_trials, config.jobs):
             ids = range(start, min(start + config.jobs, config.n_trials))
+            # Every trial of a batch sees the same history: fit its densities once.
+            if config.sampler == "tpe":
+                densities = fit_tpe(history, config.k)
             batch = list(run_batch(run_one, ids))
             history.extend(batch)
             if log_fh is not None:
                 log_fh.writelines(record.to_json() + "\n" for record in batch)
                 log_fh.flush()
+            best_objective = min([best_objective, *(r.objective for r in batch
+                                                    if r.state == STATE_COMPLETE)])
+            logger.info("trials %d/%d: objectives %s, best %.6g", len(history),
+                        config.n_trials,
+                        ", ".join("failed" if r.objective is None else f"{r.objective:.6g}"
+                                  for r in batch), best_objective)
 
     result = StudyResult.from_trials(history, config.k, config.sampler_config())
     best = result.best_trial

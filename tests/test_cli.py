@@ -15,6 +15,7 @@ import mixsearch
 from mixsearch import benchmark, embedding, pipeline, report
 from mixsearch.cli import _train_config, build_parser, main
 from mixsearch.pipeline import RunManifest
+from mixsearch.search import N_STARTUP
 from mixsearch.trainers import ExternalProtocol, TrainConfig
 
 SEED = 7
@@ -111,8 +112,8 @@ class TestDispatch:
         assert proc.stdout.strip() == "False"
 
     def test_start_up_loads_no_stage_scipy_module(self):
-        # Each stage imports the scipy module only it needs: search (TPE)
-        # special; preprocess and cluster need none.  Start-up loads none.
+        # No stage needs scipy: preprocess, embed, cluster and search (TPE)
+        # are numpy alone.  Start-up loads none of these modules either.
         loaded = ("print(sorted(m for m in ('scipy.special', 'scipy.spatial', "
                   "'scipy.signal') if m in sys.modules))")
         for run in ("import mixsearch.cli",
@@ -167,6 +168,24 @@ class TestDispatch:
                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_search_loads_no_scipy(self, raw_csv, tmp_path):
+        # TPE's normal CDF and quantile are numpy: a ridge search past the
+        # startup trials, and the selftest, load no scipy module.
+        common = clustered_run(tmp_path / "run", raw_csv)
+        search_args = ["search", *common, "--trials", str(N_STARTUP + 4), "--jobs", "2",
+                       "--trainer", "ridge"]
+        selftest_args = ["selftest", "--out", str(tmp_path / "selftest"), "--seed", "3",
+                         "--jobs", "2", "--windows-per-regime", "150",
+                         "--log-level", "warning"]
+        proc = self._child("-c", "import sys; from mixsearch.cli import main; "
+                           f"assert main({search_args!r}) == 0; "
+                           f"assert main({selftest_args!r}) == 0; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        trials = (tmp_path / "run" / "trials.jsonl").read_text().splitlines()
+        assert len(trials) == N_STARTUP + 4
 
     def test_full_scale_defaults(self):
         parser = build_parser()

@@ -1,4 +1,6 @@
 
+import logging
+import math
 import time
 import tracemalloc
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixsearch import search
 from mixsearch.search import (
     EPS,
     N_CANDIDATES,
@@ -23,9 +26,12 @@ from mixsearch.search import (
     TrialRecord,
     build_mixture,
     default_gamma,
+    fit_tpe,
     gamma_split,
     load_trial_log,
     mixture_counts,
+    ndtr,
+    ndtri,
     random_suggest,
     round_half_up,
     run_study,
@@ -256,6 +262,18 @@ class TestParzenDensity:
             ParzenDensity([0.5]).pdf(-0.2)
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 300), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 1.0))
+    def test_pdf_only_density_keeps_every_mass(self, k, n, seed, scale):
+        # Observations scaled toward 0 put lower bounds on both sides of the
+        # point where sampled=False stops computing their CDF.
+        obs = np.random.default_rng(seed).uniform(size=(k, n)) * scale
+        full, pdf_only = ParzenDensity(obs), ParzenDensity(obs, sampled=False)
+        assert pdf_only.trunc_mass.tobytes() == full.trunc_mass.tobytes()
+        with pytest.raises(SearchError, match="sampled=False"):
+            pdf_only.sample(np.random.default_rng(seed), 3)
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 40), st.integers(0, 2**32 - 1))
     def test_rows_match_one_dimensional_densities(self, k, n, seed):
         rng = np.random.default_rng(seed)
@@ -270,6 +288,82 @@ class TestParzenDensity:
             assert pdf[r].tobytes() == single.pdf(x[r]).tobytes()
             assert pdf[r].tobytes() == reference_pdf(single, x[r]).tobytes()
             assert samples[r].tobytes() == single.sample(draw_rng, 5).tobytes()
+
+
+def around(values, ulps=1):
+    """Each value and its ``ulps`` nearest floats on either side."""
+    out = []
+    for v in values:
+        lo = hi = float(v)
+        out.append(lo)
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype == np.float64
+    mismatch = got.view(np.int64) != expected.view(np.int64)
+    assert not mismatch.any(), (got[mismatch][:5], expected[mismatch][:5])
+
+
+MAXLOG = 7.09782712893383996843e2
+# Where Cephes' ndtr, erf and erfc change branch, in z = |a| / sqrt(2); 6.5
+# is where the upper tail stops evaluating exp.
+NDTR_EDGES = [1 / math.sqrt(2), 1.0, 6.5, 8.0, math.sqrt(MAXLOG)]
+
+
+class TestNormal:
+    """ndtr and ndtri against scipy.special, bit for bit, where scipy is installed."""
+
+    def test_ndtr_edge_cases(self):
+        special = pytest.importorskip("scipy.special")
+        # Each edge as an argument and as z, two ulps either side of the
+        # scaled edge so the branch test itself flips.
+        edges = around([e * s for e in NDTR_EDGES for s in (1.0, math.sqrt(2))], ulps=2)
+        x = np.concatenate([edges, -edges, around([0.0, 5e-324]), -around([5e-324]),
+                            [-0.0, math.inf, -math.inf, 37.5, -37.5, 40.0, -40.0]])
+        assert_same_bits(ndtr(x), special.ndtr(x))
+
+    def test_ndtri_edge_cases(self):
+        special = pytest.importorskip("scipy.special")
+        y = np.concatenate([around([math.exp(-2), 1 - math.exp(-2), 0.5, math.exp(-32),
+                                    5e-324, 1.0 - 2**-53]),
+                            [0.0, 1.0, 2.2250738585072014e-308, 1e-300]])
+        assert_same_bits(ndtri(y), special.ndtri(y))
+        assert np.isnan(ndtri(np.array([-0.5, 1.5, np.nan]))).all()
+
+    def test_seeded_sweep_through_every_branch(self):
+        # A one-ulp change to one coefficient moves well under 1% of results,
+        # so this takes many arguments from each branch's range.
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(size=20000) * 4, rng.uniform(-40.0, 40.0, 20000)])
+        assert_same_bits(ndtr(x), special.ndtr(x))
+        y = np.concatenate([rng.uniform(size=20000), np.exp(-rng.uniform(0.0, 40.0, 20000)),
+                            -np.expm1(-rng.uniform(0.0, 36.0, 20000))])
+        assert_same_bits(ndtri(y), special.ndtri(y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.floats(-40.0, 40.0)),
+                    min_size=1, max_size=64))
+    def test_ndtr_matches_scipy(self, xs):
+        special = pytest.importorskip("scipy.special")
+        x = np.array(xs)
+        assert_same_bits(ndtr(x), special.ndtr(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-10)),
+                    min_size=1, max_size=64))
+    def test_ndtri_matches_scipy(self, ys):
+        special = pytest.importorskip("scipy.special")
+        y = np.array(ys)
+        assert_same_bits(ndtri(y), special.ndtri(y))
+
+    def test_ndtr_of_a_matrix_keeps_its_shape(self):
+        x = np.linspace(-10.0, 10.0, 12).reshape(3, 4)
+        np.testing.assert_array_equal(ndtr(x), ndtr(x.ravel()).reshape(3, 4))
 
 
 class TestSuggest:
@@ -419,6 +513,41 @@ class TestRunStudy:
             expected = tpe_suggest(result.trials[:t - t % jobs], 3,
                                    trial_rng(11, t, STREAM_SUGGEST))
             np.testing.assert_array_equal(trial.weights, expected)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_densities_fitted_once_per_batch(self, jobs, monkeypatch):
+        fitted_at = []
+
+        def counting_fit(history, k):
+            densities = fit_tpe(history, k)
+            if densities is not None:
+                fitted_at.append(len(history))
+            return densities
+
+        def objective(trial_id, weights):
+            return TrialEvaluation(float(((weights - 0.4) ** 2).sum()), 1, {}, {})
+        monkeypatch.setattr(search, "fit_tpe", counting_fit)
+        result = run_study(StudyConfig(n_trials=30, k=3, jobs=jobs, seed=11), objective)
+        monkeypatch.undo()
+        # Batch starts from the first with N_STARTUP completed trials on.
+        assert fitted_at == [s for s in range(0, 30, jobs) if s >= N_STARTUP]
+        for t, trial in enumerate(result.trials):
+            expected = tpe_suggest(result.trials[:t - t % jobs], 3,
+                                   trial_rng(11, t, STREAM_SUGGEST))
+            assert trial.weights.tobytes() == expected.tobytes()
+
+    def test_logs_progress_once_per_batch(self, caplog):
+        def objective(trial_id, weights):
+            if trial_id == 1:
+                raise RuntimeError("synthetic crash")
+            return TrialEvaluation(10.0 - trial_id, 1, {}, {})
+        with caplog.at_level(logging.INFO, logger="mixsearch.search"):
+            run_study(StudyConfig(n_trials=5, k=1, jobs=2, seed=0), objective)
+        progress = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("trials ")]
+        assert progress == ["trials 2/5: objectives 10, failed, best 10",
+                            "trials 4/5: objectives 8, 7, best 7",
+                            "trials 5/5: objectives 6, best 6"]
 
     def test_trial_log_roundtrip(self, tmp_path):
         log = tmp_path / "trials.jsonl"
