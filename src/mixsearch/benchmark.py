@@ -13,7 +13,7 @@ setup rewards a search that learns to discard uninformative clusters.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,6 @@ class BenchmarkOutcome:
     cluster_model: clustering.ClusterModel
     study: search.StudyResult
     baseline: search.TrialEvaluation   # full-data mixture, all weights 1
-    context: trainers.TrialContext     # the study's ridge context, scored on val
     signal_clusters: np.ndarray   # bool per cluster: majority regime is a signal regime
 
     @property
@@ -165,22 +164,12 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
                                 sampler=sampler, seed=master_seed)
     study, baseline = pipeline.search_mixture(context, train_idx, model.assignments, config)
     outcome = BenchmarkOutcome(
-        data=data, cluster_model=model, study=study, baseline=baseline, context=context,
+        data=data, cluster_model=model, study=study, baseline=baseline,
         signal_clusters=signal_cluster_mask(data, model))
     logger.info("benchmark seed %d: baseline mse %.5f, best mse %.5f, "
                 "mixture fraction %.3f", master_seed, baseline.objective,
                 study.best_trial.objective, outcome.best_mixture_fraction)
     return outcome
-
-
-def evaluate_weights_on_test(outcome: BenchmarkOutcome,
-                             weights: np.ndarray, trial_tag: int = -2) -> float:
-    """Average test MSE of a ridge model trained on the mixture for ``weights``."""
-    context = replace(outcome.context, split=SPLIT_TEST)
-    objective = context.objective(outcome.data.train_indices,
-                                  outcome.cluster_model.assignments,
-                                  outcome.study.sampler_config["seed"])
-    return objective(trial_tag, weights).objective
 
 
 def write_raw_profile_csv(path, seed: int, profile_ids: tuple[int, ...] = tuple(range(8)),

@@ -185,10 +185,10 @@ class WindowSet:
 def load_dataset(path: str | Path, schema: dict[str, str]) -> RawTable:
     """Parse a CSV file into a :class:`RawTable` under a column-role schema.
 
-    The header must match the schema keys exactly.  Exactly one column must
-    carry role ``id`` and hold integer profile ids; every cell of the other
-    columns must parse to a finite number.  Errors name the offending row
-    (1-based, counting data rows) and column.
+    The header must match the schema keys exactly, each named once.  Exactly
+    one column must carry role ``id`` and hold int64 profile ids; every cell
+    of the other columns must parse to a finite number.  Errors name the
+    offending row (1-based, counting data rows) and column.
     """
     _validate_schema(schema)
     path = Path(path)
@@ -202,6 +202,9 @@ def load_dataset(path: str | Path, schema: dict[str, str]) -> RawTable:
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise DatasetError(f"{path}: column(s) {repeated} named more than once")
         missing = [c for c in schema if c not in header]
         if missing:
             raise DatasetError(f"{path}: missing column(s) {missing}")
@@ -261,9 +264,9 @@ def _parse_profile_id(text: str, path: Path, row_no: int, col: str) -> int:
     except ValueError:
         raise DatasetError(
             f"{path}: row {row_no}, column {col!r}: unparsable value {text!r}") from None
-    if not math.isfinite(value) or value != int(value):
+    if not math.isfinite(value) or value != int(value) or not -2**63 <= value < 2**63:
         raise DatasetError(
-            f"{path}: row {row_no}, column {col!r}: profile id must be an integer, got {text!r}")
+            f"{path}: row {row_no}, column {col!r}: profile id must be an int64, got {text!r}")
     return int(value)
 
 

@@ -265,6 +265,9 @@ def load_schema(schema_path: str | None, id_col: str | None,
                 raise DatasetError(
                     f"{schema_path}: line {line_no}: expected column=role")
             column, role = (part.strip() for part in line.split("=", 1))
+            if column in schema:
+                raise DatasetError(
+                    f"{schema_path}: line {line_no}: column {column!r} given twice")
             schema[column] = role
         return schema
     if not (id_col and input_cols and target_cols):

@@ -14,7 +14,6 @@ import json
 import logging
 import shutil
 from collections.abc import Callable
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -35,14 +34,6 @@ class ReportError(ValueError):
     pass
 
 
-@dataclass
-class ReportBundle:
-    weights_rows: list[tuple[int, float, int]]       # (cluster, weight, rank)
-    counts_rows: list[tuple[int, int, int]]          # (cluster, C_k, n_k)
-    sweep_rows: list[tuple[float, int, float]]       # (fraction, n_windows, test mse)
-    summary: dict
-
-
 def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     """Member count per cluster; every id must lie in ``[0, len(weights))``."""
     k = weights.shape[0]
@@ -54,9 +45,10 @@ def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
 def emit_reports(study: StudyResult, assignments: np.ndarray,
                  baseline: float | None,
                  sweep_rows: list[tuple[float, int, float]] | None,
-                 path_of: Callable[[str], Path]) -> ReportBundle:
+                 path_of: Callable[[str], Path]) -> dict:
     """Write ``weights.csv``, ``counts.csv``, ``sweep.csv`` and
-    ``summary.json``, each file ``name`` to ``path_of(name)``.
+    ``summary.json``, each file ``name`` to ``path_of(name)``, and return the
+    summary.
 
     ``assignments`` holds the cluster id of every training window.  The
     counts table recomputes n_k from the best trial's weights with the
@@ -97,16 +89,14 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
                               "full-data baseline avg_mse is 0") + "; improvement omitted"
         logger.warning("summary: %s", summary["warning"])
 
-    sweep_rows = list(sweep_rows or [])
     _write_csv(path_of("weights.csv"), ["cluster_id", "weight", "rank"],
                ([c, repr(w), rank] for c, w, rank in weights_rows))
     _write_csv(path_of("counts.csv"),
                ["cluster_id", "original_count", "weighted_count"], counts_rows)
     _write_csv(path_of("sweep.csv"), ["fraction", "n_windows", "test_avg_mse"],
-               ([repr(float(f)), n, repr(float(mse))] for f, n, mse in sweep_rows))
+               ([repr(float(f)), n, repr(float(mse))] for f, n, mse in sweep_rows or []))
     write_json(path_of("summary.json"), summary)
-    return ReportBundle(weights_rows=weights_rows, counts_rows=counts_rows,
-                        sweep_rows=sweep_rows, summary=summary)
+    return summary
 
 
 def write_json(path: Path, payload) -> None:

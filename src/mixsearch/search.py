@@ -84,18 +84,6 @@ def trial_seed_int(master_seed: int, trial_id: int, stream: int) -> int:
 # ---------------------------------------------------------------------------
 # Mixture construction
 
-@dataclass
-class MixtureIndex:
-    """One trial's selected member positions, grouped by ascending cluster id."""
-
-    indices: np.ndarray  # (total,) int64, each cluster's members sorted
-    counts: np.ndarray   # (k,) int64, n_k per cluster
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -106,9 +94,10 @@ def mixture_counts(sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def build_mixture(assignments: np.ndarray, weights: np.ndarray,
-                  seed: int | np.random.Generator) -> MixtureIndex:
-    """Sample n_k = round(C_k * w_k) member indices per cluster, uniformly
-    without replacement.  Raises :class:`EmptyMixtureError` when every n_k
+                  rng: np.random.Generator) -> np.ndarray:
+    """Sample n_k = round(C_k * w_k) member positions per cluster, uniformly
+    without replacement, and return them grouped by ascending cluster id,
+    each cluster's sorted.  Raises :class:`EmptyMixtureError` when every n_k
     rounds to zero."""
     assignments = np.asarray(assignments)
     weights = np.asarray(weights, dtype=np.float64)
@@ -122,7 +111,6 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
     if assignments.min() < 0 or assignments.max() >= k:
         raise SearchError(f"assignments reference clusters outside [0, {k})")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sizes = np.bincount(assignments, minlength=k)
     counts = mixture_counts(sizes, weights)
     if not counts.any():
@@ -131,7 +119,7 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
     groups = cluster_members(assignments, k)
     parts = [np.sort(rng.choice(groups[c], size=int(counts[c]), replace=False))
              if counts[c] < sizes[c] else groups[c] for c in np.flatnonzero(counts)]
-    return MixtureIndex(indices=np.concatenate(parts), counts=counts)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +378,21 @@ def ndtri(y0: np.ndarray) -> np.ndarray:
 
 
 class ParzenDensity:
-    """Mixture of a uniform prior on [0, 1] and one truncated Gaussian per
-    observation, all components equally weighted.
+    """k independent densities on [0, 1], one per row of a (k, n) matrix of
+    ``observations``: each is a mixture of a uniform prior and one truncated
+    Gaussian per observation of its row, all components equally weighted.
 
-    ``observations`` is a vector (one density) or a (k, n) matrix whose k rows
-    are k independent densities over n observations each; ``obs``, ``bw`` and
-    ``trunc_mass`` hold one row per density either way.  The bandwidth of each
-    Gaussian is the larger of the gaps to its left and right neighbors among
-    its row's observations extended with the domain edges {0, 1}, floored at
-    :func:`bandwidth_floor` of the observation count.
-
-    A density built with ``sampled=False`` only evaluates :meth:`pdf`: it
-    skips the normal CDFs that sampling needs but no kernel's mass does.
+    ``obs``, ``bw`` and ``trunc_mass`` hold one row per density.  The bandwidth
+    of each Gaussian is the larger of the gaps to its left and right neighbors
+    among its row's observations extended with the domain edges {0, 1},
+    floored at :func:`bandwidth_floor` of the observation count.
     """
 
-    def __init__(self, observations: Sequence[float] | np.ndarray, sampled: bool = True):
+    def __init__(self, observations: np.ndarray):
         obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim not in (1, 2):
-            raise SearchError("observations must be a vector or a (k, n) matrix")
-        self._vector = obs.ndim == 1
-        obs = np.sort(np.atleast_2d(obs), axis=1)
+        if obs.ndim != 2:
+            raise SearchError("observations must be a (k, n) matrix")
+        obs = np.sort(obs, axis=1)
         if obs.size and (obs.min() < 0.0 or obs.max() > 1.0):
             raise SearchError("observations must lie in [0, 1]")
         self.obs = obs
@@ -424,35 +407,32 @@ class ParzenDensity:
         # ulp of that, so taking it as 0 leaves the mass exact.
         upper = ((1.0 - obs) / self.bw).reshape(-1)
         lower = ((0.0 - obs) / self.bw).reshape(-1)
-        need = slice(None) if sampled else np.flatnonzero(lower * _SQRTH > -6.5)
+        need = np.flatnonzero(lower * _SQRTH > -6.5)
         cdf = ndtr(np.concatenate([upper, lower[need]]))
         cdf_lo = np.zeros_like(lower)
         cdf_lo[need] = cdf[upper.size:]
         self._cdf_hi = cdf[:upper.size].reshape(obs.shape)
-        self._cdf_lo = cdf_lo.reshape(obs.shape) if sampled else None
         self.trunc_mass = self._cdf_hi - cdf_lo.reshape(obs.shape)
 
     @property
     def n_components(self) -> int:
         return self.obs.shape[1] + 1
 
-    def pdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Density at ``x``: a scalar or vector for one density, a (k, m)
-        matrix for k rows, row i evaluated under density i."""
-        x_arr = np.asarray(x, dtype=np.float64)
-        if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        """Density at a (k, m) matrix ``x``, row i evaluated under density i."""
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(x < 0.0) or np.any(x > 1.0):
             raise SearchError("density is defined on [0, 1]")
-        x2 = np.atleast_1d(x_arr)[None, :] if self._vector else x_arr
         obs, bw, mass = self.obs, self.bw, self.trunc_mass
         norm = bw * math.sqrt(2.0 * math.pi)
-        total = np.ones_like(x2)  # uniform prior component
+        total = np.ones_like(x)  # uniform prior component
         if obs.shape[1]:
             # One (rows, m, n) buffer, reused by every block and worked in
             # place, keeps the per-element arithmetic of the one-density formula.
-            buf = np.empty((min(PDF_BLOCK_ROWS, len(obs)), x2.shape[1], obs.shape[1]))
+            buf = np.empty((min(PDF_BLOCK_ROWS, len(obs)), x.shape[1], obs.shape[1]))
             for start in range(0, len(obs), PDF_BLOCK_ROWS):
                 b = slice(start, start + PDF_BLOCK_ROWS)
-                z = np.subtract(x2[b, :, None], obs[b, None, :], out=buf[:len(obs[b])])
+                z = np.subtract(x[b, :, None], obs[b, None, :], out=buf[:len(obs[b])])
                 z /= bw[b, None, :]
                 z *= z
                 z *= -0.5
@@ -460,17 +440,12 @@ class ParzenDensity:
                 z /= norm[b, None, :]
                 z /= mass[b, None, :]
                 total[b] += z.sum(axis=2)
-        result = total / self.n_components
-        if not self._vector:
-            return result
-        return result[0] if np.ndim(x) else float(result[0, 0])
+        return total / self.n_components
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws per density: a vector for one density, (k, size) for k
-        rows.  Each row draws its component indices, then its uniforms, row by
-        row in row order, as k one-density calls would."""
-        if self._cdf_lo is None:
-            raise SearchError("density was built with sampled=False")
+        """``size`` draws per density, a (k, size) matrix.  Each row draws its
+        component indices, then its uniforms, row by row in row order, as k
+        one-row densities would."""
         k = len(self.obs)
         comp = np.empty((k, size), dtype=np.int64)
         u = np.empty((k, size), dtype=np.float64)
@@ -482,11 +457,13 @@ class ParzenDensity:
         if gauss.any():
             row, _ = np.nonzero(gauss)
             i = comp[gauss] - 1
-            lo, hi = self._cdf_lo[row, i], self._cdf_hi[row, i]
+            obs, bw = self.obs[row, i], self.bw[row, i]
+            # Only drawn kernels need their lower-bound CDF in full; ndtr works
+            # element by element, so the subset has the full call's bits.
+            lo, hi = ndtr((0.0 - obs) / bw), self._cdf_hi[row, i]
             p = lo + u[gauss] * (hi - lo)
-            out[gauss] = self.obs[row, i] + self.bw[row, i] * ndtri(p)
-        out = np.clip(out, 0.0, 1.0)
-        return out[0] if self._vector else out
+            out[gauss] = obs + bw * ndtri(p)
+        return np.clip(out, 0.0, 1.0)
 
 
 def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -510,28 +487,18 @@ def fit_tpe(history: Sequence[TrialRecord], k: int
         return None
     good, bad = (np.array([t.weights for t in part]).reshape(len(part), k).T
                  for part in gamma_split(completed))
-    return ParzenDensity(good), ParzenDensity(bad, sampled=False)
+    return ParzenDensity(good), ParzenDensity(bad)
 
 
-def tpe_suggest(history: Sequence[TrialRecord], k: int,
-                rng: np.random.Generator | None = None,
-                densities: tuple[ParzenDensity, ParzenDensity] | None = None
-                ) -> np.ndarray:
+def tpe_suggest(densities: tuple[ParzenDensity, ParzenDensity] | None, k: int,
+                rng: np.random.Generator) -> np.ndarray:
     """Propose a weight vector by maximizing the good/bad density ratio.
 
-    Until :data:`N_STARTUP` trials have completed the proposal is uniform
-    random.  Afterwards :data:`N_CANDIDATES` draws are taken per row from the
-    good density of :func:`fit_tpe`, dimension by dimension in order, and in
-    each row the draw maximizing good(x) / (bad(x) + eps) wins.  ``densities``
-    is ``fit_tpe(history, k)`` when the caller has fitted it already; without
-    it the history is fitted here.
+    ``densities`` is :func:`fit_tpe` of the history; while it is None the
+    proposal is uniform random.  Otherwise :data:`N_CANDIDATES` draws are
+    taken per row from the good density, dimension by dimension in order, and
+    in each row the draw maximizing good(x) / (bad(x) + eps) wins.
     """
-    if k < 1:
-        raise SearchError("k must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    if densities is None:
-        densities = fit_tpe(history, k)
     if densities is None:
         return random_suggest(k, rng)
     density_good, density_bad = densities
@@ -589,7 +556,7 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
     def run_one(trial_id: int) -> TrialRecord:
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
         if config.sampler == "tpe":
-            weights = tpe_suggest(history, config.k, rng, densities)
+            weights = tpe_suggest(densities, config.k, rng)
         else:
             weights = random_suggest(config.k, rng)
         t0 = time.perf_counter()

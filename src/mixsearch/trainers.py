@@ -480,6 +480,6 @@ class TrialContext:
             rng = search.trial_rng(master_seed, trial_id, search.STREAM_MIXTURE)
             mixture = search.build_mixture(assignments, weights, rng)
             seed = search.trial_seed_int(master_seed, trial_id, search.STREAM_TRAINER)
-            return self.score(train_idx[mixture.indices], seed, trial_id)
+            return self.score(train_idx[mixture], seed, trial_id)
 
         return objective

@@ -123,10 +123,10 @@ class TestCriterion04MixtureArithmetic:
         sizes = rng.integers(1, 400, size=1000)
         weights = rng.uniform(size=1000)
         assignments = np.repeat(np.arange(1000), sizes)
-        mix = build_mixture(assignments, weights, seed=0)
-        gaps = np.abs(mix.counts - sizes * weights)
-        full = build_mixture(assignments, np.ones(1000), seed=0)
-        identity = set(full.indices.tolist()) == set(range(int(sizes.sum())))
+        mix = build_mixture(assignments, weights, np.random.default_rng(0))
+        gaps = np.abs(np.bincount(assignments[mix], minlength=1000) - sizes * weights)
+        full = build_mixture(assignments, np.ones(1000), np.random.default_rng(0))
+        identity = set(full.tolist()) == set(range(int(sizes.sum())))
         ok = bool(np.all(gaps <= 0.5) and identity)
         report("04 mixture-arithmetic", ok,
                f"max |n_k - C_k*w_k| = {gaps.max():.3f}, full-set identity {identity}")
@@ -248,8 +248,8 @@ class TestCriterion09ParzenNormalization:
         worst = 0.0
         for _ in range(100):
             n = int(rng.integers(0, 40))
-            density = ParzenDensity(rng.uniform(size=n))
-            total = float(np.trapezoid(density.pdf(xs), xs))
+            density = ParzenDensity(rng.uniform(size=(1, n)))
+            total = float(np.trapezoid(density.pdf(xs[None, :])[0], xs))
             worst = max(worst, abs(total - 1.0))
         report("09 parzen-normalization", worst <= 1e-3,
                f"worst |integral - 1| = {worst:.2e}")

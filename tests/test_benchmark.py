@@ -57,14 +57,15 @@ class TestOutcome:
 
     def test_optimized_mixture_beats_every_random_subset_size(self, outcome):
         best_weights = np.asarray(outcome.study.best_trial.weights)
-        optimized_test_mse = benchmark.evaluate_weights_on_test(outcome, best_weights)
-
         data = outcome.data
         features = data.features.data.astype(np.float64)
         train_idx = data.train_indices
 
         context = TrialContext(TrainConfig(ridge_lambda=1e-3), data.windows,
                                features, split=SPLIT_TEST)
+        optimized_test_mse = context.objective(
+            train_idx, outcome.cluster_model.assignments,
+            outcome.study.sampler_config["seed"])(-2, best_weights).objective
 
         def score_fn(subset):
             return context.score(train_idx[subset], seed=0).objective

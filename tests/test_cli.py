@@ -14,6 +14,7 @@ import pytest
 import mixsearch
 from mixsearch import benchmark, embedding, pipeline, report
 from mixsearch.cli import _train_config, build_parser, main
+from mixsearch.dataset import DatasetError
 from mixsearch.pipeline import RunManifest
 from mixsearch.search import N_STARTUP
 from mixsearch.trainers import ExternalProtocol, TrainConfig
@@ -507,6 +508,18 @@ class TestStages:
                      "--id-col", "profile_id", "--input-cols", "u_d,u_q,speed"]) == 1
         assert "provide --schema or all of" in capsys.readouterr().err
 
+    def test_profile_id_beyond_int64_exits_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("profile_id,u_d,pm\n1,0.5,2.0\n1e20,0.6,2.1\n")
+        schema_path = tmp_path / "schema.txt"
+        schema_path.write_text("profile_id=id\nu_d=input\npm=target\n")
+        assert main(["preprocess", "--out", str(tmp_path / "run"), "--seed", "0",
+                     "--log-level", "warning", "--data", str(csv_path),
+                     "--schema", str(schema_path), *PREP]) == 1
+        err = capsys.readouterr().err
+        assert "error: DatasetError" in err and "row 2, column 'profile_id'" in err
+        assert "Traceback" not in err
+
     def test_stage_out_of_order_is_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
         rc = main(["cluster", "--out", str(out), "--seed", "0", "--log-level", "warning"])
@@ -578,6 +591,26 @@ class TestStages:
             EmbeddingMatrix(np.zeros((3, 5), np.float32), "builtin"), ext)
         assert main(["embed", *common, "--embeddings", str(ext)]) == 1
         assert "rows" in capsys.readouterr().err
+
+
+class TestLoadSchema:
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "schema.txt"
+        path.write_text("# roles\n\nprofile_id = id\n  # inputs\nu_d=input\n\npm=target\n")
+        assert pipeline.load_schema(str(path), None, None, None) == {
+            "profile_id": "id", "u_d": "input", "pm": "target"}
+
+    def test_line_without_equals_names_its_line(self, tmp_path):
+        path = tmp_path / "schema.txt"
+        path.write_text("profile_id=id\n# note\nu_d input\npm=target\n")
+        with pytest.raises(DatasetError, match=r"line 3: expected column=role"):
+            pipeline.load_schema(str(path), None, None, None)
+
+    def test_column_given_twice_names_the_second_line(self, tmp_path):
+        path = tmp_path / "schema.txt"
+        path.write_text("profile_id=id\nu_d=input\npm=target\nu_d=target\n")
+        with pytest.raises(DatasetError, match=r"line 4: column 'u_d' given twice"):
+            pipeline.load_schema(str(path), None, None, None)
 
 
 class TestTrainerBranches:

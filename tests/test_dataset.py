@@ -90,6 +90,22 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-finite"):
             load_dataset(path, self.SCHEMA)
 
+    def test_repeated_header_column_rejected(self, csv_factory):
+        path = csv_factory(["profile_id", "u_d", "u_d", "pm"], [[1, 1.0, 2.0, 3.0]])
+        with pytest.raises(DatasetError, match=r"\['u_d'\] named more than once"):
+            load_dataset(path, self.SCHEMA)
+
+    @pytest.mark.parametrize("pid", ["1e20", "9223372036854775808", "-9.3e18"])
+    def test_profile_id_beyond_int64_names_row_and_column(self, csv_factory, pid):
+        path = csv_factory(["profile_id", "u_d", "pm"], [[1, 0.5, 2.0], [pid, 0.6, 2.1]])
+        with pytest.raises(DatasetError, match=r"row 2, column 'profile_id'.*int64"):
+            load_dataset(path, self.SCHEMA)
+
+    def test_profile_ids_at_int64_limits_load(self, csv_factory):
+        path = csv_factory(["profile_id", "u_d", "pm"],
+                           [[-2**63, 0.5, 2.0], [2**62, 0.6, 2.1]])
+        assert load_dataset(path, self.SCHEMA).profiles() == [-2**63, 2**62]
+
     def test_schema_needs_roles(self):
         with pytest.raises(DatasetError, match="id column"):
             load_dataset("whatever.csv", {"a": "input", "b": "target"})

@@ -56,11 +56,11 @@ def reference_tpe_suggest(history, k, rng):
     good, bad = gamma_split(completed)
     suggestion = np.empty(k, dtype=np.float64)
     for d in range(k):
-        density_good = ParzenDensity([t.weights[d] for t in good])
-        density_bad = ParzenDensity([t.weights[d] for t in bad])
+        density_good = ParzenDensity([[t.weights[d] for t in good]])
+        density_bad = ParzenDensity([[t.weights[d] for t in bad]])
         candidates = density_good.sample(rng, N_CANDIDATES)
         score = density_good.pdf(candidates) / (density_bad.pdf(candidates) + EPS)
-        suggestion[d] = candidates[int(np.argmax(score))]
+        suggestion[d] = candidates[0, int(np.argmax(score))]
     return suggestion
 
 
@@ -114,47 +114,47 @@ def quadratic_objective(center):
 class TestBuildMixture:
     def test_half_weight_on_thousand(self):
         assignments = np.zeros(1000, dtype=np.int64)
-        mix = build_mixture(assignments, np.array([0.5]), seed=0)
-        assert mix.counts[0] == 500
-        assert mix.total == 500
+        mix = build_mixture(assignments, np.array([0.5]), np.random.default_rng(0))
+        assert np.bincount(assignments[mix], minlength=1)[0] == 500
+        assert mix.size == 500
 
     def test_all_zero_weights_fail_the_trial(self):
         assignments = np.array([0, 0, 1, 1])
         with pytest.raises(EmptyMixtureError):
-            build_mixture(assignments, np.array([0.0, 0.0]), seed=0)
+            build_mixture(assignments, np.array([0.0, 0.0]), np.random.default_rng(0))
 
     def test_all_ones_reproduce_the_full_set(self):
         rng = np.random.default_rng(0)
         assignments = rng.integers(0, 5, size=200)
-        mix = build_mixture(assignments, np.ones(5), seed=0)
-        assert mix.total == 200
-        assert set(mix.indices.tolist()) == set(range(200))
+        mix = build_mixture(assignments, np.ones(5), np.random.default_rng(0))
+        assert mix.size == 200
+        assert set(mix.tolist()) == set(range(200))
 
     def test_no_duplicate_indices(self):
         rng = np.random.default_rng(1)
         assignments = rng.integers(0, 4, size=300)
-        mix = build_mixture(assignments, rng.uniform(size=4), seed=1)
-        idx = mix.indices
+        idx = build_mixture(assignments, rng.uniform(size=4), np.random.default_rng(1))
         assert len(np.unique(idx)) == len(idx)
 
     def test_indices_belong_to_their_cluster(self):
         rng = np.random.default_rng(2)
         assignments = rng.integers(0, 3, size=120)
-        mix = build_mixture(assignments, np.array([0.5, 0.9, 0.1]), seed=2)
-        np.testing.assert_array_equal(assignments[mix.indices],
-                                      np.repeat(np.arange(3), mix.counts))
+        mix = build_mixture(assignments, np.array([0.5, 0.9, 0.1]), np.random.default_rng(2))
+        np.testing.assert_array_equal(assignments[mix], np.repeat(
+            np.arange(3), np.bincount(assignments[mix], minlength=3)))
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
         assignments = rng.integers(0, 3, size=90)
         w = np.array([0.3, 0.6, 0.8])
-        a = build_mixture(assignments, w, seed=42)
-        b = build_mixture(assignments, w, seed=42)
-        np.testing.assert_array_equal(a.indices, b.indices)
+        a = build_mixture(assignments, w, np.random.default_rng(42))
+        b = build_mixture(assignments, w, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
 
     def test_round_half_up(self):
         assignments = np.zeros(3, dtype=np.int64)
-        assert build_mixture(assignments, np.array([0.5]), seed=0).counts[0] == 2
+        mix = build_mixture(assignments, np.array([0.5]), np.random.default_rng(0))
+        assert np.bincount(assignments[mix], minlength=1)[0] == 2
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10_000), st.floats(0.0, 1.0)),
@@ -171,19 +171,21 @@ class TestBuildMixture:
     def test_count_within_half_of_product(self, size, weight):
         assignments = np.zeros(size, dtype=np.int64)
         try:
-            mix = build_mixture(assignments, np.array([weight]), seed=0)
-            n = int(mix.counts[0])
+            mix = build_mixture(assignments, np.array([weight]), np.random.default_rng(0))
+            n = int(np.bincount(assignments[mix], minlength=1)[0])
         except EmptyMixtureError:
             n = 0
         assert abs(n - size * weight) <= 0.5
 
     def test_rejects_bad_weights(self):
         with pytest.raises(SearchError, match=r"\[0, 1\]"):
-            build_mixture(np.zeros(3, dtype=np.int64), np.array([1.2]), seed=0)
+            build_mixture(np.zeros(3, dtype=np.int64), np.array([1.2]),
+                          np.random.default_rng(0))
 
     def test_rejects_nan_weights(self):
         with pytest.raises(SearchError, match=r"\[0, 1\]"):
-            build_mixture(np.zeros(3, dtype=np.int64), np.array([np.nan]), seed=0)
+            build_mixture(np.zeros(3, dtype=np.int64), np.array([np.nan]),
+                          np.random.default_rng(0))
 
     @settings(max_examples=200, deadline=None)
     @given(mixture_cases())
@@ -193,11 +195,11 @@ class TestBuildMixture:
                                                   np.random.default_rng(seed))
         if not counts.any():
             with pytest.raises(EmptyMixtureError):
-                build_mixture(assignments, weights, seed=seed)
+                build_mixture(assignments, weights, np.random.default_rng(seed))
             return
-        mix = build_mixture(assignments, weights, seed=seed)
-        assert mix.counts.tobytes() == counts.tobytes()
-        assert mix.indices.tobytes() == indices.tobytes()
+        mix = build_mixture(assignments, weights, np.random.default_rng(seed))
+        assert np.bincount(assignments[mix], minlength=len(weights)).tobytes() == counts.tobytes()
+        assert mix.tobytes() == indices.tobytes()
 
 
 class TestGammaSplit:
@@ -230,48 +232,49 @@ class TestGammaSplit:
 class TestParzenDensity:
     def test_no_observations_is_uniform(self):
         xs = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(ParzenDensity([]).pdf(xs), np.ones(11))
+        np.testing.assert_array_equal(ParzenDensity(np.empty((1, 0))).pdf(xs[None, :]),
+                                      np.ones((1, 11)))
 
     def test_integral_is_one(self):
         rng = np.random.default_rng(0)
         xs = np.linspace(0.0, 1.0, 4001)
         for n in (1, 2, 5, 20, 60):
-            obs = rng.uniform(size=n)
-            total = np.trapezoid(ParzenDensity(obs).pdf(xs), xs)
+            obs = rng.uniform(size=(1, n))
+            total = np.trapezoid(ParzenDensity(obs).pdf(xs[None, :])[0], xs)
             assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_symmetric_observations_give_symmetric_density(self):
-        d = ParzenDensity([0.3, 0.7])
-        assert d.pdf(0.3) == pytest.approx(d.pdf(0.7), rel=1e-12)
-        assert d.pdf(0.1) == pytest.approx(d.pdf(0.9), rel=1e-12)
+        at_03, at_07, at_01, at_09 = ParzenDensity([[0.3, 0.7]]).pdf([[0.3, 0.7, 0.1, 0.9]])[0]
+        assert at_03 == pytest.approx(at_07, rel=1e-12)
+        assert at_01 == pytest.approx(at_09, rel=1e-12)
 
     def test_samples_stay_in_domain(self):
         rng = np.random.default_rng(1)
-        d = ParzenDensity(rng.uniform(size=8))
+        d = ParzenDensity(rng.uniform(size=(1, 8)))
         samples = d.sample(np.random.default_rng(2), 500)
         assert samples.min() >= 0.0 and samples.max() <= 1.0
 
     def test_density_peaks_near_observations(self):
-        d = ParzenDensity([0.5] * 10)
-        assert d.pdf(0.5) > d.pdf(0.05)
+        at_peak, at_tail = ParzenDensity([[0.5] * 10]).pdf([[0.5, 0.05]])[0]
+        assert at_peak > at_tail
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(SearchError):
-            ParzenDensity([1.5])
+            ParzenDensity([[1.5]])
         with pytest.raises(SearchError):
-            ParzenDensity([0.5]).pdf(-0.2)
+            ParzenDensity([[0.5]]).pdf([[-0.2]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 300), st.integers(0, 2**32 - 1),
            st.floats(0.01, 1.0))
-    def test_pdf_only_density_keeps_every_mass(self, k, n, seed, scale):
+    def test_skipped_lower_cdfs_keep_every_mass(self, k, n, seed, scale):
         # Observations scaled toward 0 put lower bounds on both sides of the
-        # point where sampled=False stops computing their CDF.
+        # point where the density stops computing their CDF.
         obs = np.random.default_rng(seed).uniform(size=(k, n)) * scale
-        full, pdf_only = ParzenDensity(obs), ParzenDensity(obs, sampled=False)
-        assert pdf_only.trunc_mass.tobytes() == full.trunc_mass.tobytes()
-        with pytest.raises(SearchError, match="sampled=False"):
-            pdf_only.sample(np.random.default_rng(seed), 3)
+        density = ParzenDensity(obs)
+        full = (ndtr((1.0 - density.obs) / density.bw)
+                - ndtr((0.0 - density.obs) / density.bw))
+        assert density.trunc_mass.tobytes() == full.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 40), st.integers(0, 2**32 - 1))
@@ -284,10 +287,10 @@ class TestParzenDensity:
         samples = rows.sample(np.random.default_rng(seed), 5)
         draw_rng = np.random.default_rng(seed)
         for r in range(k):
-            single = ParzenDensity(obs[r])
-            assert pdf[r].tobytes() == single.pdf(x[r]).tobytes()
+            single = ParzenDensity(obs[r:r + 1])
+            assert pdf[r].tobytes() == single.pdf(x[r:r + 1])[0].tobytes()
             assert pdf[r].tobytes() == reference_pdf(single, x[r]).tobytes()
-            assert samples[r].tobytes() == single.sample(draw_rng, 5).tobytes()
+            assert samples[r].tobytes() == single.sample(draw_rng, 5)[0].tobytes()
 
 
 def around(values, ulps=1):
@@ -380,7 +383,8 @@ class TestSuggest:
 
     def test_startup_phase_is_uniform_random(self):
         history = [record(i, 0.5, 1.0) for i in range(9)]
-        draws = np.array([tpe_suggest(history, 2, rng=np.random.default_rng(s))
+        densities = fit_tpe(history, 2)
+        draws = np.array([tpe_suggest(densities, 2, np.random.default_rng(s))
                           for s in range(2000)])
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         np.testing.assert_allclose(draws.mean(axis=0), 0.5, atol=0.03)
@@ -398,7 +402,8 @@ class TestSuggest:
             history.append(record(tid, np.clip(rng.normal(0.1, 0.02), 0, 1),
                                   1.0 + rng.normal(0, 0.01)))
             tid += 1
-        wins = sum(tpe_suggest(history, 1, rng=np.random.default_rng(s))[0] > 0.5
+        densities = fit_tpe(history, 1)
+        wins = sum(tpe_suggest(densities, 1, np.random.default_rng(s))[0] > 0.5
                    for s in range(200))
         assert wins >= 190  # probability >= 0.95 over rng seeds
 
@@ -418,7 +423,7 @@ class TestSuggest:
             else:
                 history.append(record(t, weights, round(rng.uniform(), objective_digits)))
         expected = reference_tpe_suggest(history, k, np.random.default_rng(seed))
-        got = tpe_suggest(history, k, np.random.default_rng(seed))
+        got = tpe_suggest(fit_tpe(history, k), k, np.random.default_rng(seed))
         assert got.tobytes() == expected.tobytes()
 
     def test_memory_peak_of_one_proposal(self):
@@ -427,7 +432,7 @@ class TestSuggest:
         history = [record(t, rng.uniform(size=36), rng.uniform()) for t in range(300)]
         tracemalloc.start()
         try:
-            tpe_suggest(history, 36, np.random.default_rng(1))
+            tpe_suggest(fit_tpe(history, 36), 36, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -510,7 +515,7 @@ class TestRunStudy:
             return TrialEvaluation(float(((weights - 0.4) ** 2).sum()), 1, {}, {})
         result = run_study(StudyConfig(n_trials=24, k=3, jobs=jobs, seed=11), objective)
         for t, trial in enumerate(result.trials):
-            expected = tpe_suggest(result.trials[:t - t % jobs], 3,
+            expected = tpe_suggest(fit_tpe(result.trials[:t - t % jobs], 3), 3,
                                    trial_rng(11, t, STREAM_SUGGEST))
             np.testing.assert_array_equal(trial.weights, expected)
 
@@ -532,7 +537,7 @@ class TestRunStudy:
         # Batch starts from the first with N_STARTUP completed trials on.
         assert fitted_at == [s for s in range(0, 30, jobs) if s >= N_STARTUP]
         for t, trial in enumerate(result.trials):
-            expected = tpe_suggest(result.trials[:t - t % jobs], 3,
+            expected = tpe_suggest(fit_tpe(result.trials[:t - t % jobs], 3), 3,
                                    trial_rng(11, t, STREAM_SUGGEST))
             assert trial.weights.tobytes() == expected.tobytes()
 
