@@ -5,8 +5,8 @@ an integer profile id per row marking which recording session the row belongs
 to.  Columns carry a role, either ``input`` (measured or derived channels the
 forecaster may read) or ``target`` (channels the forecaster must predict).
 
-All operations are pure: each returns a new table and leaves its argument
-untouched, so per-profile work can run in parallel without shared state.
+No operation modifies its argument.  A result may share the arrays that the
+operation leaves unchanged, such as the profile ids.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class RawTable:
 
     ``values`` holds the numeric columns (inputs and targets) row-major;
     the profile id column is kept separately as integers.  ``split`` is
-    ``None`` until :func:`split_by_profile` tags the rows.
+    ``None`` until :func:`split_and_scale` tags the rows.
     """
 
     column_names: list[str]
@@ -71,12 +71,6 @@ class RawTable:
     def target_columns(self) -> list[str]:
         return [c for c, r in zip(self.column_names, self.roles) if r == ROLE_TARGET]
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise DatasetError(f"unknown column {name!r}") from None
-
     def role_indices(self, role: str) -> np.ndarray:
         return np.array([i for i, r in enumerate(self.roles) if r == role], dtype=np.intp)
 
@@ -96,41 +90,6 @@ class RawTable:
             return []
         bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
         return [(int(ids[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Profile-based train/val/test split rule."""
-
-    test_profiles: frozenset[int]
-    val_profiles: frozenset[int]
-
-    def __post_init__(self) -> None:
-        overlap = self.test_profiles & self.val_profiles
-        if overlap:
-            raise DatasetError(f"test and val profiles overlap: {sorted(overlap)}")
-
-    @classmethod
-    def of(cls, test_profiles, val_profiles) -> "SplitSpec":
-        return cls(frozenset(int(p) for p in test_profiles),
-                   frozenset(int(p) for p in val_profiles))
-
-
-@dataclass
-class Scaler:
-    """Per-column min/max fitted on training rows only.
-
-    Columns constant on the training rows are flagged degenerate and map
-    to 0 when applied, so they contribute no signal downstream.
-    """
-
-    column_names: list[str]
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.mins == self.maxs
 
 
 class WindowGather:
@@ -300,12 +259,14 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
     """
     if table.n_rows == 0:
         raise DatasetError("cannot derive features from an empty table")
-    for s in spans:
+    for i, s in enumerate(spans):
         if int(s) != s or s <= 0:
             raise DatasetError(f"EWMA span must be a positive integer, got {s!r}")
+        if s in spans[:i]:
+            raise DatasetError(f"EWMA span {s!r} given more than once")
 
-    base_cols = [(name, table.column_index(name)) for name in table.input_columns]
-    new_names = [f"{name}_ewma{int(s)}" for name, _ in base_cols for s in spans]
+    base_cols = table.role_indices(ROLE_INPUT)
+    new_names = [f"{name}_ewma{int(s)}" for name in table.input_columns for s in spans]
     clash = set(new_names) & set(table.column_names)
     if clash:
         raise DatasetError(f"derived column name(s) already present: {sorted(clash)}")
@@ -324,7 +285,7 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
 
     alpha = 2.0 / (np.array([int(s) for s in spans], dtype=np.float64) + 1.0)
     keep = 1.0 - alpha
-    x = table.values[:, [idx for _, idx in base_cols]]
+    x = table.values[:, base_cols]
     first = len(runs)  # block 0: every run's first row
     y = alpha * x[src, :, None]
     y[first:] += x[src[first:] - 1, :, None] * 0.0  # 0*x_{t-1}
@@ -346,19 +307,26 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
         column_names=table.column_names + new_names,
         roles=table.roles + [ROLE_INPUT] * len(new_names),
         values=values,
-        split=None if table.split is None else table.split.copy(),
     )
 
 
-def split_by_profile(table: RawTable, split: SplitSpec) -> RawTable:
-    """Tag every row train/val/test by its profile id.
+def split_and_scale(table: RawTable, test_profiles, val_profiles
+                    ) -> tuple[RawTable, np.ndarray, np.ndarray]:
+    """Tag every row train/val/test by its profile id and map every column
+    through (x - min) / (max - min), with the per-column min and max of the
+    rows tagged train.  Returns the tagged, scaled table and the mins and maxs.
 
-    Profiles listed in the split but absent from the data only produce a
-    warning.  A split in which the test or the val set swallows every
-    profile is rejected.
+    Profiles listed but absent from the data only produce a warning.  Sets
+    that overlap, a test or val set that swallows every profile, and a split
+    that leaves no train row are refused.  Values outside the training range
+    land outside [0, 1]; they are not clamped.  Columns constant on train map
+    to 0, so they contribute no signal downstream.
     """
+    test, val = ({int(p) for p in wanted} for wanted in (test_profiles, val_profiles))
+    if test & val:
+        raise DatasetError(f"test and val profiles overlap: {sorted(test & val)}")
     present = set(table.profiles())
-    for name, wanted in (("test", split.test_profiles), ("val", split.val_profiles)):
+    for name, wanted in (("test", test), ("val", val)):
         absent = sorted(wanted - present)
         if absent:
             logger.warning("%s profiles %s not present in the data", name, absent)
@@ -366,46 +334,24 @@ def split_by_profile(table: RawTable, split: SplitSpec) -> RawTable:
             raise DatasetError(f"{name} profiles would cover every profile in the data")
 
     tags = np.full(table.n_rows, SPLIT_TRAIN, dtype="U5")
-    tags[np.isin(table.profile_ids, sorted(split.val_profiles))] = SPLIT_VAL
-    tags[np.isin(table.profile_ids, sorted(split.test_profiles))] = SPLIT_TEST
+    tags[np.isin(table.profile_ids, sorted(val))] = SPLIT_VAL
+    tags[np.isin(table.profile_ids, sorted(test))] = SPLIT_TEST
     counts = {s: int(np.sum(tags == s)) for s in (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)}
     logger.info("split rows: train=%(train)d val=%(val)d test=%(test)d", counts)
-    return replace(table, split=tags, values=table.values.copy())
-
-
-def fit_scaler(table: RawTable, split: SplitSpec) -> Scaler:
-    """Fit per-column min/max exclusively on training rows."""
-    excluded = split.test_profiles | split.val_profiles
-    train_mask = ~np.isin(table.profile_ids, sorted(excluded))
-    if not train_mask.any():
+    if not counts[SPLIT_TRAIN]:
         raise DatasetError("no training rows left to fit the scaler on")
-    train = table.values[train_mask]
-    scaler = Scaler(
-        column_names=list(table.column_names),
-        mins=train.min(axis=0),
-        maxs=train.max(axis=0),
-    )
-    n_deg = int(scaler.degenerate.sum())
-    if n_deg:
-        deg = [c for c, d in zip(scaler.column_names, scaler.degenerate) if d]
-        logger.warning("%d column(s) constant on train, will scale to 0: %s", n_deg, deg)
-    return scaler
 
-
-def apply_scaler(table: RawTable, scaler: Scaler) -> RawTable:
-    """Map every column through (x - min) / (max - min).
-
-    Values outside the training range land outside [0, 1]; they are not
-    clamped.  Degenerate columns map to 0.
-    """
-    if scaler.column_names != table.column_names:
-        raise DatasetError("scaler columns do not match table columns")
-    span = scaler.maxs - scaler.mins
-    safe_span = np.where(scaler.degenerate, 1.0, span)
-    scaled = (table.values - scaler.mins) / safe_span
-    scaled[:, scaler.degenerate] = 0.0
-    return replace(table, values=scaled,
-                   split=None if table.split is None else table.split.copy())
+    train = table.values[tags == SPLIT_TRAIN]
+    mins, maxs = train.min(axis=0), train.max(axis=0)
+    del train  # freed before the scaled table is allocated
+    degenerate = mins == maxs
+    if degenerate.any():
+        deg = [c for c, d in zip(table.column_names, degenerate) if d]
+        logger.warning("%d column(s) constant on train, will scale to 0: %s", len(deg), deg)
+    values = table.values - mins
+    values /= np.where(degenerate, 1.0, maxs - mins)
+    values[:, degenerate] = 0.0
+    return replace(table, values=values, split=tags), mins, maxs
 
 
 def make_windows(table: RawTable, length: int, stride: int = 1) -> WindowSet:
@@ -461,21 +407,22 @@ def expected_window_count(run_length: int, length: int, stride: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: the processed table and its scaler as one .npz archive.
+# Persistence: the processed table and its scaling as one .npz archive.
 
 PROCESSED_ARRAYS = ("values", "profile_ids", "split", "column_names", "roles",
                     "id_column", "scaler_min", "scaler_max")
 
 
-def save_table(table: RawTable, scaler: Scaler, path: str | Path) -> None:
-    """Write a split-tagged, scaled table and its scaler as one ``.npz`` of
+def save_table(table: RawTable, mins: np.ndarray, maxs: np.ndarray,
+               path: str | Path) -> None:
+    """Write :func:`split_and_scale`'s table, mins and maxs as one ``.npz`` of
     the arrays named in :data:`PROCESSED_ARRAYS`, readable with ``np.load``.
     Floats are stored in binary, so a reload is bit-exact."""
     with Path(path).open("wb") as fh:  # a file handle keeps numpy from adding ".npz"
         np.savez(fh, values=table.values, profile_ids=table.profile_ids,
                  split=table.split, column_names=np.array(table.column_names),
                  roles=np.array(table.roles), id_column=np.array(table.id_column),
-                 scaler_min=scaler.mins, scaler_max=scaler.maxs)
+                 scaler_min=mins, scaler_max=maxs)
 
 
 def load_processed_table(path: str | Path) -> RawTable:

@@ -46,7 +46,6 @@ class EmbeddingMatrix:
     """One fixed-length float32 vector per window."""
 
     data: np.ndarray  # (rows, dims) float32
-    provenance: str
 
     def __post_init__(self) -> None:
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -105,7 +104,7 @@ def featurize_windows(inputs: np.ndarray) -> np.ndarray:
 
 
 def featurize_window_set(windows: WindowSet) -> EmbeddingMatrix:
-    """Featurize every window into a builtin-provenance embedding matrix.
+    """Featurize every window into an embedding matrix.
 
     Windows are featurized :data:`FEATURIZE_BLOCK` at a time by
     :func:`featurize_block`, straight from the per-row table, into one
@@ -123,7 +122,7 @@ def featurize_window_set(windows: WindowSet) -> EmbeddingMatrix:
     for i in range(0, n, FEATURIZE_BLOCK):
         stats, _ = featurize_block(windows.input_rows, windows.start[i:i + FEATURIZE_BLOCK], w)
         out[i:i + FEATURIZE_BLOCK] = stats.reshape(len(stats), -1)
-    return EmbeddingMatrix(out, provenance=PROVENANCE_BUILTIN)
+    return EmbeddingMatrix(out)
 
 
 def featurize_block(rows: np.ndarray, start: np.ndarray, w: int
@@ -336,4 +335,4 @@ def read_embedding_file(path: str | Path, expected_rows: int | None) -> Embeddin
             raise EmbeddingError(f"{path}: payload shrank while it was read")
     if not np.all(np.isfinite(data)):
         raise EmbeddingError(f"{path}: payload contains non-finite values")
-    return EmbeddingMatrix(data, provenance=PROVENANCE_EXTERNAL)
+    return EmbeddingMatrix(data)

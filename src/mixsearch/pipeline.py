@@ -33,16 +33,13 @@ from .dataset import (
     SPLIT_TRAIN,
     SPLIT_VAL,
     DatasetError,
-    SplitSpec,
     WindowSet,
-    apply_scaler,
     derive_ewma,
-    fit_scaler,
     load_dataset,
     load_processed_table,
     make_windows,
     save_table,
-    split_by_profile,
+    split_and_scale,
 )
 
 logger = logging.getLogger(__name__)
@@ -273,9 +270,15 @@ def load_schema(schema_path: str | None, id_col: str | None,
     if not (id_col and input_cols and target_cols):
         raise DatasetError(
             "provide --schema or all of --id-col/--input-cols/--target-cols")
-    schema = {id_col: "id"}
-    schema.update({c: "input" for c in input_cols})
-    schema.update({c: "target" for c in target_cols})
+    schema, flag_of = {}, {}
+    for flag, role, columns in (("--id-col", "id", [id_col]),
+                                ("--input-cols", "input", input_cols),
+                                ("--target-cols", "target", target_cols)):
+        for column in columns:
+            if flag_of.setdefault(column, flag) != flag:
+                raise DatasetError(f"column {column!r} named by both {flag_of[column]} "
+                                   f"and {flag}")
+            schema[column] = role
     return schema
 
 
@@ -316,13 +319,10 @@ def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
     table = load_dataset(data, schema)
     if ewma_spans:
         table = derive_ewma(table, ewma_spans)
-    split = SplitSpec.of(test_profiles, val_profiles)
-    table = split_by_profile(table, split)
-    scaler = fit_scaler(table, split)
-    table = apply_scaler(table, scaler)
+    table, mins, maxs = split_and_scale(table, test_profiles, val_profiles)
     make_windows(table, window_length, stride)  # fail now if no window fits
 
-    save_table(table, scaler, run.staging_path("processed.npz", "table"))
+    save_table(table, mins, maxs, run.staging_path("processed.npz", "table"))
     params = {
         "data": str(data),
         "schema": dict(sorted(schema.items())),
@@ -366,8 +366,7 @@ def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
                                   seed=run.master_seed, n_init=restarts)
 
     embedding.write_embedding_file(
-        embedding.EmbeddingMatrix(model.centroids.astype(np.float32),
-                                  provenance=embedding.PROVENANCE_BUILTIN),
+        embedding.EmbeddingMatrix(model.centroids.astype(np.float32)),
         run.staging_path(centroids_name, "centroids"))
     np.savetxt(run.staging_path("assignments.csv"),
                np.column_stack([train_idx, model.assignments]), fmt="%d", delimiter=",",

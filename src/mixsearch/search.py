@@ -555,10 +555,7 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
 
     def run_one(trial_id: int) -> TrialRecord:
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
-        if config.sampler == "tpe":
-            weights = tpe_suggest(densities, config.k, rng)
-        else:
-            weights = random_suggest(config.k, rng)
+        weights = tpe_suggest(densities, config.k, rng)  # random while densities is None
         t0 = time.perf_counter()
         try:
             ev = objective(trial_id, weights)

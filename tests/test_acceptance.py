@@ -18,8 +18,8 @@ import pytest
 from mixsearch import benchmark
 from mixsearch.cli import main
 from mixsearch.clustering import kmeans_fit
-from mixsearch.dataset import SplitSpec, apply_scaler, derive_ewma, fit_scaler
-from mixsearch.dataset import expected_window_count, make_windows, split_by_profile
+from mixsearch.dataset import derive_ewma, expected_window_count, make_windows
+from mixsearch.dataset import split_and_scale
 from mixsearch.search import (
     ParzenDensity,
     StudyConfig,
@@ -188,9 +188,7 @@ class TestCriterion07PreprocessingGoldens:
         # scaler endpoints on train [2, 4, 6], plus unclamped and degenerate cases
         table = make_table([[2.0, 7.0], [4.0, 7.0], [6.0, 7.0], [10.0, 7.0]],
                            [1, 1, 1, 9])
-        split = SplitSpec.of({9}, set())
-        scaler = fit_scaler(table, split)
-        scaled = apply_scaler(table, scaler)
+        scaled, _, _ = split_and_scale(table, {9}, set())
         ok &= abs(scaled.values[0, 0] - 0.0) <= 1e-12
         ok &= abs(scaled.values[1, 0] - 0.5) <= 1e-12
         ok &= abs(scaled.values[2, 0] - 1.0) <= 1e-12

@@ -558,7 +558,7 @@ class TestStages:
         rng = np.random.default_rng(0)
         ext = tmp_path / "external.tsem"
         write_embedding_file(
-            EmbeddingMatrix(rng.normal(size=(n, 5)).astype(np.float32), "builtin"), ext)
+            EmbeddingMatrix(rng.normal(size=(n, 5)).astype(np.float32)), ext)
         assert main(["embed", *common, "--embeddings", str(ext)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"]["embed"]["provenance"] == "external"
@@ -588,7 +588,7 @@ class TestStages:
                      "--schema", str(schema_path), *PREP]) == 0
         ext = tmp_path / "bad.tsem"
         write_embedding_file(
-            EmbeddingMatrix(np.zeros((3, 5), np.float32), "builtin"), ext)
+            EmbeddingMatrix(np.zeros((3, 5), np.float32)), ext)
         assert main(["embed", *common, "--embeddings", str(ext)]) == 1
         assert "rows" in capsys.readouterr().err
 
@@ -611,6 +611,16 @@ class TestLoadSchema:
         path.write_text("profile_id=id\nu_d=input\npm=target\nu_d=target\n")
         with pytest.raises(DatasetError, match=r"line 4: column 'u_d' given twice"):
             pipeline.load_schema(str(path), None, None, None)
+
+    def test_input_named_as_target_refused(self):
+        with pytest.raises(DatasetError,
+                           match=r"column 'pm' named by both --input-cols and --target-cols"):
+            pipeline.load_schema(None, "profile_id", ["u_d", "pm"], ["pm"])
+
+    def test_id_named_as_input_refused(self):
+        with pytest.raises(DatasetError,
+                           match=r"column 'u_d' named by both --id-col and --input-cols"):
+            pipeline.load_schema(None, "u_d", ["u_d", "u_q"], ["pm"])
 
 
 class TestTrainerBranches:

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from mixsearch.dataset import (
     DatasetError,
-    SplitSpec,
-    apply_scaler,
     derive_ewma,
     expected_window_count,
-    fit_scaler,
     load_dataset,
     load_processed_table,
     make_windows,
     save_table,
-    split_by_profile,
+    split_and_scale,
 )
 
 from conftest import make_table
@@ -134,16 +131,31 @@ class TestProfileRuns:
 
     @settings(max_examples=80, deadline=None)
     @given(profile_ids.filter(bool), st.sets(st.integers(0, 4)),
-           st.sets(st.integers(0, 4)))
-    def test_split_tags_match_per_row_oracle(self, ids, test, val):
+           st.sets(st.integers(0, 4)), st.integers(0, 2**32 - 1))
+    def test_split_tags_match_per_row_oracle(self, ids, test, val, seed):
         val = val - test
         present = set(ids)
         assume(not (test and present <= test) and not (val and present <= val))
-        out = split_by_profile(make_table(np.zeros((len(ids), 2)), ids),
-                               SplitSpec.of(test, val))
+        values = np.random.default_rng(seed).normal(size=(len(ids), 3))
+        table = make_table(values, ids)
+        train = [row for row, p in zip(values.tolist(), ids)
+                 if p not in test and p not in val]
+        if not train:  # test and val together cover every profile
+            with pytest.raises(DatasetError, match="no training rows"):
+                split_and_scale(table, test, val)
+            return
+        out, mins, maxs = split_and_scale(table, test, val)
         expected = ["test" if p in test else "val" if p in val else "train"
                     for p in ids]
         assert out.split.tolist() == expected
+        lo = [min(col) for col in zip(*train)]
+        hi = [max(col) for col in zip(*train)]
+        scaled = [[0.0 if a == b else (x - a) / (b - a) for x, a, b in zip(row, lo, hi)]
+                  for row in values.tolist()]
+        # compared as bits: the oracle is today's rule, one row at a time
+        for got, want in ((mins, lo), (maxs, hi), (out.values, scaled)):
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          np.array(want).view(np.uint64))
 
 
 class TestDeriveEwma:
@@ -175,10 +187,11 @@ class TestDeriveEwma:
         assert len(out.column_names) == 3 + 8
         assert out.roles[3:] == ["input"] * 8
 
-    def test_rejects_bad_span(self):
+    @pytest.mark.parametrize("spans", [[0], [8, 8]], ids=["zero", "repeated"])
+    def test_rejects_bad_span(self, spans):
         table = make_table([[1.0, 0]], [1])
         with pytest.raises(DatasetError, match="span"):
-            derive_ewma(table, [0])
+            derive_ewma(table, spans)
 
     def test_profile_boundaries_are_hard(self):
         rng = np.random.default_rng(2)
@@ -199,7 +212,7 @@ class TestDeriveEwma:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324]),
                              min_size=1, max_size=30), min_size=1, max_size=6),
-           st.lists(st.integers(1, 60), min_size=1, max_size=3))
+           st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True))
     @example(runs=[[-1e-323, 0.0, -0.0]], spans=[3])  # the result's sign is the filter's
     @example(runs=[[2.0], [-3.5, 0.0, 1.0], [7.0]], spans=[1])
     def test_bit_identical_to_lfilter_per_run(self, runs, spans):
@@ -240,26 +253,23 @@ class TestScaler:
     def test_minmax_from_train_rows_only(self):
         table = make_table([[2.0, 0], [4.0, 0], [6.0, 0], [99.0, 0]],
                            [1, 1, 1, 9])
-        scaler = fit_scaler(table, SplitSpec.of({9}, set()))
-        assert scaler.mins[0] == 2.0 and scaler.maxs[0] == 6.0
+        _, mins, maxs = split_and_scale(table, {9}, set())
+        assert mins[0] == 2.0 and maxs[0] == 6.0
 
     def test_unclamped_outside_unit_interval(self):
         table = make_table([[0.0, 0], [1.0, 0], [9.0, 0]], [1, 1, 9])
-        scaler = fit_scaler(table, SplitSpec.of({9}, set()))
-        out = apply_scaler(table, scaler)
+        out, _, _ = split_and_scale(table, {9}, set())
         assert out.values[2, 0] == 9.0
 
     def test_degenerate_column_maps_to_zero(self):
         table = make_table([[7.0, 1.0], [7.0, 2.0]], [1, 1])
-        scaler = fit_scaler(table, SplitSpec.of(set(), set()))
-        assert scaler.degenerate[0] and not scaler.degenerate[1]
-        out = apply_scaler(table, scaler)
+        out, mins, maxs = split_and_scale(table, set(), set())
+        assert mins[0] == maxs[0] and mins[1] != maxs[1]
         np.testing.assert_array_equal(out.values[:, 0], [0.0, 0.0])
 
     def test_formula_endpoints_and_midpoint(self):
         table = make_table([[2.0, 0], [4.0, 0], [6.0, 0]], [1, 1, 1])
-        scaler = fit_scaler(table, SplitSpec.of(set(), set()))
-        out = apply_scaler(table, scaler)
+        out, _, _ = split_and_scale(table, set(), set())
         np.testing.assert_allclose(out.values[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
 
     def test_train_cells_in_unit_interval_after_scaling(self):
@@ -267,64 +277,49 @@ class TestScaler:
         table = make_table(rng.normal(size=(50, 3)) * 10,
                            [1] * 30 + [2] * 20,
                            roles=["input", "input", "target"])
-        split = SplitSpec.of({2}, set())
-        scaler = fit_scaler(table, split)
-        out = apply_scaler(table, scaler)
+        out, _, _ = split_and_scale(table, {2}, set())
         train = out.values[:30]
         assert train.min() >= 0.0 and train.max() <= 1.0
 
-    def test_double_application_is_not_identity(self):
-        table = make_table([[2.0, 0], [6.0, 0]], [1, 1])
-        scaler = fit_scaler(table, SplitSpec.of(set(), set()))
-        once = apply_scaler(table, scaler)
-        twice = apply_scaler(once, scaler)
-        assert not np.allclose(once.values[:, 0], twice.values[:, 0])
-
-    def test_column_mismatch(self):
-        table = make_table([[1.0, 0]], [1])
-        scaler = fit_scaler(table, SplitSpec.of(set(), set()))
-        other = make_table([[1.0, 0]], [1], names=["x", "y"])
-        with pytest.raises(DatasetError, match="columns"):
-            apply_scaler(other, scaler)
-
     def test_no_train_rows(self):
-        table = make_table([[1.0, 0]], [1])
+        table = make_table([[1.0, 0]] * 2, [1, 2])
         with pytest.raises(DatasetError, match="training"):
-            fit_scaler(table, SplitSpec.of({1}, set()))
+            split_and_scale(table, {1}, {2})
 
 
 class TestSplitByProfile:
     def test_test_profile_rows_tagged(self):
         table = make_table([[1.0, 0]] * 4, [65, 65, 3, 3])
-        out = split_by_profile(table, SplitSpec.of({65}, set()))
+        out, _, _ = split_and_scale(table, {65}, set())
         assert list(out.split) == ["test", "test", "train", "train"]
 
     def test_multiple_val_profiles(self):
         pids = [18, 39, 46, 56, 75, 1]
         table = make_table([[1.0, 0]] * 6, pids)
-        out = split_by_profile(table, SplitSpec.of(set(), {18, 39, 46, 56, 75}))
+        out, _, _ = split_and_scale(table, set(), {18, 39, 46, 56, 75})
         assert list(out.split) == ["val"] * 5 + ["train"]
 
     def test_empty_split_gives_all_train(self):
         table = make_table([[1.0, 0]] * 3, [1, 2, 3])
-        out = split_by_profile(table, SplitSpec.of(set(), set()))
+        out, _, _ = split_and_scale(table, set(), set())
         assert set(out.split) == {"train"}
 
     def test_absent_profile_warns_not_fails(self, caplog):
         table = make_table([[1.0, 0]] * 2, [1, 2])
         with caplog.at_level("WARNING"):
-            out = split_by_profile(table, SplitSpec.of({99}, set()))
+            out, _, _ = split_and_scale(table, {99}, set())
         assert "99" in caplog.text
         assert set(out.split) == {"train"}
 
     def test_overlapping_sets_rejected(self):
+        table = make_table([[1.0, 0]] * 2, [1, 2])
         with pytest.raises(DatasetError, match="overlap"):
-            SplitSpec.of({1}, {1})
+            split_and_scale(table, {1}, {1})
 
     def test_split_covering_everything_rejected(self):
         table = make_table([[1.0, 0]] * 2, [1, 2])
         with pytest.raises(DatasetError, match="cover"):
-            split_by_profile(table, SplitSpec.of({1, 2}, set()))
+            split_and_scale(table, {1, 2}, set())
 
 
 class TestMakeWindows:
@@ -459,14 +454,13 @@ class TestPersistence:
     def _table(self):
         rng = np.random.default_rng(5)
         table = make_table(rng.normal(size=(20, 3)), [1] * 10 + [2] * 10,
-                           roles=["input", "input", "target"],
-                           split=["train"] * 10 + ["val"] * 10)
-        return table, fit_scaler(table, SplitSpec.of(set(), {2}))
+                           roles=["input", "input", "target"])
+        return split_and_scale(table, set(), {2})
 
     def test_table_roundtrip_is_exact(self, tmp_path):
-        table, scaler = self._table()
+        table, mins, maxs = self._table()
         path = tmp_path / "t.npz"
-        save_table(table, scaler, path)
+        save_table(table, mins, maxs, path)
         back = load_processed_table(path)
         np.testing.assert_array_equal(back.values, table.values)
         np.testing.assert_array_equal(back.profile_ids, table.profile_ids)
@@ -477,19 +471,19 @@ class TestPersistence:
 
     def test_scaler_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(6)
-        table = make_table(rng.normal(size=(9, 2)), [1] * 9, split=["train"] * 9)
-        scaler = fit_scaler(table, SplitSpec.of(set(), set()))
+        table = make_table(rng.normal(size=(9, 2)), [1] * 9)
+        table, mins, maxs = split_and_scale(table, set(), set())
         path = tmp_path / "t.npz"
-        save_table(table, scaler, path)
+        save_table(table, mins, maxs, path)
         with np.load(path) as archive:
-            np.testing.assert_array_equal(archive["scaler_min"], scaler.mins)
-            np.testing.assert_array_equal(archive["scaler_max"], scaler.maxs)
-        assert load_processed_table(path).column_names == scaler.column_names
+            np.testing.assert_array_equal(archive["scaler_min"], mins)
+            np.testing.assert_array_equal(archive["scaler_max"], maxs)
+        assert load_processed_table(path).column_names == table.column_names
 
     def test_processed_file_validation(self, tmp_path):
-        table, scaler = self._table()
+        table, mins, maxs = self._table()
         good = tmp_path / "good.npz"
-        save_table(table, scaler, good)
+        save_table(table, mins, maxs, good)
 
         truncated = tmp_path / "truncated.npz"
         truncated.write_bytes(good.read_bytes()[:200])
@@ -498,14 +492,14 @@ class TestPersistence:
 
         bad_tag = tmp_path / "bad_tag.npz"
         table.split[3] = "dev"
-        save_table(table, scaler, bad_tag)
+        save_table(table, mins, maxs, bad_tag)
         with pytest.raises(DatasetError, match="row 4: bad split tag 'dev'"):
             load_processed_table(bad_tag)
 
         nan = tmp_path / "nan.npz"
         table.split[3] = "train"
         table.values[7, 1] = np.nan
-        save_table(table, scaler, nan)
+        save_table(table, mins, maxs, nan)
         with pytest.raises(DatasetError, match="row 8: non-finite"):
             load_processed_table(nan)
 

@@ -231,8 +231,7 @@ class TestWindowSetFeaturizer:
 class TestEmbeddingFile:
     def test_header_and_payload_size(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((2, 3), np.float32), "builtin"),
-                             path)
+        write_embedding_file(EmbeddingMatrix(np.zeros((2, 3), np.float32)), path)
         raw = path.read_bytes()
         assert len(raw) == 20 + 2 * 3 * 4
         assert raw[:4] == MAGIC
@@ -242,18 +241,16 @@ class TestEmbeddingFile:
 
     def test_single_value_payload_encoding(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.array([[0.5]], np.float32), "builtin"),
-                             path)
+        write_embedding_file(EmbeddingMatrix(np.array([[0.5]], np.float32)), path)
         assert path.read_bytes()[20:] == struct.pack("<f", 0.5)
 
     def test_random_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(10, 8)).astype(np.float32)
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(data, "builtin"), path)
+        write_embedding_file(EmbeddingMatrix(data), path)
         back = read_embedding_file(path, expected_rows=10)
         np.testing.assert_array_equal(back.data, data)
-        assert back.provenance == "external"
 
     @settings(max_examples=25, deadline=None)
     @given(arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(1, 6)),
@@ -261,14 +258,13 @@ class TestEmbeddingFile:
                                      allow_subnormal=False)))
     def test_roundtrip_identity_property(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("tsem") / "prop.tsem"
-        write_embedding_file(EmbeddingMatrix(data, "builtin"), path)
+        write_embedding_file(EmbeddingMatrix(data), path)
         back = read_embedding_file(path, expected_rows=data.shape[0])
         np.testing.assert_array_equal(back.data, data)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((5, 2), np.float32), "builtin"),
-                             path)
+        write_embedding_file(EmbeddingMatrix(np.zeros((5, 2), np.float32)), path)
         with pytest.raises(EmbeddingError, match="5 rows but 6"):
             read_embedding_file(path, expected_rows=6)
 
@@ -280,16 +276,14 @@ class TestEmbeddingFile:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((5, 2), np.float32), "builtin"),
-                             path)
+        write_embedding_file(EmbeddingMatrix(np.zeros((5, 2), np.float32)), path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(EmbeddingError, match="payload"):
             read_embedding_file(path, expected_rows=5)
 
     def test_nan_payload_rejected(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((1, 2), np.float32), "builtin"),
-                             path)
+        write_embedding_file(EmbeddingMatrix(np.zeros((1, 2), np.float32)), path)
         raw = bytearray(path.read_bytes())
         raw[20:24] = struct.pack("<f", np.nan)
         path.write_bytes(bytes(raw))
@@ -298,32 +292,32 @@ class TestEmbeddingFile:
 
     def test_matrix_invariants(self):
         with pytest.raises(EmbeddingError, match="non-finite"):
-            EmbeddingMatrix(np.array([[np.inf]], np.float32), "builtin")
+            EmbeddingMatrix(np.array([[np.inf]], np.float32))
         with pytest.raises(EmbeddingError, match="2-D"):
-            EmbeddingMatrix(np.zeros(3, np.float32), "builtin")
+            EmbeddingMatrix(np.zeros(3, np.float32))
 
 
 class TestZScore:
     def test_train_statistics_only(self):
         data = np.array([[0.0], [2.0], [100.0]], dtype=np.float32)
-        matrix = EmbeddingMatrix(data, "builtin")
+        matrix = EmbeddingMatrix(data)
         out = zscore_features(matrix, np.array([True, True, False]))
         np.testing.assert_allclose(out[:2, 0], [-1.0, 1.0])
 
     def test_constant_dimension_not_rescaled(self):
         data = np.array([[5.0, 1.0], [5.0, 3.0]], dtype=np.float32)
-        out = zscore_features(EmbeddingMatrix(data, "builtin"),
+        out = zscore_features(EmbeddingMatrix(data),
                               np.array([True, True]))
         np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
 
     def test_needs_train_windows(self):
-        matrix = EmbeddingMatrix(np.zeros((2, 1), np.float32), "builtin")
+        matrix = EmbeddingMatrix(np.zeros((2, 1), np.float32))
         with pytest.raises(EmbeddingError, match="training"):
             zscore_features(matrix, np.array([False, False]))
 
     def test_requested_rows_equal_standardizing_every_row(self):
         rng = np.random.default_rng(7)
-        matrix = EmbeddingMatrix(rng.normal(size=(50, 4)) * [1.0, 1e3, 1e-3, 0.0], "builtin")
+        matrix = EmbeddingMatrix(rng.normal(size=(50, 4)) * [1.0, 1e3, 1e-3, 0.0])
         rows = np.sort(rng.choice(50, size=20, replace=False))
         data = matrix.data.astype(np.float64)
         sigma = data[rows].std(axis=0)
@@ -332,7 +326,7 @@ class TestZScore:
 
     def test_peak_is_one_copy_of_the_requested_rows(self):
         rng = np.random.default_rng(8)
-        matrix = EmbeddingMatrix(rng.normal(size=(20_000, 16)), "builtin")
+        matrix = EmbeddingMatrix(rng.normal(size=(20_000, 16)))
         rows = np.arange(0, matrix.rows, 10)
         tracemalloc.start()
         try:
@@ -343,9 +337,8 @@ class TestZScore:
         assert out.shape == (rows.size, 16)
         assert peak < 3 * out.nbytes
 
-    def test_featurize_window_set_provenance(self):
+    def test_featurize_window_set_has_seven_stats_per_channel(self):
         rng = np.random.default_rng(5)
         m = featurize_window_set(make_window_set(rng.normal(size=(4, 10, 2)),
                                                  np.zeros((4, 10, 1))))
-        assert m.provenance == "builtin"
         assert m.dims == 14
