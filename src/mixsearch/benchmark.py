@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, embedding, pipeline, search, trainers
-from .dataset import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, WindowSet
+from .dataset import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, DatasetError, WindowSet
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,8 @@ def generate_regime_corpus(seed: int, windows_per_regime: int = 1000,
     Training windows cover every regime; val and test windows are fresh
     draws from the signal regimes.
     """
+    if windows_per_regime < 1:
+        raise DatasetError(f"windows per regime must be >= 1, got {windows_per_regime}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
 
     blocks = []

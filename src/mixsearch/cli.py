@@ -33,6 +33,7 @@ DEFAULT_OUT_ENV = "MIXSEARCH_OUT"
 DEFAULT_EWMA_SPANS = [200, 500, 1500, 4000]
 DEFAULT_TEST_PROFILES = [65]
 DEFAULT_VAL_PROFILES = [18, 39, 46, 56, 75]
+SELFTEST_PRODUCTS = {"weights.csv", "counts.csv", "sweep.csv", "summary.json", "review"}
 BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
 
@@ -192,24 +193,14 @@ def apply_config_overrides(args: argparse.Namespace, parser: argparse.ArgumentPa
         setattr(args, dest, coerced)
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        trainer=args.trainer,
-        token_budget=args.budget_tokens,
-        batch_size=args.batch_size,
-        peak_lr=args.lr,
-        warmup_fraction=args.warmup_fraction,
-        patch_len=args.patch_len,
-        embed_dim=args.embed_dim,
-        ridge_lambda=args.ridge_lambda,
-        seed=args.seed,
-    )
-
-
 def run_selftest(args: argparse.Namespace) -> int:
     """Synthetic benchmark: search must beat the full-data baseline, keep the
     mixture small, and favor signal clusters over noise clusters."""
     out_dir = Path(args.out)
+    for entry in sorted(out_dir.iterdir()) if out_dir.is_dir() else []:
+        if entry.name not in SELFTEST_PRODUCTS or (
+                entry.name == "review" and not (entry / "prompt.txt").is_file()):
+            raise PipelineError(f"--out {out_dir} holds {entry.name}, not a selftest report")
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome = benchmark.run_benchmark_study(
         args.seed, n_trials=args.trials, jobs=args.jobs,
@@ -255,27 +246,9 @@ def dispatch(argv: list[str]) -> int:
         return run_selftest(args)
     with pipeline.RunManifest.open(Path(args.out), args.seed, args.command,
                                    args.force) as run:
-        if args.command == "preprocess":
-            schema = pipeline.load_schema(args.schema, args.id_col,
-                                          args.input_cols, args.target_cols)
-            pipeline.stage_preprocess(run, args.data, schema, args.ewma_spans,
-                                      args.test_profiles, args.val_profiles,
-                                      args.window_length, args.stride)
-        elif args.command == "embed":
-            pipeline.stage_embed(run, args.embeddings)
-        elif args.command == "cluster":
-            pipeline.stage_cluster(run, args.k, args.max_iter, args.tol,
-                                   args.restarts, args.centroids)
-        elif args.command == "search":
-            pipeline.stage_search(run, args.trials, args.jobs, args.sampler,
-                                  _train_config(args), args.external_cmd,
-                                  args.external_timeout, expected_k=args.k)
-        elif args.command == "sweep":
-            pipeline.stage_sweep(run, args.fractions, _train_config(args))
-        elif args.command == "report":
-            pipeline.stage_report(run)
-        elif args.command == "review-export":
-            pipeline.stage_review_export(run, args.review_samples)
+        # Looked up on each call, not bound at import: a traced benchmark run swaps
+        # the module's stage functions for timing wrappers.
+        getattr(pipeline, "stage_" + args.command.replace("-", "_"))(run, args)
     return 0
 
 

@@ -10,11 +10,13 @@ Every product, file or directory, is written under a temporary name
 (:meth:`RunManifest.staging_path`) and :meth:`RunManifest.record` renames
 them into place back to back, the manifest last, so a failed stage leaves
 the previous products and manifest as they were and no temporary file.
-The selftest, which has no manifest, writes its reports directly.
+The selftest, which has no manifest, writes its reports directly, and refuses
+an output directory that holds anything but those reports.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import logging
@@ -282,11 +284,28 @@ def load_schema(schema_path: str | None, id_col: str | None,
     return schema
 
 
-def _trial_context(run: RunManifest, config: trainers.TrainConfig, split: str,
-                   protocol: trainers.ExternalProtocol | None = None) -> trainers.TrialContext:
-    """The study's trial context.  A patch length every trial would fail on is refused
-    before anything loads; the embeddings load only for a trainer that reads them."""
+def train_config(args: argparse.Namespace) -> trainers.TrainConfig:
+    """The trainer settings the trainer flags and --seed give."""
+    return trainers.TrainConfig(
+        trainer=args.trainer, token_budget=args.budget_tokens, batch_size=args.batch_size,
+        peak_lr=args.lr, warmup_fraction=args.warmup_fraction, patch_len=args.patch_len,
+        embed_dim=args.embed_dim, ridge_lambda=args.ridge_lambda, seed=args.seed)
+
+
+def _trial_context(run: RunManifest, args: argparse.Namespace,
+                   split: str) -> trainers.TrialContext:
+    """The study's trial context from the trainer flags: a setup every trial would fail
+    on is refused before anything loads, and the embeddings load only if it reads them."""
+    config = train_config(args)
     trainer = trainers.TRAINERS[config.trainer]
+    protocol = None
+    if trainer.fit is None:
+        if run.stage == "sweep":
+            raise PipelineError("size sweep supports the ridge and patch-net trainers")
+        if not args.external_cmd:
+            raise PipelineError("--trainer external needs --external-cmd")
+        protocol = trainers.ExternalProtocol(shlex.split(args.external_cmd),
+                                             args.external_timeout)
     window_length = run.stages["preprocess"]["params"]["window_length"]
     if trainer.patched and window_length % config.patch_len:
         raise PipelineError(f"--patch-len {config.patch_len} does not divide "
@@ -312,58 +331,55 @@ def search_mixture(context: trainers.TrialContext, train_idx: np.ndarray,
 # ---------------------------------------------------------------------------
 # Stages
 
-def stage_preprocess(run: RunManifest, data: str, schema: dict[str, str],
-                     ewma_spans: list[int], test_profiles: list[int],
-                     val_profiles: list[int], window_length: int,
-                     stride: int) -> None:
-    table = load_dataset(data, schema)
-    if ewma_spans:
-        table = derive_ewma(table, ewma_spans)
-    table, mins, maxs = split_and_scale(table, test_profiles, val_profiles)
-    make_windows(table, window_length, stride)  # fail now if no window fits
+def stage_preprocess(run: RunManifest, args: argparse.Namespace) -> None:
+    schema = load_schema(args.schema, args.id_col, args.input_cols, args.target_cols)
+    table = load_dataset(args.data, schema)
+    if args.ewma_spans:
+        table = derive_ewma(table, args.ewma_spans)
+    table, mins, maxs = split_and_scale(table, args.test_profiles, args.val_profiles)
+    make_windows(table, args.window_length, args.stride)  # fail now if no window fits
 
     save_table(table, mins, maxs, run.staging_path("processed.npz", "table"))
     params = {
-        "data": str(data),
+        "data": str(args.data),
         "schema": dict(sorted(schema.items())),
-        "ewma_spans": list(ewma_spans),
-        "test_profiles": sorted(test_profiles),
-        "val_profiles": sorted(val_profiles),
-        "window_length": window_length,
-        "stride": stride,
+        "ewma_spans": list(args.ewma_spans),
+        "test_profiles": sorted(args.test_profiles),
+        "val_profiles": sorted(args.val_profiles),
+        "window_length": args.window_length,
+        "stride": args.stride,
         "id_column": table.id_column,
     }
     run.record(params)
 
 
-def stage_embed(run: RunManifest, embeddings: str | None) -> None:
+def stage_embed(run: RunManifest, args: argparse.Namespace) -> None:
     started = time.perf_counter()
     windows = run.windows()
-    if embeddings:
-        matrix = embedding.read_embedding_file(embeddings, expected_rows=len(windows))
+    if args.embeddings:
+        matrix = embedding.read_embedding_file(args.embeddings, expected_rows=len(windows))
         provenance = embedding.PROVENANCE_EXTERNAL
     else:
         matrix = embedding.featurize_window_set(windows)
         provenance = embedding.PROVENANCE_BUILTIN
     embedding.write_embedding_file(matrix, run.staging_path("embeddings.tsem"))
-    run.record({"embeddings": str(embeddings) if embeddings else None},
+    run.record({"embeddings": str(args.embeddings) if args.embeddings else None},
                provenance=provenance, dims=matrix.dims)
     seconds = time.perf_counter() - started
     logger.info("embedded %d windows into %d dims in %.2f s (%.0f windows/s)",
                 matrix.rows, matrix.dims, seconds, matrix.rows / seconds)
 
 
-def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
-                  restarts: int, centroids_path: str | None) -> None:
+def stage_cluster(run: RunManifest, args: argparse.Namespace) -> None:
     centroids_name = "centroids.tsem"
-    if centroids_path:  # named from resolved paths, so symlinks resolve as when opened
-        target = Path(centroids_path).resolve()
+    if args.centroids:  # named from resolved paths, so symlinks resolve as when opened
+        target = Path(args.centroids).resolve()
         if target.is_dir():
-            raise PipelineError(f"--centroids {centroids_path} is a directory")
+            raise PipelineError(f"--centroids {args.centroids} is a directory")
         centroids_name = os.path.relpath(target, run.out_dir.resolve())
     train_idx, points = run.train_points()
-    model = clustering.kmeans_fit(points, k=k, max_iter=max_iter, tol=tol,
-                                  seed=run.master_seed, n_init=restarts)
+    model = clustering.kmeans_fit(points, k=args.k, max_iter=args.max_iter, tol=args.tol,
+                                  seed=run.master_seed, n_init=args.restarts)
 
     embedding.write_embedding_file(
         embedding.EmbeddingMatrix(model.centroids.astype(np.float32)),
@@ -372,33 +388,26 @@ def stage_cluster(run: RunManifest, k: int, max_iter: int, tol: float,
                np.column_stack([train_idx, model.assignments]), fmt="%d", delimiter=",",
                header="window_index,cluster_id", comments="")
     run.record(
-        {"k": k, "max_iter": max_iter, "tol": tol, "restarts": restarts},
+        {"k": args.k, "max_iter": args.max_iter, "tol": args.tol, "restarts": args.restarts},
         inertia=model.inertia, n_iter=model.n_iter,
         cluster_sizes=[int(s) for s in model.sizes])
 
 
-def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
-                 train_config: trainers.TrainConfig, external_cmd: str | None,
-                 external_timeout: float, expected_k: int | None = None) -> None:
-    protocol = None
-    if trainers.TRAINERS[train_config.trainer].fit is None:
-        if not external_cmd:
-            raise PipelineError("--trainer external needs --external-cmd")
-        protocol = trainers.ExternalProtocol(shlex.split(external_cmd), external_timeout)
+def stage_search(run: RunManifest, args: argparse.Namespace) -> None:
     k = int(run.stages["cluster"]["params"]["k"])
-    if expected_k is not None and expected_k != k:
+    if args.k is not None and args.k != k:
         raise PipelineError(
-            f"--k {expected_k} does not match the clustered k={k}; "
+            f"--k {args.k} does not match the clustered k={k}; "
             f"re-run the cluster stage if you want a different search space")
-    context = _trial_context(run, train_config, SPLIT_VAL, protocol)
+    context = _trial_context(run, args, SPLIT_VAL)
     train_idx, assignments = run.assignments()
-    config = search.StudyConfig(n_trials=trials, k=k, jobs=jobs, sampler=sampler,
-                                seed=run.master_seed,
+    config = search.StudyConfig(n_trials=args.trials, k=k, jobs=args.jobs,
+                                sampler=args.sampler, seed=run.master_seed,
                                 trial_log=run.staging_path("trials.jsonl"))
     result, baseline_eval = search_mixture(context, train_idx, assignments, config)
-    params = {"trials": trials, "jobs": jobs, "sampler": sampler,
-              "trainer": train_config.to_dict(),
-              "external_cmd": external_cmd}
+    params = {"trials": args.trials, "jobs": args.jobs, "sampler": args.sampler,
+              "trainer": context.config.to_dict(),
+              "external_cmd": args.external_cmd}
     run.record(params, {
         "study.json": {
             "schema_version": 1,
@@ -407,7 +416,7 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
             "best_trial_id": result.best_trial_id,
             "best_objective": result.best_trial.objective,
             "sampler_config": result.sampler_config,
-            "trainer_config": train_config.to_dict(),
+            "trainer_config": context.config.to_dict(),
             "baseline": {
                 "avg_mse": baseline_eval.objective,
                 "per_target_mse": baseline_eval.per_target_mse,
@@ -419,25 +428,22 @@ def stage_search(run: RunManifest, trials: int, jobs: int, sampler: str,
     })
 
 
-def stage_sweep(run: RunManifest, fractions: list[float],
-                train_config: trainers.TrainConfig) -> None:
-    if trainers.TRAINERS[train_config.trainer].fit is None:
-        raise PipelineError("size sweep supports the ridge and patch-net trainers")
-    context = _trial_context(run, train_config, SPLIT_TEST)
+def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
+    context = _trial_context(run, args, SPLIT_TEST)
     train_idx = context.windows.split_indices(SPLIT_TRAIN)
 
     def score(subset: np.ndarray) -> float:
-        return context.score(train_idx[subset], train_config.seed).objective
+        return context.score(train_idx[subset], context.config.seed).objective
 
-    rows = report.run_size_sweep(fractions, run.master_seed, score, train_idx.size)
-    run.record({"fractions": [float(f) for f in fractions],
-                "trainer": train_config.to_dict()},
+    rows = report.run_size_sweep(args.fractions, run.master_seed, score, train_idx.size)
+    run.record({"fractions": [float(f) for f in args.fractions],
+                "trainer": context.config.to_dict()},
                {"sweep.json": {"schema_version": 1,
                                "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
                                         for f, n, m in rows]}})
 
 
-def stage_report(run: RunManifest) -> None:
+def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
     result, study_payload = run.study()
     _, assignments = run.assignments()
     sweep_rows = None
@@ -453,10 +459,10 @@ def stage_report(run: RunManifest) -> None:
     run.record({})
 
 
-def stage_review_export(run: RunManifest, m: int) -> None:
+def stage_review_export(run: RunManifest, args: argparse.Namespace) -> None:
     result, _ = run.study()
     windows = run.windows()
     train_idx, assignments = run.assignments()
-    report.export_review_bundle(result, assignments, windows, train_idx, m,
+    report.export_review_bundle(result, assignments, windows, train_idx, args.review_samples,
                                 run.staging_path("review"), seed=run.master_seed)
-    run.record({"m": m})
+    run.record({"m": args.review_samples})

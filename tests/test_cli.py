@@ -13,9 +13,9 @@ import pytest
 
 import mixsearch
 from mixsearch import benchmark, embedding, pipeline, report
-from mixsearch.cli import _train_config, build_parser, main
+from mixsearch.cli import build_parser, main
 from mixsearch.dataset import DatasetError
-from mixsearch.pipeline import RunManifest
+from mixsearch.pipeline import RunManifest, train_config
 from mixsearch.search import N_STARTUP
 from mixsearch.trainers import ExternalProtocol, TrainConfig
 
@@ -203,9 +203,27 @@ class TestDispatch:
         assert pre.test_profiles == [65]
         assert pre.val_profiles == [18, 39, 46, 56, 75]
 
+    def test_stage_looked_up_on_every_call(self, raw_csv, tmp_path, monkeypatch):
+        # A traced benchmark run swaps pipeline.stage_* for wrappers after import;
+        # a stage bound at import would skip them.
+        csv_path, schema_path, _ = raw_csv
+        common = ["--out", str(tmp_path / "run"), "--seed", str(SEED), "--log-level", "warning"]
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *PREP]) == 0
+        real, calls = pipeline.stage_embed, []
+
+        def stand_in(run, args):
+            calls.append(args.command)
+            return real(run, args)
+
+        monkeypatch.setattr(pipeline, "stage_embed", stand_in)
+        assert main(["embed", *common]) == 0
+        assert calls == ["embed"]
+        assert (tmp_path / "run" / "embeddings.tsem").exists()
+
     def test_trainer_defaults_come_from_train_config(self):
         args = build_parser().parse_args(["search"])
-        assert _train_config(args) == TrainConfig()
+        assert train_config(args) == TrainConfig()
         assert args.external_timeout == ExternalProtocol(["x"]).timeout_s
 
 
@@ -882,6 +900,38 @@ class TestSelftest:
         assert captured.count("PASS") == 3
         assert (out / "summary.json").exists()
         assert (out / "review" / "prompt.txt").exists()
+
+    def test_out_dir_holding_other_files_refused(self, tmp_path, capsys):
+        def contents(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        selftest = ["selftest", "--seed", "3", "--windows-per-regime", "150",
+                    "--log-level", "warning"]
+        run_dir = tmp_path / "run"  # a pipeline run's products beside its manifest
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text("{}")
+        (run_dir / "summary.json").write_text('{"k": 6}')
+        notes = tmp_path / "notes"  # a review/ the selftest did not write
+        (notes / "review").mkdir(parents=True)
+        (notes / "review" / "notes.txt").write_text("keep me")
+        for out, entry in ((run_dir, "manifest.json"), (notes, "review")):
+            before = contents(out)
+            assert main([*selftest, "--out", str(out)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and f"holds {entry}, not a selftest report" in err[0]
+            assert contents(out) == before
+        out = tmp_path / "selftest"
+        assert main([*selftest, "--out", str(out)]) == 0
+        assert main([*selftest, "--out", str(out)]) == 0  # its own reports may be replaced
+
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_windows_per_regime_below_one_refused(self, tmp_path, capsys, count):
+        assert main(["selftest", "--out", str(tmp_path / "st"), "--windows-per-regime",
+                     str(count), "--log-level", "warning"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DatasetError")
+        assert f"windows per regime must be >= 1, got {count}" in err[0]
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MIXSEARCH_OUT", str(tmp_path / "envout"))
