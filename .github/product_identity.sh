@@ -9,7 +9,8 @@
 # perfbench/corpus.py. Each tree then runs, with PYTHONPATH=<tree>/src and
 # the same output paths, preprocess -> embed -> cluster -> search -> sweep ->
 # report -> review-export at the CLI defaults on each corpus, and
-# `selftest --seed 3 --jobs 2`. The outputs are compared with `diff -r`,
+# `selftest --seed 3` at --jobs 2 and at --jobs 1 (the selftest's default,
+# the study's no-pool path). The outputs are compared with `diff -r`,
 # after `wall_time_s` is dropped from every trials.jsonl record.
 #
 # A change that alters products on purpose lists them, relative to the
@@ -55,6 +56,8 @@ run_tree() {
     done
     PYTHONPATH="$tree/src" "$python" -m mixsearch.cli selftest --seed 3 --jobs 2 \
         --out "$work/out/selftest" --log-level warning > /dev/null
+    PYTHONPATH="$tree/src" "$python" -m mixsearch.cli selftest --seed 3 --jobs 1 \
+        --out "$work/out/selftest-jobs1" --log-level warning > /dev/null
     "$python" - "$work/out" <<'EOF'
 import json, pathlib, sys
 for path in pathlib.Path(sys.argv[1]).rglob("trials.jsonl"):
@@ -86,7 +89,7 @@ for path in "${differing[@]}"; do
     fi
 done
 
-echo "product identity: 6 pipeline runs and 2 selftests in $((SECONDS - started)) s"
+echo "product identity: 6 pipeline runs and 4 selftests in $((SECONDS - started)) s"
 if [ ${#unexpected[@]} -gt 0 ]; then
     echo "products that differ from the parent:" >&2
     printf '  %s\n' "${unexpected[@]}" >&2

@@ -7,3 +7,7 @@ validation MSE.
 """
 
 __version__ = "0.1.0"
+
+
+class MixsearchError(Exception):
+    """Base of every mixsearch error; the command line reports each as one line."""

@@ -13,19 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, benchmark, pipeline, report, trainers
-from .dataset import DatasetError
-from .embedding import EmbeddingError
-from .clustering import ClusteringError
-from .search import AllTrialsFailedError, EmptyMixtureError, SearchError
-from .trainers import (
-    ExternalTrainerError,
-    TrainConfig,
-    TrainerError,
-    TrainingDivergedError,
-)
-from .pipeline import PipelineError, StaleManifestError
-from .report import ReportError
+from . import MixsearchError, __version__, benchmark, pipeline, report, trainers
+from .pipeline import PipelineError
+from .trainers import TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -36,12 +26,6 @@ DEFAULT_VAL_PROFILES = [18, 39, 46, 56, 75]
 SELFTEST_PRODUCTS = {"weights.csv", "counts.csv", "sweep.csv", "summary.json", "review"}
 BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
-
-_ERROR_CATEGORIES = (
-    DatasetError, EmbeddingError, ClusteringError, SearchError, TrainerError,
-    ExternalTrainerError, TrainingDivergedError, EmptyMixtureError,
-    AllTrialsFailedError, ReportError, PipelineError, StaleManifestError,
-)
 
 
 def _int_list(text: str) -> list[int]:
@@ -259,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse usage errors and --version
         code = exc.code
         return code if isinstance(code, int) else 2
-    except _ERROR_CATEGORIES as exc:
+    except MixsearchError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MixsearchError
+
 logger = logging.getLogger(__name__)
 
 # Values per temporary in the exact distance kernel: row blocks hold at most
@@ -37,7 +39,7 @@ logger = logging.getLogger(__name__)
 _BLOCK_VALUES = 1 << 20
 
 
-class ClusteringError(ValueError):
+class ClusteringError(MixsearchError, ValueError):
     pass
 
 

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import MixsearchError
+
 logger = logging.getLogger(__name__)
 
 ROLE_INPUT = "input"
@@ -31,7 +33,7 @@ SPLIT_VAL = "val"
 SPLIT_TEST = "test"
 
 
-class DatasetError(ValueError):
+class DatasetError(MixsearchError, ValueError):
     """Raised when a table or file violates the ingestion contract."""
 
 

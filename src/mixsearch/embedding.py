@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import MixsearchError
 from .dataset import WindowSet
 
 MAGIC = b"TSEM"
@@ -37,7 +38,7 @@ PROVENANCE_BUILTIN = "builtin"
 PROVENANCE_EXTERNAL = "external"
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(MixsearchError, ValueError):
     """Raised for malformed embedding matrices or files."""
 
 

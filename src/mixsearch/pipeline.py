@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, clustering, embedding, report, search, trainers
+from . import MixsearchError, __version__, clustering, embedding, report, search, trainers
 from .dataset import (
     SPLIT_TEST,
     SPLIT_TRAIN,
@@ -60,11 +60,11 @@ STAGE_PARENTS: dict[str, list[str]] = {
 }
 
 
-class StaleManifestError(RuntimeError):
+class StaleManifestError(MixsearchError, RuntimeError):
     """The manifest's recorded configuration chain no longer matches."""
 
 
-class PipelineError(RuntimeError):
+class PipelineError(MixsearchError, RuntimeError):
     pass
 
 
@@ -103,7 +103,10 @@ class RunManifest:
                         f"{path}: unsupported manifest schema {payload.get('schema_version')}")
                 recorded_seed = int(payload["master_seed"])
                 run.stages = payload["stages"]
-            except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+                if not all(isinstance(e["params"], dict) and isinstance(e["outputs"], dict)
+                           and isinstance(e["chain_hash"], str) for e in run.stages.values()):
+                    raise TypeError("stage entries need params, outputs and chain_hash")
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise PipelineError(f"{path} is not a readable manifest ({exc}); "
                                     f"delete it and re-run from preprocess") from None
             if recorded_seed == seed:
@@ -203,7 +206,7 @@ class RunManifest:
         path = self.output(stage, name)
         try:
             return load(path)
-        except ValueError as exc:  # JSONDecodeError is a ValueError
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError too
             raise PipelineError(f"{path} is truncated or corrupt ({exc}); "
                                 f"re-run {stage!r}") from None
 
@@ -237,13 +240,15 @@ class RunManifest:
         rows = self.read("cluster", "assignments", load)
         return rows[:, 0], rows[:, 1]
 
-    def study(self) -> tuple[search.StudyResult, dict]:
-        """The finished study and the ``study.json`` payload it was saved with."""
-        payload = self.read("search", "study")
-        records = self.read("search", "trials", search.load_trial_log)
-        result = search.StudyResult.from_trials(records, payload["k"],
-                                                payload["sampler_config"])
-        return result, payload
+    def study(self) -> tuple[search.StudyResult, float]:
+        """The finished study and the full-data baseline avg_mse of ``study.json``."""
+        def load_study(path: Path) -> tuple[int, dict, float]:
+            payload = json.loads(path.read_text())
+            return payload["k"], payload["sampler_config"], payload["baseline"]["avg_mse"]
+        k, sampler_config, baseline = self.read("search", "study", load_study)
+        result = self.read("search", "trials", lambda path: search.StudyResult.from_trials(
+            search.load_trial_log(path), k, sampler_config))
+        return result, baseline
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +309,11 @@ def _trial_context(run: RunManifest, args: argparse.Namespace,
             raise PipelineError("size sweep supports the ridge and patch-net trainers")
         if not args.external_cmd:
             raise PipelineError("--trainer external needs --external-cmd")
-        protocol = trainers.ExternalProtocol(shlex.split(args.external_cmd),
-                                             args.external_timeout)
+        try:
+            command = shlex.split(args.external_cmd)
+        except ValueError as exc:  # unbalanced quotes
+            raise PipelineError(f"--external-cmd {args.external_cmd!r}: {exc}") from None
+        protocol = trainers.ExternalProtocol(command, args.external_timeout)
     window_length = run.stages["preprocess"]["params"]["window_length"]
     if trainer.patched and window_length % config.patch_len:
         raise PipelineError(f"--patch-len {config.patch_len} does not divide "
@@ -444,7 +452,7 @@ def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
 
 
 def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
-    result, study_payload = run.study()
+    result, baseline = run.study()
     _, assignments = run.assignments()
     sweep_rows = None
     if "sweep" in run.stages:
@@ -454,8 +462,7 @@ def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
         else:
             logger.warning("the size sweep predates the current cluster stage and "
                            "is left out; re-run sweep to report them")
-    report.emit_reports(result, assignments, study_payload["baseline"]["avg_mse"],
-                        sweep_rows, run.staging_path)
+    report.emit_reports(result, assignments, baseline, sweep_rows, run.staging_path)
     run.record({})
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import MixsearchError
 from .dataset import WindowSet
 from .search import StudyResult, mixture_counts, round_half_up
 
@@ -30,7 +31,7 @@ REVIEW_TOP = 3
 REVIEW_BOTTOM = 3
 
 
-class ReportError(ValueError):
+class ReportError(MixsearchError, ValueError):
     pass
 
 
@@ -42,8 +43,7 @@ def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     return np.bincount(assignments, minlength=k)
 
 
-def emit_reports(study: StudyResult, assignments: np.ndarray,
-                 baseline: float | None,
+def emit_reports(study: StudyResult, assignments: np.ndarray, baseline: float,
                  sweep_rows: list[tuple[float, int, float]] | None,
                  path_of: Callable[[str], Path]) -> dict:
     """Write ``weights.csv``, ``counts.csv``, ``sweep.csv`` and
@@ -54,8 +54,7 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
     counts table recomputes n_k from the best trial's weights with the
     mixture builder's own :func:`~.search.mixture_counts`, so it matches
     what that trial trained on.  ``baseline`` is the full-data average MSE;
-    without it, or when it is 0, the summary carries a warning instead of an
-    improvement figure.
+    when it is 0, the summary warns instead of giving an improvement figure.
     """
     if not study.completed():
         raise ReportError("study has no completed trials to report")
@@ -79,14 +78,12 @@ def emit_reports(study: StudyResult, assignments: np.ndarray,
         "total_windows": total_windows,
         "compression_ratio": total_windows / best.n_mix,
         "sampler": study.sampler_config,
+        "baseline_avg_mse": baseline,
     }
-    if baseline is not None:
-        summary["baseline_avg_mse"] = baseline
     if baseline:
         summary["relative_improvement"] = (baseline - best.objective) / baseline
     else:
-        summary["warning"] = ("no full-data baseline metrics" if baseline is None else
-                              "full-data baseline avg_mse is 0") + "; improvement omitted"
+        summary["warning"] = "full-data baseline avg_mse is 0; improvement omitted"
         logger.warning("summary: %s", summary["warning"])
 
     _write_csv(path_of("weights.csv"), ["cluster_id", "weight", "rank"],

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import MixsearchError
 from .clustering import cluster_members
 
 logger = logging.getLogger(__name__)
@@ -52,15 +53,15 @@ STATE_COMPLETE = "complete"
 STATE_FAILED = "failed"
 
 
-class SearchError(ValueError):
+class SearchError(MixsearchError, ValueError):
     pass
 
 
-class EmptyMixtureError(RuntimeError):
+class EmptyMixtureError(MixsearchError, RuntimeError):
     """A weight vector selected zero windows; the trial fails, the study survives."""
 
 
-class AllTrialsFailedError(RuntimeError):
+class AllTrialsFailedError(MixsearchError, RuntimeError):
     """Every trial of a study failed; there is no result to report."""
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import search
+from . import MixsearchError, search
 from .dataset import SPLIT_TEST, SPLIT_VAL, WindowSet
 
 ADAM_BETA1 = 0.9
@@ -37,15 +37,15 @@ ADAM_EPS = 1e-8
 PREDICT_BLOCK = 256
 
 
-class TrainerError(ValueError):
+class TrainerError(MixsearchError, ValueError):
     pass
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(MixsearchError, RuntimeError):
     """Loss became non-finite; the trial is failed with this diagnostic."""
 
 
-class ExternalTrainerError(RuntimeError):
+class ExternalTrainerError(MixsearchError, RuntimeError):
     """The external trainer command failed or returned malformed metrics."""
 
 

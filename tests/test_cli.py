@@ -1,7 +1,9 @@
 import ast
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -220,6 +222,18 @@ class TestDispatch:
         assert main(["embed", *common]) == 0
         assert calls == ["embed"]
         assert (tmp_path / "run" / "embeddings.tsem").exists()
+
+    def test_every_error_class_is_a_mixsearch_error(self):
+        # cli.main reports a MixsearchError as one error line; any other class
+        # would escape it as a traceback.
+        modules = [importlib.import_module(f"mixsearch.{info.name}")
+                   for info in pkgutil.iter_modules(mixsearch.__path__)]
+        errors = {cls for module in modules for cls in vars(module).values()
+                  if isinstance(cls, type) and issubclass(cls, Exception)
+                  and cls.__module__ == module.__name__}
+        assert len(errors) >= 12
+        assert [cls.__name__ for cls in errors
+                if not issubclass(cls, mixsearch.MixsearchError)] == []
 
     def test_trainer_defaults_come_from_train_config(self):
         args = build_parser().parse_args(["search"])
@@ -746,6 +760,10 @@ class TestTrainerBranches:
         assert "ridge and patch-net" in capsys.readouterr().err
         assert main(["search", *common, "--trainer", "external"]) == 1
         assert "--external-cmd" in capsys.readouterr().err
+        assert main(["search", *common, "--trainer", "external",
+                     "--external-cmd", 'x "y']) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: PipelineError: --external-cmd 'x \"y': No closing quotation"]
 
 
 class TestManifestGuards:
@@ -812,32 +830,53 @@ class TestManifestGuards:
         assert rc == 1
         assert "seed" in capsys.readouterr().err.lower()
 
-    def test_truncated_manifest_refused(self, raw_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:-40],
+        lambda text: "[]",
+        lambda text: '"x"',
+        lambda text: '{"schema_version": 1, "master_seed": null, "stages": {}}',
+        lambda text: json.dumps({**json.loads(text), "stages": {"preprocess": {}}}),
+    ], ids=["truncated", "list", "string", "null-seed", "empty-stage-entry"])
+    def test_truncated_manifest_refused(self, raw_csv, tmp_path, capsys, corrupt):
         csv_path, schema_path, _ = raw_csv
         out = tmp_path / "truncated"
         common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
         assert main(["preprocess", *common, "--data", str(csv_path),
                      "--schema", str(schema_path), *PREP]) == 0
         manifest = out / "manifest.json"
-        manifest.write_bytes(manifest.read_bytes()[:-40])
+        manifest.write_text(corrupt(manifest.read_text()))
+        before = manifest.read_bytes()
         assert main(["embed", *common]) == 1
-        err = capsys.readouterr().err
-        assert "manifest.json" in err
-        assert len(err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PipelineError: ")
+        assert "manifest.json is not a readable manifest" in err[0]
+        assert manifest.read_bytes() == before
 
-    @pytest.mark.parametrize("name, stage", [
-        ("study.json", "search"), ("trials.jsonl", "search"), ("sweep.json", "sweep"),
-        ("assignments.csv", "cluster")])
-    def test_truncated_product_refused(self, raw_csv, tmp_path, capsys, name, stage):
+    @pytest.mark.parametrize("name, stage, corrupt", [
+        *(pytest.param(name, stage, lambda text: text[:-40], id=f"{name}-{stage}")
+          for name, stage in (("study.json", "search"), ("trials.jsonl", "search"),
+                              ("sweep.json", "sweep"), ("assignments.csv", "cluster"))),
+        pytest.param("trials.jsonl", "search", lambda text: "[1, 2]\n",
+                     id="trials.jsonl-list"),
+        pytest.param("trials.jsonl", "search", lambda text: '{"schema_version": 1}\n',
+                     id="trials.jsonl-no-trial-id"),
+        pytest.param("trials.jsonl", "search", lambda text: text + text.splitlines(True)[0],
+                     id="trials.jsonl-repeated-trial-id"),
+        pytest.param("study.json", "search", lambda text: "{}", id="study.json-empty-object"),
+    ])
+    def test_truncated_product_refused(self, raw_csv, tmp_path, capsys, name, stage,
+                                       corrupt):
         out = tmp_path / "truncated"
         staged_run(out, raw_csv)
         common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
         product = out / name
-        product.write_bytes(product.read_bytes()[:-40])
+        product.write_text(corrupt(product.read_text()))
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         assert main(["report", *common]) == 1
         err = capsys.readouterr().err
         assert name in err and f"re-run {stage!r}" in err
         assert len(err.strip().splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     @pytest.mark.parametrize("corrupt", [
         lambda lines: lines[:len(lines) // 2],  # cut at a line boundary

@@ -92,14 +92,6 @@ class TestEmitReports:
         assert [int(r["cluster_id"]) for r in rows] == [1, 3, 2, 0]  # tie: lower id first
         assert [int(r["rank"]) for r in rows] == [1, 2, 3, 4]
 
-    def test_missing_baseline_warns_in_summary(self, tmp_path):
-        k = 3
-        study = fake_study([[0.5] * k], [0.4], k)
-        summary = emit_reports(study, fake_assignments([10] * k), None,
-                               None, tmp_path.joinpath)
-        assert "warning" in summary
-        assert "relative_improvement" not in summary
-
     def test_zero_baseline_warns_instead_of_dividing(self, tmp_path):
         # An external trainer may report avg_mse 0 for the all-ones baseline.
         k = 3
