@@ -8,10 +8,12 @@
 # written once, at seeds 1-3 with 450 rows per profile, by this tree's
 # perfbench/corpus.py. Each tree then runs, with PYTHONPATH=<tree>/src and
 # the same output paths, preprocess -> embed -> cluster -> search -> sweep ->
-# report -> review-export at the CLI defaults on each corpus, and
-# `selftest --seed 3` at --jobs 2 and at --jobs 1 (the selftest's default,
-# the study's no-pool path). The outputs are compared with `diff -r`,
-# after `wall_time_s` is dropped from every trials.jsonl record.
+# report -> review-export at the CLI defaults on each corpus, then a short
+# patch-net search (4 trials of 50,000 tokens in batches of 256) in a copy
+# of the seed-1 run, and `selftest --seed 3` at --jobs 2 and at --jobs 1
+# (the selftest's default, the study's no-pool path). The outputs are
+# compared with `diff -r`, after `wall_time_s` is dropped from every
+# trials.jsonl record.
 #
 # A change that alters products on purpose lists them, relative to the
 # output root (seed1/summary.json, selftest/weights.csv, ...), one a line,
@@ -54,6 +56,10 @@ run_tree() {
                 --out "$work/out/seed$seed" --log-level warning
         done
     done
+    cp -r "$work/out/seed1" "$work/out/seed1-patchnet"
+    PYTHONPATH="$tree/src" "$python" -m mixsearch.cli search --trainer patch-net \
+        --budget-tokens 50000 --batch-size 256 --trials 4 \
+        --out "$work/out/seed1-patchnet" --log-level warning
     PYTHONPATH="$tree/src" "$python" -m mixsearch.cli selftest --seed 3 --jobs 2 \
         --out "$work/out/selftest" --log-level warning > /dev/null
     PYTHONPATH="$tree/src" "$python" -m mixsearch.cli selftest --seed 3 --jobs 1 \
@@ -89,7 +95,7 @@ for path in "${differing[@]}"; do
     fi
 done
 
-echo "product identity: 6 pipeline runs and 4 selftests in $((SECONDS - started)) s"
+echo "product identity: 6 pipeline runs, 2 patch-net searches and 4 selftests in $((SECONDS - started)) s"
 if [ ${#unexpected[@]} -gt 0 ]; then
     echo "products that differ from the parent:" >&2
     printf '  %s\n' "${unexpected[@]}" >&2

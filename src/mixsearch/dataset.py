@@ -105,7 +105,14 @@ class WindowGather:
         self.length = length
 
     def __getitem__(self, idx) -> np.ndarray:
-        return self.rows.take(self.start[idx, None] + np.arange(self.length), axis=0)
+        # Row r of this read-only (rows - W + 1, W, C_in) view is the window
+        # starting at r, so fancy indexing copies each window as one block.
+        # An array key keeps an int's gather a copy, not a view.
+        rows = self.rows
+        by_start = np.lib.stride_tricks.as_strided(
+            rows, shape=(max(rows.shape[0] - self.length + 1, 0), self.length, rows.shape[1]),
+            strides=(rows.strides[0], *rows.strides), writeable=False)
+        return by_start[np.asarray(self.start[idx])]
 
 
 @dataclass

@@ -230,7 +230,10 @@ class RunManifest:
     def assignments(self) -> tuple[np.ndarray, np.ndarray]:
         """(train window indices, local cluster assignments) from assignments.csv,
         refused unless its cluster ids count up to the recorded cluster sizes."""
-        sizes = self.stages["cluster"]["cluster_sizes"]
+        sizes = self.stages["cluster"].get("cluster_sizes")
+        if not isinstance(sizes, list):
+            raise PipelineError(f"{self.out_dir / MANIFEST_NAME} records no cluster sizes; "
+                                f"re-run 'cluster'")
         def load(path: Path) -> np.ndarray:
             rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
             if (rows.shape[1:] != (2,) or rows[:, 1].min(initial=0) < 0
@@ -457,8 +460,9 @@ def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
     sweep_rows = None
     if "sweep" in run.stages:
         if run.fresh("sweep"):
-            sweep_rows = [(row["fraction"], row["n_windows"], row["test_avg_mse"])
-                          for row in run.read("sweep", "sweep")["rows"]]
+            sweep_rows = run.read("sweep", "sweep", lambda path: [
+                (row["fraction"], row["n_windows"], row["test_avg_mse"])
+                for row in json.loads(path.read_text())["rows"]])
         else:
             logger.warning("the size sweep predates the current cluster stage and "
                            "is left out; re-run sweep to report them")

@@ -185,6 +185,7 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
 
     manifest: dict = {"clusters": {}, "m_requested": m,
                       "top_clusters": top, "bottom_clusters": bottom}
+    chosen_by_cluster = {}
     for cluster in top + bottom:
         members = train_indices[assignments == cluster]
         n_take = min(m, members.size)
@@ -192,16 +193,28 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
         if n_take < m:
             note = f"cluster has only {members.size} windows, exported all of them"
             logger.warning("review cluster %d: %s", cluster, note)
-        chosen = np.sort(rng.choice(members, size=n_take, replace=False))
-        cdir = review_dir / str(cluster)
-        cdir.mkdir()
-        for j, widx in enumerate(chosen):
-            _write_window_csv(windows, int(widx), cdir / f"{j}.csv")
+        chosen = chosen_by_cluster[cluster] = np.sort(
+            rng.choice(members, size=n_take, replace=False))
         entry = {"weight": float(weights[cluster]), "n_exported": int(n_take),
                  "window_indices": [int(w) for w in chosen]}
         if note:
             entry["note"] = note
         manifest["clusters"][str(cluster)] = entry
+
+    # The sampled windows overlap, so each table row they cover is formatted
+    # once, as its CSV line without the time step. A window's W rows are
+    # consecutive in the sorted union.
+    w = windows.window_length
+    rows = np.unique(windows.start[np.concatenate(list(chosen_by_cluster.values()))][:, None]
+                     + np.arange(w))
+    series = np.hstack([windows.input_rows[rows], windows.target_rows[rows]]).tolist()
+    lines = [",".join(map(repr, values)) for values in series]
+    header = ["t"] + windows.input_names + windows.target_names
+    for cluster, chosen in chosen_by_cluster.items():
+        cdir = review_dir / str(cluster)
+        cdir.mkdir()
+        for j, pos in enumerate(np.searchsorted(rows, windows.start[chosen]).tolist()):
+            _write_window_csv(header, lines[pos:pos + w], cdir / f"{j}.csv")
 
     prompt = _render_prompt(weights, top, bottom, m)
     (review_dir / "prompt.txt").write_text(prompt)
@@ -209,12 +222,11 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
     return manifest
 
 
-def _write_window_csv(windows: WindowSet, widx: int, path: Path) -> None:
-    names = windows.input_names + windows.target_names
-    rows = slice(windows.start[widx], windows.start[widx] + windows.window_length)
-    series = np.hstack([windows.input_rows[rows], windows.target_rows[rows]])
-    _write_csv(path, ["t"] + names,
-               ([t] + [repr(float(v)) for v in row] for t, row in enumerate(series)))
+def _write_window_csv(header: list[str], lines: list[str], path: Path) -> None:
+    """The CSV of one window: ``header``, then line t as ``t,lines[t]``."""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(f"{t},{line}\r\n" for t, line in enumerate(lines))
 
 
 def _render_prompt(weights: np.ndarray, top: list[int], bottom: list[int],

@@ -863,6 +863,9 @@ class TestManifestGuards:
         pytest.param("trials.jsonl", "search", lambda text: text + text.splitlines(True)[0],
                      id="trials.jsonl-repeated-trial-id"),
         pytest.param("study.json", "search", lambda text: "{}", id="study.json-empty-object"),
+        pytest.param("sweep.json", "sweep", lambda text: "{}", id="sweep.json-empty-object"),
+        pytest.param("sweep.json", "sweep", lambda text: '{"rows": [[1, 2]]}',
+                     id="sweep.json-list-row"),
     ])
     def test_truncated_product_refused(self, raw_csv, tmp_path, capsys, name, stage,
                                        corrupt):
@@ -892,6 +895,21 @@ class TestManifestGuards:
         err = capsys.readouterr().err
         assert "assignments.csv" in err and "re-run 'cluster'" in err
         assert len(err.strip().splitlines()) == 1
+
+
+    def test_manifest_without_cluster_sizes_refused(self, raw_csv, tmp_path, capsys):
+        out = tmp_path / "no-sizes"
+        common = clustered_run(out, raw_csv)
+        manifest = out / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        del payload["stages"]["cluster"]["cluster_sizes"]
+        manifest.write_text(json.dumps(payload))
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main(["search", *common, "--trials", "2", "--trainer", "ridge"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: PipelineError: {manifest} records no cluster sizes; "
+                       f"re-run 'cluster'"]
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
 
 class TestConfigFile:

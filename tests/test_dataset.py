@@ -435,6 +435,11 @@ class TestMakeWindows:
         got[...] = 99.0
         np.testing.assert_array_equal(ws.input_rows, before)
 
+    @pytest.mark.parametrize("key", [5, np.array([52, 0, 7, 7, 30])], ids=["int", "index-array"])
+    def test_gather_is_c_contiguous(self, key):
+        got = make_windows(self._table([40, 37]), 13, 1).inputs[key]
+        assert got.flags.c_contiguous and got.flags.writeable
+
     def test_gather_copies_no_table(self):
         # An M-sized table: 240,000 rows of 15 inputs and one target.
         rows = 240_000

@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from mixsearch.dataset import make_windows
 from mixsearch.report import (
     ReportError,
     emit_reports,
@@ -18,7 +20,7 @@ from mixsearch.search import (
     round_half_up,
 )
 
-from conftest import make_window_set
+from conftest import make_table, make_window_set
 
 
 def fake_study(weights_list, objectives, k, sizes=None):
@@ -113,6 +115,30 @@ class TestEmitReports:
             got = list(csv.DictReader(fh))
         assert [float(r["fraction"]) for r in got] == [0.25, 1.0]
         assert [float(r["test_avg_mse"]) for r in got] == [0.9, 0.7]
+
+    def test_window_csv_holds_its_window_rows(self, tmp_path):
+        # Stride-1 windows share rows; each file still holds its own W rows,
+        # as csv.writer writes each value's repr.
+        n_rows, w, k, per = 61, 8, 6, 9
+        table = make_table(np.random.default_rng(2).normal(size=(n_rows, 3)),
+                           np.ones(n_rows), split=np.full(n_rows, "train"))
+        windows = make_windows(table, w, 1)
+        assert len(windows) == k * per
+        study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
+        manifest = export_review_bundle(study, fake_assignments([per] * k), windows,
+                                        np.arange(k * per), m=3,
+                                        review_dir=tmp_path / "review", seed=3)
+        for cluster, entry in manifest["clusters"].items():
+            for j, widx in enumerate(entry["window_indices"]):
+                rows = slice(windows.start[widx], windows.start[widx] + w)
+                series = np.hstack([windows.input_rows[rows], windows.target_rows[rows]])
+                want = io.StringIO()
+                writer = csv.writer(want)
+                writer.writerow(["t", "c0", "c1", "c2"])
+                writer.writerows([t] + [repr(float(v)) for v in row]
+                                 for t, row in enumerate(series))
+                got = (tmp_path / "review" / cluster / f"{j}.csv").read_bytes()
+                assert got == want.getvalue().encode()
 
     def test_assignment_outside_k_is_error(self, tmp_path):
         k = 3

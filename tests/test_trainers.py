@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsearch import trainers
+from mixsearch.dataset import make_windows
 from mixsearch.clustering import ClusteringError, kmeans_fit
 from mixsearch.trainers import (
     PREDICT_BLOCK,
@@ -29,7 +31,7 @@ from mixsearch.trainers import (
     train_ridge,
 )
 
-from conftest import make_window_set
+from conftest import make_table, make_window_set
 
 
 def reference_planned_steps(budget, n, batch_size, ppw):
@@ -57,6 +59,25 @@ def linear_window_set(rng, n=60, w=20, c_in=2, c_tgt=2, noise=0.0, split=None):
     if noise:
         targets = targets + noise * rng.normal(size=targets.shape)
     return make_window_set(inputs, targets, split=split)
+
+
+def m_sized_windows():
+    """W=300 windows of an M-sized table: 240,000 rows of 15 inputs and one
+    target, the first half tagged train and the second half val."""
+    rows = 240_000
+    table = make_table(np.random.default_rng(5).normal(size=(rows, 16)), np.ones(rows),
+                       split=np.repeat(["train", "val"], rows // 2))
+    return make_windows(table, 300, 1)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestComputeEpochs:
@@ -292,6 +313,14 @@ class TestPatchNet:
         with pytest.raises(TrainingDivergedError):
             train_patch_net(np.arange(40), ws, config)
 
+    def test_training_holds_one_batch_of_windows(self):
+        ws = m_sized_windows()
+        idx = np.arange(0, len(ws), 97)
+        config = TrainConfig(trainer="patch-net", token_budget=idx.size * 10 * 2,
+                             batch_size=256, patch_len=30, embed_dim=32)
+        one_batch = 256 * 300 * 15 * np.dtype(np.float64).itemsize
+        assert traced_peak(lambda: train_patch_net(idx, ws, config)) < 1.5 * one_batch
+
     def test_patch_length_must_divide_window(self):
         rng = np.random.default_rng(9)
         ws = linear_window_set(rng, n=10, w=20)
@@ -413,6 +442,18 @@ class TestTrialContext:
         assert got.shape == (n_val, 2)
         # The one-window last block may take a different BLAS path: rounding only.
         np.testing.assert_allclose(got, pred, rtol=1e-12, atol=1e-15)
+
+    def test_prediction_holds_one_block_of_windows(self):
+        ws = m_sized_windows()
+        config = TrainConfig(trainer="patch-net", patch_len=30, embed_dim=32)
+        context = TrialContext(config, ws)
+        model = trainers.PatchNetModel(
+            params=init_patch_net(30 * 15, 32, 1, np.random.default_rng(8)),
+            pos_encoding=sinusoidal_position_encoding(10, 32), patch_len=30)
+        idx = context.scored_idx[::25]
+        assert idx.size > 10 * PREDICT_BLOCK
+        one_block = PREDICT_BLOCK * 300 * 15 * np.dtype(np.float64).itemsize
+        assert traced_peak(lambda: model.predict(context, idx)) < 1.5 * one_block
 
 
 NAN = float("nan")
