@@ -6,6 +6,7 @@ from cluster k.  The search itself is a from-scratch Tree-structured Parzen
 Estimator over the unit hypercube, with a uniform random sampler as
 baseline.  Trials run in batches of ``jobs``: trial t is proposed from the
 trials with ids below t - t mod jobs, so a seeded study is the same on every run.
+On Linux a batch's trials run in worker processes forked once per study.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -467,6 +469,10 @@ class ParzenDensity:
         return np.clip(out, 0.0, 1.0)
 
 
+# The good and bad densities of a history (fit_tpe), or None before N_STARTUP.
+Densities = tuple[ParzenDensity, ParzenDensity] | None
+
+
 def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform weight vector on [0, 1]^k."""
     if k < 1:
@@ -474,8 +480,7 @@ def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(size=k)
 
 
-def fit_tpe(history: Sequence[TrialRecord], k: int
-            ) -> tuple[ParzenDensity, ParzenDensity] | None:
+def fit_tpe(history: Sequence[TrialRecord], k: int) -> Densities:
     """The good and bad (k, n) Parzen densities of a history, or None while
     fewer than :data:`N_STARTUP` trials have completed.
 
@@ -491,8 +496,7 @@ def fit_tpe(history: Sequence[TrialRecord], k: int
     return ParzenDensity(good), ParzenDensity(bad)
 
 
-def tpe_suggest(densities: tuple[ParzenDensity, ParzenDensity] | None, k: int,
-                rng: np.random.Generator) -> np.ndarray:
+def tpe_suggest(densities: Densities, k: int, rng: np.random.Generator) -> np.ndarray:
     """Propose a weight vector by maximizing the good/bad density ratio.
 
     ``densities`` is :func:`fit_tpe` of the history; while it is None the
@@ -543,18 +547,78 @@ class StudyConfig:
 Objective = Callable[[int, np.ndarray], TrialEvaluation]
 
 
+@contextmanager
+def _forked_workers(n: int, run_one: Callable[[Densities, int], TrialRecord]
+                    ) -> Iterator[Callable[[Densities, range], list[TrialRecord]]]:
+    """Yield a batch runner over ``n`` worker processes forked here, which inherit
+    ``run_one`` with its objective and data; all are stopped and reaped on the way out."""
+    import multiprocessing  # here alone, so a process that starts no pool never pays for it
+    import pickle
+    import signal
+
+    conns, procs = [], []
+
+    def serve(conn) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C is the parent's to handle
+        # Hold no parent end of any pipe, so a parent that is gone reads as EOF.
+        for parent_end in conns:
+            parent_end.close()
+        try:
+            while True:
+                ids, blob = conn.recv()
+                densities = pickle.loads(blob)
+                conn.send([run_one(densities, t) for t in ids])
+        except (EOFError, ConnectionError):
+            pass
+
+    def run_batch(densities: Densities, ids: range) -> list[TrialRecord]:
+        blob = pickle.dumps(densities)
+        records = []
+        try:
+            # Every worker is idle here, having returned its last batch, so no
+            # send waits on a worker that waits to send its results.
+            for w, conn in enumerate(conns):
+                conn.send((ids[w::n], blob))
+            for w, conn in enumerate(conns):
+                records += conn.recv()
+        except (EOFError, ConnectionError):
+            procs[w].join()
+            raise SearchError(f"the search worker running trials {list(ids[w::n])} "
+                              f"died with exit status {procs[w].exitcode}") from None
+        return sorted(records, key=lambda r: r.trial_id)
+
+    context = multiprocessing.get_context("fork")  # not the default from Python 3.14 on
+    try:
+        for _ in range(n):
+            conn, child_end = context.Pipe()
+            conns.append(conn)
+            proc = context.Process(target=serve, args=(child_end,))
+            proc.start()
+            procs.append(proc)
+            child_end.close()
+        yield run_batch
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+
+
 def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
     """Run ``n_trials`` trials in batches of ``jobs`` concurrent trials.
 
     Trial t is proposed from exactly the trials with ids below t - t % jobs,
     which join the history and the trial log in id order once their batch has
-    returned.  A crashing objective marks its trial failed and the study
+    returned.  On Linux a batch's trials run in min(jobs, n_trials, usable CPUs)
+    worker processes forked once per study; at one worker, or elsewhere, they run
+    here in turn.  A crashing objective marks its trial failed and the study
     continues; if every trial fails the study raises :class:`AllTrialsFailedError`.
     """
     history: list[TrialRecord] = []
     densities = None
 
-    def run_one(trial_id: int) -> TrialRecord:
+    def run_one(densities: Densities, trial_id: int) -> TrialRecord:
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
         weights = tpe_suggest(densities, config.k, rng)  # random while densities is None
         t0 = time.perf_counter()
@@ -582,16 +646,18 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
 
     with ExitStack() as stack:
         log_fh = stack.enter_context(open(config.trial_log, "w")) if config.trial_log else None
-        # No pool at jobs=1: a one-worker pool raised search-patchnet peak RSS 71 -> 104 MB.
-        run_batch = (stack.enter_context(ThreadPoolExecutor(config.jobs)).map
-                     if config.jobs > 1 else map)
+        workers = (min(config.jobs, config.n_trials, len(os.sched_getaffinity(0)))
+                   if sys.platform == "linux" else 1)
+        # One worker runs here: a forked one would only add the fork and the pipe.
+        run_batch = (stack.enter_context(_forked_workers(workers, run_one)) if workers > 1
+                     else lambda densities, ids: [run_one(densities, t) for t in ids])
         best_objective = math.inf
         for start in range(0, config.n_trials, config.jobs):
             ids = range(start, min(start + config.jobs, config.n_trials))
             # Every trial of a batch sees the same history: fit its densities once.
             if config.sampler == "tpe":
                 densities = fit_tpe(history, config.k)
-            batch = list(run_batch(run_one, ids))
+            batch = run_batch(densities, ids)
             history.extend(batch)
             if log_fh is not None:
                 log_fh.writelines(record.to_json() + "\n" for record in batch)

@@ -1,6 +1,11 @@
 
+import json
 import logging
 import math
+import multiprocessing
+import os
+import signal
+import sys
 import time
 import tracemalloc
 
@@ -38,6 +43,12 @@ from mixsearch.search import (
     tpe_suggest,
     trial_rng,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def record(trial_id, weights, objective, state="complete"):
@@ -588,3 +599,74 @@ class TestRunStudy:
             return TrialEvaluation(float("nan"), 1, {}, {})
         with pytest.raises(AllTrialsFailedError):
             run_study(StudyConfig(n_trials=2, k=1, seed=0), objective)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="trials run in forked workers on Linux alone")
+class TestWorkers:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the usable-CPU count the study sees."""
+        def set_cpus(n):
+            monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(n)))
+        return set_cpus
+
+    @pytest.mark.parametrize("die, status", [(lambda: os._exit(3), 3),
+                                              (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                               -signal.SIGKILL)])
+    def test_dead_worker_raises_one_search_error(self, cpus, die, status):
+        def objective(trial_id, weights):
+            if trial_id == 4:
+                die()
+            if trial_id == 5:
+                time.sleep(60)  # its worker is stopped, not waited for
+            return TrialEvaluation(float(weights.sum()), 1, {}, {})
+        cpus(2)
+        started = time.perf_counter()
+        with pytest.raises(SearchError, match=rf"trials \[4\] died with exit status {status}$"):
+            run_study(StudyConfig(n_trials=8, k=2, jobs=2, seed=0), objective)
+        assert time.perf_counter() - started < 30
+
+    def test_workers_ignore_sigint(self, cpus):
+        def objective(trial_id, weights):
+            if trial_id == 3:
+                os.kill(os.getpid(), signal.SIGINT)  # a Ctrl-C reaches the workers too
+            return TrialEvaluation(float(weights.sum()), 1, {}, {})
+        cpus(2)
+        result = run_study(StudyConfig(n_trials=6, k=2, jobs=2, seed=0), objective)
+        assert len(result.completed()) == 6
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_workers_reaped_when_the_parent_raises(self, cpus, exc, monkeypatch):
+        calls = []
+
+        def failing_fit(history, k):
+            calls.append(len(multiprocessing.active_children()))
+            if len(calls) == 3:
+                raise exc("third batch")
+            return fit_tpe(history, k)
+        cpus(2)
+        monkeypatch.setattr(search, "fit_tpe", failing_fit)
+        with pytest.raises(exc, match="third batch"):
+            run_study(StudyConfig(n_trials=12, k=2, jobs=2, seed=0), quadratic_objective(0.3))
+        assert calls == [2, 2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_capped_by_usable_cpus(self, cpus, monkeypatch):
+        alive = []
+
+        def sampling_fit(history, k):
+            alive.append(len(multiprocessing.active_children()))
+            return fit_tpe(history, k)
+
+        def trials(n_cpus):
+            cpus(n_cpus)
+            result = run_study(StudyConfig(n_trials=30, k=3, jobs=6, seed=4),
+                               quadratic_objective(0.3))
+            return [json.dumps({**json.loads(t.to_json()), "wall_time_s": None})
+                    for t in result.trials]
+        monkeypatch.setattr(search, "fit_tpe", sampling_fit)
+        forked = trials(2)
+        assert alive == [2] * 5
+        alive.clear()
+        assert trials(1) == forked
+        assert alive == [0] * 5
