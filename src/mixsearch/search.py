@@ -415,7 +415,8 @@ class ParzenDensity:
         cdf_lo = np.zeros_like(lower)
         cdf_lo[need] = cdf[upper.size:]
         self._cdf_hi = cdf[:upper.size].reshape(obs.shape)
-        self.trunc_mass = self._cdf_hi - cdf_lo.reshape(obs.shape)
+        self._cdf_lo = cdf_lo.reshape(obs.shape)  # 0 where skipped
+        self.trunc_mass = self._cdf_hi - self._cdf_lo
 
     @property
     def n_components(self) -> int:
@@ -461,9 +462,13 @@ class ParzenDensity:
             row, _ = np.nonzero(gauss)
             i = comp[gauss] - 1
             obs, bw = self.obs[row, i], self.bw[row, i]
-            # Only drawn kernels need their lower-bound CDF in full; ndtr works
-            # element by element, so the subset has the full call's bits.
-            lo, hi = ndtr((0.0 - obs) / bw), self._cdf_hi[row, i]
+            # Drawn kernels need their lower-bound CDF in full.  The fit computed
+            # it where lower * sqrt(1/2) > -6.5; ndtr works element by element,
+            # so computing the rest here gives every value the full call's bits.
+            lower = (0.0 - obs) / bw
+            lo, hi = self._cdf_lo[row, i], self._cdf_hi[row, i]
+            skipped = lower * _SQRTH <= -6.5
+            lo[skipped] = ndtr(lower[skipped])
             p = lo + u[gauss] * (hi - lo)
             out[gauss] = obs + bw * ndtri(p)
         return np.clip(out, 0.0, 1.0)

@@ -35,6 +35,9 @@ ADAM_EPS = 1e-8
 # Windows gathered per patch-net prediction block, so scoring a split holds
 # one block of windows at a time.
 PREDICT_BLOCK = 256
+# Windows gathered in float64 per chunk of a float32 training batch, so no
+# float64 batch is ever built.
+TRAIN_GATHER_CHUNK = 32
 
 
 class TrainerError(MixsearchError, ValueError):
@@ -176,8 +179,11 @@ class PatchNetModel:
 
 
 def to_patches(inputs: np.ndarray, patch_len: int) -> np.ndarray:
-    """Reshape (n, W, C) windows into (n, P, patch_len * C) flattened patches."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    """Reshape (n, W, C) windows into (n, P, patch_len * C) flattened patches,
+    float32 if the windows are float32 and float64 otherwise."""
+    inputs = np.asarray(inputs)
+    if inputs.dtype != np.float32:
+        inputs = inputs.astype(np.float64, copy=False)
     n, w, c = inputs.shape
     if w % patch_len != 0:
         raise TrainerError(f"patch length {patch_len} does not divide window length {w}")
@@ -234,6 +240,16 @@ def patch_net_loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     return loss, grads
 
 
+def _gather_float32(windows: WindowSet, take: np.ndarray) -> np.ndarray:
+    """The windows ``take`` as one float32 (len(take), W, C_in) array, gathered
+    :data:`TRAIN_GATHER_CHUNK` windows at a time."""
+    out = np.empty((take.size, windows.window_length, windows.input_rows.shape[1]),
+                   dtype=np.float32)
+    for i in range(0, take.size, TRAIN_GATHER_CHUNK):
+        out[i:i + TRAIN_GATHER_CHUNK] = windows.inputs[take[i:i + TRAIN_GATHER_CHUNK]]
+    return out
+
+
 def train_patch_net(idx: np.ndarray, windows: WindowSet,
                     config: TrainConfig) -> PatchNetModel:
     """Adam-train the patch network on the mixture under the token budget.
@@ -242,9 +258,14 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     where the cumulative token count (rows in the batch times patches per
     window) reaches the budget, so consumption overshoots by less than one
     batch.  The learning-rate schedule spans exactly that planned step count.
-    Each step gathers its own batch of windows and frees it before the next
-    step gathers, so one batch is held at a time: on a 240,000-row table the
-    traced peak is 1.3 times one batch's gather.
+
+    Training runs in float32: the parameters (cast from
+    :func:`init_patch_net`'s float64 draws), the position code, the Adam
+    moments, the targets and each batch.  Each step gathers its own batch
+    straight into float32 and frees it before the next step gathers, so one
+    half-width batch is held at a time: on a 240,000-row table the traced
+    peak is 0.65 times one float64 batch.  The returned model predicts from
+    float64 windows, so its predictions are float64.
     """
     if idx.size == 0:
         raise TrainerError("mixture is empty")
@@ -262,8 +283,9 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
                      + int(np.searchsorted(last_epoch_tokens, left)) + 1)
 
     rng = np.random.default_rng(config.seed)
-    pe = sinusoidal_position_encoding(ppw, config.embed_dim)
-    params = init_patch_net(in_dim, config.embed_dim, windows.targets.shape[1], rng)
+    pe = sinusoidal_position_encoding(ppw, config.embed_dim).astype(np.float32)
+    params = {key: value.astype(np.float32) for key, value in init_patch_net(
+        in_dim, config.embed_dim, windows.targets.shape[1], rng).items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -277,23 +299,26 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
         lr = lr_at_step(step, planned_steps, config.peak_lr, config.warmup_fraction)
         # The gather is passed on unbound, so it is freed before the next step's.
         loss, grads = patch_net_loss_and_grads(
-            params, to_patches(windows.inputs[take], config.patch_len),
-            windows.targets[take], pe)
+            params, to_patches(_gather_float32(windows, take), config.patch_len),
+            windows.targets[take].astype(np.float32), pe)
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss at step {step} (epoch {epoch + 1})")
         losses.append(loss)
         t = step + 1
-        for key in params:
-            m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * grads[key]
-            v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * grads[key] ** 2
-            m_hat = m[key] / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v[key] / (1.0 - ADAM_BETA2 ** t)
-            params[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if not np.all(np.isfinite(params[key])):
-                raise TrainingDivergedError(
-                    f"parameter {key!r} became non-finite at step {step} "
-                    f"(epoch {epoch + 1})")
+        # A huge learning rate overflows float32 here, and the finiteness
+        # check fails the trial, so the overflow warnings are silenced.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key in params:
+                m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * grads[key]
+                v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * grads[key] ** 2
+                m_hat = m[key] / (1.0 - ADAM_BETA1 ** t)
+                v_hat = v[key] / (1.0 - ADAM_BETA2 ** t)
+                params[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                if not np.all(np.isfinite(params[key])):
+                    raise TrainingDivergedError(
+                        f"parameter {key!r} became non-finite at step {step} "
+                        f"(epoch {epoch + 1})")
         tokens += take.size * ppw
     epoch_losses = [float(np.mean(losses[i:i + steps_per_epoch]))
                     for i in range(0, planned_steps, steps_per_epoch)]

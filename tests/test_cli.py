@@ -6,6 +6,7 @@ import os
 import pkgutil
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -670,6 +671,62 @@ class TestTrainerBranches:
         assert study["trainer_config"]["trainer"] == "patch-net"
         assert math.isfinite(study["baseline"]["avg_mse"])
         assert main(["report", *common]) == 0
+
+    def test_patch_net_search_at_one_and_two_blas_threads(self, raw_csv, tmp_path):
+        # The BLAS thread count is not part of the study, but OpenBLAS splits
+        # some products' sums by thread, so the float32 trials may differ in
+        # their last bits.  What holds: the same mixtures, and scores equal to
+        # float32 rounding.  At stride 1 a mixture holds hundreds of windows,
+        # so a batch of 256 windows of 4 patches makes the embedding gradient
+        # a product of 1,024 rows, large enough for OpenBLAS to split.
+        csv_path, schema_path, _ = raw_csv
+        common = ["--out", str(tmp_path / "run"), "--seed", str(SEED),
+                  "--log-level", "warning"]
+        prep = [*PREP]
+        prep[prep.index("--stride") + 1] = "1"
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *prep]) == 0
+        assert main(["embed", *common]) == 0
+        assert main(["cluster", *common, "--k", "6", "--restarts", "3"]) == 0
+        src = str(Path(mixsearch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        products = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            shutil.copytree(tmp_path / "run", out)
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "mixsearch.cli", "search", "--out", str(out),
+                 "--seed", str(SEED), "--log-level", "warning", "--trials", "3",
+                 "--jobs", "1", "--trainer", "patch-net", "--budget-tokens", "8000",
+                 "--batch-size", "256", "--patch-len", "10", "--embed-dim", "32"],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            trials = [{k: v for k, v in json.loads(line).items() if k != "wall_time_s"}
+                      for line in (out / "trials.jsonl").read_text().splitlines()]
+            assert [r["state"] for r in trials] == ["complete"] * 3
+            products.append((trials, json.loads((out / "study.json").read_text())))
+
+        def assert_close(a, b, where):
+            if isinstance(a, dict):
+                assert a.keys() == b.keys(), where
+                for key in a:
+                    assert_close(a[key], b[key], f"{where}.{key}")
+            elif isinstance(a, list):
+                assert len(a) == len(b), where
+                for i, (x, y) in enumerate(zip(a, b)):
+                    assert_close(x, y, f"{where}[{i}]")
+            elif isinstance(a, float):
+                assert b == pytest.approx(a, rel=1e-6), where
+            else:
+                assert a == b, where
+
+        (one, study_one), (two, study_two) = products
+        assert [(r["weights"], r["n_mix"]) for r in one] \
+            == [(r["weights"], r["n_mix"]) for r in two]
+        assert_close(one, two, "trials")
+        assert_close(study_one, study_two, "study")
 
     def test_search_external_stub(self, raw_csv, tmp_path, monkeypatch):
         out = tmp_path / "ext"

@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from mixsearch import trainers
 from mixsearch.dataset import make_windows
 from mixsearch.clustering import ClusteringError, kmeans_fit
 from mixsearch.trainers import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PREDICT_BLOCK,
     ExternalProtocol,
     ExternalTrainerError,
@@ -49,6 +53,38 @@ def reference_planned_steps(budget, n, batch_size, ppw):
             if consumed >= budget:
                 return planned_steps
     return planned_steps
+
+
+def reference_train_float64(idx, windows, config):
+    """Float64 Adam training with train_patch_net's seed, step plan and
+    schedule, from one stack of the mixture's patches; returns the parameters
+    and the position code."""
+    x = to_patches(windows.inputs[idx], config.patch_len)
+    n, ppw, in_dim = x.shape
+    steps = reference_planned_steps(config.token_budget, n, config.batch_size, ppw)
+    batch = min(config.batch_size, n)
+    steps_per_epoch = -(-n // batch)
+    rng = np.random.default_rng(config.seed)
+    pe = sinusoidal_position_encoding(ppw, config.embed_dim)
+    params = init_patch_net(in_dim, config.embed_dim, windows.targets.shape[1], rng)
+    m = {key: np.zeros_like(value) for key, value in params.items()}
+    v = {key: np.zeros_like(value) for key, value in params.items()}
+    for step in range(steps):
+        b = step % steps_per_epoch
+        if b == 0:
+            perm = rng.permutation(n)
+        rows = perm[b * batch:(b + 1) * batch]
+        _, grads = patch_net_loss_and_grads(params, x[rows],
+                                            windows.targets[idx[rows]], pe)
+        lr = lr_at_step(step, steps, config.peak_lr, config.warmup_fraction)
+        t = step + 1
+        for key in params:
+            m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * grads[key]
+            v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * grads[key] ** 2
+            m_hat = m[key] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v[key] / (1.0 - ADAM_BETA2 ** t)
+            params[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params, pe
 
 
 def linear_window_set(rng, n=60, w=20, c_in=2, c_tgt=2, noise=0.0, split=None):
@@ -312,6 +348,43 @@ class TestPatchNet:
                              embed_dim=8, seed=0)
         with pytest.raises(TrainingDivergedError):
             train_patch_net(np.arange(40), ws, config)
+
+    def test_divergence_raises_without_numpy_warning(self):
+        rng = np.random.default_rng(8)
+        ws = linear_window_set(rng, n=40, w=20)
+        config = TrainConfig(trainer="patch-net", token_budget=40 * 4 * 50,
+                             batch_size=20, peak_lr=1e160, patch_len=5,
+                             embed_dim=8, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError):
+                train_patch_net(np.arange(40), ws, config)
+
+    def test_trains_float32_in_half_a_float64_batch(self):
+        ws = m_sized_windows()
+        idx = np.arange(0, len(ws), 97)
+        config = TrainConfig(trainer="patch-net", token_budget=idx.size * 10 * 2,
+                             batch_size=256, patch_len=30, embed_dim=32)
+        model = train_patch_net(idx, ws, config)
+        assert {value.dtype for value in model.params.values()} == {np.dtype(np.float32)}
+        one_float64_batch = 256 * 300 * 15 * np.dtype(np.float64).itemsize
+        assert traced_peak(lambda: train_patch_net(idx, ws, config)) \
+            < 0.8 * one_float64_batch
+
+    def test_float32_training_matches_float64_reference(self):
+        rng = np.random.default_rng(5)
+        ws = linear_window_set(rng, n=300, w=20, noise=0.02,
+                               split=["train"] * 240 + ["val"] * 60)
+        config = TrainConfig(trainer="patch-net", token_budget=240 * 4 * 8,
+                             batch_size=50, peak_lr=0.02, patch_len=5,
+                             embed_dim=16, seed=7)
+        train_idx = np.arange(240)
+        context = TrialContext(config, ws)
+        got = evaluate(train_patch_net(train_idx, ws, config), context).objective
+        params, pe = reference_train_float64(train_idx, ws, config)
+        want = evaluate(trainers.PatchNetModel(params=params, pos_encoding=pe,
+                                               patch_len=5), context).objective
+        assert got == pytest.approx(want, rel=1e-3)
 
     def test_training_holds_one_batch_of_windows(self):
         ws = m_sized_windows()
