@@ -68,6 +68,15 @@ class PipelineError(MixsearchError, RuntimeError):
     pass
 
 
+def _json_at_version(path: Path, version: int, stage: str) -> dict:
+    """The JSON object at ``path``, refused unless it has schema ``version``."""
+    payload = json.loads(path.read_text())
+    if payload.get("schema_version") != version:
+        raise PipelineError(f"{path}: unsupported schema version "
+                            f"{payload.get('schema_version')}; re-run {stage!r}")
+    return payload
+
+
 def _chain_hash(params: dict, parent_hashes: dict[str, str], seed: int) -> str:
     payload = json.dumps({"params": params, "parents": parent_hashes, "seed": seed},
                          sort_keys=True, separators=(",", ":"))
@@ -91,8 +100,8 @@ class RunManifest:
 
     @classmethod
     def open(cls, out_dir: Path, seed: int, stage: str, force: bool) -> "RunManifest":
-        """Read ``manifest.json`` (no products) and check that ``stage`` may run."""
-        out_dir.mkdir(parents=True, exist_ok=True)
+        """Read ``manifest.json`` (no products), check that ``stage`` may run, and
+        only then create ``out_dir`` if it is missing."""
         run = cls(out_dir=out_dir, stage=stage, master_seed=seed, stages={})
         path = out_dir / MANIFEST_NAME
         if path.exists():
@@ -118,6 +127,7 @@ class RunManifest:
                     raise StaleManifestError(msg)
                 logger.warning("%s -- forced, reseeding", msg)
         run.verify_upstream(stage, force)
+        out_dir.mkdir(parents=True, exist_ok=True)
         return run
 
     def __enter__(self) -> "RunManifest":
@@ -246,7 +256,7 @@ class RunManifest:
     def study(self) -> tuple[search.StudyResult, float]:
         """The finished study and the full-data baseline avg_mse of ``study.json``."""
         def load_study(path: Path) -> tuple[int, dict, float]:
-            payload = json.loads(path.read_text())
+            payload = _json_at_version(path, report.STUDY_SCHEMA_VERSION, "search")
             return payload["k"], payload["sampler_config"], payload["baseline"]["avg_mse"]
         k, sampler_config, baseline = self.read("search", "study", load_study)
         result = self.read("search", "trials", lambda path: search.StudyResult.from_trials(
@@ -335,7 +345,7 @@ def search_mixture(context: trainers.TrialContext, train_idx: np.ndarray,
                    ) -> tuple[search.StudyResult, search.TrialEvaluation]:
     """The study over per-cluster weights of ``train_idx`` and the full-data
     mixture it is compared with: all weights 1, scored as trial -1."""
-    objective = context.objective(train_idx, assignments, config.seed)
+    objective = search.mixture_objective(context.score, train_idx, assignments, config.seed)
     return search.run_study(config, objective), objective(-1, np.ones(config.k))
 
 
@@ -421,7 +431,7 @@ def stage_search(run: RunManifest, args: argparse.Namespace) -> None:
               "external_cmd": args.external_cmd}
     run.record(params, {
         "study.json": {
-            "schema_version": 1,
+            "schema_version": report.STUDY_SCHEMA_VERSION,
             "k": k,
             "n_train": int(train_idx.size),
             "best_trial_id": result.best_trial_id,
@@ -449,7 +459,7 @@ def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
     rows = report.run_size_sweep(args.fractions, run.master_seed, score, train_idx.size)
     run.record({"fractions": [float(f) for f in args.fractions],
                 "trainer": context.config.to_dict()},
-               {"sweep.json": {"schema_version": 1,
+               {"sweep.json": {"schema_version": report.SWEEP_SCHEMA_VERSION,
                                "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
                                         for f, n, m in rows]}})
 
@@ -461,8 +471,8 @@ def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
     if "sweep" in run.stages:
         if run.fresh("sweep"):
             sweep_rows = run.read("sweep", "sweep", lambda path: [
-                (row["fraction"], row["n_windows"], row["test_avg_mse"])
-                for row in json.loads(path.read_text())["rows"]])
+                (row["fraction"], row["n_windows"], row["test_avg_mse"]) for row in
+                _json_at_version(path, report.SWEEP_SCHEMA_VERSION, "sweep")["rows"]])
         else:
             logger.warning("the size sweep predates the current cluster stage and "
                            "is left out; re-run sweep to report them")

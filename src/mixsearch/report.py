@@ -26,6 +26,8 @@ from .search import StudyResult, mixture_counts, round_half_up
 logger = logging.getLogger(__name__)
 
 SUMMARY_SCHEMA_VERSION = 1
+STUDY_SCHEMA_VERSION = 1  # study.json, written by the search stage
+SWEEP_SCHEMA_VERSION = 1  # sweep.json, written by the sweep stage
 _REVIEW_STREAM = 7  # seed-stream tag so review sampling is independent of trials
 REVIEW_TOP = 3
 REVIEW_BOTTOM = 3

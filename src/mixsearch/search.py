@@ -2,11 +2,14 @@
 
 A weight vector w in [0, 1]^k turns cluster sizes into a concrete training
 mixture: n_k = round(C_k * w_k) windows drawn uniformly without replacement
-from cluster k.  The search itself is a from-scratch Tree-structured Parzen
-Estimator over the unit hypercube, with a uniform random sampler as
-baseline.  Trials run in batches of ``jobs``: trial t is proposed from the
-trials with ids below t - t mod jobs, so a seeded study is the same on every run.
-On Linux a batch's trials run in worker processes forked once per study.
+from cluster k.  A trial is :func:`mixture_objective`: the study's seed and the
+trial id fix its mixture and trainer seed, and the trainer's score of that
+mixture, kept with its bookkeeping, is its :class:`TrialRecord`.  The search
+itself is a from-scratch Tree-structured Parzen Estimator over the unit
+hypercube, with a uniform random sampler as baseline.  Trials run in batches
+of ``jobs``: trial t is proposed from the trials with ids below t - t mod jobs,
+so a seeded study is the same on every run.  On Linux a batch's trials run in
+worker processes forked once per study.
 """
 
 from __future__ import annotations
@@ -78,12 +81,6 @@ def trial_rng(master_seed: int, trial_id: int, stream: int) -> np.random.Generat
     return np.random.default_rng(np.random.SeedSequence(_entropy(master_seed, trial_id, stream)))
 
 
-def trial_seed_int(master_seed: int, trial_id: int, stream: int) -> int:
-    """Stable integer seed derived from (master seed, trial id, purpose)."""
-    seq = np.random.SeedSequence(_entropy(master_seed, trial_id, stream))
-    return int(seq.generate_state(1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Mixture construction
 
@@ -129,31 +126,31 @@ def build_mixture(assignments: np.ndarray, weights: np.ndarray,
 # Trial bookkeeping
 
 @dataclass
-class TrialRecord:
-    trial_id: int
-    weights: np.ndarray
+class TrialEvaluation:
+    """One trained proxy's scores: the objective (average MSE over targets
+    on the val or test split), the trained window count and the per-target
+    maps.  Every trainer and the mixture objective return it."""
+
+    objective: float
     n_mix: int
-    objective: float | None
     per_target_mse: dict[str, float]
     per_target_mae: dict[str, float]
+
+
+@dataclass
+class TrialRecord(TrialEvaluation):
+    """A trial's evaluation with its bookkeeping; a failed trial has no
+    objective, and one that raised has no scores either."""
+
+    trial_id: int
+    weights: np.ndarray
     state: str
     error: str | None
     wall_time_s: float
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": TRIAL_SCHEMA_VERSION,
-            "trial_id": self.trial_id,
-            "state": self.state,
-            "weights": [float(w) for w in self.weights],
-            "n_mix": self.n_mix,
-            "objective": self.objective,
-            "per_target_mse": self.per_target_mse,
-            "per_target_mae": self.per_target_mae,
-            "error": self.error,
-            "wall_time_s": self.wall_time_s,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({**vars(self), "schema_version": TRIAL_SCHEMA_VERSION,
+                           "weights": [float(w) for w in self.weights]}, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
@@ -172,18 +169,6 @@ class TrialRecord:
             error=payload.get("error"),
             wall_time_s=float(payload["wall_time_s"]),
         )
-
-
-@dataclass
-class TrialEvaluation:
-    """One trained proxy's scores: the objective (average MSE over targets
-    on the val or test split), the trained window count and the per-target
-    maps.  Every trainer and the objective closure return it."""
-
-    objective: float
-    n_mix: int
-    per_target_mse: dict[str, float]
-    per_target_mae: dict[str, float]
 
 
 @dataclass
@@ -552,6 +537,22 @@ class StudyConfig:
 Objective = Callable[[int, np.ndarray], TrialEvaluation]
 
 
+def mixture_objective(score: Callable[[np.ndarray, int, int], TrialEvaluation],
+                      train_idx: np.ndarray, assignments: np.ndarray,
+                      master_seed: int) -> Objective:
+    """Trial evaluator for :func:`run_study`.  Trial t draws its mixture of
+    ``train_idx``, whose clusters are ``assignments``, from stream
+    :data:`STREAM_MIXTURE` and its trainer seed from :data:`STREAM_TRAINER`,
+    and returns ``score(train_idx[mixture], seed, t)``."""
+    def objective(trial_id: int, weights: np.ndarray) -> TrialEvaluation:
+        mixture = build_mixture(assignments, weights,
+                                trial_rng(master_seed, trial_id, STREAM_MIXTURE))
+        seq = np.random.SeedSequence(_entropy(master_seed, trial_id, STREAM_TRAINER))
+        return score(train_idx[mixture], int(seq.generate_state(1)[0]), trial_id)
+
+    return objective
+
+
 @contextmanager
 def _forked_workers(n: int, run_one: Callable[[Densities, int], TrialRecord]
                     ) -> Iterator[Callable[[Densities, range], list[TrialRecord]]]:
@@ -627,27 +628,20 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
         weights = tpe_suggest(densities, config.k, rng)  # random while densities is None
         t0 = time.perf_counter()
+        value, n_mix, mse, mae, error = None, 0, {}, {}, None
         try:
             ev = objective(trial_id, weights)
-            record = TrialRecord(
-                trial_id=trial_id, weights=weights, n_mix=ev.n_mix,
-                objective=float(ev.objective),
-                per_target_mse=dict(ev.per_target_mse),
-                per_target_mae=dict(ev.per_target_mae),
-                state=STATE_COMPLETE, error=None,
-                wall_time_s=time.perf_counter() - t0)
-            if not math.isfinite(record.objective):
-                record.state = STATE_FAILED
-                record.error = f"non-finite objective {record.objective}"
-                record.objective = None
+            value, n_mix, mse, mae = (float(ev.objective), ev.n_mix,
+                                      dict(ev.per_target_mse), dict(ev.per_target_mae))
         except Exception as exc:  # trial-level failure, study continues
-            record = TrialRecord(
-                trial_id=trial_id, weights=weights, n_mix=0, objective=None,
-                per_target_mse={}, per_target_mae={}, state=STATE_FAILED,
-                error=f"{type(exc).__name__}: {exc}",
-                wall_time_s=time.perf_counter() - t0)
-            logger.debug("trial %d failed: %s", trial_id, record.error)
-        return record
+            error = f"{type(exc).__name__}: {exc}"
+            logger.debug("trial %d failed: %s", trial_id, error)
+        if value is not None and not math.isfinite(value):
+            value, error = None, f"non-finite objective {value}"
+        return TrialRecord(objective=value, n_mix=n_mix, per_target_mse=mse,
+                           per_target_mae=mae, trial_id=trial_id, weights=weights,
+                           state=STATE_COMPLETE if error is None else STATE_FAILED,
+                           error=error, wall_time_s=time.perf_counter() - t0)
 
     with ExitStack() as stack:
         log_fh = stack.enter_context(open(config.trial_log, "w")) if config.trial_log else None

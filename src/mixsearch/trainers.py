@@ -2,8 +2,9 @@
 
 Search, size sweep and the synthetic benchmark fix the trainer and the scored
 split once per study in a :class:`TrialContext`.  ``score`` trains the proxy on
-window indices and scores its last-step predictions on the val or test windows;
-``objective`` turns per-cluster weights into those indices.  Trainer kinds (:data:`TRAINERS`):
+window indices, with a given seed, and scores its last-step predictions on the
+val or test windows; :func:`search.mixture_objective` chooses the indices and
+the seed of each trial.  Trainer kinds (:data:`TRAINERS`):
 
 * ridge: closed-form regression from per-window feature vectors; fully
   deterministic, the fast path for weight search.
@@ -501,15 +502,3 @@ class TrialContext:
             return external_trainer_invoke(idx, self.windows, self.protocol, self.config,
                                            self.handoff_root / f"trial_{tag:05d}")
         return evaluate(fit(self, idx, seed), self, idx.size)
-
-    def objective(self, train_idx: np.ndarray, assignments: np.ndarray,
-                  master_seed: int) -> search.Objective:
-        """Trial evaluator for :func:`search.run_study`; ``assignments`` are the clusters
-        of ``train_idx``, and each trial seeds its mixture and training from ``master_seed``."""
-        def objective(trial_id: int, weights: np.ndarray) -> search.TrialEvaluation:
-            rng = search.trial_rng(master_seed, trial_id, search.STREAM_MIXTURE)
-            mixture = search.build_mixture(assignments, weights, rng)
-            seed = search.trial_seed_int(master_seed, trial_id, search.STREAM_TRAINER)
-            return self.score(train_idx[mixture], seed, trial_id)
-
-        return objective

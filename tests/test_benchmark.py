@@ -4,6 +4,7 @@ import pytest
 from mixsearch import benchmark
 from mixsearch.dataset import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL
 from mixsearch.report import run_size_sweep
+from mixsearch.search import mixture_objective
 from mixsearch.trainers import TrainConfig, TrialContext
 
 
@@ -63,8 +64,8 @@ class TestOutcome:
 
         context = TrialContext(TrainConfig(ridge_lambda=1e-3), data.windows,
                                features, split=SPLIT_TEST)
-        optimized_test_mse = context.objective(
-            train_idx, outcome.cluster_model.assignments,
+        optimized_test_mse = mixture_objective(
+            context.score, train_idx, outcome.cluster_model.assignments,
             outcome.study.sampler_config["seed"])(-2, best_weights).objective
 
         def score_fn(subset):

@@ -923,6 +923,9 @@ class TestManifestGuards:
         pytest.param("sweep.json", "sweep", lambda text: "{}", id="sweep.json-empty-object"),
         pytest.param("sweep.json", "sweep", lambda text: '{"rows": [[1, 2]]}',
                      id="sweep.json-list-row"),
+        *(pytest.param(name, stage, lambda text: json.dumps(
+            {**json.loads(text), "schema_version": 99}), id=f"{name}-schema-99")
+          for name, stage in (("study.json", "search"), ("sweep.json", "sweep"))),
     ])
     def test_truncated_product_refused(self, raw_csv, tmp_path, capsys, name, stage,
                                        corrupt):
@@ -937,6 +940,18 @@ class TestManifestGuards:
         assert name in err and f"re-run {stage!r}" in err
         assert len(err.strip().splitlines()) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    @pytest.mark.parametrize("stage", ["embed", "search", "report"])
+    def test_refused_stage_creates_no_out_dir(self, raw_csv, tmp_path, capsys, stage):
+        out = tmp_path / "typo_dir"
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        assert main([stage, *common]) == 1
+        assert "outputs; run" in capsys.readouterr().err
+        assert not out.exists()
+        csv_path, schema_path, _ = raw_csv
+        assert main(["preprocess", *common, "--data", str(csv_path),
+                     "--schema", str(schema_path), *PREP]) == 0
+        assert (out / "manifest.json").is_file()
 
     @pytest.mark.parametrize("corrupt", [
         lambda lines: lines[:len(lines) // 2],  # cut at a line boundary

@@ -20,7 +20,9 @@ from mixsearch.search import (
     N_CANDIDATES,
     N_STARTUP,
     STATE_COMPLETE,
+    STREAM_MIXTURE,
     STREAM_SUGGEST,
+    STREAM_TRAINER,
     AllTrialsFailedError,
     EmptyMixtureError,
     ParzenDensity,
@@ -35,6 +37,7 @@ from mixsearch.search import (
     gamma_split,
     load_trial_log,
     mixture_counts,
+    mixture_objective,
     ndtr,
     ndtri,
     random_suggest,
@@ -599,6 +602,59 @@ class TestRunStudy:
             return TrialEvaluation(float("nan"), 1, {}, {})
         with pytest.raises(AllTrialsFailedError):
             run_study(StudyConfig(n_trials=2, k=1, seed=0), objective)
+
+    def test_trial_log_lines_of_each_outcome(self, tmp_path, monkeypatch):
+        # A complete trial, one that raised, one with a non-finite objective and
+        # one whose evaluation fails to copy, each as one exact trial-log line.
+        def objective(trial_id, weights):
+            if trial_id == 1:
+                raise ValueError("bad mixture")
+            if trial_id == 2:
+                return TrialEvaluation(float("nan"), 5, {"a": 0.5}, {"a": 0.25})
+            if trial_id == 3:
+                return TrialEvaluation(1.0, 2, None, {})
+            return TrialEvaluation(np.float64(0.25), 7, {"a": 0.25, "b": 0.75},
+                                   {"a": 0.5, "b": 0.125})
+        monkeypatch.setattr(search.time, "perf_counter", lambda: 1.5)  # wall_time_s 0.0
+        log = tmp_path / "trials.jsonl"
+        run_study(StudyConfig(n_trials=4, k=2, seed=0, trial_log=log), objective)
+        tail = '"schema_version": 1, "state": "%s", "trial_id": %d, "wall_time_s": 0.0, '
+        assert log.read_text().splitlines() == [
+            '{"error": null, "n_mix": 7, "objective": 0.25, '
+            '"per_target_mae": {"a": 0.5, "b": 0.125}, "per_target_mse": {"a": 0.25, "b": 0.75}, '
+            + tail % ("complete", 0) + '"weights": [0.6369616873214543, 0.2697867137638703]}',
+            '{"error": "ValueError: bad mixture", "n_mix": 0, "objective": null, '
+            '"per_target_mae": {}, "per_target_mse": {}, '
+            + tail % ("failed", 1) + '"weights": [0.8897387912781343, 0.5571380502062263]}',
+            '{"error": "non-finite objective nan", "n_mix": 5, "objective": null, '
+            '"per_target_mae": {"a": 0.25}, "per_target_mse": {"a": 0.5}, '
+            + tail % ("failed", 2) + '"weights": [0.08082403917318748, 0.4024377919935872]}',
+            '{"error": "TypeError: \'NoneType\' object is not iterable", "n_mix": 0, '
+            '"objective": null, "per_target_mae": {}, "per_target_mse": {}, '
+            + tail % ("failed", 3) + '"weights": [0.8949727407898387, 0.8604144367749376]}',
+        ]
+
+
+class TestMixtureObjective:
+    def test_trial_trains_on_its_mixture_with_its_seed(self):
+        assignments = np.array([0, 1, 1, 0, 2, 2, 1, 0, 2, 1, 0, 2])
+        train_idx = np.arange(12) * 3 + 100
+        weights = np.array([0.5, 1.0, 0.34])
+        calls = []
+
+        def score(idx, seed, tag):
+            calls.append((idx, seed, tag))
+            return TrialEvaluation(float(tag), idx.size, {}, {})
+        objective = mixture_objective(score, train_idx, assignments, 17)
+        for t in (0, 1, 5, -1):
+            assert objective(t, weights) == TrialEvaluation(float(t), 7, {}, {})
+            idx, seed, tag = calls[-1]
+            np.testing.assert_array_equal(idx, train_idx[build_mixture(
+                assignments, weights, trial_rng(17, t, STREAM_MIXTURE))])
+            # The stream folds a negative trial id (the baseline's) to 32 bits.
+            seq = np.random.SeedSequence((17, t & 0xFFFFFFFF, STREAM_TRAINER))
+            assert (seed, tag) == (int(seq.generate_state(1)[0]), t)
+        assert len({seed for _, seed, _ in calls}) == len(calls)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="trials run in forked workers on Linux alone")
