@@ -8,7 +8,7 @@ upstream stage was re-run with different parameters) unless forced.
 
 Every product, file or directory, is written under a temporary name
 (:meth:`RunManifest.staging_path`) and :meth:`RunManifest.record` renames
-them into place back to back, the manifest last, so a failed stage leaves
+them into place in staging order, the manifest last, so a failed stage leaves
 the previous products and manifest as they were and no temporary file.
 The selftest, which has no manifest, writes its reports directly, and refuses
 an output directory that holds anything but those reports.
@@ -95,7 +95,6 @@ class RunManifest:
     master_seed: int
     stages: dict
     tool_version: str = __version__
-    staged: dict[str, Path] = field(init=False, default_factory=dict)
     outputs: dict[str, str] = field(init=False, default_factory=dict)
 
     @classmethod
@@ -134,7 +133,8 @@ class RunManifest:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for tmp in self.staged.values():  # after a full record all are renamed
+        for name in [*self.outputs.values(), MANIFEST_NAME]:  # all gone after a full record
+            tmp = self.out_dir / f"{name}.tmp"
             shutil.rmtree(tmp) if tmp.is_dir() else tmp.unlink(missing_ok=True)
 
     def staging_path(self, name: str, product: str | None = None) -> Path:
@@ -144,22 +144,16 @@ class RunManifest:
         or another stage already uses for an output is refused."""
         others = {n for stage, entry in self.stages.items() if stage != self.stage
                   for n in entry["outputs"].values()}
-        if name == MANIFEST_NAME or name in self.staged or name in others:
+        if name == MANIFEST_NAME or name in self.outputs.values() or name in others:
             raise PipelineError(f"{name} is already an output of this run")
         self.outputs[product or Path(name).stem] = name
-        self.staged[name] = self.out_dir / f"{name}.tmp"
-        return self.staged[name]
+        return self.out_dir / f"{name}.tmp"
 
-    def record(self, params: dict, payloads: dict[str, object] | None = None,
-               **extra) -> None:
-        """Record this stage's entry with every staged output and JSON
-        payload, and commit them: write the ``payloads`` and the manifest
-        under temporary names, then rename the payloads, the staged outputs
-        (a directory replaces the old one whole) and the manifest, last."""
-        files = list(self.staged)
-        payloads = payloads or {}
-        for name, payload in payloads.items():
-            report.write_json(self.staging_path(name), payload)
+    def record(self, params: dict, **extra) -> None:
+        """Record this stage's entry with every staged output, and commit
+        them: write the manifest under its temporary name, then rename the
+        outputs in the order they were staged (a directory replaces the old
+        one whole) and the manifest, last."""
         parent_hashes = self._parent_hashes(self.stage)
         self.stages[self.stage] = {
             "params": params,
@@ -168,18 +162,17 @@ class RunManifest:
             "chain_hash": _chain_hash(params, parent_hashes, self.master_seed),
             **extra,
         }
-        self.staged[MANIFEST_NAME] = self.out_dir / f"{MANIFEST_NAME}.tmp"
-        report.write_json(self.staged[MANIFEST_NAME], {
+        report.write_json(self.out_dir / f"{MANIFEST_NAME}.tmp", {
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "master_seed": self.master_seed,
             "stages": self.stages,
         })
-        for name in [*payloads, *files, MANIFEST_NAME]:
-            target = self.out_dir / name
-            if self.staged[name].is_dir() and target.is_dir():
+        for name in [*self.outputs.values(), MANIFEST_NAME]:
+            tmp, target = self.out_dir / f"{name}.tmp", self.out_dir / name
+            if tmp.is_dir() and target.is_dir():
                 shutil.rmtree(target)
-            os.replace(self.staged[name], target)
+            os.replace(tmp, target)
 
     def _parent_hashes(self, stage: str) -> dict[str, str]:
         return {p: self.stages[p]["chain_hash"]
@@ -211,8 +204,8 @@ class RunManifest:
         """Path of the product ``name`` that ``stage`` recorded."""
         return self.out_dir / self.stages[stage]["outputs"][name]
 
-    def read(self, stage: str, name: str, load=lambda path: json.loads(path.read_text())):
-        """The product ``name`` of ``stage`` through ``load``, JSON by default."""
+    def read(self, stage: str, name: str, load):
+        """The product ``name`` of ``stage`` through ``load``."""
         path = self.output(stage, name)
         try:
             return load(path)
@@ -420,36 +413,37 @@ def stage_search(run: RunManifest, args: argparse.Namespace) -> None:
         raise PipelineError(
             f"--k {args.k} does not match the clustered k={k}; "
             f"re-run the cluster stage if you want a different search space")
+    # Both JSON names are staged before the trial log, so a name another stage
+    # took is refused before any trial runs and study.json is renamed first.
+    study_path, weights_path = run.staging_path("study.json"), run.staging_path("best_weights.json")
     context = _trial_context(run, args, SPLIT_VAL)
     train_idx, assignments = run.assignments()
     config = search.StudyConfig(n_trials=args.trials, k=k, jobs=args.jobs,
                                 sampler=args.sampler, seed=run.master_seed,
                                 trial_log=run.staging_path("trials.jsonl"))
     result, baseline_eval = search_mixture(context, train_idx, assignments, config)
-    params = {"trials": args.trials, "jobs": args.jobs, "sampler": args.sampler,
-              "trainer": context.config.to_dict(),
-              "external_cmd": args.external_cmd}
-    run.record(params, {
-        "study.json": {
-            "schema_version": report.STUDY_SCHEMA_VERSION,
-            "k": k,
-            "n_train": int(train_idx.size),
-            "best_trial_id": result.best_trial_id,
-            "best_objective": result.best_trial.objective,
-            "sampler_config": result.sampler_config,
-            "trainer_config": context.config.to_dict(),
-            "baseline": {
-                "avg_mse": baseline_eval.objective,
-                "per_target_mse": baseline_eval.per_target_mse,
-                "per_target_mae": baseline_eval.per_target_mae,
-            },
+    report.write_json(study_path, {
+        "schema_version": report.STUDY_SCHEMA_VERSION,
+        "k": k,
+        "n_train": int(train_idx.size),
+        "best_trial_id": result.best_trial_id,
+        "best_objective": result.best_trial.objective,
+        "sampler_config": result.sampler_config,
+        "trainer_config": context.config.to_dict(),
+        "baseline": {
+            "avg_mse": baseline_eval.objective,
+            "per_target_mse": baseline_eval.per_target_mse,
+            "per_target_mae": baseline_eval.per_target_mae,
         },
-        "best_weights.json": {str(c): float(w)
-                              for c, w in enumerate(result.best_trial.weights)},
     })
+    report.write_json(weights_path, {str(c): float(w)
+                                     for c, w in enumerate(result.best_trial.weights)})
+    run.record({"trials": args.trials, "jobs": args.jobs, "sampler": args.sampler,
+                "trainer": context.config.to_dict(), "external_cmd": args.external_cmd})
 
 
 def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
+    sweep_path = run.staging_path("sweep.json")  # a taken name fails before any proxy trains
     context = _trial_context(run, args, SPLIT_TEST)
     train_idx = context.windows.split_indices(SPLIT_TRAIN)
 
@@ -457,11 +451,11 @@ def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
         return context.score(train_idx[subset], context.config.seed).objective
 
     rows = report.run_size_sweep(args.fractions, run.master_seed, score, train_idx.size)
+    report.write_json(sweep_path, {"schema_version": report.SWEEP_SCHEMA_VERSION,
+                                   "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
+                                            for f, n, m in rows]})
     run.record({"fractions": [float(f) for f in args.fractions],
-                "trainer": context.config.to_dict()},
-               {"sweep.json": {"schema_version": report.SWEEP_SCHEMA_VERSION,
-                               "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
-                                        for f, n, m in rows]}})
+                "trainer": context.config.to_dict()})
 
 
 def stage_report(run: RunManifest, args: argparse.Namespace) -> None:

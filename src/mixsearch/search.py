@@ -565,7 +565,10 @@ def _forked_workers(n: int, run_one: Callable[[Densities, int], TrialRecord]
     conns, procs = [], []
 
     def serve(conn) -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C is the parent's to handle
+        # A Ctrl-C is the parent's. Unlike SIG_IGN, a handler is reset when a trainer
+        # execs; the parent's terminate raises SystemExit, so subprocess.run kills it.
+        signal.signal(signal.SIGINT, lambda signum, frame: None)
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
         # Hold no parent end of any pipe, so a parent that is gone reads as EOF.
         for parent_end in conns:
             parent_end.close()

@@ -7,8 +7,10 @@ import pkgutil
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +523,59 @@ class TestStages:
             "cluster", "centroids")
         assert recorded.resolve() == (work / "c.tsem").resolve()
 
+    def test_each_stage_commits_in_staging_order(self, raw_csv, tmp_path, monkeypatch):
+        csv_path, schema_path, _ = raw_csv
+        common = ["--out", str(tmp_path / "run"), "--seed", str(SEED),
+                  "--log-level", "warning"]
+        real_replace, renamed = os.replace, []
+
+        def replace(src, dst):
+            renamed.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        commits = {}
+        for stage, extra in [
+                ("preprocess", ["--data", str(csv_path), "--schema", str(schema_path), *PREP]),
+                ("embed", []), ("cluster", ["--k", "6", "--restarts", "1"]),
+                ("search", ["--trials", "4", "--jobs", "1", "--trainer", "ridge"]),
+                ("sweep", ["--fractions", "0.5,1.0", "--trainer", "ridge"]),
+                ("report", []), ("review-export", ["--review-samples", "2"])]:
+            renamed.clear()
+            assert main([stage, *common, *extra]) == 0
+            commits[stage] = list(renamed)
+        assert commits == {
+            "preprocess": ["processed.npz", "manifest.json"],
+            "embed": ["embeddings.tsem", "manifest.json"],
+            "cluster": ["centroids.tsem", "assignments.csv", "manifest.json"],
+            "search": ["study.json", "best_weights.json", "trials.jsonl", "manifest.json"],
+            "sweep": ["sweep.json", "manifest.json"],
+            "report": ["weights.csv", "counts.csv", "sweep.csv", "summary.json",
+                       "manifest.json"],
+            "review-export": ["review", "manifest.json"],
+        }
+
+    @pytest.mark.parametrize("stage, extra, name, module, trains", [
+        ("search", ["--trials", "12"], "study.json", pipeline.search, "run_study"),
+        ("sweep", ["--fractions", "0.5,1.0"], "sweep.json", report, "run_size_sweep")],
+        ids=["search", "sweep"])
+    def test_taken_product_name_refused_before_training(self, raw_csv, tmp_path, monkeypatch,
+                                                        capsys, stage, extra, name, module,
+                                                        trains):
+        out = tmp_path / "run"
+        common = clustered_run(out, raw_csv)
+        assert main(["cluster", *common, "--k", "6", "--restarts", "1",
+                     "--centroids", str(out / name)]) == 0
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{trains} was called")
+        monkeypatch.setattr(module, trains, never)
+        assert main([stage, *common, *extra, "--trainer", "ridge"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0] and "already an output" in err[0], err
+        assert not list(out.glob("*.tmp"))
+
     def test_preprocess_column_flags_match_schema_file(self, raw_csv, tmp_path):
         csv_path, schema_path, _ = raw_csv
         by_file, by_flags = tmp_path / "file", tmp_path / "flags"
@@ -773,6 +828,54 @@ class TestTrainerBranches:
         records = [json.loads(line)
                    for line in (out / "trials.jsonl").read_text().splitlines()]
         assert [r["state"] for r in records] == ["complete"] * 3
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="search workers fork on Linux only")
+    @pytest.mark.parametrize("to_group", [False, True], ids=["parent", "process-group"])
+    def test_interrupted_search_stops_its_trainers(self, raw_csv, tmp_path, to_group):
+        out = tmp_path / "run"
+        common = clustered_run(out, raw_csv)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        stub = tmp_path / "sleeper.py"
+        stub.write_text("import os, pathlib, time\n"
+                        f"pathlib.Path({str(pids)!r}, str(os.getpid())).touch()\n"
+                        "time.sleep(30)\n")
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        src = str(Path(mixsearch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # Its own session, so a signal to its process group reaches no test process.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mixsearch.cli", "search", *common, "--trials", "4",
+             "--jobs", "2", "--trainer", "external", "--external-cmd", cmd],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": path})
+
+        def alive(pid):  # a zombie, whose parent is gone, no longer runs
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        started = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(started) < min(2, len(os.sched_getaffinity(0))):
+                assert time.monotonic() < deadline and proc.poll() is None, "no trainer started"
+                time.sleep(0.05)
+                started = [int(p.name) for p in pids.iterdir()]
+            (os.killpg if to_group else os.kill)(proc.pid, signal.SIGINT)
+            proc.wait(timeout=30)
+            started = [int(p.name) for p in pids.iterdir()]
+            deadline = time.monotonic() + 5
+            while any(map(alive, started)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in started if alive(pid)]
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in started:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_sweep_patch_net(self, raw_csv, tmp_path, monkeypatch):
         out = tmp_path / "sweep-pn"
