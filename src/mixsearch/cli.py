@@ -8,7 +8,6 @@ the output directory so every stage is independently runnable and resumable.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import logging
 import os
 import sys
@@ -238,11 +237,6 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # glibc's heap thresholds fixed at the ceiling its dynamic ones reach, so a stage's
-    # peak RSS no longer moves with the byte layout of its path and environment.
-    if sys.platform == "linux" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: buffers under 32 MiB on the heap
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: trimmed once 64 MiB at its top are free
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return dispatch(argv)

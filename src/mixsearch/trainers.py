@@ -33,9 +33,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Windows gathered per patch-net prediction block, so scoring a split holds
-# one block of windows at a time.
-PREDICT_BLOCK = 256
+# Windows gathered per patch-net prediction block: scoring a split holds one
+# float64 block at a time, half the bytes of a float32 training batch of 256.
+PREDICT_BLOCK = 64
 # Windows gathered in float64 per chunk of a float32 training batch, so no
 # float64 batch is ever built.
 TRAIN_GATHER_CHUNK = 32

@@ -528,6 +528,19 @@ class TestTrialContext:
         one_block = PREDICT_BLOCK * 300 * 15 * np.dtype(np.float64).itemsize
         assert traced_peak(lambda: model.predict(context, idx)) < 1.5 * one_block
 
+    def test_scoring_peaks_below_training_a_batch_of_256(self):
+        # A search scores each trial right after training it, so a scoring
+        # peak above training's would set the search's peak memory.
+        ws = m_sized_windows()
+        idx = np.arange(0, len(ws), 97)
+        config = TrainConfig(trainer="patch-net", token_budget=idx.size * 10 * 2,
+                             batch_size=256, patch_len=30, embed_dim=32)
+        context = TrialContext(config, ws)
+        trained = []
+        train_peak = traced_peak(lambda: trained.append(train_patch_net(idx, ws, config)))
+        scored = context.scored_idx[::25]
+        assert traced_peak(lambda: trained[0].predict(context, scored)) < train_peak
+
 
 NAN = float("nan")
 
