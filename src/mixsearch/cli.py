@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common, trainer],
                        help="optimize per-cluster sampling weights")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=int, default=4, help="trials per batch, run side by side")
     p.add_argument("--sampler", default="tpe", choices=["tpe", "random"])
     p.add_argument("--k", type=int, default=None,
                    help="expected cluster count (checked against the cluster stage)")
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the synthetic planted-regime benchmark end to end")
     p.add_argument("--trials", type=int, default=60)
     p.add_argument("--windows-per-regime", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="trials per batch, run side by side")
 
     return parser
 
@@ -249,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # a search's workers are reaped on the way here
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ mixture, kept with its bookkeeping, is its :class:`TrialRecord`.  The search
 itself is a from-scratch Tree-structured Parzen Estimator over the unit
 hypercube, with a uniform random sampler as baseline.  Trials run in batches
 of ``jobs``: trial t is proposed from the trials with ids below t - t mod jobs,
-so a seeded study is the same on every run.  On Linux a batch's trials run in
-worker processes forked once per study.
+so a seeded study is the same on every run.  On Linux a batch's trials are
+shared between the search process and worker processes forked once per study.
 """
 
 from __future__ import annotations
@@ -465,8 +465,6 @@ Densities = tuple[ParzenDensity, ParzenDensity] | None
 
 def random_suggest(k: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform weight vector on [0, 1]^k."""
-    if k < 1:
-        raise SearchError("k must be >= 1")
     return rng.uniform(size=k)
 
 
@@ -554,15 +552,17 @@ def mixture_objective(score: Callable[[np.ndarray, int, int], TrialEvaluation],
 
 
 @contextmanager
-def _forked_workers(n: int, run_one: Callable[[Densities, int], TrialRecord]
-                    ) -> Iterator[Callable[[Densities, range], list[TrialRecord]]]:
-    """Yield a batch runner over ``n`` worker processes forked here, which inherit
-    ``run_one`` with its objective and data; all are stopped and reaped on the way out."""
+def _forked_workers(n: int, history: list[TrialRecord], run_share: Callable[[range], list]
+                    ) -> Iterator[Callable[[range], list[TrialRecord]]]:
+    """Yield a batch runner that runs the first of a batch's ``n`` shares here and the
+    rest in n - 1 workers forked here, which inherit ``run_share`` and a copy of the
+    ``history`` it reads; each batch, a worker is sent its share and the records
+    ``history`` gained since the last.  All are stopped and reaped on the way out."""
     import multiprocessing  # here alone, so a process that starts no pool never pays for it
-    import pickle
     import signal
 
     conns, procs = [], []
+    sent = len(history)  # the leading records of ``history`` every worker holds
 
     def serve(conn) -> None:
         # A Ctrl-C is the parent's. Unlike SIG_IGN, a handler is reset when a trainer
@@ -574,31 +574,32 @@ def _forked_workers(n: int, run_one: Callable[[Densities, int], TrialRecord]
             parent_end.close()
         try:
             while True:
-                ids, blob = conn.recv()
-                densities = pickle.loads(blob)
-                conn.send([run_one(densities, t) for t in ids])
+                ids, new = conn.recv()
+                history.extend(new)  # this process's copy, the one run_share reads
+                conn.send(run_share(ids))
         except (EOFError, ConnectionError):
             pass
 
-    def run_batch(densities: Densities, ids: range) -> list[TrialRecord]:
-        blob = pickle.dumps(densities)
-        records = []
+    def run_batch(ids: range) -> list[TrialRecord]:
+        nonlocal sent
+        new, sent = history[sent:], len(history)
         try:
             # Every worker is idle here, having returned its last batch, so no
             # send waits on a worker that waits to send its results.
-            for w, conn in enumerate(conns):
-                conn.send((ids[w::n], blob))
-            for w, conn in enumerate(conns):
+            for w, conn in enumerate(conns, 1):
+                conn.send((ids[w::n], new))
+            records = run_share(ids[0::n])
+            for w, conn in enumerate(conns, 1):
                 records += conn.recv()
         except (EOFError, ConnectionError):
-            procs[w].join()
+            procs[w - 1].join()
             raise SearchError(f"the search worker running trials {list(ids[w::n])} "
-                              f"died with exit status {procs[w].exitcode}") from None
+                              f"died with exit status {procs[w - 1].exitcode}") from None
         return sorted(records, key=lambda r: r.trial_id)
 
     context = multiprocessing.get_context("fork")  # not the default from Python 3.14 on
     try:
-        for _ in range(n):
+        for _ in range(n - 1):
             conn, child_end = context.Pipe()
             conns.append(conn)
             proc = context.Process(target=serve, args=(child_end,))
@@ -619,13 +620,13 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
 
     Trial t is proposed from exactly the trials with ids below t - t % jobs,
     which join the history and the trial log in id order once their batch has
-    returned.  On Linux a batch's trials run in min(jobs, n_trials, usable CPUs)
-    worker processes forked once per study; at one worker, or elsewhere, they run
-    here in turn.  A crashing objective marks its trial failed and the study
-    continues; if every trial fails the study raises :class:`AllTrialsFailedError`.
+    returned.  On Linux a batch is shared by min(jobs, n_trials, usable CPUs)
+    processes, this one and workers forked once per study, each fitting the
+    densities on its own copy of the history; at one process, or elsewhere, its
+    trials run here in turn.  A crashing objective marks its trial failed and the
+    study continues; if every trial fails the study raises :class:`AllTrialsFailedError`.
     """
     history: list[TrialRecord] = []
-    densities = None
 
     def run_one(densities: Densities, trial_id: int) -> TrialRecord:
         rng = trial_rng(config.seed, trial_id, STREAM_SUGGEST)
@@ -646,20 +647,20 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
                            state=STATE_COMPLETE if error is None else STATE_FAILED,
                            error=error, wall_time_s=time.perf_counter() - t0)
 
+    def run_share(ids: range) -> list[TrialRecord]:
+        # Every trial of a batch sees the same history: fit its densities once.
+        densities = fit_tpe(history, config.k) if config.sampler == "tpe" else None
+        return [run_one(densities, t) for t in ids]
+
     with ExitStack() as stack:
         log_fh = stack.enter_context(open(config.trial_log, "w")) if config.trial_log else None
-        workers = (min(config.jobs, config.n_trials, len(os.sched_getaffinity(0)))
-                   if sys.platform == "linux" else 1)
-        # One worker runs here: a forked one would only add the fork and the pipe.
-        run_batch = (stack.enter_context(_forked_workers(workers, run_one)) if workers > 1
-                     else lambda densities, ids: [run_one(densities, t) for t in ids])
+        shares = (min(config.jobs, config.n_trials, len(os.sched_getaffinity(0)))
+                  if sys.platform == "linux" else 1)
+        run_batch = (stack.enter_context(_forked_workers(shares, history, run_share))
+                     if shares > 1 else run_share)
         best_objective = math.inf
         for start in range(0, config.n_trials, config.jobs):
-            ids = range(start, min(start + config.jobs, config.n_trials))
-            # Every trial of a batch sees the same history: fit its densities once.
-            if config.sampler == "tpe":
-                densities = fit_tpe(history, config.k)
-            batch = run_batch(densities, ids)
+            batch = run_batch(range(start, min(start + config.jobs, config.n_trials)))
             history.extend(batch)
             if log_fh is not None:
                 log_fh.writelines(record.to_json() + "\n" for record in batch)
@@ -680,11 +681,6 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
 
 
 def load_trial_log(path: str | Path) -> list[TrialRecord]:
-    records = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(TrialRecord.from_json(line))
-    return records
+    return [TrialRecord.from_json(line) for line in Path(path).read_text().splitlines()
+            if line.strip()]
 

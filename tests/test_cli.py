@@ -877,6 +877,59 @@ class TestTrainerBranches:
                 if alive(pid):
                     os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="search workers fork on Linux only")
+    def test_ctrl_c_prints_one_error_line(self, raw_csv, tmp_path):
+        out = tmp_path / "run"
+        common = clustered_run(out, raw_csv)
+        started = tmp_path / "started"
+        started.mkdir()
+        stub = tmp_path / "sleeper.py"
+        stub.write_text("import os, pathlib, time\n"
+                        f"pathlib.Path({str(started)!r}, str(os.getpid())).touch()\n"
+                        "time.sleep(30)\n")
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        src = str(Path(mixsearch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # Its own session, so the Ctrl-C below reaches no test process, and every
+        # process the search starts can be found by its session id.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mixsearch.cli", "search", *common, "--trials", "4",
+             "--jobs", "2", "--trainer", "external", "--external-cmd", cmd],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True, env={**os.environ, "PYTHONPATH": path})
+
+        def session():  # the running (not zombie) processes of the search's session
+            members = []
+            for stat in Path("/proc").glob("[0-9]*/stat"):
+                try:
+                    fields = stat.read_text().rsplit(")", 1)[1].split()
+                except (FileNotFoundError, ProcessLookupError):
+                    continue
+                if fields[0] != "Z" and int(fields[3]) == proc.pid:
+                    members.append(int(stat.parent.name))
+            return members
+
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(started.iterdir())) < min(2, len(os.sched_getaffinity(0))):
+                assert time.monotonic() < deadline and proc.poll() is None, "no trainer started"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)  # what a Ctrl-C in a terminal sends
+            _, err = proc.communicate(timeout=30)
+            deadline = time.monotonic() + 5
+            while session() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert proc.returncode == 130
+            assert [line for line in err.splitlines() if line.startswith("error:")] \
+                == ["error: interrupted"]
+            assert "Traceback" not in err
+            assert session() == []
+        finally:
+            proc.kill()
+            proc.communicate()
+            for pid in session():
+                os.kill(pid, signal.SIGKILL)
+
     def test_sweep_patch_net(self, raw_csv, tmp_path, monkeypatch):
         out = tmp_path / "sweep-pn"
         common = clustered_run(out, raw_csv)

@@ -118,6 +118,12 @@ def mixture_cases(draw):
     return assignments, weights, draw(st.integers(0, 2**32 - 1))
 
 
+def trial_lines(result):
+    """Each trial's JSON line, without its wall time."""
+    return [json.dumps({**json.loads(t.to_json()), "wall_time_s": None})
+            for t in result.trials]
+
+
 def quadratic_objective(center):
     def objective(trial_id, weights):
         return TrialEvaluation(objective=float(((weights - center) ** 2).sum()),
@@ -676,10 +682,10 @@ class TestWorkers:
             if trial_id == 5:
                 time.sleep(60)  # its worker is stopped, not waited for
             return TrialEvaluation(float(weights.sum()), 1, {}, {})
-        cpus(2)
+        cpus(3)  # trials 4 and 5 run in the two forked workers, not here
         started = time.perf_counter()
         with pytest.raises(SearchError, match=rf"trials \[4\] died with exit status {status}$"):
-            run_study(StudyConfig(n_trials=8, k=2, jobs=2, seed=0), objective)
+            run_study(StudyConfig(n_trials=8, k=2, jobs=3, seed=0), objective)
         assert time.perf_counter() - started < 30
 
     def test_workers_ignore_sigint(self, cpus):
@@ -704,7 +710,7 @@ class TestWorkers:
         monkeypatch.setattr(search, "fit_tpe", failing_fit)
         with pytest.raises(exc, match="third batch"):
             run_study(StudyConfig(n_trials=12, k=2, jobs=2, seed=0), quadratic_objective(0.3))
-        assert calls == [2, 2, 2]
+        assert calls == [1, 1, 1]
         assert multiprocessing.active_children() == []
 
     def test_workers_capped_by_usable_cpus(self, cpus, monkeypatch):
@@ -716,13 +722,39 @@ class TestWorkers:
 
         def trials(n_cpus):
             cpus(n_cpus)
-            result = run_study(StudyConfig(n_trials=30, k=3, jobs=6, seed=4),
-                               quadratic_objective(0.3))
-            return [json.dumps({**json.loads(t.to_json()), "wall_time_s": None})
-                    for t in result.trials]
+            return trial_lines(run_study(StudyConfig(n_trials=30, k=3, jobs=6, seed=4),
+                                         quadratic_objective(0.3)))
         monkeypatch.setattr(search, "fit_tpe", sampling_fit)
         forked = trials(2)
-        assert alive == [2] * 5
+        assert alive == [1] * 5
         alive.clear()
         assert trials(1) == forked
         assert alive == [0] * 5
+
+    def test_search_process_runs_the_first_share(self, cpus):
+        def objective(trial_id, weights):
+            return TrialEvaluation(float(weights.sum()), os.getpid(), {}, {})
+        cpus(4)
+        result = run_study(StudyConfig(n_trials=12, k=2, jobs=4, seed=0), objective)
+        by_share = [[t.n_mix for t in result.trials[share::4]] for share in range(4)]
+        assert by_share[0] == [os.getpid()] * 3
+        workers = {pid for share in by_share[1:] for pid in share}
+        assert len(workers) == 3 and os.getpid() not in workers
+        # Forked once per study: each share keeps its worker from batch to batch.
+        assert all(len(set(share)) == 1 for share in by_share[1:])
+
+    def test_workers_replicate_a_history_with_failed_trials(self, cpus):
+        def objective(trial_id, weights):
+            if trial_id % 5 == 2:
+                raise RuntimeError(f"trial {trial_id} crashed")
+            if trial_id % 7 == 3:
+                return TrialEvaluation(math.nan, 1, {}, {})
+            return TrialEvaluation(float(((weights - 0.3) ** 2).sum()), 1, {}, {})
+
+        def trials(n_cpus):
+            cpus(n_cpus)
+            result = run_study(StudyConfig(n_trials=30, k=3, jobs=3, seed=5), objective)
+            assert [t.trial_id for t in result.trials if t.state != STATE_COMPLETE] \
+                == [2, 3, 7, 10, 12, 17, 22, 24, 27]
+            return trial_lines(result)
+        assert trials(3) == trials(1)
