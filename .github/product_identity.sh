@@ -11,7 +11,7 @@
 # report -> review-export at the CLI defaults on each corpus, then a short
 # patch-net search (4 trials of 50,000 tokens in batches of 256) in a copy
 # of the seed-1 run, and `selftest --seed 3` at --jobs 2 and at --jobs 1
-# (the selftest's default, the study's no-pool path). The outputs are
+# (the selftest's default, where the search forks no worker). The outputs are
 # compared with `diff -r`, after `wall_time_s` is dropped from every
 # trials.jsonl record.
 #

@@ -40,6 +40,12 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _seed(text: str) -> int:
+    if not 0 <= int(text) < 2 ** 32:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^32), got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixsearch",
@@ -52,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=Path(os.environ.get(DEFAULT_OUT_ENV, "mixsearch_out")),
                         help="output directory (default: $%s or ./mixsearch_out)"
                              % DEFAULT_OUT_ENV)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
+    common.add_argument("--seed", type=_seed, default=0, help="master seed, in [0, 2^32)")
     common.add_argument("--config", type=Path, default=None,
                         help="key=value file whose entries override any flag")
     common.add_argument("--force", action="store_true",

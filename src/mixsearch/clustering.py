@@ -53,16 +53,6 @@ class ClusterModel:
     n_iter: int
     inertia_history: list[float]  # per-iteration inertia of the winning run
 
-    def __post_init__(self) -> None:
-        if self.sizes.sum() != self.assignments.shape[0]:
-            raise ClusteringError("cluster sizes do not sum to the point count")
-        if np.any(self.assignments < 0) or np.any(self.assignments >= self.k):
-            raise ClusteringError("assignment outside [0, k)")
-        if not np.all(np.isfinite(self.centroids)):
-            raise ClusteringError("non-finite centroid")
-        if self.inertia < 0:
-            raise ClusteringError("negative inertia")
-
 
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances, each summed in dimension order.
@@ -75,8 +65,6 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     points, centroids = _as_pair(points, centroids)
     n, d = points.shape
     k = centroids.shape[0]
-    if d == 0:
-        return np.zeros((n, k))
     out = np.empty((n, k))
     step = max(1, _BLOCK_VALUES // (k * d))
     for start in range(0, n, step):
@@ -114,8 +102,6 @@ def assign(points: np.ndarray, centroids: np.ndarray,
 def _as_pair(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    if points.ndim != 2 or centroids.ndim != 2:
-        raise ClusteringError("points and centroids must be 2-D")
     if points.shape[1] != centroids.shape[1]:
         raise ClusteringError(
             f"dimension mismatch: points have {points.shape[1]}, "
@@ -145,8 +131,6 @@ def _screen(points: np.ndarray, centroids: np.ndarray,
 def inertia(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
-    if assignments.shape[0] != points.shape[0]:
-        raise ClusteringError("one assignment per point required")
     diff = np.asarray(centroids, dtype=np.float64)[assignments]
     np.subtract(points, diff, out=diff)  # points - centroids[assignments], one array
     return float(np.einsum("nd,nd->", diff, diff))
@@ -195,8 +179,6 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300,
     and when k exceeds the number of distinct points.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ClusteringError("points must be a non-empty 2-D array")
     if max_iter < 1 or n_init < 1:
         raise ClusteringError("max_iter and n_init must be >= 1")
     if not (tol >= 0 and math.isfinite(tol)):

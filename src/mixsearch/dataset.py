@@ -53,14 +53,6 @@ class RawTable:
     split: np.ndarray | None = None
     id_column: str = "profile_id"
 
-    def __post_init__(self) -> None:
-        if len(self.column_names) != len(self.roles):
-            raise DatasetError("column_names and roles must align")
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.column_names):
-            raise DatasetError("values shape does not match column count")
-        if self.profile_ids.shape[0] != self.values.shape[0]:
-            raise DatasetError("every row needs a profile id")
-
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
@@ -266,8 +258,6 @@ def derive_ewma(table: RawTable, spans: list[int]) -> RawTable:
     y_0 is x_0 up to rounding, not always exactly.  The ``0*x_{t-1}`` term
     is the filter's zero numerator tap; it only decides the sign of a zero.
     """
-    if table.n_rows == 0:
-        raise DatasetError("cannot derive features from an empty table")
     for i, s in enumerate(spans):
         if int(s) != s or s <= 0:
             raise DatasetError(f"EWMA span must be a positive integer, got {s!r}")
@@ -436,17 +426,23 @@ def save_table(table: RawTable, mins: np.ndarray, maxs: np.ndarray,
 
 def load_processed_table(path: str | Path) -> RawTable:
     """Reload the table written by :func:`save_table`.  A missing, unreadable
-    or incomplete file, split tags that are not train/val/test or do not line
-    up with the rows, and a non-finite value raise :class:`DatasetError`."""
+    or incomplete file, split tags that are not train/val/test, split tags,
+    profile ids, column names or roles that do not line up with the values,
+    and a non-finite value raise :class:`DatasetError`."""
     try:
         with Path(path).open("rb") as fh, np.load(fh) as archive:
             arrays = {name: archive[name] for name in PROCESSED_ARRAYS}
     except (OSError, EOFError, ValueError, KeyError, TypeError,
             zipfile.BadZipFile) as exc:
         raise DatasetError(f"{path}: unreadable processed table: {exc}") from None
-    values, split = arrays["values"], arrays["split"]
-    if split.shape != values.shape[:1]:
-        raise DatasetError(f"{path}: {split.size} split tags for {len(values)} rows")
+    values, split, ids = arrays["values"], arrays["split"], arrays["profile_ids"]
+    if split.shape != values.shape[:1] or ids.shape != values.shape[:1]:
+        raise DatasetError(f"{path}: {split.size} split tags and {ids.size} profile ids "
+                           f"for values of shape {values.shape}")
+    names, roles = arrays["column_names"].tolist(), arrays["roles"].tolist()
+    if not values.shape[1:] == (len(names),) == (len(roles),):
+        raise DatasetError(f"{path}: {len(names)} column names and {len(roles)} roles "
+                           f"for values of shape {values.shape}")
     bad = np.flatnonzero(~np.isin(split, (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)))
     if bad.size:
         raise DatasetError(
@@ -455,9 +451,9 @@ def load_processed_table(path: str | Path) -> RawTable:
     if bad.size:
         raise DatasetError(f"{path}: row {bad[0] + 1}: non-finite value")
     return RawTable(
-        column_names=arrays["column_names"].tolist(),
-        roles=arrays["roles"].tolist(),
-        profile_ids=arrays["profile_ids"],
+        column_names=names,
+        roles=roles,
+        profile_ids=ids,
         values=values,
         split=split,
         id_column=str(arrays["id_column"]),

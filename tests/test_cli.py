@@ -8,6 +8,7 @@ import re
 import shlex
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -192,6 +193,21 @@ class TestDispatch:
         assert proc.stdout.splitlines()[-1] == "[]"
         trials = (tmp_path / "run" / "trials.jsonl").read_text().splitlines()
         assert len(trials) == N_STARTUP + 4
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="search workers fork on Linux only")
+    def test_search_at_one_job_never_imports_multiprocessing(self, raw_csv, tmp_path):
+        # A --jobs 1 batch runs in the search process; multiprocessing is
+        # imported only where a worker is forked, at --jobs 2 on two CPUs.
+        common = clustered_run(tmp_path / "run", raw_csv)
+        loaded = "print('multiprocessing' in sys.modules)"
+        run = "import sys; from mixsearch.cli import main; "
+        for jobs in ("1", "2"):
+            run += (f"assert main({['search', *common, '--trials', '4', '--jobs', jobs]!r}) "
+                    f"== 0; {loaded}; ")
+        proc = self._child("-c", run)
+        assert proc.returncode == 0, proc.stderr
+        forks = len(os.sched_getaffinity(0)) > 1
+        assert proc.stdout.splitlines()[-2:] == ["False", str(forks)]
 
     def test_full_scale_defaults(self):
         parser = build_parser()
@@ -1223,3 +1239,225 @@ class TestSelftest:
         parser = build_parser()
         args = parser.parse_args(["selftest"])
         assert str(args.out) == str(tmp_path / "envout")
+
+
+@pytest.fixture(scope="module")
+def staged_dir(raw_csv, tmp_path_factory):
+    """One run through every stage, copied by each test that edits or re-runs it."""
+    out = tmp_path_factory.mktemp("staged") / "run"
+    staged_run(out, raw_csv)
+    return out
+
+
+def copied_run(staged_dir, tmp_path):
+    """A copy of the staged run and the common flags that address it."""
+    out = shutil.copytree(staged_dir, tmp_path / "run")
+    return out, ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def edit_npz(path, edit):
+    """Rewrite the arrays of the .npz at ``path`` through ``edit(arrays)``."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    with path.open("wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def edit_manifest(out, edit):
+    manifest = json.loads((out / "manifest.json").read_text())
+    edit(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def tsem_header(version, rows, dims):
+    return embedding.MAGIC + struct.pack("<IQI", version, rows, dims)
+
+
+PREPROCESS = "preprocess --data {data} --schema {schema} " + shlex.join(PREP)
+SCHEMA = "profile_id=id\nu_d=input\npm=target\n"
+CSV = "profile_id,u_d,pm\n1,0.5,2.0\n1,0.6,2.1\n"
+
+
+class TestEdgeRefusals:
+    """A bad value from a flag, a file or an intermediate ends the stage with
+    exit 1 and one error line that names it; a bad external metrics.json
+    fails its trial."""
+
+    @pytest.mark.parametrize("steps, message", [
+        (["search --trials 0"], "n_trials must be >= 1"),
+        (["search --jobs 0"], "jobs must be >= 1"),
+        (["search --budget-tokens 0"], "token budget must be >= 1"),
+        (["search --warmup-fraction 1"], "warmup fraction must lie strictly between 0 and 1"),
+        (["search --batch-size 0"], "batch size and patch length must be >= 1"),
+        (["search --embed-dim 0"], "embed dim must be >= 1"),
+        (['search --trainer external --external-cmd " "'],
+         "external trainer command must be configured"),
+        (["cluster --k 0"], "k must be >= 1, got 0"),
+        ([PREPROCESS + " --window-length 0"], "window length must be >= 1, got 0"),
+        ([PREPROCESS + " --stride 0"], "stride must be >= 1, got 0"),
+        ([PREPROCESS + " --window-length 1", "embed"],
+         "windows must have at least 2 timesteps, got 1"),
+        (["review-export --review-samples 0"], "review samples must be >= 1, got 0"),
+    ], ids=["trials", "jobs", "budget-tokens", "warmup-fraction", "batch-size", "embed-dim",
+            "external-cmd", "k", "window-length", "stride", "embed-window-length-1",
+            "review-samples"])
+    def test_flag_refused(self, staged_dir, raw_csv, tmp_path, capsys, steps, message):
+        _, common = copied_run(staged_dir, tmp_path)
+        csv_path, schema_path, _ = raw_csv
+        *setup, last = (shlex.split(step.format(data=shlex.quote(str(csv_path)),
+                                                schema=shlex.quote(str(schema_path))))
+                        for step in steps)
+        for argv in setup:
+            assert main([*argv, *common]) == 0
+        assert main([*last, *common]) == 1
+        assert message in one_error_line(capsys)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 32)])
+    @pytest.mark.parametrize("stage", ["preprocess --data x.csv", "embed", "cluster", "search",
+                                       "sweep", "report", "review-export", "selftest"],
+                             ids=lambda stage: stage.split()[0])
+    def test_seed_outside_32_bits_refused(self, tmp_path, capsys, stage, seed):
+        argv = [*shlex.split(stage), "--out", str(tmp_path / "out")]
+        refusal = f"argument --seed: seed must lie in [0, 2^32), got {seed}"
+        assert main([*argv, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.strip().splitlines()[-1].endswith(refusal)
+        config = tmp_path / "seed.cfg"
+        config.write_text(f"seed = {seed}\n")
+        assert main([*argv, "--config", str(config)]) == 1
+        assert one_error_line(capsys) == f"error: PipelineError: {config}: line 1: {refusal}"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_range_ends_are_accepted(self):
+        for seed in (0, 2 ** 32 - 1):
+            assert build_parser().parse_args(["report", "--seed", str(seed)]).seed == seed
+
+    @pytest.mark.parametrize("config, message", [
+        (None, "config file not found: {config}"),
+        ("k = 6\nseed 7\n", "{config}: line 2: expected key=value"),
+    ], ids=["missing", "no-equals"])
+    def test_config_file_refused(self, tmp_path, capsys, config, message):
+        path = tmp_path / "run.cfg"
+        if config is not None:
+            path.write_text(config)
+        assert main(["cluster", "--out", str(tmp_path / "out"), "--config", str(path)]) == 1
+        assert message.format(config=path) in one_error_line(capsys)
+
+    def test_config_skips_blank_and_comment_lines(self, staged_dir, tmp_path):
+        out, common = copied_run(staged_dir, tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text("# review settings\n\n   \nreview-samples = 1\n  # done\n")
+        assert main(["review-export", *common, "--config", str(config)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["review-export"]["params"] == {"m": 1}
+
+    @pytest.mark.parametrize("csv_text, schema_text, message", [
+        (None, SCHEMA, "no such file: {data}"),
+        ("profile_id,u_d,pm,rpm\n1,0.5,2.0,3\n", SCHEMA,
+         "{data}: column(s) ['rpm'] not in schema"),
+        ("profile_id,u_d,pm\n1,0.5,2.0\n1,0.6\n", SCHEMA,
+         "{data}: row 2 has 2 fields, expected 3"),
+        ("profile_id,u_d,pm\n", SCHEMA, "{data}: no data rows"),
+        (CSV, "profile_id=id\nu_d=feature\npm=target\n",
+         "unknown role(s) ['feature']; expected input/target/id"),
+        (CSV, "profile_id=id\nu_d=input\npm=input\n",
+         "schema needs at least one input and one target column"),
+        ("profile_id,u_d,pm\nfirst,0.5,2.0\n", SCHEMA,
+         "{data}: row 1, column 'profile_id': unparsable value 'first'"),
+        ("profile_id,u_d,u_d_ewma8,pm\n1,0.5,0.5,2.0\n", SCHEMA + "u_d_ewma8=input\n",
+         "derived column name(s) already present: ['u_d_ewma8']"),
+    ], ids=["missing-file", "column-not-in-schema", "field-count", "no-data-rows",
+            "unknown-role", "no-target", "profile-id", "ewma-name-taken"])
+    def test_csv_and_schema_refused(self, tmp_path, capsys, csv_text, schema_text, message):
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.txt"
+        if csv_text is not None:
+            data.write_text(csv_text)
+        schema.write_text(schema_text)
+        assert main(["preprocess", "--out", str(tmp_path / "out"), "--log-level", "warning",
+                     "--data", str(data), "--schema", str(schema), *PREP]) == 1
+        line = one_error_line(capsys)
+        assert line.startswith("error: DatasetError: ")
+        assert message.format(data=data) in line
+
+    @pytest.mark.parametrize("stage, tamper, message", [
+        ("embed", lambda out, tmp: edit_npz(out / "processed.npz", lambda a: a.update(
+            split=a["split"][:-1])),
+         "{out}/processed.npz: {rows_1} split tags and {rows} profile ids "
+         "for values of shape ({rows}, {cols})"),
+        ("embed", lambda out, tmp: edit_npz(out / "processed.npz", lambda a: a.update(
+            column_names=a["column_names"][:-1])),
+         "{out}/processed.npz: {cols_1} column names and {cols} roles "
+         "for values of shape ({rows}, {cols})"),
+        ("report", lambda out, tmp: edit_manifest(out, lambda m: m.update(schema_version=99)),
+         "{out}/manifest.json: unsupported manifest schema 99"),
+        ("report", lambda out, tmp: edit_manifest(
+            out, lambda m: m["stages"]["sweep"].pop("outputs")),
+         "{out}/manifest.json is not a readable manifest ('outputs')"),
+        ("report", lambda out, tmp: (out / "trials.jsonl").write_text(
+            (out / "trials.jsonl").read_text().replace('"schema_version": 1',
+                                                       '"schema_version": 99', 1)),
+         "{out}/trials.jsonl is truncated or corrupt (unsupported trial schema version 99)"),
+        ("embed --embeddings {tmp}/x.tsem", lambda out, tmp: None,
+         "no such file: {tmp}/x.tsem"),
+        ("embed --embeddings {tmp}/x.tsem",
+         lambda out, tmp: (tmp / "x.tsem").write_bytes(embedding.MAGIC + b"\x01"),
+         "{tmp}/x.tsem: truncated header"),
+        ("embed --embeddings {tmp}/x.tsem",
+         lambda out, tmp: (tmp / "x.tsem").write_bytes(tsem_header(99, 0, 1)),
+         "{tmp}/x.tsem: unsupported format version 99"),
+        ("embed --embeddings {tmp}/x.tsem",
+         lambda out, tmp: (tmp / "x.tsem").write_bytes(
+             tsem_header(embedding.FORMAT_VERSION, 0, 0)),
+         "{tmp}/x.tsem: dimension must be >= 1, got 0"),
+    ], ids=["npz-split-tags", "npz-column-names", "manifest-schema-version",
+            "manifest-stage-without-outputs", "trial-schema-version", "embeddings-missing",
+            "embeddings-truncated-header", "embeddings-version", "embeddings-zero-dims"])
+    def test_intermediate_refused(self, staged_dir, tmp_path, capsys, stage, tamper, message):
+        out, common = copied_run(staged_dir, tmp_path)
+        with np.load(out / "processed.npz") as archive:
+            rows, cols = archive["values"].shape
+        tamper(out, tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main([*stage.format(tmp=tmp_path).split(), *common]) == 1
+        message = message.format(out=out, tmp=tmp_path, rows=rows, rows_1=rows - 1,
+                                 cols=cols, cols_1=cols - 1)
+        assert message in one_error_line(capsys)
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    def test_force_with_another_seed_reseeds(self, staged_dir, tmp_path, caplog):
+        out, common = copied_run(staged_dir, tmp_path)
+        common[common.index("--seed") + 1] = str(SEED + 1)
+        with caplog.at_level("WARNING", logger="mixsearch.pipeline"):
+            assert main(["report", *common, "--force"]) == 0
+        assert (f"output directory was built with master seed {SEED}, got --seed {SEED + 1} "
+                "-- forced, reseeding") in caplog.messages
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == SEED + 1
+
+    @pytest.mark.parametrize("metrics, message", [
+        (None, "external trainer produced no metrics.json"),
+        ("{", "metrics.json is not valid JSON"),
+        ('{"mae": {}, "avg_mse": 1.0}', "metrics.json missing key 'mse'"),
+        ('{"mse": [1.0], "mae": {}, "avg_mse": 1.0}',
+         "metrics.json 'mse' must map target -> value"),
+    ], ids=["missing", "not-json", "no-mse", "mse-not-a-map"])
+    def test_bad_external_metrics_fail_their_trial(self, staged_dir, tmp_path, metrics, message):
+        out, common = copied_run(staged_dir, tmp_path)
+        # Trial 0 leaves ``metrics`` behind (None: no file), every other trial good ones.
+        stub = tmp_path / "stub.py"
+        stub.write_text(STUB_TRAINER + f"if d.name == 'trial_00000':\n"
+                        f"    (d / 'metrics.json').unlink()\n"
+                        f"    if {metrics!r} is not None:\n"
+                        f"        (d / 'metrics.json').write_text({metrics!r})\n")
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        assert main(["search", *common, "--trials", "2", "--jobs", "1",
+                     "--trainer", "external", "--external-cmd", cmd]) == 0
+        records = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert [r["state"] for r in records] == ["failed", "complete"]
+        assert records[0]["error"].startswith(f"ExternalTrainerError: {message}")
