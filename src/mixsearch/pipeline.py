@@ -202,7 +202,11 @@ class RunManifest:
 
     def output(self, stage: str, name: str) -> Path:
         """Path of the product ``name`` that ``stage`` recorded."""
-        return self.out_dir / self.stages[stage]["outputs"][name]
+        recorded = self.stages[stage]["outputs"].get(name)
+        if not isinstance(recorded, str):
+            raise PipelineError(f"{self.out_dir / MANIFEST_NAME} records no {name!r} output "
+                                f"of stage {stage!r}; re-run {stage!r}")
+        return self.out_dir / recorded
 
     def read(self, stage: str, name: str, load):
         """The product ``name`` of ``stage`` through ``load``."""
@@ -337,7 +341,8 @@ def search_mixture(context: trainers.TrialContext, train_idx: np.ndarray,
     """The study over per-cluster weights of ``train_idx`` and the full-data
     mixture it is compared with: all weights 1, scored as trial -1."""
     objective = search.mixture_objective(context.score, train_idx, assignments, config.seed)
-    return search.run_study(config, objective), objective(-1, np.ones(config.k))
+    with trainers.one_blas_thread():
+        return search.run_study(config, objective), objective(-1, np.ones(config.k))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +455,8 @@ def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
     def score(subset: np.ndarray) -> float:
         return context.score(train_idx[subset], context.config.seed).objective
 
-    rows = report.run_size_sweep(args.fractions, run.master_seed, score, train_idx.size)
+    with trainers.one_blas_thread():
+        rows = report.run_size_sweep(args.fractions, run.master_seed, score, train_idx.size)
     report.write_json(sweep_path, {"schema_version": report.SWEEP_SCHEMA_VERSION,
                                    "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
                                             for f, n, m in rows]})

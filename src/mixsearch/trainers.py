@@ -17,7 +17,11 @@ the seed of each trial.  Trainer kinds (:data:`TRAINERS`):
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
+import logging
 import math
 import subprocess
 from dataclasses import asdict, dataclass, field, replace
@@ -28,6 +32,8 @@ import numpy as np
 
 from . import MixsearchError, search
 from .dataset import SPLIT_TEST, SPLIT_VAL, WindowSet
+
+logger = logging.getLogger(__name__)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -101,6 +107,48 @@ def lr_at_step(step: int, total_steps: int, peak: float, warmup_fraction: float)
     if step < boundary:
         return peak * (step + 1) / boundary
     return peak * (total_steps - step) / (total_steps - boundary)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+# Thread-count (setter, getter) names of numpy's bundled OpenBLAS, a system OpenBLAS, MKL.
+BLAS_THREAD_CALLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+                     ("openblas_set_num_threads", "openblas_get_num_threads"),
+                     ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"))
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The BLAS thread-count (setter, getter), found once per process through
+    numpy's extension module, whose symbol lookup also searches the libraries
+    it links; with one warning, a pair that does nothing when none is found."""
+    # numpy 1.x keeps the extension in numpy.core (its numpy._core is at most a shim).
+    core = np._core if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for names in BLAS_THREAD_CALLS:
+        if all(hasattr(lib, name) for name in names):
+            setter, getter = (getattr(lib, name) for name in names)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    logger.warning("no BLAS thread-count setter found; trials run on the default threads")
+    return (lambda count: None), (lambda: 1)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread, then restore the previous count.  A
+    second thread buys a trial little and slows it beside forked workers, and
+    OpenBLAS splits some sums by thread, so a study run here gives the same
+    bytes at any core count.  Entered once per study: forked workers inherit it."""
+    setter, getter = _blas_thread_calls()
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +457,11 @@ def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
     return _parse_external_metrics(payload, windows.target_names, idx.size)
 
 
-def _parse_external_metrics(payload: dict, target_names: list[str],
+def _parse_external_metrics(payload, target_names: list[str],
                             n_mix: int) -> search.TrialEvaluation:
+    if not isinstance(payload, dict):
+        raise ExternalTrainerError(
+            f"metrics.json must hold a JSON object, got {type(payload).__name__}")
     for key in ("mse", "mae", "avg_mse"):
         if key not in payload:
             raise ExternalTrainerError(f"metrics.json missing key {key!r}")

@@ -62,15 +62,38 @@ def unreadable_embeddings(run, n_windows):
     raise OSError("embeddings read")
 
 
-def clustered_run(out, raw_csv):
-    """Run preprocess, embed and cluster; return the common flags."""
+def clustered_run(out, raw_csv, prep=PREP):
+    """Run preprocess (with the flags ``prep``), embed and cluster; return the common flags."""
     csv_path, schema_path, _ = raw_csv
     common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
     assert main(["preprocess", *common, "--data", str(csv_path),
-                 "--schema", str(schema_path), *PREP]) == 0
+                 "--schema", str(schema_path), *prep]) == 0
     assert main(["embed", *common]) == 0
     assert main(["cluster", *common, "--k", "6", "--restarts", "3"]) == 0
     return common
+
+
+def search_at_blas_threads(tmp_path, search_args):
+    """One search of a copy of ``tmp_path / "run"`` in a child process at
+    ``OPENBLAS_NUM_THREADS`` 1 and at 2: each one's trials.jsonl records, less
+    ``wall_time_s``, and its study.json text."""
+    src = str(Path(mixsearch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    products = []
+    for threads in ("1", "2"):
+        out = shutil.copytree(tmp_path / "run", tmp_path / f"threads{threads}")
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixsearch.cli", "search", "--out", str(out),
+             "--seed", str(SEED), "--log-level", "warning", *search_args],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        trials = [{k: v for k, v in json.loads(line).items() if k != "wall_time_s"}
+                  for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert {r["state"] for r in trials} == {"complete"}
+        products.append((trials, (out / "study.json").read_text()))
+    return products
 
 
 def staged_run(out, raw_csv, trials=12, extra_search=()):
@@ -744,60 +767,28 @@ class TestTrainerBranches:
         assert main(["report", *common]) == 0
 
     def test_patch_net_search_at_one_and_two_blas_threads(self, raw_csv, tmp_path):
-        # The BLAS thread count is not part of the study, but OpenBLAS splits
-        # some products' sums by thread, so the float32 trials may differ in
-        # their last bits.  What holds: the same mixtures, and scores equal to
-        # float32 rounding.  At stride 1 a mixture holds hundreds of windows,
-        # so a batch of 256 windows of 4 patches makes the embedding gradient
-        # a product of 1,024 rows, large enough for OpenBLAS to split.
-        csv_path, schema_path, _ = raw_csv
-        common = ["--out", str(tmp_path / "run"), "--seed", str(SEED),
-                  "--log-level", "warning"]
+        # At stride 1 a mixture holds hundreds of windows, so a batch of 256
+        # windows of 4 patches makes the embedding gradient a product of 1,024
+        # rows, large enough for OpenBLAS to split by thread.
         prep = [*PREP]
         prep[prep.index("--stride") + 1] = "1"
-        assert main(["preprocess", *common, "--data", str(csv_path),
-                     "--schema", str(schema_path), *prep]) == 0
-        assert main(["embed", *common]) == 0
-        assert main(["cluster", *common, "--k", "6", "--restarts", "3"]) == 0
-        src = str(Path(mixsearch.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        products = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            shutil.copytree(tmp_path / "run", out)
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads}
-            proc = subprocess.run(
-                [sys.executable, "-m", "mixsearch.cli", "search", "--out", str(out),
-                 "--seed", str(SEED), "--log-level", "warning", "--trials", "3",
-                 "--jobs", "1", "--trainer", "patch-net", "--budget-tokens", "8000",
-                 "--batch-size", "256", "--patch-len", "10", "--embed-dim", "32"],
-                capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            trials = [{k: v for k, v in json.loads(line).items() if k != "wall_time_s"}
-                      for line in (out / "trials.jsonl").read_text().splitlines()]
-            assert [r["state"] for r in trials] == ["complete"] * 3
-            products.append((trials, json.loads((out / "study.json").read_text())))
+        clustered_run(tmp_path / "run", raw_csv, prep)
+        one, two = search_at_blas_threads(
+            tmp_path, ["--trials", "3", "--jobs", "1", "--trainer", "patch-net",
+                       "--budget-tokens", "8000", "--batch-size", "256", "--patch-len", "10",
+                       "--embed-dim", "32"])
+        assert one == two
 
-        def assert_close(a, b, where):
-            if isinstance(a, dict):
-                assert a.keys() == b.keys(), where
-                for key in a:
-                    assert_close(a[key], b[key], f"{where}.{key}")
-            elif isinstance(a, list):
-                assert len(a) == len(b), where
-                for i, (x, y) in enumerate(zip(a, b)):
-                    assert_close(x, y, f"{where}[{i}]")
-            elif isinstance(a, float):
-                assert b == pytest.approx(a, rel=1e-6), where
-            else:
-                assert a == b, where
-
-        (one, study_one), (two, study_two) = products
-        assert [(r["weights"], r["n_mix"]) for r in one] \
-            == [(r["weights"], r["n_mix"]) for r in two]
-        assert_close(one, two, "trials")
-        assert_close(study_one, study_two, "study")
+    def test_ridge_search_at_one_and_two_blas_threads(self, raw_csv, tmp_path):
+        # OpenBLAS splits the Gram product X'X by thread from about 100 feature
+        # columns: four EWMA spans give 15 channels of 7 features.  The second
+        # trial runs in a forked worker.
+        prep = [*PREP]
+        prep[prep.index("--ewma-spans") + 1] = "8,16,32,64"
+        clustered_run(tmp_path / "run", raw_csv, prep)
+        one, two = search_at_blas_threads(
+            tmp_path, ["--trials", "2", "--jobs", "2", "--trainer", "ridge"])
+        assert one == two
 
     def test_search_external_stub(self, raw_csv, tmp_path, monkeypatch):
         out = tmp_path / "ext"
@@ -1400,6 +1391,16 @@ class TestEdgeRefusals:
         ("report", lambda out, tmp: edit_manifest(
             out, lambda m: m["stages"]["sweep"].pop("outputs")),
          "{out}/manifest.json is not a readable manifest ('outputs')"),
+        ("report", lambda out, tmp: edit_manifest(
+            out, lambda m: m["stages"]["search"]["outputs"].pop("study")),
+         "{out}/manifest.json records no 'study' output of stage 'search'; re-run 'search'"),
+        ("search", lambda out, tmp: edit_manifest(
+            out, lambda m: m["stages"]["cluster"]["outputs"].pop("assignments")),
+         "{out}/manifest.json records no 'assignments' output of stage 'cluster'; "
+         "re-run 'cluster'"),
+        ("report", lambda out, tmp: edit_manifest(
+            out, lambda m: m["stages"]["search"]["outputs"].update(study=3)),
+         "{out}/manifest.json records no 'study' output of stage 'search'; re-run 'search'"),
         ("report", lambda out, tmp: (out / "trials.jsonl").write_text(
             (out / "trials.jsonl").read_text().replace('"schema_version": 1',
                                                        '"schema_version": 99', 1)),
@@ -1417,7 +1418,8 @@ class TestEdgeRefusals:
              tsem_header(embedding.FORMAT_VERSION, 0, 0)),
          "{tmp}/x.tsem: dimension must be >= 1, got 0"),
     ], ids=["npz-split-tags", "npz-column-names", "manifest-schema-version",
-            "manifest-stage-without-outputs", "trial-schema-version", "embeddings-missing",
+            "manifest-stage-without-outputs", "manifest-without-study",
+            "manifest-without-assignments", "manifest-study-not-a-name", "trial-schema-version", "embeddings-missing",
             "embeddings-truncated-header", "embeddings-version", "embeddings-zero-dims"])
     def test_intermediate_refused(self, staged_dir, tmp_path, capsys, stage, tamper, message):
         out, common = copied_run(staged_dir, tmp_path)
@@ -1446,7 +1448,11 @@ class TestEdgeRefusals:
         ('{"mae": {}, "avg_mse": 1.0}', "metrics.json missing key 'mse'"),
         ('{"mse": [1.0], "mae": {}, "avg_mse": 1.0}',
          "metrics.json 'mse' must map target -> value"),
-    ], ids=["missing", "not-json", "no-mse", "mse-not-a-map"])
+        *((payload, f"metrics.json must hold a JSON object, got {kind}")
+          for payload, kind in (("3", "int"), ('"x"', "str"), ("[]", "list"),
+                                ("null", "NoneType"), ("true", "bool"))),
+    ], ids=["missing", "not-json", "no-mse", "mse-not-a-map", "number", "string", "array",
+            "null", "boolean"])
     def test_bad_external_metrics_fail_their_trial(self, staged_dir, tmp_path, metrics, message):
         out, common = copied_run(staged_dir, tmp_path)
         # Trial 0 leaves ``metrics`` behind (None: no file), every other trial good ones.

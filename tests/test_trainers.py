@@ -586,6 +586,39 @@ d = pathlib.Path(sys.argv[1])
 """
 
 
+class TestOneBlasThread:
+    def test_restores_the_previous_count(self):
+        setter, getter = trainers._blas_thread_calls()
+        original = getter()
+        try:
+            setter(2)
+            with trainers.one_blas_thread():
+                assert getter() == 1
+            assert getter() == 2
+            with pytest.raises(RuntimeError), trainers.one_blas_thread():
+                raise RuntimeError("a failed study")
+            assert getter() == 2
+        finally:
+            setter(original)
+
+    def test_without_a_setter_warns_once_and_runs_the_trial(self, monkeypatch, caplog):
+        monkeypatch.setattr(trainers, "BLAS_THREAD_CALLS", ())
+        trainers._blas_thread_calls.cache_clear()
+        try:
+            rng = np.random.default_rng(8)
+            ws = linear_window_set(rng, n=12, split=["train"] * 8 + ["val"] * 4)
+            context = TrialContext(TrainConfig(), ws, rng.normal(size=(12, 2)))
+            with caplog.at_level("WARNING", logger="mixsearch.trainers"):
+                for _ in range(2):
+                    with trainers.one_blas_thread():
+                        result = context.score(np.arange(8), seed=0)
+        finally:
+            trainers._blas_thread_calls.cache_clear()
+        assert caplog.messages == [
+            "no BLAS thread-count setter found; trials run on the default threads"]
+        assert result.n_mix == 8 and np.isfinite(result.objective)
+
+
 class TestExternalTrainer:
     def _ws(self):
         rng = np.random.default_rng(0)
