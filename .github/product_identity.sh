@@ -17,7 +17,8 @@
 #
 # A change that alters products on purpose lists them, relative to the
 # output root (seed1/summary.json, selftest/weights.csv, ...), one a line,
-# in .github/expected-product-changes.txt ('#' starts a comment). The list
+# in .github/expected-product-changes.txt ('#' starts a comment); a line
+# that ends in '/' (seed1/review/) stands for every path under it. The list
 # counts only when it differs from the parent's copy, so an earlier
 # change's list never excuses a later one. Any other product that differs
 # fails the check. Set PYTHON to choose the interpreter (default python3).
@@ -86,9 +87,20 @@ cd "$work"
 mapfile -t differing < <({ diff -rq parent head || true; } | sed -E \
     -e 's#^Files parent/(.*) and head/.* differ$#\1#' \
     -e 's#^Only in (parent|head)/?([^:]*): (.*)$#\2/\3#' -e 's#^/##' | sort -u)
+# listed PATH: whether an entry of the list is PATH, or a directory above it.
+listed() {
+    local entry
+    for entry in "${expected[@]}"; do
+        if [[ $1 == "$entry" || ( $entry == */ && $1/ == "$entry"* ) ]]; then
+            return 0
+        fi
+    done
+    return 1
+}
+
 unexpected=()
 for path in "${differing[@]}"; do
-    if printf '%s\n' "${expected[@]}" | grep -qxF -- "$path"; then
+    if listed "$path"; then
         echo "differs, as $list lists: $path"
     else
         unexpected+=("$path")

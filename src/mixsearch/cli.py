@@ -32,8 +32,12 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _fractions(text: str) -> list[float]:
+    fractions = [float(part) for part in text.split(",") if part.strip()]
+    if not all(0.0 < f <= 1.0 for f in fractions) or 1.0 not in fractions:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"fractions must lie in (0, 1] and include 1.0, "
+                                         f"got {text}")
+    return fractions
 
 
 def _str_list(text: str) -> list[str]:
@@ -124,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common, trainer],
                        help="test MSE versus random training-subset size")
-    p.add_argument("--fractions", type=_float_list,
-                   default=[0.25, 0.5, 0.75, 1.0])
+    p.add_argument("--fractions", type=_fractions, default=[0.25, 0.5, 0.75, 1.0],
+                   help="comma-separated training fractions, each in (0, 1], "
+                        "must include 1.0")
 
     sub.add_parser("report", parents=[common],
                    help="emit weights.csv, counts.csv, sweep.csv, summary.json")

@@ -136,15 +136,13 @@ def inertia(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) 
     return float(np.einsum("nd,nd->", diff, diff))
 
 
-def kmeans_init_plusplus(points: np.ndarray, k: int,
-                         seed: int | np.random.Generator,
+def kmeans_init_plusplus(points: np.ndarray, k: int, rng: np.random.Generator,
                          point_sq_norms: np.ndarray | None = None) -> np.ndarray:
     """k-means++ seeding: first centroid uniform, each next one drawn with
     probability proportional to its squared distance to the nearest chosen
-    centroid.  Deterministic for a fixed seed.  Raises when fewer than k
+    centroid.  Deterministic for a fixed ``rng`` state.  Raises when fewer than k
     distinct points exist.  ``point_sq_norms`` is as in :func:`assign`."""
     points = np.asarray(points, dtype=np.float64)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = points.shape[0]
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")

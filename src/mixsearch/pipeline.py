@@ -450,13 +450,9 @@ def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
     if trainers.TRAINERS[args.trainer].fit is None:
         raise PipelineError("size sweep supports the ridge and patch-net trainers")
     context = _trial_context(run, args, SPLIT_TEST)
-    train_idx = context.windows.split_indices(SPLIT_TRAIN)
-
-    def score(subset: np.ndarray) -> float:
-        return context.score(train_idx[subset], context.config.seed).objective
-
     with trainers.one_blas_thread():
-        rows = report.run_size_sweep(args.fractions, run.master_seed, score, train_idx.size)
+        rows = report.run_size_sweep(args.fractions, context.score,
+                                     context.windows.split_indices(SPLIT_TRAIN), run.master_seed)
     report.write_json(sweep_path, {"schema_version": report.SWEEP_SCHEMA_VERSION,
                                    "rows": [{"fraction": f, "n_windows": n, "test_avg_mse": m}
                                             for f, n, m in rows]})

@@ -19,18 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import MixsearchError
+from . import MixsearchError, search
 from .dataset import WindowSet
-from .search import StudyResult, mixture_counts, round_half_up
 
 logger = logging.getLogger(__name__)
 
 SUMMARY_SCHEMA_VERSION = 1
 STUDY_SCHEMA_VERSION = 1  # study.json, written by the search stage
 SWEEP_SCHEMA_VERSION = 1  # sweep.json, written by the sweep stage
-# Seed-stream tag of review sampling.  Not independent of the trials:
-# SeedSequence((seed, 7)) equals SeedSequence((seed, 7, 0)), trial 7's proposal stream.
-_REVIEW_STREAM = 7
 REVIEW_TOP = 3
 REVIEW_BOTTOM = 3
 
@@ -47,7 +43,7 @@ def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     return np.bincount(assignments, minlength=k)
 
 
-def emit_reports(study: StudyResult, assignments: np.ndarray, baseline: float,
+def emit_reports(study: search.StudyResult, assignments: np.ndarray, baseline: float,
                  sweep_rows: list[tuple[float, int, float]] | None,
                  path_of: Callable[[str], Path]) -> dict:
     """Write ``weights.csv``, ``counts.csv``, ``sweep.csv`` and
@@ -67,7 +63,7 @@ def emit_reports(study: StudyResult, assignments: np.ndarray, baseline: float,
 
     order = sorted(range(k), key=lambda c: (-weights[c], c))
     weights_rows = [(c, float(weights[c]), rank + 1) for rank, c in enumerate(order)]
-    counts = mixture_counts(sizes, weights)
+    counts = search.mixture_counts(sizes, weights)
     counts_rows = [(c, int(sizes[c]), int(counts[c])) for c in range(k)]
 
     total_windows = int(sizes.sum())
@@ -110,35 +106,31 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def run_size_sweep(fractions: list[float], seed: int, score_fn,
-                   n_train: int) -> list[tuple[float, int, float]]:
-    """Test MSE of the proxy trained on uniform random subsets of the
-    training windows, one row per fraction.
+def run_size_sweep(fractions: list[float],
+                   score: Callable[[np.ndarray, int, int], search.TrialEvaluation],
+                   train_idx: np.ndarray, seed: int) -> list[tuple[float, int, float]]:
+    """(fraction, window count, objective) of the proxy trained on a uniform
+    random subset of the training windows ``train_idx``, one row per fraction.
 
-    ``score_fn(positions)`` trains on the given positions in
-    ``[0, n_train)`` of the training windows and returns the test metric.
-    Fraction 1.0 is required and uses every window, so it reproduces the
-    full-data baseline exactly under the same seed.
+    Row i is trial i of :func:`~.search.mixture_objective` over one cluster
+    that holds every window, at weight ``fractions[i]``, on the sweep's own
+    streams: round-half-up(fraction * n) windows drawn uniformly without
+    replacement, or at 1.0 every window and no draw.  Every fraction's window
+    count is checked before the first proxy trains.
     """
-    fractions = [float(f) for f in fractions]
-    if any(not 0.0 < f <= 1.0 for f in fractions):
-        raise ReportError("fractions must lie in (0, 1]")
-    if 1.0 not in fractions:
-        raise ReportError("fractions must include 1.0")
-    rows = []
-    for i, fraction in enumerate(fractions):
-        n_sub = round_half_up(fraction * n_train)
+    weights = np.asarray(fractions, dtype=np.float64)
+    counts = search.mixture_counts(train_idx.size, weights).tolist()
+    for fraction, n_sub in zip(fractions, counts):
         if n_sub == 0:
             raise ReportError(f"fraction {fraction} selects zero windows")
-        if n_sub >= n_train:
-            subset = np.arange(n_train, dtype=np.int64)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-            subset = np.sort(rng.choice(n_train, size=n_sub, replace=False))
-        mse = float(score_fn(subset))
-        rows.append((fraction, int(n_sub), mse))
-        logger.info("sweep fraction %.3f: %d windows, test mse %.6g",
-                    fraction, n_sub, mse)
+    objective = search.mixture_objective(
+        score, train_idx, np.zeros(train_idx.size, dtype=np.int64), seed,
+        (search.STREAM_SWEEP_SUBSET, search.STREAM_SWEEP_TRAINER))
+    rows = []
+    for i, (fraction, n_sub) in enumerate(zip(fractions, counts)):
+        mse = objective(i, weights[i:i + 1]).objective
+        rows.append((fraction, n_sub, mse))
+        logger.info("sweep fraction %.3f: %d windows, test mse %.6g", fraction, n_sub, mse)
     return rows
 
 
@@ -163,7 +155,7 @@ def select_review_clusters(weights: np.ndarray) -> tuple[list[int], list[int]]:
     return top, bottom
 
 
-def export_review_bundle(study: StudyResult, assignments: np.ndarray,
+def export_review_bundle(study: search.StudyResult, assignments: np.ndarray,
                          windows: WindowSet, train_indices: np.ndarray,
                          m: int, review_dir: Path, seed: int = 0) -> dict:
     """Sample ``m`` windows from each cluster :func:`select_review_clusters`
@@ -183,7 +175,7 @@ def export_review_bundle(study: StudyResult, assignments: np.ndarray,
     if review_dir.exists():
         shutil.rmtree(review_dir)
     review_dir.mkdir(parents=True)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _REVIEW_STREAM)))
+    rng = search.trial_rng(seed, 0, search.STREAM_REVIEW)
 
     manifest: dict = {"clusters": {}, "m_requested": m,
                       "top_clusters": top, "bottom_clusters": bottom}

@@ -49,10 +49,15 @@ BANDWIDTH_FLOOR_SCALE = 2.0
 # instead of growing with k.
 PDF_BLOCK_ROWS = 8
 
-# Stream tags for deriving independent per-trial generators from one seed.
+# Every seeded draw a stage makes is keyed (master seed, index, stream): the index a
+# trial id, a sweep row or 0, the stream one of these.  numpy pads a shorter key with
+# zeros, so a 2-word key or a bare seed would repeat some trial's STREAM_SUGGEST draws.
 STREAM_SUGGEST = 0
 STREAM_MIXTURE = 1
 STREAM_TRAINER = 2
+STREAM_SWEEP_SUBSET = 3
+STREAM_SWEEP_TRAINER = 4
+STREAM_REVIEW = 5
 
 STATE_COMPLETE = "complete"
 STATE_FAILED = "failed"
@@ -84,12 +89,8 @@ def trial_rng(master_seed: int, trial_id: int, stream: int) -> np.random.Generat
 # ---------------------------------------------------------------------------
 # Mixture construction
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def mixture_counts(sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """n_k = round_half_up(C_k * w_k): the windows a mixture takes per cluster."""
+    """n_k = floor(C_k * w_k + 0.5), rounded half up: the windows a mixture takes per cluster."""
     return np.floor(sizes * weights + 0.5).astype(np.int64)
 
 
@@ -529,16 +530,19 @@ Objective = Callable[[int, np.ndarray], TrialEvaluation]
 
 
 def mixture_objective(score: Callable[[np.ndarray, int, int], TrialEvaluation],
-                      train_idx: np.ndarray, assignments: np.ndarray,
-                      master_seed: int) -> Objective:
+                      train_idx: np.ndarray, assignments: np.ndarray, master_seed: int,
+                      streams: tuple[int, int] = (STREAM_MIXTURE, STREAM_TRAINER)
+                      ) -> Objective:
     """Trial evaluator for :func:`run_study`.  Trial t draws its mixture of
-    ``train_idx``, whose clusters are ``assignments``, from stream
-    :data:`STREAM_MIXTURE` and its trainer seed from :data:`STREAM_TRAINER`,
-    and returns ``score(train_idx[mixture], seed, t)``."""
+    ``train_idx``, whose clusters are ``assignments``, from the first of
+    ``streams`` and its trainer seed from the second, and returns
+    ``score(train_idx[mixture], seed, t)``."""
+    mixture_stream, trainer_stream = streams
+
     def objective(trial_id: int, weights: np.ndarray) -> TrialEvaluation:
         mixture = build_mixture(assignments, weights,
-                                trial_rng(master_seed, trial_id, STREAM_MIXTURE))
-        seq = np.random.SeedSequence(_entropy(master_seed, trial_id, STREAM_TRAINER))
+                                trial_rng(master_seed, trial_id, mixture_stream))
+        seq = np.random.SeedSequence(_entropy(master_seed, trial_id, trainer_stream))
         return score(train_idx[mixture], int(seq.generate_state(1)[0]), trial_id)
 
     return objective

@@ -68,11 +68,8 @@ class TestOutcome:
             context.score, train_idx, outcome.cluster_model.assignments,
             outcome.study.sampler_config["seed"])(-2, best_weights).objective
 
-        def score_fn(subset):
-            return context.score(train_idx[subset], seed=0).objective
-
-        rows = run_size_sweep([0.25, 0.5, 0.75, 1.0], seed=0, score_fn=score_fn,
-                              n_train=train_idx.size)
+        rows = run_size_sweep([0.25, 0.5, 0.75, 1.0], context.score, train_idx,
+                              outcome.study.sampler_config["seed"])
         assert all(optimized_test_mse < mse for _, _, mse in rows), (
             optimized_test_mse, rows)
 

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 import mixsearch
-from mixsearch import benchmark, embedding, pipeline, report
+from mixsearch import benchmark, embedding, pipeline, report, trainers
 from mixsearch.cli import build_parser, main
 from mixsearch.dataset import DatasetError
 from mixsearch.pipeline import RunManifest, train_config
-from mixsearch.search import N_STARTUP
+from mixsearch.search import N_STARTUP, mixture_counts
 from mixsearch.trainers import ExternalProtocol, TrainConfig
 
 SEED = 7
@@ -946,8 +946,21 @@ class TestTrainerBranches:
         rows = json.loads((out / "sweep.json").read_text())["rows"]
         n_train = rows[-1]["n_windows"]
         assert [r["fraction"] for r in rows] == [0.5, 1.0]
-        assert rows[0]["n_windows"] == round(0.5 * n_train)
+        assert rows[0]["n_windows"] == mixture_counts(n_train, np.array([0.5]))[0]
         assert all(math.isfinite(r["test_avg_mse"]) for r in rows)
+
+    def test_sweep_patch_net_points_get_distinct_trainer_seeds(self, raw_csv, tmp_path,
+                                                               monkeypatch):
+        common = clustered_run(tmp_path / "run", raw_csv)
+        seeds, train = [], trainers.train_patch_net
+
+        def spy(idx, windows, config):
+            seeds.append(config.seed)
+            return train(idx, windows, config)
+
+        monkeypatch.setattr(trainers, "train_patch_net", spy)
+        assert main(["sweep", *common, "--fractions", "0.5,0.5,1.0", *TINY_PATCH_NET]) == 0
+        assert len(seeds) == 3 and len(set(seeds)) == 3 and SEED not in seeds
 
     def test_sweep_external_refused(self, raw_csv, tmp_path, capsys):
         out = tmp_path / "sweep-ext"
@@ -1276,6 +1289,45 @@ SCHEMA = "profile_id=id\nu_d=input\npm=target\n"
 CSV = "profile_id,u_d,pm\n1,0.5,2.0\n1,0.6,2.1\n"
 
 
+class TestSeedStreams:
+    def test_every_seeded_draw_has_its_own_key(self, raw_csv, tmp_path, monkeypatch):
+        """Every seed sequence a draw comes from, over pipeline runs at seeds 0-3 (10
+        cluster restarts, a 12-trial search, a 10-fraction patch-net sweep and a review
+        export), differs from every other in its first four generated words."""
+        real_sequence, real_rng = np.random.SeedSequence, np.random.default_rng
+        made, used = [], []
+
+        def seed_sequence(*args, **kwargs):
+            made.append(real_sequence(*args, **kwargs))
+            return made[-1]
+
+        def default_rng(seed):
+            used.append(seed if isinstance(seed, real_sequence) else real_sequence(seed))
+            return real_rng(seed)
+
+        monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        csv_path, schema_path, _ = raw_csv
+        for seed in range(4):
+            common = ["--out", str(tmp_path / str(seed)), "--seed", str(seed),
+                      "--log-level", "warning"]
+            for argv in (["preprocess", "--data", str(csv_path), "--schema", str(schema_path),
+                          *PREP], ["embed"], ["cluster", "--k", "6", "--restarts", "10"],
+                         ["search", "--trials", "12", "--jobs", "1", "--trainer", "ridge"],
+                         ["sweep", "--fractions", ",".join(["0.5"] * 9 + ["1"]),
+                          *TINY_PATCH_NET],
+                         ["review-export", "--review-samples", "2"]):
+                assert main([*argv, *common]) == 0, argv
+        # A sequence that spawned children (k-means' restarts) draws nothing itself.
+        sources = {id(s): s for s in made + used if s.n_children_spawned == 0}
+        words = [tuple(s.generate_state(4)) for s in sources.values()]
+        assert len(set(words)) == len(words)
+        # Per seed: 10 restarts; proposal, mixture and trainer seed of 12 trials and the
+        # last two of the baseline; mixture, trainer seed and patch-net init of 10 sweep
+        # rows; one review sample.
+        assert len(words) == 4 * (10 + 3 * 12 + 2 + 3 * 10 + 1)
+
+
 class TestEdgeRefusals:
     """A bad value from a flag, a file or an intermediate ends the stage with
     exit 1 and one error line that names it; a bad external metrics.json
@@ -1325,6 +1377,32 @@ class TestEdgeRefusals:
         assert main([*argv, "--config", str(config)]) == 1
         assert one_error_line(capsys) == f"error: PipelineError: {config}: line 1: {refusal}"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fractions", ["0,1", "0.5,1.5", "nan,1", "0.5,0.75"],
+                             ids=["zero", "above-one", "nan", "no-full-fraction"])
+    def test_fractions_refused(self, tmp_path, capsys, fractions):
+        argv = ["sweep", "--out", str(tmp_path / "out")]
+        refusal = (f"argument --fractions: fractions must lie in (0, 1] and include 1.0, "
+                   f"got {fractions}")
+        assert main([*argv, "--fractions", fractions]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.strip().splitlines()[-1].endswith(refusal)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"fractions = {fractions}\n")
+        assert main([*argv, "--config", str(config)]) == 1
+        assert one_error_line(capsys) == f"error: PipelineError: {config}: line 1: {refusal}"
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_window_fraction_refused_before_training(self, staged_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        _, common = copied_run(staged_dir, tmp_path)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a proxy trained")
+        monkeypatch.setattr(trainers.TrialContext, "score", never)
+        assert main(["sweep", *common, "--fractions", "1.0,0.0001"]) == 1
+        assert one_error_line(capsys) == ("error: ReportError: "
+                                          "fraction 0.0001 selects zero windows")
 
     def test_seed_range_ends_are_accepted(self):
         for seed in (0, 2 ** 32 - 1):

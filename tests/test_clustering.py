@@ -143,25 +143,25 @@ class TestInitPlusPlus:
     def test_k1_is_a_data_point(self):
         rng = np.random.default_rng(0)
         points = rng.normal(size=(10, 3))
-        c = kmeans_init_plusplus(points, 1, seed=0)
+        c = kmeans_init_plusplus(points, 1, np.random.default_rng(0))
         assert any(np.array_equal(c[0], p) for p in points)
 
     def test_two_distinct_points_forced(self):
         points = np.array([[0.0, 0.0], [10.0, 10.0]])
-        c = kmeans_init_plusplus(points, 2, seed=5)
+        c = kmeans_init_plusplus(points, 2, np.random.default_rng(5))
         assert {tuple(c[0]), tuple(c[1])} == {(0.0, 0.0), (10.0, 10.0)}
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(1)
         points = rng.normal(size=(30, 2))
-        a = kmeans_init_plusplus(points, 4, seed=77)
-        b = kmeans_init_plusplus(points, 4, seed=77)
+        a = kmeans_init_plusplus(points, 4, np.random.default_rng(77))
+        b = kmeans_init_plusplus(points, 4, np.random.default_rng(77))
         np.testing.assert_array_equal(a, b)
 
     def test_k_exceeding_distinct_points(self):
         points = np.array([[1.0], [1.0], [2.0]])
         with pytest.raises(ClusteringError, match=r"distinct points \(2\)"):
-            kmeans_init_plusplus(points, 3, seed=0)
+            kmeans_init_plusplus(points, 3, np.random.default_rng(0))
 
     def test_draw_weights_bit_identical_to_cdist_seeding(self):
         # The q rows lie on the plane that mirrors a onto b, and b sits a few
@@ -193,7 +193,7 @@ class TestInitPlusPlus:
 
         monkeypatch.setattr("mixsearch.clustering.squared_distances", counted)
         points = np.random.default_rng(2).normal(size=(40, 3))
-        kmeans_init_plusplus(points, 5, seed=4)
+        kmeans_init_plusplus(points, 5, np.random.default_rng(4))
         assert calls == [(1, 3)] * 4
 
 

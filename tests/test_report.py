@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from mixsearch.report import (
 )
 from mixsearch.search import (
     StudyResult,
+    TrialEvaluation,
     TrialRecord,
     build_mixture,
-    round_half_up,
 )
 
 from conftest import make_table, make_window_set
@@ -27,7 +28,7 @@ def fake_study(weights_list, objectives, k, sizes=None):
     sizes = sizes if sizes is not None else [1000] * k
     trials = [
         TrialRecord(trial_id=i, weights=np.asarray(w, dtype=np.float64),
-                    n_mix=int(sum(round_half_up(s * wj) for s, wj in zip(sizes, w))),
+                    n_mix=sum(math.floor(s * wj + 0.5) for s, wj in zip(sizes, w)),
                     objective=obj, per_target_mse={}, per_target_mae={},
                     state="complete", error=None, wall_time_s=0.0)
         for i, (w, obj) in enumerate(zip(weights_list, objectives))
@@ -150,40 +151,51 @@ class TestEmitReports:
 
 
 class TestSizeSweep:
+    """The sweep over training windows 100..199, scored by a fake proxy whose
+    objective is the sum of the window indices it trains on."""
+
+    TRAIN_IDX = np.arange(100, 200)
+
     @staticmethod
-    def _score_fn(subset):
-        return float(np.arange(100, dtype=np.float64)[subset].sum()) * 1e-3
+    def _score(idx, seed, tag):
+        return TrialEvaluation(objective=float(idx.sum()) * 1e-3, n_mix=idx.size,
+                               per_target_mse={}, per_target_mae={})
+
+    def _sweep(self, fractions, seed):
+        """The sweep's rows and each (windows, trainer seed, row) it scored."""
+        calls = []
+
+        def score(idx, trainer_seed, tag):
+            calls.append((idx, trainer_seed, tag))
+            return self._score(idx, trainer_seed, tag)
+
+        return run_size_sweep(fractions, score, self.TRAIN_IDX, seed), calls
 
     def test_full_fraction_reproduces_baseline_bitwise(self):
-        rows = run_size_sweep([0.5, 1.0], seed=0, score_fn=self._score_fn,
-                              n_train=100)
-        baseline = self._score_fn(np.arange(100))
-        full_row = [r for r in rows if r[0] == 1.0][0]
-        assert full_row[2] == baseline
-        assert full_row[1] == 100
+        rows, calls = self._sweep([0.5, 1.0], seed=0)
+        assert calls[1][0].tobytes() == self.TRAIN_IDX.tobytes()
+        assert rows[1] == (1.0, 100, self._score(self.TRAIN_IDX, 0, 0).objective)
 
     def test_structure_and_counts(self):
-        rows = run_size_sweep([0.25, 0.5, 1.0], seed=1, score_fn=self._score_fn,
-                              n_train=100)
-        assert [r[0] for r in rows] == [0.25, 0.5, 1.0]
-        assert [r[1] for r in rows] == [25, 50, 100]
+        rows, calls = self._sweep([0.25, 0.5, 0.125, 1.0], seed=1)
+        assert [r[0] for r in rows] == [0.25, 0.5, 0.125, 1.0]
+        assert [r[1] for r in rows] == [25, 50, 13, 100]  # 12.5 rounds half up
+        assert [tag for _, _, tag in calls] == [0, 1, 2, 3]
+        for (idx, _, _), (_, n, mse) in zip(calls, rows):
+            assert idx.size == n and mse == self._score(idx, 0, 0).objective
+            assert np.all(np.diff(idx) > 0) and np.isin(idx, self.TRAIN_IDX).all()
 
     def test_deterministic_per_seed(self):
-        a = run_size_sweep([0.3, 1.0], 7, self._score_fn, 100)
-        b = run_size_sweep([0.3, 1.0], 7, self._score_fn, 100)
-        assert a == b
-
-    def test_must_include_full_fraction(self):
-        with pytest.raises(ReportError, match="1.0"):
-            run_size_sweep([0.5], 0, self._score_fn, 100)
-
-    def test_rejects_out_of_range_fraction(self):
-        with pytest.raises(ReportError, match=r"\(0, 1\]"):
-            run_size_sweep([0.0, 1.0], 0, self._score_fn, 100)
+        a, _ = self._sweep([0.3, 1.0], 7)
+        assert self._sweep([0.3, 1.0], 7)[0] == a
+        assert self._sweep([0.3, 1.0], 8)[0][0] != a[0]
 
     def test_zero_window_fraction(self):
-        with pytest.raises(ReportError, match="zero windows"):
-            run_size_sweep([0.001, 1.0], 0, self._score_fn, 100)
+        calls = []
+        with pytest.raises(ReportError, match="fraction 0.004 selects zero windows"):
+            run_size_sweep([1.0, 0.5, 0.004], lambda *args: calls.append(args),
+                           self.TRAIN_IDX, 0)
+        assert calls == []  # refused before any proxy trains
 
 
 class TestReviewBundle:
