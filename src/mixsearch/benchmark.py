@@ -156,14 +156,14 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
                         windows_per_regime: int = 1000) -> BenchmarkOutcome:
     """Full benchmark pass: generate and featurize, cluster into one cluster per
     planted regime, then search and score the baseline, as the stages do."""
+    config = search.StudyConfig(n_trials=n_trials, k=N_REGIMES, jobs=jobs,
+                                sampler=sampler, seed=master_seed)
     data = generate_regime_corpus(master_seed, windows_per_regime=windows_per_regime)
     train_idx = data.train_indices
     model = clustering.kmeans_fit(embedding.zscore_features(data.features, train_idx),
                                   N_REGIMES, seed=master_seed, n_init=KMEANS_RESTARTS)
     context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
                                     data.features.data)
-    config = search.StudyConfig(n_trials=n_trials, k=model.k, jobs=jobs,
-                                sampler=sampler, seed=master_seed)
     study, baseline = pipeline.search_mixture(context, train_idx, model.assignments, config)
     outcome = BenchmarkOutcome(
         data=data, cluster_model=model, study=study, baseline=baseline,

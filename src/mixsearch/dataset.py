@@ -86,36 +86,15 @@ class RawTable:
         return [(int(ids[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-class WindowGather:
-    """``inputs[idx]`` of a :class:`WindowSet`: gathers the windows ``idx``
-    (an int, slice, boolean mask or index array) from the per-row inputs as
-    a (len(idx), W, C_in) copy, or (W, C_in) for an int."""
-
-    def __init__(self, rows: np.ndarray, start: np.ndarray, length: int):
-        self.rows = rows
-        self.start = start
-        self.length = length
-
-    def __getitem__(self, idx) -> np.ndarray:
-        # Row r of this read-only (rows - W + 1, W, C_in) view is the window
-        # starting at r, so fancy indexing copies each window as one block.
-        # An array key keeps an int's gather a copy, not a view.
-        rows = self.rows
-        by_start = np.lib.stride_tricks.as_strided(
-            rows, shape=(max(rows.shape[0] - self.length + 1, 0), self.length, rows.shape[1]),
-            strides=(rows.strides[0], *rows.strides), writeable=False)
-        return by_start[np.asarray(self.start[idx])]
-
-
 @dataclass
 class WindowSet:
     """Fixed-length windows as start rows into a per-row table.
 
     The table's input and target columns are held once, as ``input_rows``
     and ``target_rows``; window ``i`` is rows ``start[i] : start[i] + W`` of
-    both, never crossing a profile run.  ``inputs[idx]`` gathers windows on
-    demand (see :class:`WindowGather`) and ``targets`` holds each window's
-    last-step targets, the only ones the forecasters predict.
+    both, never crossing a profile run.  :meth:`gather` copies windows out on
+    demand and ``targets`` holds each window's last-step targets, the only
+    ones the forecasters predict.
     """
 
     input_rows: np.ndarray    # (rows, C_in)
@@ -125,12 +104,22 @@ class WindowSet:
     window_length: int
     input_names: list[str]
     target_names: list[str]
-    inputs: WindowGather = field(init=False, repr=False)
     targets: np.ndarray = field(init=False, repr=False)  # (n, C_tgt)
 
     def __post_init__(self) -> None:
-        self.inputs = WindowGather(self.input_rows, self.start, self.window_length)
         self.targets = self.target_rows[self.start + (self.window_length - 1)]
+
+    def gather(self, idx) -> np.ndarray:
+        """The inputs of windows ``idx`` (an int, slice, boolean mask or index
+        array) as a (len(idx), W, C_in) copy, or (W, C_in) for an int."""
+        # Row r of this read-only (rows - W + 1, W, C_in) view is the window
+        # starting at r, so fancy indexing copies each window as one block.
+        # An array key keeps an int's gather a copy, not a view.
+        rows, w = self.input_rows, self.window_length
+        by_start = np.lib.stride_tricks.as_strided(
+            rows, shape=(max(rows.shape[0] - w + 1, 0), w, rows.shape[1]),
+            strides=(rows.strides[0], *rows.strides), writeable=False)
+        return by_start[np.asarray(self.start[idx])]
 
     def __len__(self) -> int:
         return self.start.shape[0]

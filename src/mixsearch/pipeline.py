@@ -252,12 +252,12 @@ class RunManifest:
 
     def study(self) -> tuple[search.StudyResult, float]:
         """The finished study and the full-data baseline avg_mse of ``study.json``."""
-        def load_study(path: Path) -> tuple[int, dict, float]:
+        def load_study(path: Path) -> tuple[dict, float]:
             payload = _json_at_version(path, report.STUDY_SCHEMA_VERSION, "search")
-            return payload["k"], payload["sampler_config"], payload["baseline"]["avg_mse"]
-        k, sampler_config, baseline = self.read("search", "study", load_study)
+            return payload["sampler_config"], payload["baseline"]["avg_mse"]
+        sampler_config, baseline = self.read("search", "study", load_study)
         result = self.read("search", "trials", lambda path: search.StudyResult.from_trials(
-            search.load_trial_log(path), k, sampler_config))
+            search.load_trial_log(path), sampler_config))
         return result, baseline
 
 
@@ -300,11 +300,11 @@ def load_schema(schema_path: str | None, id_col: str | None,
 
 
 def train_config(args: argparse.Namespace) -> trainers.TrainConfig:
-    """The trainer settings the trainer flags and --seed give."""
+    """The trainer settings the trainer flags give."""
     return trainers.TrainConfig(
         trainer=args.trainer, token_budget=args.budget_tokens, batch_size=args.batch_size,
         peak_lr=args.lr, warmup_fraction=args.warmup_fraction, patch_len=args.patch_len,
-        embed_dim=args.embed_dim, ridge_lambda=args.ridge_lambda, seed=args.seed)
+        embed_dim=args.embed_dim, ridge_lambda=args.ridge_lambda)
 
 
 def _trial_context(run: RunManifest, args: argparse.Namespace,
@@ -419,11 +419,11 @@ def stage_search(run: RunManifest, args: argparse.Namespace) -> None:
     # Both JSON names are staged before the trial log, so a name another stage
     # took is refused before any trial runs and study.json is renamed first.
     study_path, weights_path = run.staging_path("study.json"), run.staging_path("best_weights.json")
-    context = _trial_context(run, args, SPLIT_VAL)
-    train_idx, assignments = run.assignments()
     config = search.StudyConfig(n_trials=args.trials, k=k, jobs=args.jobs,
                                 sampler=args.sampler, seed=run.master_seed,
                                 trial_log=run.staging_path("trials.jsonl"))
+    context = _trial_context(run, args, SPLIT_VAL)
+    train_idx, assignments = run.assignments()
     result, baseline_eval = search_mixture(context, train_idx, assignments, config)
     report.write_json(study_path, {
         "schema_version": report.STUDY_SCHEMA_VERSION,

@@ -176,7 +176,6 @@ class TrialRecord(TrialEvaluation):
 class StudyResult:
     trials: list[TrialRecord]  # ordered by trial id
     best_trial_id: int
-    k: int
     sampler_config: dict
 
     @property
@@ -187,8 +186,7 @@ class StudyResult:
         return [t for t in self.trials if t.state == STATE_COMPLETE]
 
     @classmethod
-    def from_trials(cls, trials: Sequence[TrialRecord], k: int,
-                    sampler_config: dict) -> "StudyResult":
+    def from_trials(cls, trials: Sequence[TrialRecord], sampler_config: dict) -> "StudyResult":
         ordered = sorted(trials, key=lambda t: t.trial_id)
         if [t.trial_id for t in ordered] != list(range(len(ordered))):
             raise SearchError("trial ids must be unique and dense")
@@ -196,8 +194,7 @@ class StudyResult:
         if not completed:
             raise AllTrialsFailedError("no trial completed")
         best = min(completed, key=lambda t: (t.objective, t.trial_id))
-        return cls(trials=ordered, best_trial_id=best.trial_id, k=k,
-                   sampler_config=dict(sampler_config))
+        return cls(trials=ordered, best_trial_id=best.trial_id, sampler_config=dict(sampler_config))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +666,7 @@ def run_study(config: StudyConfig, objective: Objective) -> StudyResult:
                         ", ".join("failed" if r.objective is None else f"{r.objective:.6g}"
                                   for r in batch), best_objective)
 
-    result = StudyResult.from_trials(history, config.k, config.sampler_config())
+    result = StudyResult.from_trials(history, config.sampler_config())
     best = result.best_trial
     logger.info("study done: %d/%d trials complete, best objective %.6g (trial %d)",
                 len(result.completed()), config.n_trials, best.objective,

@@ -24,7 +24,7 @@ import json
 import logging
 import math
 import subprocess
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -69,7 +69,6 @@ class TrainConfig:
     patch_len: int = 30
     embed_dim: int = 32
     ridge_lambda: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.token_budget < 1:
@@ -218,7 +217,7 @@ class PatchNetModel:
         # Each block's gather is passed on unbound, so it is freed before the next.
         return np.concatenate([
             patch_net_forward(self.params, to_patches(
-                context.windows.inputs[idx[i:i + PREDICT_BLOCK]], self.patch_len),
+                context.windows.gather(idx[i:i + PREDICT_BLOCK]), self.patch_len),
                 self.pos_encoding)[0]
             for i in range(0, idx.size, PREDICT_BLOCK)])
 
@@ -291,13 +290,13 @@ def _gather_float32(windows: WindowSet, take: np.ndarray) -> np.ndarray:
     out = np.empty((take.size, windows.window_length, windows.input_rows.shape[1]),
                    dtype=np.float32)
     for i in range(0, take.size, TRAIN_GATHER_CHUNK):
-        out[i:i + TRAIN_GATHER_CHUNK] = windows.inputs[take[i:i + TRAIN_GATHER_CHUNK]]
+        out[i:i + TRAIN_GATHER_CHUNK] = windows.gather(take[i:i + TRAIN_GATHER_CHUNK])
     return out
 
 
 def train_patch_net(idx: np.ndarray, windows: WindowSet,
-                    config: TrainConfig) -> PatchNetModel:
-    """Adam-train the patch network on the mixture under the token budget.
+                    config: TrainConfig, seed: int) -> PatchNetModel:
+    """Adam-train the patch network on the mixture under the token budget, seeded by ``seed``.
 
     The step count is planned up front: training stops at the first step
     where the cumulative token count (rows in the batch times patches per
@@ -312,7 +311,7 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     peak is 0.65 times one float64 batch.  The returned model predicts from
     float64 windows, so its predictions are float64.
     """
-    _, ppw, in_dim = to_patches(windows.inputs[idx[:1]], config.patch_len).shape
+    _, ppw, in_dim = to_patches(windows.gather(idx[:1]), config.patch_len).shape
     n = idx.size
 
     epochs = compute_epochs(config.token_budget, n, ppw)
@@ -325,7 +324,7 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     planned_steps = ((epochs - 1) * steps_per_epoch
                      + int(np.searchsorted(last_epoch_tokens, left)) + 1)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     pe = sinusoidal_position_encoding(ppw, config.embed_dim).astype(np.float32)
     params = {key: value.astype(np.float32) for key, value in init_patch_net(
         in_dim, config.embed_dim, windows.targets.shape[1], rng).items()}
@@ -412,8 +411,8 @@ class ExternalProtocol:
 
 def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
                             protocol: ExternalProtocol, config: TrainConfig,
-                            handoff_dir: str | Path) -> search.TrialEvaluation:
-    """Write the handoff files, run the command, read back metrics.json.
+                            handoff_dir: str | Path, seed: int) -> search.TrialEvaluation:
+    """Write the handoff files (``seed`` as ``train.seed``), run the command, read metrics.json.
 
     Nonzero exit, timeout and malformed metrics each raise
     :class:`ExternalTrainerError`, which the study maps to a failed trial.
@@ -426,7 +425,7 @@ def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
             fh.write(f"{int(i)}\n")
     handoff_config = {
         "schema_version": 2,
-        "train": config.to_dict(),
+        "train": {**config.to_dict(), "seed": seed},
         "n_windows": int(idx.size),
         "window_length": windows.window_length,
         "input_names": windows.input_names,
@@ -504,7 +503,7 @@ TRAINERS: dict[str, Trainer] = {
     "ridge": Trainer(lambda ctx, idx, seed: train_ridge(
         idx, ctx.windows, ctx.features, ctx.config.ridge_lambda), needs_features=True),
     "patch-net": Trainer(lambda ctx, idx, seed: train_patch_net(
-        idx, ctx.windows, replace(ctx.config, seed=seed)), patched=True),
+        idx, ctx.windows, ctx.config, seed), patched=True),
     "external": Trainer(None),
 }
 
@@ -538,10 +537,10 @@ class TrialContext:
         self.scored_targets = self.windows.targets[self.scored_idx]
 
     def score(self, idx: np.ndarray, seed: int, tag: int = 0) -> search.TrialEvaluation:
-        """Train the proxy on the windows ``idx`` (patch-net seeded by ``seed``) and score it.
+        """Train the proxy on the windows ``idx`` with the trial's ``seed`` and score it.
         An external trainer reports its own metrics from handoff directory ``trial_<tag:05d>``."""
         fit = TRAINERS[self.config.trainer].fit
         if fit is None:
             return external_trainer_invoke(idx, self.windows, self.protocol, self.config,
-                                           self.handoff_root / f"trial_{tag:05d}")
+                                           self.handoff_root / f"trial_{tag:05d}", seed)
         return evaluate(fit(self, idx, seed), self, idx.size)

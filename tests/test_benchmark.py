@@ -38,7 +38,7 @@ class TestCorpus:
         data = benchmark.generate_regime_corpus(2, windows_per_regime=200)
         train = data.windows.split_mask(SPLIT_TRAIN)
         regimes = data.regimes[train]
-        x = data.windows.inputs[train][:, -1, :]
+        x = data.windows.gather(train)[:, -1, :]
         y = data.windows.targets[train][:, 0]
         for regime, should_correlate in ((0, True), (8, False)):
             mask = regimes == regime

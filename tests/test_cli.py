@@ -22,7 +22,7 @@ from mixsearch import benchmark, embedding, pipeline, report, trainers
 from mixsearch.cli import build_parser, main
 from mixsearch.dataset import DatasetError
 from mixsearch.pipeline import RunManifest, train_config
-from mixsearch.search import N_STARTUP, mixture_counts
+from mixsearch.search import N_STARTUP, mixture_counts, mixture_objective
 from mixsearch.trainers import ExternalProtocol, TrainConfig
 
 SEED = 7
@@ -763,6 +763,7 @@ class TestTrainerBranches:
         assert [r["state"] for r in records] == ["complete"] * 3
         study = json.loads((out / "study.json").read_text())
         assert study["trainer_config"]["trainer"] == "patch-net"
+        assert "seed" not in study["trainer_config"]
         assert math.isfinite(study["baseline"]["avg_mse"])
         assert main(["report", *common]) == 0
 
@@ -815,6 +816,24 @@ class TestTrainerBranches:
         baseline = out / "external" / "trial_-0001"
         assert len((baseline / "mixture.csv").read_text().splitlines()) - 1 \
             == study["n_train"]
+
+    def test_search_external_trials_get_their_trainer_seeds(self, raw_csv, tmp_path):
+        out = tmp_path / "ext-seeds"
+        common = clustered_run(out, raw_csv)
+        stub = tmp_path / "stub.py"
+        stub.write_text(STUB_TRAINER)
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        assert main(["search", *common, "--trials", "4", "--jobs", "1",
+                     "--trainer", "external", "--external-cmd", cmd]) == 0
+        got = {t: json.loads((out / "external" / f"trial_{t:05d}" / "config.json")
+                             .read_text())["train"]["seed"] for t in range(-1, 4)}
+        drawn = {}
+        objective = mixture_objective(lambda idx, seed, t: drawn.setdefault(t, seed),
+                                      np.arange(2), np.zeros(2, dtype=np.int64), SEED)
+        for t in range(-1, 4):
+            objective(t, np.ones(1))
+        assert got == drawn
+        assert len(set(got.values())) == 5
 
     def test_search_external_without_val_windows(self, raw_csv, tmp_path):
         # An external trainer scores itself, so a run with no val windows can search.
@@ -954,9 +973,9 @@ class TestTrainerBranches:
         common = clustered_run(tmp_path / "run", raw_csv)
         seeds, train = [], trainers.train_patch_net
 
-        def spy(idx, windows, config):
-            seeds.append(config.seed)
-            return train(idx, windows, config)
+        def spy(idx, windows, config, seed):
+            seeds.append(seed)
+            return train(idx, windows, config, seed)
 
         monkeypatch.setattr(trainers, "train_patch_net", spy)
         assert main(["sweep", *common, "--fractions", "0.5,0.5,1.0", *TINY_PATCH_NET]) == 0
@@ -1361,6 +1380,22 @@ class TestEdgeRefusals:
             assert main([*argv, *common]) == 0
         assert main([*last, *common]) == 1
         assert message in one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag, message", [("--trials", "n_trials must be >= 1"),
+                                               ("--jobs", "jobs must be >= 1")])
+    def test_study_setting_refused_before_loading(self, staged_dir, tmp_path, capsys,
+                                                  monkeypatch, flag, message):
+        _, common = copied_run(staged_dir, tmp_path)
+
+        def load(*args, **kwargs):
+            raise AssertionError("loaded before the study settings were checked")
+
+        monkeypatch.setattr(RunManifest, "windows", load)
+        monkeypatch.setattr(benchmark, "generate_regime_corpus", load)
+        for argv in (["search", flag, "0", *common],
+                     ["selftest", flag, "0", "--out", str(tmp_path / "selftest")]):
+            assert main(argv) == 1
+            assert message in one_error_line(capsys)
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 32)])
     @pytest.mark.parametrize("stage", ["preprocess --data x.csv", "embed", "cluster", "search",

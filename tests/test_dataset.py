@@ -361,9 +361,9 @@ class TestMakeWindows:
     def test_input_target_blocks_split_by_role(self):
         table = self._table([50])
         ws = make_windows(table, 10, 5)
-        assert ws.inputs[:].shape == (len(ws), 10, 1)
+        assert ws.gather(slice(None)).shape == (len(ws), 10, 1)
         assert ws.targets.shape == (len(ws), 1)
-        np.testing.assert_array_equal(ws.inputs[0][:, 0], table.values[:10, 0])
+        np.testing.assert_array_equal(ws.gather(0)[:, 0], table.values[:10, 0])
         np.testing.assert_array_equal(ws.targets[0], table.values[9, 1:])
 
     @settings(max_examples=40, deadline=None)
@@ -405,18 +405,17 @@ class TestMakeWindows:
         np.testing.assert_array_equal(start, np.concatenate(expected))
         assert (ids[start] == ids[start + length - 1]).all()
         np.testing.assert_array_equal(ws.split, table.split[start])
-        gathered = ws.inputs[np.arange(len(ws))]
+        gathered = ws.gather(np.arange(len(ws)))
         for i in range(len(ws)):
             rows = table.values[start[i]:start[i] + length]
-            np.testing.assert_array_equal(ws.inputs[i], rows[:, [0, 2]])
+            np.testing.assert_array_equal(ws.gather(i), rows[:, [0, 2]])
             np.testing.assert_array_equal(gathered[i], rows[:, [0, 2]])
             np.testing.assert_array_equal(ws.targets[i], rows[-1, [1, 3]])
 
     def test_no_array_has_a_window_axis(self):
         ws = make_windows(self._table([40, 37]), 13, 1)
         assert len(ws) == 28 + 25
-        arrays = [v for obj in (ws, ws.inputs) for v in vars(obj).values()
-                  if isinstance(v, np.ndarray)]
+        arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
         assert arrays
         for array in arrays:
             assert 13 not in array.shape
@@ -428,7 +427,7 @@ class TestMakeWindows:
     def test_gather_equals_per_window_row_slices(self, key):
         ws = make_windows(self._table([40, 37]), 13, 1)
         before = ws.input_rows.copy()
-        got = ws.inputs[key]
+        got = ws.gather(key)
         want = np.array([ws.input_rows[s:s + 13] for s in ws.start])[key]
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -437,7 +436,7 @@ class TestMakeWindows:
 
     @pytest.mark.parametrize("key", [5, np.array([52, 0, 7, 7, 30])], ids=["int", "index-array"])
     def test_gather_is_c_contiguous(self, key):
-        got = make_windows(self._table([40, 37]), 13, 1).inputs[key]
+        got = make_windows(self._table([40, 37]), 13, 1).gather(key)
         assert got.flags.c_contiguous and got.flags.writeable
 
     def test_gather_copies_no_table(self):
@@ -448,7 +447,7 @@ class TestMakeWindows:
         ws = make_windows(table, 300, 1)
         tracemalloc.start()
         try:
-            ws.inputs[np.array([0, 7, 1_000, 50_000, 200_000])]
+            ws.gather(np.array([0, 7, 1_000, 50_000, 200_000]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -185,7 +185,7 @@ class TestWindowSetFeaturizer:
         # the cast each value is within its stated bound of the reference,
         # and that bound is below a quarter of a float32 step.
         n, w, c = len(windows), windows.window_length, windows.input_rows.shape[1]
-        ref = featurize_windows(windows.inputs[np.arange(n)]).reshape(n, c, 7)
+        ref = featurize_windows(windows.gather(np.arange(n))).reshape(n, c, 7)
         got = featurize_window_set(windows).data.reshape(n, c, 7)
         zeroed = np.zeros(ref.shape, dtype=bool)
         zeroed[:, :, [STD, SLOPE, AUTOCORR]] = (ref[:, :, MIN] == ref[:, :, MAX])[:, :, None]
@@ -209,7 +209,7 @@ class TestWindowSetFeaturizer:
         stats, bound = featurize_block(windows.input_rows, windows.start[:FEATURIZE_BLOCK], 50)
         edges = [99, 151]
         assert np.all(bound[edges] == 0.0)
-        assert stats[edges].tobytes() == featurize_windows(windows.inputs[edges]).tobytes()
+        assert stats[edges].tobytes() == featurize_windows(windows.gather(edges)).tobytes()
 
     def test_memory_does_not_grow_with_overlapping_windows(self):
         # W=300, stride 1: one gathered block would be 256 x 300 rows; the

@@ -33,7 +33,7 @@ def fake_study(weights_list, objectives, k, sizes=None):
                     state="complete", error=None, wall_time_s=0.0)
         for i, (w, obj) in enumerate(zip(weights_list, objectives))
     ]
-    return StudyResult.from_trials(trials, k=k, sampler_config={"sampler": "tpe"})
+    return StudyResult.from_trials(trials, sampler_config={"sampler": "tpe"})
 
 
 def fake_assignments(sizes):

@@ -55,16 +55,16 @@ def reference_planned_steps(budget, n, batch_size, ppw):
     return planned_steps
 
 
-def reference_train_float64(idx, windows, config):
+def reference_train_float64(idx, windows, config, seed):
     """Float64 Adam training with train_patch_net's seed, step plan and
     schedule, from one stack of the mixture's patches; returns the parameters
     and the position code."""
-    x = to_patches(windows.inputs[idx], config.patch_len)
+    x = to_patches(windows.gather(idx), config.patch_len)
     n, ppw, in_dim = x.shape
     steps = reference_planned_steps(config.token_budget, n, config.batch_size, ppw)
     batch = min(config.batch_size, n)
     steps_per_epoch = -(-n // batch)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     pe = sinusoidal_position_encoding(ppw, config.embed_dim)
     params = init_patch_net(in_dim, config.embed_dim, windows.targets.shape[1], rng)
     m = {key: np.zeros_like(value) for key, value in params.items()}
@@ -291,8 +291,8 @@ class TestPatchNet:
         ws = linear_window_set(rng, n=300, w=20, noise=0.02)
         config = TrainConfig(trainer="patch-net", token_budget=300 * 4 * 8,
                              batch_size=50, peak_lr=0.02, patch_len=5,
-                             embed_dim=16, seed=7)
-        model = train_patch_net(np.arange(300), ws, config)
+                             embed_dim=16)
+        model = train_patch_net(np.arange(300), ws, config, 7)
         losses = model.epoch_losses[:5]
         drops = sum(losses[i + 1] <= losses[i] for i in range(len(losses) - 1))
         assert drops >= 4 - 1  # at least 3 of 4 transitions shrink
@@ -302,8 +302,8 @@ class TestPatchNet:
         rng = np.random.default_rng(6)
         ws = linear_window_set(rng, n=130, w=20)
         config = TrainConfig(trainer="patch-net", token_budget=3001, batch_size=32,
-                             patch_len=5, embed_dim=8, seed=0)
-        model = train_patch_net(np.arange(130), ws, config)
+                             patch_len=5, embed_dim=8)
+        model = train_patch_net(np.arange(130), ws, config, 0)
         ppw = 20 // 5
         assert model.tokens_consumed >= config.token_budget
         assert model.tokens_consumed - config.token_budget < config.batch_size * ppw
@@ -315,7 +315,7 @@ class TestPatchNet:
         ws = linear_window_set(np.random.default_rng(0), n=n, w=20)
         config = TrainConfig(trainer="patch-net", token_budget=budget,
                              batch_size=batch_size, patch_len=patch_len,
-                             embed_dim=2, seed=0)
+                             embed_dim=2)
         totals = set()
         real_lr_at_step = trainers.lr_at_step
 
@@ -325,7 +325,7 @@ class TestPatchNet:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trainers, "lr_at_step", spy)
-            train_patch_net(np.arange(n), ws, config)
+            train_patch_net(np.arange(n), ws, config, 0)
         assert totals == {reference_planned_steps(budget, n, batch_size,
                                                   20 // patch_len)}
 
@@ -333,9 +333,9 @@ class TestPatchNet:
         rng = np.random.default_rng(7)
         ws = linear_window_set(rng, n=80, w=20, noise=0.05)
         config = TrainConfig(trainer="patch-net", token_budget=5000, batch_size=32,
-                             patch_len=5, embed_dim=8, seed=123)
-        a = train_patch_net(np.arange(80), ws, config)
-        b = train_patch_net(np.arange(80), ws, config)
+                             patch_len=5, embed_dim=8)
+        a = train_patch_net(np.arange(80), ws, config, 123)
+        b = train_patch_net(np.arange(80), ws, config, 123)
         for key in a.params:
             assert a.params[key].tobytes() == b.params[key].tobytes()
         assert a.epoch_losses == b.epoch_losses
@@ -345,30 +345,30 @@ class TestPatchNet:
         ws = linear_window_set(rng, n=40, w=20)
         config = TrainConfig(trainer="patch-net", token_budget=40 * 4 * 50,
                              batch_size=20, peak_lr=1e160, patch_len=5,
-                             embed_dim=8, seed=0)
+                             embed_dim=8)
         with pytest.raises(TrainingDivergedError):
-            train_patch_net(np.arange(40), ws, config)
+            train_patch_net(np.arange(40), ws, config, 0)
 
     def test_divergence_raises_without_numpy_warning(self):
         rng = np.random.default_rng(8)
         ws = linear_window_set(rng, n=40, w=20)
         config = TrainConfig(trainer="patch-net", token_budget=40 * 4 * 50,
                              batch_size=20, peak_lr=1e160, patch_len=5,
-                             embed_dim=8, seed=0)
+                             embed_dim=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError):
-                train_patch_net(np.arange(40), ws, config)
+                train_patch_net(np.arange(40), ws, config, 0)
 
     def test_trains_float32_in_half_a_float64_batch(self):
         ws = m_sized_windows()
         idx = np.arange(0, len(ws), 97)
         config = TrainConfig(trainer="patch-net", token_budget=idx.size * 10 * 2,
                              batch_size=256, patch_len=30, embed_dim=32)
-        model = train_patch_net(idx, ws, config)
+        model = train_patch_net(idx, ws, config, 0)
         assert {value.dtype for value in model.params.values()} == {np.dtype(np.float32)}
         one_float64_batch = 256 * 300 * 15 * np.dtype(np.float64).itemsize
-        assert traced_peak(lambda: train_patch_net(idx, ws, config)) \
+        assert traced_peak(lambda: train_patch_net(idx, ws, config, 0)) \
             < 0.8 * one_float64_batch
 
     def test_float32_training_matches_float64_reference(self):
@@ -377,11 +377,11 @@ class TestPatchNet:
                                split=["train"] * 240 + ["val"] * 60)
         config = TrainConfig(trainer="patch-net", token_budget=240 * 4 * 8,
                              batch_size=50, peak_lr=0.02, patch_len=5,
-                             embed_dim=16, seed=7)
+                             embed_dim=16)
         train_idx = np.arange(240)
         context = TrialContext(config, ws)
-        got = evaluate(train_patch_net(train_idx, ws, config), context).objective
-        params, pe = reference_train_float64(train_idx, ws, config)
+        got = evaluate(train_patch_net(train_idx, ws, config, 7), context).objective
+        params, pe = reference_train_float64(train_idx, ws, config, 7)
         want = evaluate(trainers.PatchNetModel(params=params, pos_encoding=pe,
                                                patch_len=5), context).objective
         assert got == pytest.approx(want, rel=1e-3)
@@ -392,14 +392,14 @@ class TestPatchNet:
         config = TrainConfig(trainer="patch-net", token_budget=idx.size * 10 * 2,
                              batch_size=256, patch_len=30, embed_dim=32)
         one_batch = 256 * 300 * 15 * np.dtype(np.float64).itemsize
-        assert traced_peak(lambda: train_patch_net(idx, ws, config)) < 1.5 * one_batch
+        assert traced_peak(lambda: train_patch_net(idx, ws, config, 0)) < 1.5 * one_batch
 
     def test_patch_length_must_divide_window(self):
         rng = np.random.default_rng(9)
         ws = linear_window_set(rng, n=10, w=20)
-        config = TrainConfig(trainer="patch-net", patch_len=7, seed=0)
+        config = TrainConfig(trainer="patch-net", patch_len=7)
         with pytest.raises(TrainerError, match="divide"):
-            train_patch_net(np.arange(10), ws, config)
+            train_patch_net(np.arange(10), ws, config, 0)
 
 
 class TestEvaluate:
@@ -489,10 +489,10 @@ class TestTrialContext:
         rng = np.random.default_rng(7)
         ws = linear_window_set(rng, n=40, w=20, split=["train"] * 30 + ["val"] * 10)
         config = TrainConfig(trainer="patch-net", token_budget=2000, batch_size=8,
-                             patch_len=5, embed_dim=8, seed=0)
+                             patch_len=5, embed_dim=8)
         context = TrialContext(config, ws)
-        model = train_patch_net(np.arange(30), ws, config)
-        pred, _ = patch_net_forward(model.params, to_patches(ws.inputs[30:], 5),
+        model = train_patch_net(np.arange(30), ws, config, 0)
+        pred, _ = patch_net_forward(model.params, to_patches(ws.gather(slice(30, None)), 5),
                                     model.pos_encoding)
         np.testing.assert_array_equal(model.predict(context, context.scored_idx), pred)
         metrics = context.score(np.arange(30), seed=0)
@@ -509,7 +509,7 @@ class TestTrialContext:
         model = trainers.PatchNetModel(
             params=init_patch_net(10, 8, 2, rng),
             pos_encoding=sinusoidal_position_encoding(4, 8), patch_len=5)
-        pred, _ = patch_net_forward(model.params, to_patches(ws.inputs[10:], 5),
+        pred, _ = patch_net_forward(model.params, to_patches(ws.gather(slice(10, None)), 5),
                                     model.pos_encoding)
         got = model.predict(context, context.scored_idx)
         assert got.shape == (n_val, 2)
@@ -537,7 +537,7 @@ class TestTrialContext:
                              batch_size=256, patch_len=30, embed_dim=32)
         context = TrialContext(config, ws)
         trained = []
-        train_peak = traced_peak(lambda: trained.append(train_patch_net(idx, ws, config)))
+        train_peak = traced_peak(lambda: trained.append(train_patch_net(idx, ws, config, 0)))
         scored = context.scored_idx[::25]
         assert traced_peak(lambda: trained[0].predict(context, scored)) < train_peak
 
@@ -634,7 +634,7 @@ class TestExternalTrainer:
         ws = self._ws()
         metrics = external_trainer_invoke(
             np.arange(12), ws, self._protocol(tmp_path, STUB_OK),
-            TrainConfig(trainer="external"), tmp_path / "handoff")
+            TrainConfig(trainer="external"), tmp_path / "handoff", 0)
         assert metrics.objective == 2.0
         assert set(metrics.per_target_mse) == set(ws.target_names)
 
@@ -642,13 +642,13 @@ class TestExternalTrainer:
         with pytest.raises(ExternalTrainerError, match="exited 3"):
             external_trainer_invoke(
                 np.arange(12), self._ws(), self._protocol(tmp_path, STUB_FAIL),
-                TrainConfig(trainer="external"), tmp_path / "handoff")
+                TrainConfig(trainer="external"), tmp_path / "handoff", 0)
 
     def test_missing_per_target_entry_is_schema_error(self, tmp_path):
         with pytest.raises(ExternalTrainerError, match="missing per-target"):
             external_trainer_invoke(
                 np.arange(12), self._ws(), self._protocol(tmp_path, STUB_MALFORMED),
-                TrainConfig(trainer="external"), tmp_path / "handoff")
+                TrainConfig(trainer="external"), tmp_path / "handoff", 0)
 
     @pytest.mark.parametrize("payload, message", [
         ({"mse": {"pm": True}, "mae": {"pm": 1.0}, "avg_mse": 1.0},
@@ -667,14 +667,14 @@ class TestExternalTrainer:
             external_trainer_invoke(
                 np.arange(12), self._ws(),
                 self._protocol(tmp_path, "import time; time.sleep(5)", timeout=0.4),
-                TrainConfig(trainer="external"), tmp_path / "handoff")
+                TrainConfig(trainer="external"), tmp_path / "handoff", 0)
 
     def test_handoff_files_contents(self, tmp_path):
         ws = self._ws()
         handoff = tmp_path / "handoff"
         external_trainer_invoke(np.arange(12), ws,
                                 self._protocol(tmp_path, STUB_OK),
-                                TrainConfig(trainer="external"), handoff)
+                                TrainConfig(trainer="external"), handoff, 0)
         lines = (handoff / "mixture.csv").read_text().splitlines()
         assert lines[0] == "window_index"
         assert [int(x) for x in lines[1:]] == list(range(12))
