@@ -121,6 +121,7 @@ def _draw_regime_windows(rng: np.random.Generator, regime: int, count: int):
 class BenchmarkOutcome:
     data: BenchmarkData
     cluster_model: clustering.ClusterModel
+    clusters: list[np.ndarray]     # each cluster's training-window indices, ascending
     study: search.StudyResult
     baseline: search.TrialEvaluation   # full-data mixture, all weights 1
     signal_clusters: np.ndarray   # bool per cluster: majority regime is a signal regime
@@ -135,20 +136,12 @@ class BenchmarkOutcome:
         return float(w[self.signal_clusters].mean()), float(w[~self.signal_clusters].mean())
 
 
-def signal_cluster_mask(data: BenchmarkData,
-                        model: clustering.ClusterModel) -> np.ndarray:
+def signal_cluster_mask(data: BenchmarkData, clusters: list[np.ndarray]) -> np.ndarray:
     """Majority vote: a cluster is a signal cluster when most of its members
     come from a signal regime."""
-    train_regimes = data.regimes[data.train_indices]
-    mask = np.zeros(model.k, dtype=bool)
     signal = set(data.signal_regimes)
-    for c in range(model.k):
-        members = train_regimes[model.assignments == c]
-        if members.size == 0:
-            continue
-        counts = np.bincount(members)
-        mask[c] = int(np.argmax(counts)) in signal
-    return mask
+    return np.array([members.size > 0 and np.bincount(data.regimes[members]).argmax() in signal
+                     for members in clusters], dtype=bool)
 
 
 def run_benchmark_study(master_seed: int, n_trials: int = 60,
@@ -164,10 +157,12 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
                                   N_REGIMES, seed=master_seed, n_init=KMEANS_RESTARTS)
     context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
                                     data.features.data)
-    study, baseline = pipeline.search_mixture(context, train_idx, model.assignments, config)
+    clusters = [train_idx[members]
+                for members in clustering.cluster_members(model.assignments, model.k)]
+    study, baseline = pipeline.search_mixture(context, clusters, config)
     outcome = BenchmarkOutcome(
-        data=data, cluster_model=model, study=study, baseline=baseline,
-        signal_clusters=signal_cluster_mask(data, model))
+        data=data, cluster_model=model, clusters=clusters, study=study, baseline=baseline,
+        signal_clusters=signal_cluster_mask(data, clusters))
     logger.info("benchmark seed %d: baseline mse %.5f, best mse %.5f, "
                 "mixture fraction %.3f", master_seed, baseline.objective,
                 study.best_trial.objective, outcome.best_mixture_fraction)

@@ -214,11 +214,9 @@ def run_selftest(args: argparse.Namespace) -> int:
          signal_mean > noise_mean,
          f"{signal_mean:.3f} vs {noise_mean:.3f}"),
     ]
-    assignments = outcome.cluster_model.assignments
-    report.emit_reports(outcome.study, assignments, outcome.baseline.objective,
+    report.emit_reports(outcome.study, outcome.clusters, outcome.baseline.objective,
                         None, out_dir.joinpath)
-    report.export_review_bundle(outcome.study, assignments, outcome.data.windows,
-                                outcome.data.train_indices, m=5,
+    report.export_review_bundle(outcome.study, outcome.clusters, outcome.data.windows, m=5,
                                 review_dir=out_dir / "review", seed=args.seed)
     all_ok = True
     for name, ok, detail in checks:

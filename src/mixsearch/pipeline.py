@@ -234,9 +234,10 @@ class RunManifest:
         train_idx = windows.split_indices(SPLIT_TRAIN)
         return train_idx, embedding.zscore_features(self.embeddings(len(windows)), train_idx)
 
-    def assignments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(train window indices, local cluster assignments) from assignments.csv,
-        refused unless its cluster ids count up to the recorded cluster sizes."""
+    def clusters(self) -> list[np.ndarray]:
+        """Each cluster's training-window indices, ascending, from assignments.csv,
+        refused unless its window indices ascend strictly and its cluster ids count
+        up to the recorded cluster sizes."""
         sizes = self.stages["cluster"].get("cluster_sizes")
         if not isinstance(sizes, list):
             raise PipelineError(f"{self.out_dir / MANIFEST_NAME} records no cluster sizes; "
@@ -246,9 +247,11 @@ class RunManifest:
             if (rows.shape[1:] != (2,) or rows[:, 1].min(initial=0) < 0
                     or np.bincount(rows[:, 1], minlength=len(sizes)).tolist() != sizes):
                 raise ValueError("cluster ids do not add up to the recorded cluster sizes")
+            if np.any(np.diff(rows[:, 0]) <= 0):
+                raise ValueError("window indices do not ascend strictly")
             return rows
         rows = self.read("cluster", "assignments", load)
-        return rows[:, 0], rows[:, 1]
+        return [rows[members, 0] for members in clustering.cluster_members(rows[:, 1], len(sizes))]
 
     def study(self) -> tuple[search.StudyResult, float]:
         """The finished study and the full-data baseline avg_mse of ``study.json``."""
@@ -335,12 +338,13 @@ def _trial_context(run: RunManifest, args: argparse.Namespace,
 # ---------------------------------------------------------------------------
 # The method, shared by the stages and the selftest
 
-def search_mixture(context: trainers.TrialContext, train_idx: np.ndarray,
-                   assignments: np.ndarray, config: search.StudyConfig
+def search_mixture(context: trainers.TrialContext, clusters: list[np.ndarray],
+                   config: search.StudyConfig
                    ) -> tuple[search.StudyResult, search.TrialEvaluation]:
-    """The study over per-cluster weights of ``train_idx`` and the full-data
-    mixture it is compared with: all weights 1, scored as trial -1."""
-    objective = search.mixture_objective(context.score, train_idx, assignments, config.seed)
+    """The study over per-cluster weights of ``clusters``, each cluster's window
+    indices, and the full-data mixture it is compared with: all weights 1,
+    scored as trial -1."""
+    objective = search.mixture_objective(context.score, clusters, config.seed)
     with trainers.one_blas_thread():
         return search.run_study(config, objective), objective(-1, np.ones(config.k))
 
@@ -423,12 +427,12 @@ def stage_search(run: RunManifest, args: argparse.Namespace) -> None:
                                 sampler=args.sampler, seed=run.master_seed,
                                 trial_log=run.staging_path("trials.jsonl"))
     context = _trial_context(run, args, SPLIT_VAL)
-    train_idx, assignments = run.assignments()
-    result, baseline_eval = search_mixture(context, train_idx, assignments, config)
+    clusters = run.clusters()
+    result, baseline_eval = search_mixture(context, clusters, config)
     report.write_json(study_path, {
         "schema_version": report.STUDY_SCHEMA_VERSION,
         "k": k,
-        "n_train": int(train_idx.size),
+        "n_train": sum(members.size for members in clusters),
         "best_trial_id": result.best_trial_id,
         "best_objective": result.best_trial.objective,
         "sampler_config": result.sampler_config,
@@ -462,7 +466,6 @@ def stage_sweep(run: RunManifest, args: argparse.Namespace) -> None:
 
 def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
     result, baseline = run.study()
-    _, assignments = run.assignments()
     sweep_rows = None
     if "sweep" in run.stages:
         if run.fresh("sweep"):
@@ -472,14 +475,12 @@ def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
         else:
             logger.warning("the size sweep predates the current cluster stage and "
                            "is left out; re-run sweep to report them")
-    report.emit_reports(result, assignments, baseline, sweep_rows, run.staging_path)
+    report.emit_reports(result, run.clusters(), baseline, sweep_rows, run.staging_path)
     run.record({})
 
 
 def stage_review_export(run: RunManifest, args: argparse.Namespace) -> None:
     result, _ = run.study()
-    windows = run.windows()
-    train_idx, assignments = run.assignments()
-    report.export_review_bundle(result, assignments, windows, train_idx, args.review_samples,
+    report.export_review_bundle(result, run.clusters(), run.windows(), args.review_samples,
                                 run.staging_path("review"), seed=run.master_seed)
     run.record({"m": args.review_samples})

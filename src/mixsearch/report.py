@@ -35,30 +35,32 @@ class ReportError(MixsearchError, ValueError):
     pass
 
 
-def _cluster_sizes(weights: np.ndarray, assignments: np.ndarray) -> np.ndarray:
-    """Member count per cluster; every id must lie in ``[0, len(weights))``."""
-    k = weights.shape[0]
-    if np.any(assignments < 0) or np.any(assignments >= k):
-        raise ReportError(f"cluster assignments reference clusters outside [0, {k})")
-    return np.bincount(assignments, minlength=k)
+def _best_weights(study: search.StudyResult, clusters: list[np.ndarray]) -> np.ndarray:
+    """The best trial's weights, refused unless there is one per cluster."""
+    weights = np.asarray(study.best_trial.weights, dtype=np.float64)
+    if weights.size != len(clusters):
+        raise ReportError(f"the study weighs {weights.size} clusters but the clustering "
+                          f"has {len(clusters)}; re-run 'search'")
+    return weights
 
 
-def emit_reports(study: search.StudyResult, assignments: np.ndarray, baseline: float,
+def emit_reports(study: search.StudyResult, clusters: list[np.ndarray], baseline: float,
                  sweep_rows: list[tuple[float, int, float]] | None,
                  path_of: Callable[[str], Path]) -> dict:
     """Write ``weights.csv``, ``counts.csv``, ``sweep.csv`` and
     ``summary.json``, each file ``name`` to ``path_of(name)``, and return the
     summary.
 
-    ``assignments`` holds the cluster id of every training window.  The
-    counts table recomputes n_k from the best trial's weights with the
-    mixture builder's own :func:`~.search.mixture_counts`, so it matches
-    what that trial trained on.  ``baseline`` is the full-data average MSE;
-    when it is 0, the summary warns instead of giving an improvement figure.
+    ``clusters[k]`` holds cluster k's training-window indices; a study whose
+    weights do not number one per cluster is refused.  The counts table
+    recomputes n_k from the best trial's weights with the mixture builder's
+    own :func:`~.search.mixture_counts`, so it matches what that trial
+    trained on.  ``baseline`` is the full-data average MSE; when it is 0, the
+    summary warns instead of giving an improvement figure.
     """
     best = study.best_trial
-    weights = np.asarray(best.weights, dtype=np.float64)
-    sizes = _cluster_sizes(weights, assignments)
+    weights = _best_weights(study, clusters)
+    sizes = np.array([members.size for members in clusters])
     k = weights.shape[0]
 
     order = sorted(range(k), key=lambda c: (-weights[c], c))
@@ -124,8 +126,7 @@ def run_size_sweep(fractions: list[float],
         if n_sub == 0:
             raise ReportError(f"fraction {fraction} selects zero windows")
     objective = search.mixture_objective(
-        score, train_idx, np.zeros(train_idx.size, dtype=np.int64), seed,
-        (search.STREAM_SWEEP_SUBSET, search.STREAM_SWEEP_TRAINER))
+        score, [train_idx], seed, (search.STREAM_SWEEP_SUBSET, search.STREAM_SWEEP_TRAINER))
     rows = []
     for i, (fraction, n_sub) in enumerate(zip(fractions, counts)):
         mse = objective(i, weights[i:i + 1]).objective
@@ -155,21 +156,21 @@ def select_review_clusters(weights: np.ndarray) -> tuple[list[int], list[int]]:
     return top, bottom
 
 
-def export_review_bundle(study: search.StudyResult, assignments: np.ndarray,
-                         windows: WindowSet, train_indices: np.ndarray,
-                         m: int, review_dir: Path, seed: int = 0) -> dict:
+def export_review_bundle(study: search.StudyResult, clusters: list[np.ndarray],
+                         windows: WindowSet, m: int, review_dir: Path,
+                         seed: int = 0) -> dict:
     """Sample ``m`` windows from each cluster :func:`select_review_clusters`
     names and write them into ``review_dir`` as per-window CSV series plus
     the reviewer prompt.  The bundle replaces a previous one there whole.
 
-    ``assignments[i]`` is the cluster of window ``train_indices[i]``.
-    Clusters with fewer than ``m`` members export everything they have,
-    with a note in the bundle manifest.
+    ``clusters[k]`` holds cluster k's indices into ``windows``; a study whose
+    weights do not number one per cluster is refused.  Clusters with fewer
+    than ``m`` members export everything they have, with a note in the
+    bundle manifest.
     """
     if m < 1:
         raise ReportError(f"review samples must be >= 1, got {m}")
-    weights = np.asarray(study.best_trial.weights, dtype=np.float64)
-    _cluster_sizes(weights, assignments)
+    weights = _best_weights(study, clusters)
     top, bottom = select_review_clusters(weights)
 
     if review_dir.exists():
@@ -181,7 +182,7 @@ def export_review_bundle(study: search.StudyResult, assignments: np.ndarray,
                       "top_clusters": top, "bottom_clusters": bottom}
     chosen_by_cluster = {}
     for cluster in top + bottom:
-        members = train_indices[assignments == cluster]
+        members = clusters[cluster]
         n_take = min(m, members.size)
         note = None
         if n_take < m:

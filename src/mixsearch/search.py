@@ -28,7 +28,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import MixsearchError
-from .clustering import cluster_members
 
 logger = logging.getLogger(__name__)
 
@@ -94,32 +93,23 @@ def mixture_counts(sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.floor(sizes * weights + 0.5).astype(np.int64)
 
 
-def build_mixture(assignments: np.ndarray, weights: np.ndarray,
+def build_mixture(clusters: Sequence[np.ndarray], weights: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
-    """Sample n_k = round(C_k * w_k) member positions per cluster, uniformly
-    without replacement, and return them grouped by ascending cluster id,
-    each cluster's sorted.  Raises :class:`EmptyMixtureError` when every n_k
-    rounds to zero."""
-    assignments = np.asarray(assignments)
+    """Sample n_k = round(C_k * w_k) of cluster k's C_k window indices
+    ``clusters[k]``, which ascend, uniformly without replacement, and return
+    them grouped by ascending k, each cluster's sorted.  Raises
+    :class:`EmptyMixtureError` when every n_k rounds to zero."""
     weights = np.asarray(weights, dtype=np.float64)
-    if assignments.size == 0:
-        raise SearchError("assignments must be non-empty")
     if weights.ndim != 1:
         raise SearchError("weights must be a vector")
     if not np.all((weights >= 0.0) & (weights <= 1.0)):  # NaN fails too
         raise SearchError("weights must lie in [0, 1]")
-    k = weights.shape[0]
-    if assignments.min() < 0 or assignments.max() >= k:
-        raise SearchError(f"assignments reference clusters outside [0, {k})")
-
-    sizes = np.bincount(assignments, minlength=k)
+    sizes = np.array([members.size for members in clusters])
     counts = mixture_counts(sizes, weights)
     if not counts.any():
         raise EmptyMixtureError("all per-cluster counts rounded to zero")
-
-    groups = cluster_members(assignments, k)
-    parts = [np.sort(rng.choice(groups[c], size=int(counts[c]), replace=False))
-             if counts[c] < sizes[c] else groups[c] for c in np.flatnonzero(counts)]
+    parts = [np.sort(rng.choice(clusters[c], size=int(counts[c]), replace=False))
+             if counts[c] < sizes[c] else clusters[c] for c in np.flatnonzero(counts)]
     return np.concatenate(parts)
 
 
@@ -527,20 +517,20 @@ Objective = Callable[[int, np.ndarray], TrialEvaluation]
 
 
 def mixture_objective(score: Callable[[np.ndarray, int, int], TrialEvaluation],
-                      train_idx: np.ndarray, assignments: np.ndarray, master_seed: int,
+                      clusters: Sequence[np.ndarray], master_seed: int,
                       streams: tuple[int, int] = (STREAM_MIXTURE, STREAM_TRAINER)
                       ) -> Objective:
     """Trial evaluator for :func:`run_study`.  Trial t draws its mixture of
-    ``train_idx``, whose clusters are ``assignments``, from the first of
-    ``streams`` and its trainer seed from the second, and returns
-    ``score(train_idx[mixture], seed, t)``."""
+    ``clusters``, each cluster's window indices as :func:`build_mixture` takes
+    them, from the first of ``streams`` and its trainer seed from the second,
+    and returns ``score(mixture, seed, t)``."""
     mixture_stream, trainer_stream = streams
 
     def objective(trial_id: int, weights: np.ndarray) -> TrialEvaluation:
-        mixture = build_mixture(assignments, weights,
+        mixture = build_mixture(clusters, weights,
                                 trial_rng(master_seed, trial_id, mixture_stream))
         seq = np.random.SeedSequence(_entropy(master_seed, trial_id, trainer_stream))
-        return score(train_idx[mixture], int(seq.generate_state(1)[0]), trial_id)
+        return score(mixture, int(seq.generate_state(1)[0]), trial_id)
 
     return objective
 

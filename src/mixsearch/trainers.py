@@ -173,9 +173,9 @@ def train_ridge(idx: np.ndarray, windows: WindowSet,
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise TrainerError("ridge penalty must be finite and > 0")
-    x = features[idx].astype(np.float64)
+    x1 = np.ones((idx.size, features.shape[1] + 1))  # the design matrix, intercept last
+    x1[:, :-1] = features[idx]
     y = windows.targets[idx]
-    x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     d = x1.shape[1]
     penalty = lam * np.eye(d)
     penalty[-1, -1] = 0.0

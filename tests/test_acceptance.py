@@ -123,9 +123,10 @@ class TestCriterion04MixtureArithmetic:
         sizes = rng.integers(1, 400, size=1000)
         weights = rng.uniform(size=1000)
         assignments = np.repeat(np.arange(1000), sizes)
-        mix = build_mixture(assignments, weights, np.random.default_rng(0))
+        clusters = np.split(np.arange(assignments.size), np.cumsum(sizes)[:-1])
+        mix = build_mixture(clusters, weights, np.random.default_rng(0))
         gaps = np.abs(np.bincount(assignments[mix], minlength=1000) - sizes * weights)
-        full = build_mixture(assignments, np.ones(1000), np.random.default_rng(0))
+        full = build_mixture(clusters, np.ones(1000), np.random.default_rng(0))
         identity = set(full.tolist()) == set(range(int(sizes.sum())))
         ok = bool(np.all(gaps <= 0.5) and identity)
         report("04 mixture-arithmetic", ok,

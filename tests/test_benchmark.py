@@ -65,7 +65,7 @@ class TestOutcome:
         context = TrialContext(TrainConfig(ridge_lambda=1e-3), data.windows,
                                features, split=SPLIT_TEST)
         optimized_test_mse = mixture_objective(
-            context.score, train_idx, outcome.cluster_model.assignments,
+            context.score, outcome.clusters,
             outcome.study.sampler_config["seed"])(-2, best_weights).objective
 
         rows = run_size_sweep([0.25, 0.5, 0.75, 1.0], context.score, train_idx,

@@ -829,7 +829,7 @@ class TestTrainerBranches:
                              .read_text())["train"]["seed"] for t in range(-1, 4)}
         drawn = {}
         objective = mixture_objective(lambda idx, seed, t: drawn.setdefault(t, seed),
-                                      np.arange(2), np.zeros(2, dtype=np.int64), SEED)
+                                      [np.arange(2)], SEED)
         for t in range(-1, 4):
             objective(t, np.ones(1))
         assert got == drawn
@@ -1151,7 +1151,9 @@ class TestManifestGuards:
     @pytest.mark.parametrize("corrupt", [
         lambda lines: lines[:len(lines) // 2],  # cut at a line boundary
         lambda lines: [*lines[:-1], lines[-1].split(",")[0] + ",6"],  # id = k
-    ], ids=["line-boundary", "id-equals-k"])
+        lambda lines: [*lines[:-1], lines[-1].split(",")[0] + ",-1"],
+        lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],  # two windows swapped
+    ], ids=["line-boundary", "id-equals-k", "id-minus-one", "windows-swapped"])
     def test_assignments_not_matching_cluster_sizes_refused(self, raw_csv, tmp_path,
                                                             capsys, corrupt):
         out = tmp_path / "corrupt"
@@ -1177,6 +1179,22 @@ class TestManifestGuards:
         assert err == [f"error: PipelineError: {manifest} records no cluster sizes; "
                        f"re-run 'cluster'"]
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+    def test_study_and_clustering_of_different_k_refused(self, raw_csv, tmp_path, capsys):
+        # --force lets report and review-export read a study searched over 36
+        # clusters with a clustering re-run at another k; both refuse the pair.
+        out = tmp_path / "k-mismatch"
+        common = clustered_run(out, raw_csv)
+        assert main(["cluster", *common, "--k", "36", "--restarts", "1"]) == 0
+        assert main(["search", *common, "--trials", "2", "--trainer", "ridge"]) == 0
+        for k in (30, 40):
+            assert main(["cluster", *common, "--k", str(k), "--restarts", "1"]) == 0
+            capsys.readouterr()
+            for stage in ("report", "review-export"):
+                assert main([stage, *common, "--force", "--log-level", "error"]) == 1
+                err = capsys.readouterr().err.strip().splitlines()
+                assert err == [f"error: ReportError: the study weighs 36 clusters but the "
+                               f"clustering has {k}; re-run 'search'"], (k, stage)
 
 
 class TestConfigFile:

@@ -36,9 +36,9 @@ def fake_study(weights_list, objectives, k, sizes=None):
     return StudyResult.from_trials(trials, sampler_config={"sampler": "tpe"})
 
 
-def fake_assignments(sizes):
-    """Cluster ids of training windows, ``sizes[c]`` of them in cluster c."""
-    return np.repeat(np.arange(len(sizes)), sizes)
+def fake_clusters(sizes):
+    """Windows 0..n-1 split into consecutive clusters, ``sizes[c]`` of them in cluster c."""
+    return np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
 
 
 def metrics(avg):
@@ -49,14 +49,14 @@ class TestEmitReports:
     def test_headline_improvement_arithmetic(self, tmp_path):
         k = 6
         study = fake_study([[0.5] * k, [0.4] * k], [1.37, 2.0], k)
-        summary = emit_reports(study, fake_assignments([1000] * k),
+        summary = emit_reports(study, fake_clusters([1000] * k),
                                metrics(1.70), None, tmp_path.joinpath)
         assert summary["relative_improvement"] == pytest.approx(0.1941, abs=1e-3)
 
     def test_full_data_best_trial_means_no_compression(self, tmp_path):
         k = 4
         study = fake_study([[1.0] * k], [0.5], k, sizes=[250] * k)
-        summary = emit_reports(study, fake_assignments([250] * k),
+        summary = emit_reports(study, fake_clusters([250] * k),
                                metrics(0.6), None, tmp_path.joinpath)
         assert summary["compression_ratio"] == pytest.approx(1.0)
 
@@ -64,7 +64,7 @@ class TestEmitReports:
         # best mixture at 42.6% of the data compresses roughly 2.35x
         k = 2
         study = fake_study([[0.426, 0.426]], [0.5], k, sizes=[500, 500])
-        summary = emit_reports(study, fake_assignments([500, 500]),
+        summary = emit_reports(study, fake_clusters([500, 500]),
                                metrics(0.6), None, tmp_path.joinpath)
         assert summary["compression_ratio"] == pytest.approx(2.35, abs=0.01)
 
@@ -74,12 +74,12 @@ class TestEmitReports:
         sizes = [120, 40, 310, 77, 53]
         weights = rng.uniform(size=k)
         study = fake_study([weights], [0.3], k)
-        assignments = fake_assignments(sizes)
-        emit_reports(study, assignments, metrics(0.5), None, tmp_path.joinpath)
+        clusters = fake_clusters(sizes)
+        emit_reports(study, clusters, metrics(0.5), None, tmp_path.joinpath)
         with (tmp_path / "counts.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        mixture = build_mixture(assignments, weights, np.random.default_rng(0))
-        counts = np.bincount(assignments[mixture], minlength=k)
+        mixture = build_mixture(clusters, weights, np.random.default_rng(0))
+        counts = [np.isin(members, mixture).sum() for members in clusters]
         for row in rows:
             c = int(row["cluster_id"])
             assert int(row["original_count"]) == sizes[c]
@@ -88,7 +88,7 @@ class TestEmitReports:
     def test_weights_sorted_descending_with_rank(self, tmp_path):
         k = 4
         study = fake_study([[0.1, 0.9, 0.5, 0.9]], [0.2], k)
-        emit_reports(study, fake_assignments([10] * k), metrics(0.5),
+        emit_reports(study, fake_clusters([10] * k), metrics(0.5),
                      None, tmp_path.joinpath)
         with (tmp_path / "weights.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -99,7 +99,7 @@ class TestEmitReports:
         # An external trainer may report avg_mse 0 for the all-ones baseline.
         k = 3
         study = fake_study([[0.5] * k], [0.4], k)
-        summary = emit_reports(study, fake_assignments([10] * k), 0.0,
+        summary = emit_reports(study, fake_clusters([10] * k), 0.0,
                                None, tmp_path.joinpath)
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
         assert summary["baseline_avg_mse"] == 0.0
@@ -110,7 +110,7 @@ class TestEmitReports:
         k = 3
         study = fake_study([[0.5] * k], [0.4], k)
         rows = [(0.25, 25, 0.9), (1.0, 100, 0.7)]
-        emit_reports(study, fake_assignments([10] * k), metrics(0.8),
+        emit_reports(study, fake_clusters([10] * k), metrics(0.8),
                      rows, tmp_path.joinpath)
         with (tmp_path / "sweep.csv").open() as fh:
             got = list(csv.DictReader(fh))
@@ -126,8 +126,7 @@ class TestEmitReports:
         windows = make_windows(table, w, 1)
         assert len(windows) == k * per
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
-        manifest = export_review_bundle(study, fake_assignments([per] * k), windows,
-                                        np.arange(k * per), m=3,
+        manifest = export_review_bundle(study, fake_clusters([per] * k), windows, m=3,
                                         review_dir=tmp_path / "review", seed=3)
         for cluster, entry in manifest["clusters"].items():
             for j, widx in enumerate(entry["window_indices"]):
@@ -144,10 +143,12 @@ class TestEmitReports:
     def test_assignment_outside_k_is_error(self, tmp_path):
         k = 3
         study = fake_study([[0.5] * k], [0.4], k)
-        for bad in (k, -1):
-            assignments = np.append(fake_assignments([10] * k), bad)
-            with pytest.raises(ReportError, match=r"outside \[0, 3\)"):
-                emit_reports(study, assignments, metrics(0.5), None, tmp_path.joinpath)
+        for n_clusters in (k - 1, k + 1):
+            with pytest.raises(ReportError, match=f"weighs 3 clusters but the clustering "
+                                                  f"has {n_clusters};"):
+                emit_reports(study, fake_clusters([10] * n_clusters), metrics(0.5), None,
+                             tmp_path.joinpath)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSizeSweep:
@@ -225,8 +226,8 @@ class TestReviewBundle:
         k, per = 8, 30
         n = k * per
         study = fake_study([np.linspace(0.05, 0.95, k)], [0.1], k)
-        manifest = export_review_bundle(study, fake_assignments([per] * k),
-                                        self._windows(n), np.arange(n), m=10,
+        manifest = export_review_bundle(study, fake_clusters([per] * k),
+                                        self._windows(n), m=10,
                                         review_dir=tmp_path / "review")
         files = list((tmp_path / "review").rglob("*.csv"))
         assert len(files) == 60
@@ -237,9 +238,8 @@ class TestReviewBundle:
         k, per = 6, 4
         n = k * per
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
-        export_review_bundle(study, fake_assignments([per] * k),
-                             self._windows(n), np.arange(n),
-                             m=1, review_dir=tmp_path / "review")
+        export_review_bundle(study, fake_clusters([per] * k),
+                             self._windows(n), m=1, review_dir=tmp_path / "review")
         files = list((tmp_path / "review").rglob("*.csv"))
         assert len(files) == 6
 
@@ -248,9 +248,8 @@ class TestReviewBundle:
         n = k * per
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
         for m in (3, 1):
-            manifest = export_review_bundle(study, fake_assignments([per] * k),
-                                            self._windows(n), np.arange(n),
-                                            m=m, review_dir=tmp_path / "review")
+            manifest = export_review_bundle(study, fake_clusters([per] * k),
+                                            self._windows(n), m=m, review_dir=tmp_path / "review")
         review = tmp_path / "review"
         for cluster, entry in manifest["clusters"].items():
             assert entry["n_exported"] == 1
@@ -263,9 +262,8 @@ class TestReviewBundle:
         n = sum(sizes)
         weights = [0.99, 0.8, 0.7, 0.3, 0.2, 0.1]  # cluster 0 is top-1 but tiny
         study = fake_study([weights], [0.1], k)
-        manifest = export_review_bundle(study, fake_assignments(sizes),
-                                        self._windows(n), np.arange(n),
-                                        m=5, review_dir=tmp_path / "review")
+        manifest = export_review_bundle(study, fake_clusters(sizes),
+                                        self._windows(n), m=5, review_dir=tmp_path / "review")
         entry = manifest["clusters"]["0"]
         assert entry["n_exported"] == 2
         assert "note" in entry
@@ -274,8 +272,8 @@ class TestReviewBundle:
         k, per = 6, 5
         n = k * per
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
-        export_review_bundle(study, fake_assignments([per] * k),
-                             self._windows(n), np.arange(n), m=1,
+        export_review_bundle(study, fake_clusters([per] * k),
+                             self._windows(n), m=1,
                              review_dir=tmp_path / "review", seed=3)
         sample = next((tmp_path / "review").rglob("*/0.csv"))
         with sample.open() as fh:
@@ -286,19 +284,21 @@ class TestReviewBundle:
         k, per = 6, 4
         n = k * per
         study = fake_study([np.linspace(0.0, 1.0, k)], [0.1], k)
-        assignments = fake_assignments([per] * k)
-        assignments[-1] = k
-        with pytest.raises(ReportError, match=r"outside \[0, 6\)"):
-            export_review_bundle(study, assignments, self._windows(n),
-                                 np.arange(n), m=1, review_dir=tmp_path / "review")
+        for n_clusters in (k - 1, k + 1):
+            with pytest.raises(ReportError, match=f"weighs 6 clusters but the clustering "
+                                                  f"has {n_clusters};"):
+                export_review_bundle(study, fake_clusters([per] * n_clusters),
+                                     self._windows(n + per), m=1,
+                                     review_dir=tmp_path / "review")
+        assert list(tmp_path.iterdir()) == []
 
     def test_prompt_mentions_selected_clusters(self, tmp_path):
         k, per = 7, 6
         n = k * per
         weights = np.linspace(0.0, 1.0, k)
         study = fake_study([weights], [0.1], k)
-        export_review_bundle(study, fake_assignments([per] * k),
-                             self._windows(n), np.arange(n), m=2,
+        export_review_bundle(study, fake_clusters([per] * k),
+                             self._windows(n), m=2,
                              review_dir=tmp_path / "review")
         prompt = (tmp_path / "review" / "prompt.txt").read_text()
         top, bottom = select_review_clusters(weights)

@@ -104,6 +104,11 @@ def reference_build_mixture(assignments, weights, rng):
     return np.concatenate(parts) if parts else np.empty(0, np.int64), counts
 
 
+def clusters_of(assignments, k):
+    """The clusters ``assignments`` gives windows 0..n-1: each one's windows, ascending."""
+    return [np.flatnonzero(assignments == c) for c in range(k)]
+
+
 @st.composite
 def mixture_cases(draw):
     """Assignments over k clusters, some of them empty, and weights that
@@ -132,33 +137,34 @@ def quadratic_objective(center):
 
 class TestBuildMixture:
     def test_half_weight_on_thousand(self):
-        assignments = np.zeros(1000, dtype=np.int64)
-        mix = build_mixture(assignments, np.array([0.5]), np.random.default_rng(0))
-        assert np.bincount(assignments[mix], minlength=1)[0] == 500
+        mix = build_mixture([np.arange(1000)], np.array([0.5]), np.random.default_rng(0))
+        assert np.isin(mix, np.arange(1000)).all()
         assert mix.size == 500
 
     def test_all_zero_weights_fail_the_trial(self):
-        assignments = np.array([0, 0, 1, 1])
+        clusters = clusters_of(np.array([0, 0, 1, 1]), 2)
         with pytest.raises(EmptyMixtureError):
-            build_mixture(assignments, np.array([0.0, 0.0]), np.random.default_rng(0))
+            build_mixture(clusters, np.array([0.0, 0.0]), np.random.default_rng(0))
 
     def test_all_ones_reproduce_the_full_set(self):
         rng = np.random.default_rng(0)
         assignments = rng.integers(0, 5, size=200)
-        mix = build_mixture(assignments, np.ones(5), np.random.default_rng(0))
+        mix = build_mixture(clusters_of(assignments, 5), np.ones(5), np.random.default_rng(0))
         assert mix.size == 200
         assert set(mix.tolist()) == set(range(200))
 
     def test_no_duplicate_indices(self):
         rng = np.random.default_rng(1)
         assignments = rng.integers(0, 4, size=300)
-        idx = build_mixture(assignments, rng.uniform(size=4), np.random.default_rng(1))
+        idx = build_mixture(clusters_of(assignments, 4), rng.uniform(size=4),
+                            np.random.default_rng(1))
         assert len(np.unique(idx)) == len(idx)
 
     def test_indices_belong_to_their_cluster(self):
         rng = np.random.default_rng(2)
         assignments = rng.integers(0, 3, size=120)
-        mix = build_mixture(assignments, np.array([0.5, 0.9, 0.1]), np.random.default_rng(2))
+        mix = build_mixture(clusters_of(assignments, 3), np.array([0.5, 0.9, 0.1]),
+                            np.random.default_rng(2))
         np.testing.assert_array_equal(assignments[mix], np.repeat(
             np.arange(3), np.bincount(assignments[mix], minlength=3)))
 
@@ -166,14 +172,13 @@ class TestBuildMixture:
         rng = np.random.default_rng(3)
         assignments = rng.integers(0, 3, size=90)
         w = np.array([0.3, 0.6, 0.8])
-        a = build_mixture(assignments, w, np.random.default_rng(42))
-        b = build_mixture(assignments, w, np.random.default_rng(42))
+        a = build_mixture(clusters_of(assignments, 3), w, np.random.default_rng(42))
+        b = build_mixture(clusters_of(assignments, 3), w, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_round_half_up(self):
-        assignments = np.zeros(3, dtype=np.int64)
-        mix = build_mixture(assignments, np.array([0.5]), np.random.default_rng(0))
-        assert np.bincount(assignments[mix], minlength=1)[0] == 2
+        mix = build_mixture([np.arange(3)], np.array([0.5]), np.random.default_rng(0))
+        assert mix.size == 2
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10_000), st.floats(0.0, 1.0)),
@@ -188,37 +193,42 @@ class TestBuildMixture:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 500), st.floats(0.0, 1.0))
     def test_count_within_half_of_product(self, size, weight):
-        assignments = np.zeros(size, dtype=np.int64)
         try:
-            mix = build_mixture(assignments, np.array([weight]), np.random.default_rng(0))
-            n = int(np.bincount(assignments[mix], minlength=1)[0])
+            n = build_mixture([np.arange(size)], np.array([weight]),
+                              np.random.default_rng(0)).size
         except EmptyMixtureError:
             n = 0
         assert abs(n - size * weight) <= 0.5
 
     def test_rejects_bad_weights(self):
         with pytest.raises(SearchError, match=r"\[0, 1\]"):
-            build_mixture(np.zeros(3, dtype=np.int64), np.array([1.2]),
+            build_mixture([np.arange(3)], np.array([1.2]),
                           np.random.default_rng(0))
 
     def test_rejects_nan_weights(self):
         with pytest.raises(SearchError, match=r"\[0, 1\]"):
-            build_mixture(np.zeros(3, dtype=np.int64), np.array([np.nan]),
+            build_mixture([np.arange(3)], np.array([np.nan]),
                           np.random.default_rng(0))
 
     @settings(max_examples=200, deadline=None)
     @given(mixture_cases())
     def test_matches_per_cluster_reference(self, case):
+        # The reference draws positions in the assignment array; a draw over
+        # each cluster's window indices, under any strictly increasing map from
+        # position to window index, is the reference's draw mapped through it.
         assignments, weights, seed = case
+        window_index = 3 * np.arange(assignments.size) + 1
+        clusters = [window_index[assignments == c] for c in range(len(weights))]
         indices, counts = reference_build_mixture(assignments, weights,
                                                   np.random.default_rng(seed))
         if not counts.any():
             with pytest.raises(EmptyMixtureError):
-                build_mixture(assignments, weights, np.random.default_rng(seed))
+                build_mixture(clusters, weights, np.random.default_rng(seed))
             return
-        mix = build_mixture(assignments, weights, np.random.default_rng(seed))
-        assert np.bincount(assignments[mix], minlength=len(weights)).tobytes() == counts.tobytes()
-        assert mix.tobytes() == indices.tobytes()
+        mix = build_mixture(clusters, weights, np.random.default_rng(seed))
+        drawn_ids = assignments[(mix - 1) // 3]
+        assert np.bincount(drawn_ids, minlength=len(weights)).tobytes() == counts.tobytes()
+        assert mix.tobytes() == window_index[indices].tobytes()
 
 
 class TestGammaSplit:
@@ -642,19 +652,19 @@ class TestRunStudy:
 class TestMixtureObjective:
     def test_trial_trains_on_its_mixture_with_its_seed(self):
         assignments = np.array([0, 1, 1, 0, 2, 2, 1, 0, 2, 1, 0, 2])
-        train_idx = np.arange(12) * 3 + 100
+        clusters = [np.flatnonzero(assignments == c) * 3 + 100 for c in range(3)]
         weights = np.array([0.5, 1.0, 0.34])
         calls = []
 
         def score(idx, seed, tag):
             calls.append((idx, seed, tag))
             return TrialEvaluation(float(tag), idx.size, {}, {})
-        objective = mixture_objective(score, train_idx, assignments, 17)
+        objective = mixture_objective(score, clusters, 17)
         for t in (0, 1, 5, -1):
             assert objective(t, weights) == TrialEvaluation(float(t), 7, {}, {})
             idx, seed, tag = calls[-1]
-            np.testing.assert_array_equal(idx, train_idx[build_mixture(
-                assignments, weights, trial_rng(17, t, STREAM_MIXTURE))])
+            np.testing.assert_array_equal(idx, build_mixture(
+                clusters, weights, trial_rng(17, t, STREAM_MIXTURE)))
             # The stream folds a negative trial id (the baseline's) to 32 bits.
             seq = np.random.SeedSequence((17, t & 0xFFFFFFFF, STREAM_TRAINER))
             assert (seed, tag) == (int(seq.generate_state(1)[0]), t)

@@ -231,6 +231,31 @@ class TestRidge:
         b = train_ridge(np.arange(n), ws, feats, 0.1)
         assert a.coef.tobytes() == b.coef.tobytes()
 
+    def test_matches_stacked_design_matrix_bitwise(self):
+        # The design matrix filled in place holds the values of the float32
+        # features cast to float64 and stacked with an intercept column.
+        rng = np.random.default_rng(5)
+        n, d, lam = 400, 12, 0.3
+        feats = rng.normal(size=(n, d)).astype(np.float32)
+        ws = linear_window_set(rng, n=n, noise=0.1)
+        idx = np.sort(rng.choice(n, size=300, replace=False))
+        model = train_ridge(idx, ws, feats, lam)
+        x1 = np.hstack([feats[idx].astype(np.float64), np.ones((idx.size, 1))])
+        penalty = lam * np.eye(d + 1)
+        penalty[-1, -1] = 0.0
+        beta = np.linalg.solve(x1.T @ x1 + penalty, x1.T @ ws.targets[idx])
+        assert model.coef.tobytes() == beta[:-1].tobytes()
+        assert model.intercept.tobytes() == beta[-1].tobytes()
+
+    def test_fit_holds_one_design_matrix(self):
+        # The train half of the M table's windows, with 105 float32 features
+        # each, as many as the featurizer gives its 15 inputs.
+        ws = m_sized_windows()
+        idx = ws.split_indices("train")
+        feats = np.random.default_rng(6).normal(size=(len(ws), 105)).astype(np.float32)
+        one_design_matrix = idx.size * (feats.shape[1] + 1) * np.dtype(np.float64).itemsize
+        assert traced_peak(lambda: train_ridge(idx, ws, feats, 1.0)) < 1.75 * one_design_matrix
+
 
 class TestPatchNet:
     def _setup(self, seed=0, n=16, w=20, c_in=2, c_tgt=2, patch_len=5, embed=8):
