@@ -10,7 +10,9 @@
 # the same output paths, preprocess -> embed -> cluster -> search -> sweep ->
 # report -> review-export at the CLI defaults on each corpus, then a short
 # patch-net search (4 trials of 50,000 tokens in batches of 256) in a copy
-# of the seed-1 run, and `selftest --seed 3` at --jobs 2 and at --jobs 1
+# of the seed-1 run, embed -> cluster -> search at the defaults in another
+# copy, whose embed reads the seed-1 embeddings.tsem as an external file
+# (`embed --embeddings`), and `selftest --seed 3` at --jobs 2 and at --jobs 1
 # (the selftest's default, where the search forks no worker). The outputs are
 # compared with `diff -r`, after `wall_time_s` is dropped from every
 # trials.jsonl record.
@@ -61,6 +63,15 @@ run_tree() {
     PYTHONPATH="$tree/src" "$python" -m mixsearch.cli search --trainer patch-net \
         --budget-tokens 50000 --batch-size 256 --trials 4 \
         --out "$work/out/seed1-patchnet" --log-level warning
+    cp -r "$work/out/seed1" "$work/out/seed1-external"
+    for stage in embed cluster search; do
+        local extra=()
+        if [ "$stage" = embed ]; then
+            extra=(--embeddings "$work/out/seed1/embeddings.tsem")
+        fi
+        PYTHONPATH="$tree/src" "$python" -m mixsearch.cli "$stage" "${extra[@]}" \
+            --out "$work/out/seed1-external" --log-level warning
+    done
     PYTHONPATH="$tree/src" "$python" -m mixsearch.cli selftest --seed 3 --jobs 2 \
         --out "$work/out/selftest" --log-level warning > /dev/null
     PYTHONPATH="$tree/src" "$python" -m mixsearch.cli selftest --seed 3 --jobs 1 \
@@ -107,7 +118,7 @@ for path in "${differing[@]}"; do
     fi
 done
 
-echo "product identity: 6 pipeline runs, 2 patch-net searches and 4 selftests in $((SECONDS - started)) s"
+echo "product identity: 6 pipeline runs, 2 patch-net searches, 2 external-embeddings runs and 4 selftests in $((SECONDS - started)) s"
 if [ ${#unexpected[@]} -gt 0 ]; then
     echo "products that differ from the parent:" >&2
     printf '  %s\n' "${unexpected[@]}" >&2

@@ -41,7 +41,7 @@ INPUT_NOISE = 0.03
 @dataclass
 class BenchmarkData:
     windows: WindowSet
-    features: embedding.EmbeddingMatrix
+    features: np.ndarray         # (windows, dims) float32
     regimes: np.ndarray          # true regime per window
     signal_regimes: tuple[int, ...]
 
@@ -155,8 +155,7 @@ def run_benchmark_study(master_seed: int, n_trials: int = 60,
     train_idx = data.train_indices
     model = clustering.kmeans_fit(embedding.zscore_features(data.features, train_idx),
                                   N_REGIMES, seed=master_seed, n_init=KMEANS_RESTARTS)
-    context = trainers.TrialContext(trainers.TrainConfig(), data.windows,
-                                    data.features.data)
+    context = trainers.TrialContext(trainers.TrainConfig(), data.windows, data.features)
     clusters = [train_idx[members]
                 for members in clustering.cluster_members(model.assignments, model.k)]
     study, baseline = pipeline.search_mixture(context, clusters, config)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,28 +39,6 @@ PROVENANCE_EXTERNAL = "external"
 
 class EmbeddingError(MixsearchError, ValueError):
     """Raised for malformed embedding matrices or files."""
-
-
-@dataclass
-class EmbeddingMatrix:
-    """One fixed-length float32 vector per window."""
-
-    data: np.ndarray  # (rows, dims) float32
-
-    def __post_init__(self) -> None:
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 2 or self.data.shape[1] < 1:
-            raise EmbeddingError("embedding matrix must be 2-D with dims >= 1")
-        if not np.all(np.isfinite(self.data)):
-            raise EmbeddingError("embedding matrix contains non-finite values")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.data.shape[1]
 
 
 def featurize_windows(inputs: np.ndarray) -> np.ndarray:
@@ -102,8 +79,8 @@ def featurize_windows(inputs: np.ndarray) -> np.ndarray:
     return stats.reshape(n, c * STATS_PER_CHANNEL)
 
 
-def featurize_window_set(windows: WindowSet) -> EmbeddingMatrix:
-    """Featurize every window into an embedding matrix.
+def featurize_window_set(windows: WindowSet) -> np.ndarray:
+    """Featurize every window into a C-contiguous (windows, C·7) float32 matrix.
 
     Windows are featurized :data:`FEATURIZE_BLOCK` at a time by
     :func:`featurize_block`, straight from the per-row table, into one
@@ -112,16 +89,24 @@ def featurize_window_set(windows: WindowSet) -> EmbeddingMatrix:
     std, slope and autocorrelation exactly 0.  Each block reads the rows
     from its first to its last window, so starts in row order, as
     :func:`~mixsearch.dataset.make_windows` cuts them, keep that span short.
+    A window whose statistics overflow float32 is refused, naming its column.
     """
     w = windows.window_length
     if w < 2:
         raise EmbeddingError(f"windows must have at least 2 timesteps, got {w}")
     n, c = len(windows), windows.input_rows.shape[1]
     out = np.empty((n, c * STATS_PER_CHANNEL), dtype=np.float32)
-    for i in range(0, n, FEATURIZE_BLOCK):
-        stats, _ = featurize_block(windows.input_rows, windows.start[i:i + FEATURIZE_BLOCK], w)
-        out[i:i + FEATURIZE_BLOCK] = stats.reshape(len(stats), -1)
-    return EmbeddingMatrix(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        for i in range(0, n, FEATURIZE_BLOCK):
+            stats, _ = featurize_block(windows.input_rows, windows.start[i:i + FEATURIZE_BLOCK], w)
+            out[i:i + FEATURIZE_BLOCK] = stats.reshape(len(stats), -1)
+            bad = np.argwhere(~np.isfinite(out[i:i + FEATURIZE_BLOCK]))
+            if bad.size:
+                window, dim = bad[0]
+                raise EmbeddingError(f"window {i + window}: the statistics of input column "
+                                     f"{windows.input_names[dim // STATS_PER_CHANNEL]!r} "
+                                     f"overflow float32; rescale the data")
+    return out
 
 
 def featurize_block(rows: np.ndarray, start: np.ndarray, w: int
@@ -277,10 +262,11 @@ def _sliding_extrema(x: np.ndarray, s: np.ndarray, w: int) -> tuple[np.ndarray, 
     return extrema[0], extrema[1]
 
 
-def zscore_features(matrix: EmbeddingMatrix, rows: np.ndarray) -> np.ndarray:
-    """Only ``rows`` (indices or a mask) as float64, standardized per dimension
-    on their own statistics; dimensions constant on them are only centered."""
-    data = matrix.data[rows].astype(np.float64)
+def zscore_features(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Only ``rows`` (indices or a mask) of the (windows, dims) ``matrix`` as
+    float64, standardized per dimension on their own statistics; dimensions
+    constant on them are only centered."""
+    data = matrix[rows].astype(np.float64)
     if data.shape[0] == 0:
         raise EmbeddingError("no training windows to standardize against")
     mu, sigma = data.mean(axis=0), data.std(axis=0)
@@ -289,20 +275,23 @@ def zscore_features(matrix: EmbeddingMatrix, rows: np.ndarray) -> np.ndarray:
     return data
 
 
-def write_embedding_file(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write a matrix in the TSEM binary layout (bit-exact, see module doc)."""
+def write_embedding_file(matrix: np.ndarray, path: str | Path) -> None:
+    """Write a 2-D float matrix in the TSEM binary layout (see module doc),
+    each value rounded to float32 as ``astype(np.float32)`` rounds it."""
     path = Path(path)
-    payload = np.ascontiguousarray(matrix.data, dtype="<f4")  # no copy on little-endian
+    payload = np.ascontiguousarray(matrix, dtype="<f4")  # no copy of float32 on little-endian
+    rows, dims = payload.shape
     with path.open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", matrix.rows))
-        fh.write(struct.pack("<I", matrix.dims))
+        fh.write(struct.pack("<Q", rows))
+        fh.write(struct.pack("<I", dims))
         fh.write(payload.data)
 
 
-def read_embedding_file(path: str | Path, expected_rows: int | None) -> EmbeddingMatrix:
-    """Read a TSEM file, validating layout, finiteness and row count."""
+def read_embedding_file(path: str | Path, expected_rows: int) -> np.ndarray:
+    """A TSEM file as a C-contiguous (rows, dims) float32 matrix, refused unless its
+    layout holds, dims >= 1, rows == ``expected_rows`` and every value is finite."""
     path = Path(path)
     if not path.exists():
         raise EmbeddingError(f"no such file: {path}")
@@ -325,7 +314,7 @@ def read_embedding_file(path: str | Path, expected_rows: int | None) -> Embeddin
             raise EmbeddingError(
                 f"{path}: payload is {payload_bytes} bytes, "
                 f"expected {rows * dims * 4} for {rows}x{dims}")
-        if expected_rows is not None and rows != expected_rows:
+        if rows != expected_rows:
             raise EmbeddingError(
                 f"{path}: file has {rows} rows but {expected_rows} windows were expected")
         # Read straight into the matrix: no bytes object, no second copy.
@@ -334,4 +323,4 @@ def read_embedding_file(path: str | Path, expected_rows: int | None) -> Embeddin
             raise EmbeddingError(f"{path}: payload shrank while it was read")
     if not np.all(np.isfinite(data)):
         raise EmbeddingError(f"{path}: payload contains non-finite values")
-    return EmbeddingMatrix(data)
+    return data

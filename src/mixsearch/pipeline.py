@@ -222,7 +222,7 @@ class RunManifest:
         table = load_processed_table(self.output("preprocess", "table"))
         return make_windows(table, params["window_length"], params["stride"])
 
-    def embeddings(self, n_windows: int) -> embedding.EmbeddingMatrix:
+    def embeddings(self, n_windows: int) -> np.ndarray:
         return embedding.read_embedding_file(self.output("embed", "embeddings"),
                                              expected_rows=n_windows)
 
@@ -234,10 +234,10 @@ class RunManifest:
         train_idx = windows.split_indices(SPLIT_TRAIN)
         return train_idx, embedding.zscore_features(self.embeddings(len(windows)), train_idx)
 
-    def clusters(self) -> list[np.ndarray]:
-        """Each cluster's training-window indices, ascending, from assignments.csv,
-        refused unless its window indices ascend strictly and its cluster ids count
-        up to the recorded cluster sizes."""
+    def clusters(self, windows: WindowSet) -> list[np.ndarray]:
+        """Each cluster's training-window indices, ascending, from assignments.csv, refused
+        unless its window indices are exactly the training windows of ``windows``, in
+        order, and its cluster ids count up to the recorded cluster sizes."""
         sizes = self.stages["cluster"].get("cluster_sizes")
         if not isinstance(sizes, list):
             raise PipelineError(f"{self.out_dir / MANIFEST_NAME} records no cluster sizes; "
@@ -247,8 +247,8 @@ class RunManifest:
             if (rows.shape[1:] != (2,) or rows[:, 1].min(initial=0) < 0
                     or np.bincount(rows[:, 1], minlength=len(sizes)).tolist() != sizes):
                 raise ValueError("cluster ids do not add up to the recorded cluster sizes")
-            if np.any(np.diff(rows[:, 0]) <= 0):
-                raise ValueError("window indices do not ascend strictly")
+            if not np.array_equal(rows[:, 0], windows.split_indices(SPLIT_TRAIN)):
+                raise ValueError("window indices are not the run's training windows")
             return rows
         rows = self.read("cluster", "assignments", load)
         return [rows[members, 0] for members in clustering.cluster_members(rows[:, 1], len(sizes))]
@@ -330,7 +330,7 @@ def _trial_context(run: RunManifest, args: argparse.Namespace,
         raise PipelineError(f"--patch-len {config.patch_len} does not divide "
                             f"window length {window_length}")
     windows = run.windows()
-    features = run.embeddings(len(windows)).data if trainer.needs_features else None
+    features = run.embeddings(len(windows)) if trainer.needs_features else None
     return trainers.TrialContext(config, windows, features, split, protocol,
                                  run.out_dir / "external")
 
@@ -385,10 +385,10 @@ def stage_embed(run: RunManifest, args: argparse.Namespace) -> None:
         provenance = embedding.PROVENANCE_BUILTIN
     embedding.write_embedding_file(matrix, run.staging_path("embeddings.tsem"))
     run.record({"embeddings": str(args.embeddings) if args.embeddings else None},
-               provenance=provenance, dims=matrix.dims)
+               provenance=provenance, dims=matrix.shape[1])
     seconds = time.perf_counter() - started
     logger.info("embedded %d windows into %d dims in %.2f s (%.0f windows/s)",
-                matrix.rows, matrix.dims, seconds, matrix.rows / seconds)
+                *matrix.shape, seconds, len(matrix) / seconds)
 
 
 def stage_cluster(run: RunManifest, args: argparse.Namespace) -> None:
@@ -402,9 +402,7 @@ def stage_cluster(run: RunManifest, args: argparse.Namespace) -> None:
     model = clustering.kmeans_fit(points, k=args.k, max_iter=args.max_iter, tol=args.tol,
                                   seed=run.master_seed, n_init=args.restarts)
 
-    embedding.write_embedding_file(
-        embedding.EmbeddingMatrix(model.centroids.astype(np.float32)),
-        run.staging_path(centroids_name, "centroids"))
+    embedding.write_embedding_file(model.centroids, run.staging_path(centroids_name, "centroids"))
     np.savetxt(run.staging_path("assignments.csv"),
                np.column_stack([train_idx, model.assignments]), fmt="%d", delimiter=",",
                header="window_index,cluster_id", comments="")
@@ -427,7 +425,7 @@ def stage_search(run: RunManifest, args: argparse.Namespace) -> None:
                                 sampler=args.sampler, seed=run.master_seed,
                                 trial_log=run.staging_path("trials.jsonl"))
     context = _trial_context(run, args, SPLIT_VAL)
-    clusters = run.clusters()
+    clusters = run.clusters(context.windows)
     result, baseline_eval = search_mixture(context, clusters, config)
     report.write_json(study_path, {
         "schema_version": report.STUDY_SCHEMA_VERSION,
@@ -475,12 +473,12 @@ def stage_report(run: RunManifest, args: argparse.Namespace) -> None:
         else:
             logger.warning("the size sweep predates the current cluster stage and "
                            "is left out; re-run sweep to report them")
-    report.emit_reports(result, run.clusters(), baseline, sweep_rows, run.staging_path)
+    report.emit_reports(result, run.clusters(run.windows()), baseline, sweep_rows, run.staging_path)
     run.record({})
 
 
 def stage_review_export(run: RunManifest, args: argparse.Namespace) -> None:
-    result, _ = run.study()
-    report.export_review_bundle(result, run.clusters(), run.windows(), args.review_samples,
+    result, windows = run.study()[0], run.windows()
+    report.export_review_bundle(result, run.clusters(windows), windows, args.review_samples,
                                 run.staging_path("review"), seed=run.master_seed)
     run.record({"m": args.review_samples})

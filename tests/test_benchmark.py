@@ -32,7 +32,7 @@ class TestCorpus:
         assert a.windows.input_rows.tobytes() == b.windows.input_rows.tobytes()
         assert a.windows.target_rows.tobytes() == b.windows.target_rows.tobytes()
         assert a.windows.start.tobytes() == b.windows.start.tobytes()
-        assert a.features.data.tobytes() == b.features.data.tobytes()
+        assert a.features.tobytes() == b.features.tobytes()
 
     def test_signal_targets_follow_inputs_noise_targets_do_not(self):
         data = benchmark.generate_regime_corpus(2, windows_per_regime=200)
@@ -59,7 +59,7 @@ class TestOutcome:
     def test_optimized_mixture_beats_every_random_subset_size(self, outcome):
         best_weights = np.asarray(outcome.study.best_trial.weights)
         data = outcome.data
-        features = data.features.data.astype(np.float64)
+        features = data.features.astype(np.float64)
         train_idx = data.train_indices
 
         context = TrialContext(TrainConfig(ridge_lambda=1e-3), data.windows,

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -524,7 +525,7 @@ class TestStages:
         assert main(argv) == 0
         recorded = RunManifest.open(out, SEED, "search", False).output("cluster", "centroids")
         assert recorded.resolve() == centroids.resolve()
-        assert embedding.read_embedding_file(recorded, expected_rows=5).dims > 0
+        assert embedding.read_embedding_file(recorded, expected_rows=5).shape[1] > 0
         assert list(elsewhere.iterdir()) == [centroids]
 
     @pytest.mark.parametrize("target", [".", "run", "kept", "run/assignments.csv",
@@ -670,7 +671,7 @@ class TestStages:
         assert trials(a) == trials(b)
 
     def test_external_embeddings_bypass_featurizer(self, raw_csv, tmp_path):
-        from mixsearch.embedding import EmbeddingMatrix, write_embedding_file
+        from mixsearch.embedding import write_embedding_file
         from mixsearch.dataset import load_processed_table, make_windows
 
         csv_path, schema_path, _ = raw_csv
@@ -684,8 +685,7 @@ class TestStages:
         n = len(make_windows(table, 40, 20))
         rng = np.random.default_rng(0)
         ext = tmp_path / "external.tsem"
-        write_embedding_file(
-            EmbeddingMatrix(rng.normal(size=(n, 5)).astype(np.float32)), ext)
+        write_embedding_file(rng.normal(size=(n, 5)).astype(np.float32), ext)
         assert main(["embed", *common, "--embeddings", str(ext)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"]["embed"]["provenance"] == "external"
@@ -700,13 +700,14 @@ class TestStages:
         with caplog.at_level("INFO", logger="mixsearch.pipeline"):
             assert main(["embed", *common]) == 0
         lines = [r.getMessage() for r in caplog.records if r.name == "mixsearch.pipeline"]
-        matrix = embedding.read_embedding_file(tmp_path / "embeddings.tsem", None)
+        n_windows = len(RunManifest.open(tmp_path, 0, "cluster", False).windows())
+        rows, dims = embedding.read_embedding_file(tmp_path / "embeddings.tsem", n_windows).shape
         assert len(lines) == 1
-        assert re.fullmatch(rf"embedded {matrix.rows} windows into {matrix.dims} dims "
+        assert re.fullmatch(rf"embedded {rows} windows into {dims} dims "
                             r"in \d+\.\d\d s \(\d+ windows/s\)", lines[0]), lines
 
     def test_wrong_row_count_external_embeddings(self, raw_csv, tmp_path, capsys):
-        from mixsearch.embedding import EmbeddingMatrix, write_embedding_file
+        from mixsearch.embedding import write_embedding_file
 
         csv_path, schema_path, _ = raw_csv
         out = tmp_path / "ext2"
@@ -714,10 +715,32 @@ class TestStages:
         assert main(["preprocess", *common, "--data", str(csv_path),
                      "--schema", str(schema_path), *PREP]) == 0
         ext = tmp_path / "bad.tsem"
-        write_embedding_file(
-            EmbeddingMatrix(np.zeros((3, 5), np.float32)), ext)
+        write_embedding_file(np.zeros((3, 5), np.float32), ext)
         assert main(["embed", *common, "--embeddings", str(ext)]) == 1
         assert "rows" in capsys.readouterr().err
+
+    def test_statistics_overflowing_float32_refused_in_one_line(self, raw_csv, tmp_path,
+                                                                 capsys):
+        # One finite val-profile cell of 1e39 passes preprocess, but the max of
+        # every window holding it overflows float32.
+        csv_path, schema_path, _ = raw_csv
+        lines = csv_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        lines[row] = ",".join(["5", "1e39", *lines[row].split(",")[2:]])  # u_d
+        data = tmp_path / "overflow.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        common = ["--out", str(out), "--seed", str(SEED), "--log-level", "warning"]
+        assert main(["preprocess", *common, "--data", str(data),
+                     "--schema", str(schema_path), *PREP]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["embed", *common]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "input column 'u_d' overflow float32" in err[0], err
+        assert not (out / "embeddings.tsem").exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestLoadSchema:
@@ -1164,6 +1187,33 @@ class TestManifestGuards:
         err = capsys.readouterr().err
         assert "assignments.csv" in err and "re-run 'cluster'" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("stage, index", [
+        ("search", "out-of-range"), ("search", "val-window"),
+        ("report", "val-window"), ("review-export", "val-window"),
+    ])
+    def test_assignments_naming_other_than_training_windows_refused(
+            self, raw_csv, tmp_path, capsys, stage, index):
+        # The last row names a window past the end, or the first val window
+        # after the last training window, so the indices still ascend.
+        out = tmp_path / "not-train"
+        common = clustered_run(out, raw_csv)
+        search = ["--trials", "2", "--trainer", "ridge"]
+        if stage != "search":
+            assert main(["search", *common, *search]) == 0
+        windows = RunManifest.open(out, SEED, "cluster", False).windows()
+        train, val = windows.split_indices("train"), windows.split_indices("val")
+        product = out / "assignments.csv"
+        lines = product.read_text().splitlines()
+        replacement = 100000 if index == "out-of-range" else val[val > train[-1]][0]
+        lines[-1] = f"{replacement},{lines[-1].split(',')[1]}"
+        product.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([stage, *common, *(search if stage == "search" else [])]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert "assignments.csv" in err[0] and "not the run's training windows" in err[0]
+        assert err[0].endswith("re-run 'cluster'")
 
 
     def test_manifest_without_cluster_sizes_refused(self, raw_csv, tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from mixsearch.dataset import WindowSet
 from mixsearch.embedding import (
     EmbeddingError,
-    EmbeddingMatrix,
     FEATURIZE_BLOCK,
     FORMAT_VERSION,
     MAGIC,
@@ -119,7 +118,7 @@ class TestFeaturizer:
         n = FEATURIZE_BLOCK + 3
         stack = rng.normal(size=(n, 12, 2))
         m = featurize_window_set(make_window_set(stack, np.zeros((n, 12, 1))))
-        assert m.data.tobytes() == featurize_windows(stack).astype(np.float32).tobytes()
+        assert m.tobytes() == featurize_windows(stack).astype(np.float32).tobytes()
 
     def test_featurize_window_set_writes_one_float32_output(self):
         rng = np.random.default_rng(9)
@@ -131,7 +130,7 @@ class TestFeaturizer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n * m.dims * np.dtype(np.float64).itemsize
+        assert peak < n * m.shape[1] * np.dtype(np.float64).itemsize
 
 
 def profile_windows(rows, lengths, w, stride):
@@ -186,7 +185,7 @@ class TestWindowSetFeaturizer:
         # and that bound is below a quarter of a float32 step.
         n, w, c = len(windows), windows.window_length, windows.input_rows.shape[1]
         ref = featurize_windows(windows.gather(np.arange(n))).reshape(n, c, 7)
-        got = featurize_window_set(windows).data.reshape(n, c, 7)
+        got = featurize_window_set(windows).reshape(n, c, 7)
         zeroed = np.zeros(ref.shape, dtype=bool)
         zeroed[:, :, [STD, SLOPE, AUTOCORR]] = (ref[:, :, MIN] == ref[:, :, MAX])[:, :, None]
         assert np.all(got[zeroed] == 0.0)
@@ -225,13 +224,13 @@ class TestWindowSetFeaturizer:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak - m.data.nbytes < FEATURIZE_BLOCK * w * c * 8 // 2
+            assert peak - m.nbytes < FEATURIZE_BLOCK * w * c * 8 // 2
 
 
 class TestEmbeddingFile:
     def test_header_and_payload_size(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((2, 3), np.float32)), path)
+        write_embedding_file(np.zeros((2, 3), np.float32), path)
         raw = path.read_bytes()
         assert len(raw) == 20 + 2 * 3 * 4
         assert raw[:4] == MAGIC
@@ -241,16 +240,16 @@ class TestEmbeddingFile:
 
     def test_single_value_payload_encoding(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.array([[0.5]], np.float32)), path)
+        write_embedding_file(np.array([[0.5]], np.float32), path)
         assert path.read_bytes()[20:] == struct.pack("<f", 0.5)
 
     def test_random_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(10, 8)).astype(np.float32)
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(data), path)
+        write_embedding_file(data, path)
         back = read_embedding_file(path, expected_rows=10)
-        np.testing.assert_array_equal(back.data, data)
+        np.testing.assert_array_equal(back, data)
 
     @settings(max_examples=25, deadline=None)
     @given(arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(1, 6)),
@@ -258,13 +257,20 @@ class TestEmbeddingFile:
                                      allow_subnormal=False)))
     def test_roundtrip_identity_property(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("tsem") / "prop.tsem"
-        write_embedding_file(EmbeddingMatrix(data), path)
+        write_embedding_file(data, path)
         back = read_embedding_file(path, expected_rows=data.shape[0])
-        np.testing.assert_array_equal(back.data, data)
+        np.testing.assert_array_equal(back, data)
+
+    def test_float64_rounds_as_astype_float32(self, tmp_path):
+        # centroids.tsem is written from k-means' float64 centroids.
+        data = np.random.default_rng(12).normal(size=(6, 9)) * 10.0 ** np.arange(-4, 5)
+        path = tmp_path / "e.tsem"
+        write_embedding_file(data, path)
+        assert path.read_bytes()[20:] == data.astype(np.float32).tobytes()
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((5, 2), np.float32)), path)
+        write_embedding_file(np.zeros((5, 2), np.float32), path)
         with pytest.raises(EmbeddingError, match="5 rows but 6"):
             read_embedding_file(path, expected_rows=6)
 
@@ -276,58 +282,51 @@ class TestEmbeddingFile:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((5, 2), np.float32)), path)
+        write_embedding_file(np.zeros((5, 2), np.float32), path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(EmbeddingError, match="payload"):
             read_embedding_file(path, expected_rows=5)
 
-    def test_nan_payload_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nan_payload_rejected(self, tmp_path, value):
         path = tmp_path / "e.tsem"
-        write_embedding_file(EmbeddingMatrix(np.zeros((1, 2), np.float32)), path)
+        write_embedding_file(np.zeros((1, 2), np.float32), path)
         raw = bytearray(path.read_bytes())
-        raw[20:24] = struct.pack("<f", np.nan)
+        raw[20:24] = struct.pack("<f", value)
         path.write_bytes(bytes(raw))
         with pytest.raises(EmbeddingError, match="non-finite"):
             read_embedding_file(path, expected_rows=1)
-
-    def test_matrix_invariants(self):
-        with pytest.raises(EmbeddingError, match="non-finite"):
-            EmbeddingMatrix(np.array([[np.inf]], np.float32))
-        with pytest.raises(EmbeddingError, match="2-D"):
-            EmbeddingMatrix(np.zeros(3, np.float32))
 
 
 class TestZScore:
     def test_train_statistics_only(self):
         data = np.array([[0.0], [2.0], [100.0]], dtype=np.float32)
-        matrix = EmbeddingMatrix(data)
-        out = zscore_features(matrix, np.array([True, True, False]))
+        out = zscore_features(data, np.array([True, True, False]))
         np.testing.assert_allclose(out[:2, 0], [-1.0, 1.0])
 
     def test_constant_dimension_not_rescaled(self):
         data = np.array([[5.0, 1.0], [5.0, 3.0]], dtype=np.float32)
-        out = zscore_features(EmbeddingMatrix(data),
-                              np.array([True, True]))
+        out = zscore_features(data, np.array([True, True]))
         np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
 
     def test_needs_train_windows(self):
-        matrix = EmbeddingMatrix(np.zeros((2, 1), np.float32))
+        matrix = np.zeros((2, 1), np.float32)
         with pytest.raises(EmbeddingError, match="training"):
             zscore_features(matrix, np.array([False, False]))
 
     def test_requested_rows_equal_standardizing_every_row(self):
         rng = np.random.default_rng(7)
-        matrix = EmbeddingMatrix(rng.normal(size=(50, 4)) * [1.0, 1e3, 1e-3, 0.0])
+        matrix = (rng.normal(size=(50, 4)) * [1.0, 1e3, 1e-3, 0.0]).astype(np.float32)
         rows = np.sort(rng.choice(50, size=20, replace=False))
-        data = matrix.data.astype(np.float64)
+        data = matrix.astype(np.float64)
         sigma = data[rows].std(axis=0)
         want = (data - data[rows].mean(axis=0)) / np.where(sigma > 0.0, sigma, 1.0)
         assert zscore_features(matrix, rows).tobytes() == want[rows].tobytes()
 
     def test_peak_is_one_copy_of_the_requested_rows(self):
         rng = np.random.default_rng(8)
-        matrix = EmbeddingMatrix(rng.normal(size=(20_000, 16)))
-        rows = np.arange(0, matrix.rows, 10)
+        matrix = rng.normal(size=(20_000, 16)).astype(np.float32)
+        rows = np.arange(0, len(matrix), 10)
         tracemalloc.start()
         try:
             out = zscore_features(matrix, rows)
@@ -341,4 +340,4 @@ class TestZScore:
         rng = np.random.default_rng(5)
         m = featurize_window_set(make_window_set(rng.normal(size=(4, 10, 2)),
                                                  np.zeros((4, 10, 1))))
-        assert m.dims == 14
+        assert m.shape[1] == 14
