@@ -211,10 +211,11 @@ def bandwidth_floor(n_observations: int) -> float:
 # ---------------------------------------------------------------------------
 # Standard normal CDF and quantile: Cephes' ndtr (with its erf and erfc) and
 # ndtri, the algorithms and constants behind scipy.special.ndtr and ndtri,
-# giving their results to the bit.  Polynomials are numpy, evaluated in the
-# same operation order (Horner, no fused multiply-add); exp and log go through
-# the C library one element at a time, because numpy's vectorized exp and log
-# round some arguments differently.
+# giving their results to the bit.  Polynomials go through np.polyval: from
+# y = 0, its steps y = y * x + c (no fused multiply-add) are polevl's at any
+# finite x, and every x here is; p1evl's implied leading 1 is written (1.0, *Q).
+# exp and log go through the C library one element at a time, because numpy's
+# vectorized exp and log round some arguments differently.
 
 _SQRTH = 7.07106781186547524401e-1  # 1/sqrt(2)
 _MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x) underflows beyond
@@ -253,35 +254,6 @@ _NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
-def _coefficients(*polys: tuple) -> np.ndarray:
-    """Polynomials' coefficients, highest degree first, as a (degree + 1, m, 1)
-    array: entry i holds the i-th coefficient of each of the m polynomials,
-    zero-padded in front to one length."""
-    width = max(map(len, polys))
-    return np.array([(0.0,) * (width - len(p)) + p for p in polys]).T[:, :, None]
-
-
-# A Q, S or U polynomial starts with p1evl's implied leading 1.
-_ERF_TU = _coefficients(_ERF_T, (1.0, *_ERF_U))
-_ERFC_PQ = _coefficients(_ERFC_P, (1.0, *_ERFC_Q))
-_ERFC_RS = _coefficients(_ERFC_R, (1.0, *_ERFC_S))
-_NDTRI_PQ0 = _coefficients(_NDTRI_P0, (1.0, *_NDTRI_Q0))
-_NDTRI_PQ1 = _coefficients(_NDTRI_P1, (1.0, *_NDTRI_Q1))
-_NDTRI_PQ2 = _coefficients(_NDTRI_P2, (1.0, *_NDTRI_Q2))
-
-
-def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Each of :func:`_coefficients`' m polynomials at every element of x, an
-    (m, x.size) array, in Cephes' polevl steps: ans = ans * x + c from the
-    leading coefficient.  A leading 1 gives p1evl's steps and leading zeros
-    those of the shorter polynomial, exactly, at finite x."""
-    ans = coef[0] * x + coef[1]
-    for c in coef[2:]:
-        ans *= x
-        ans += c
-    return ans
-
-
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
@@ -306,17 +278,15 @@ def ndtr(a: np.ndarray) -> np.ndarray:
     small = z < 1.0
     w = np.where(near, x, z)[small]
     w2 = w * w
-    t, u = _horner(w2, _ERF_TU)
-    erf = w * t / u
+    erf = w * np.polyval(_ERF_T, w2) / np.polyval((1.0, *_ERF_U), w2)
     erfc = np.empty_like(z)
     erfc[small] = 1.0 - erf
-    tail = ~small
-    zt = z[tail]
-    p, q = _horner(zt, _ERFC_PQ)
+    zt = z[~small]
+    p, q = np.polyval(_ERFC_P, zt), np.polyval((1.0, *_ERFC_Q), zt)
     far = np.flatnonzero(zt >= 8.0)
     if far.size:
-        p[far], q[far] = _horner(zt[far], _ERFC_RS)
-    erfc[tail] = _libm(math.exp, -zt * zt) * p / q
+        p[far], q[far] = np.polyval(_ERFC_R, zt[far]), np.polyval((1.0, *_ERFC_S), zt[far])
+    erfc[~small] = _libm(math.exp, -zt * zt) * p / q
     half = 0.5 * erfc
     out = np.where(up, 1.0 - half, half)
     out[near] = 0.5 + 0.5 * erf[near[small]]
@@ -336,16 +306,16 @@ def ndtri(y0: np.ndarray) -> np.ndarray:
     central = np.flatnonzero(y > _EXP_M2)
     c = y[central] - 0.5
     c2 = c * c
-    p0, q0 = _horner(c2, _NDTRI_PQ0)
+    p0, q0 = np.polyval(_NDTRI_P0, c2), np.polyval((1.0, *_NDTRI_Q0), c2)
     out[central] = (c + c * (c2 * p0 / q0)) * _S2PI
     tail = np.flatnonzero((y > 0.0) & (y <= _EXP_M2))
     t = np.sqrt(-2.0 * _libm(math.log, y[tail]))
     x0 = t - _libm(math.log, t) / t
     r = 1.0 / t
-    p, q = _horner(r, _NDTRI_PQ1)
+    p, q = np.polyval(_NDTRI_P1, r), np.polyval((1.0, *_NDTRI_Q1), r)
     far = np.flatnonzero(t >= 8.0)
     if far.size:
-        p[far], q[far] = _horner(r[far], _NDTRI_PQ2)
+        p[far], q[far] = np.polyval(_NDTRI_P2, r[far]), np.polyval((1.0, *_NDTRI_Q2), r[far])
     d = x0 - r * p / q
     out[tail] = np.where(flip[tail], d, -d)
     return out

@@ -23,7 +23,11 @@ import functools
 import json
 import logging
 import math
+import os
+import shutil
+import signal
 import subprocess
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -45,6 +49,8 @@ PREDICT_BLOCK = 64
 # Windows gathered in float64 per chunk of a float32 training batch, so no
 # float64 batch is ever built.
 TRAIN_GATHER_CHUNK = 32
+# Seconds an external trainer's process group has to exit on SIGTERM before SIGKILL.
+EXTERNAL_GRACE_S = 1.0
 
 
 class TrainerError(MixsearchError, ValueError):
@@ -284,11 +290,10 @@ def patch_net_loss_and_grads(params: dict[str, np.ndarray], x: np.ndarray,
     return loss, grads
 
 
-def _gather_float32(windows: WindowSet, take: np.ndarray) -> np.ndarray:
-    """The windows ``take`` as one float32 (len(take), W, C_in) array, gathered
-    :data:`TRAIN_GATHER_CHUNK` windows at a time."""
-    out = np.empty((take.size, windows.window_length, windows.input_rows.shape[1]),
-                   dtype=np.float32)
+def _gather_float32(windows: WindowSet, take: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gather the windows ``take`` into the leading len(take) rows of the float32
+    (batch, W, C_in) array ``out``, :data:`TRAIN_GATHER_CHUNK` at a time; return those rows."""
+    out = out[:take.size]
     for i in range(0, take.size, TRAIN_GATHER_CHUNK):
         out[i:i + TRAIN_GATHER_CHUNK] = windows.gather(take[i:i + TRAIN_GATHER_CHUNK])
     return out
@@ -305,11 +310,12 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
 
     Training runs in float32: the parameters (cast from
     :func:`init_patch_net`'s float64 draws), the position code, the Adam
-    moments, the targets and each batch.  Each step gathers its own batch
-    straight into float32 and frees it before the next step gathers, so one
-    half-width batch is held at a time: on a 240,000-row table the traced
-    peak is 0.65 times one float64 batch.  The returned model predicts from
-    float64 windows, so its predictions are float64.
+    moments, the targets and each batch.  Each step gathers its batch straight
+    into one float32 batch array allocated before the first step, so one
+    half-width batch is held at a time, and no step leaves the allocator a
+    freed batch to place the next one beside: on a 240,000-row table the
+    traced peak is 0.65 times one float64 batch.  The returned model predicts
+    from float64 windows, so its predictions are float64.
     """
     _, ppw, in_dim = to_patches(windows.gather(idx[:1]), config.patch_len).shape
     n = idx.size
@@ -331,6 +337,8 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(v) for k, v in params.items()}
 
+    inputs = np.empty((batch, windows.window_length, windows.input_rows.shape[1]),
+                      dtype=np.float32)
     tokens = 0
     losses: list[float] = []
     for step in range(planned_steps):
@@ -339,9 +347,8 @@ def train_patch_net(idx: np.ndarray, windows: WindowSet,
             perm = rng.permutation(n)
         take = idx[perm[b * batch:(b + 1) * batch]]
         lr = lr_at_step(step, planned_steps, config.peak_lr, config.warmup_fraction)
-        # The gather is passed on unbound, so it is freed before the next step's.
         loss, grads = patch_net_loss_and_grads(
-            params, to_patches(_gather_float32(windows, take), config.patch_len),
+            params, to_patches(_gather_float32(windows, take, inputs), config.patch_len),
             windows.targets[take].astype(np.float32), pe)
         if not math.isfinite(loss):
             raise TrainingDivergedError(
@@ -412,13 +419,17 @@ class ExternalProtocol:
 def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
                             protocol: ExternalProtocol, config: TrainConfig,
                             handoff_dir: str | Path, seed: int) -> search.TrialEvaluation:
-    """Write the handoff files (``seed`` as ``train.seed``), run the command, read metrics.json.
+    """Write the handoff files (``seed`` as ``train.seed``) into a fresh handoff
+    directory, run the command in a session of its own, read metrics.json.
 
     Nonzero exit, timeout and malformed metrics each raise
-    :class:`ExternalTrainerError`, which the study maps to a failed trial.
-    """
+    :class:`ExternalTrainerError`, which the study maps to a failed trial.  The
+    first two, and an exception mid-run (a worker's SIGTERM), end the command's
+    process group."""
     handoff = Path(handoff_dir)
-    handoff.mkdir(parents=True, exist_ok=True)
+    if handoff.exists():  # an earlier search's metrics.json is never read
+        shutil.rmtree(handoff)
+    handoff.mkdir(parents=True)
     with (handoff / "mixture.csv").open("w") as fh:
         fh.write("window_index\n")
         for i in idx:
@@ -435,14 +446,18 @@ def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
         json.dumps(handoff_config, sort_keys=True, indent=2))
 
     argv = [token.replace("{dir}", str(handoff)) for token in protocol.command]
-    try:
-        proc = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=protocol.timeout_s)
-    except subprocess.TimeoutExpired:
-        raise ExternalTrainerError(
-            f"external trainer timed out after {protocol.timeout_s}s") from None
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            _, stderr = proc.communicate(timeout=protocol.timeout_s)
+        except subprocess.TimeoutExpired:
+            raise ExternalTrainerError(
+                f"external trainer timed out after {protocol.timeout_s}s") from None
+        finally:
+            if proc.returncode != 0:  # still running, or failed
+                _end_process_group(proc)
     if proc.returncode != 0:
-        tail = (proc.stderr or "").strip()[-500:]
+        tail = (stderr or "").strip()[-500:]
         raise ExternalTrainerError(
             f"external trainer exited {proc.returncode}: {tail}")
 
@@ -454,6 +469,20 @@ def external_trainer_invoke(idx: np.ndarray, windows: WindowSet,
     except json.JSONDecodeError as exc:
         raise ExternalTrainerError(f"metrics.json is not valid JSON: {exc}") from None
     return _parse_external_metrics(payload, windows.target_names, idx.size)
+
+
+def _end_process_group(proc: subprocess.Popen) -> None:
+    """SIGTERM the process group ``proc`` leads, give it :data:`EXTERNAL_GRACE_S`
+    to exit, SIGKILL what is left, and reap ``proc``."""
+    deadline = time.monotonic() + EXTERNAL_GRACE_S
+    with contextlib.suppress(ProcessLookupError):  # no process of the group is left
+        os.killpg(proc.pid, signal.SIGTERM)
+        while time.monotonic() < deadline:
+            proc.poll()  # a reaped leader leaves only the group's other members
+            os.killpg(proc.pid, 0)
+            time.sleep(0.02)
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
 
 
 def _parse_external_metrics(payload, target_names: list[str],

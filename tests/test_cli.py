@@ -879,17 +879,23 @@ class TestTrainerBranches:
         assert [r["state"] for r in records] == ["complete"] * 3
 
     @pytest.mark.skipif(sys.platform != "linux", reason="search workers fork on Linux only")
-    @pytest.mark.parametrize("to_group", [False, True], ids=["parent", "process-group"])
-    def test_interrupted_search_stops_its_trainers(self, raw_csv, tmp_path, to_group):
+    @pytest.mark.parametrize("to_group, forks", [
+        (False, False), (True, False), (False, True), (True, True)],
+        ids=["parent", "process-group", "forking-shell-parent", "forking-shell-process-group"])
+    def test_interrupted_search_stops_its_trainers(self, raw_csv, tmp_path, to_group, forks):
         out = tmp_path / "run"
         common = clustered_run(out, raw_csv)
         pids = tmp_path / "pids"
         pids.mkdir()
-        stub = tmp_path / "sleeper.py"
-        stub.write_text("import os, pathlib, time\n"
-                        f"pathlib.Path({str(pids)!r}, str(os.getpid())).touch()\n"
-                        "time.sleep(30)\n")
-        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        if forks:  # the shell's background child, which ignores SIGINT, outlives the shell
+            touch = f"touch {shlex.quote(str(pids))}"
+            cmd = f"sh -c {shlex.quote(f'{touch}/$$; sleep 30 & {touch}/$!; wait')}"
+        else:
+            stub = tmp_path / "sleeper.py"
+            stub.write_text("import os, pathlib, time\n"
+                            f"pathlib.Path({str(pids)!r}, str(os.getpid())).touch()\n"
+                            "time.sleep(30)\n")
+            cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
         src = str(Path(mixsearch.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         # Its own session, so a signal to its process group reaches no test process.
@@ -908,7 +914,7 @@ class TestTrainerBranches:
         started = []
         try:
             deadline = time.monotonic() + 60
-            while len(started) < min(2, len(os.sched_getaffinity(0))):
+            while len(started) < (1 + forks) * min(2, len(os.sched_getaffinity(0))):
                 assert time.monotonic() < deadline and proc.poll() is None, "no trainer started"
                 time.sleep(0.05)
                 started = [int(p.name) for p in pids.iterdir()]
@@ -1648,3 +1654,16 @@ class TestEdgeRefusals:
         records = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
         assert [r["state"] for r in records] == ["failed", "complete"]
         assert records[0]["error"].startswith(f"ExternalTrainerError: {message}")
+
+    def test_rerun_never_reads_the_last_search_external_metrics(self, staged_dir, tmp_path,
+                                                                capsys):
+        out, common = copied_run(staged_dir, tmp_path)
+        stub = tmp_path / "stub.py"
+        stub.write_text(STUB_TRAINER)
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{dir}}"
+        search = ["search", *common, "--trials", "3", "--jobs", "1", "--trainer", "external"]
+        assert main([*search, "--external-cmd", cmd]) == 0
+        capsys.readouterr()
+        # ``true`` exits 0 and writes nothing: every trial fails.
+        assert main([*search, "--external-cmd", "true"]) == 1
+        assert one_error_line(capsys).startswith("error: AllTrialsFailedError")

@@ -1,7 +1,9 @@
 import json
+import signal
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +421,25 @@ class TestPatchNet:
         one_batch = 256 * 300 * 15 * np.dtype(np.float64).itemsize
         assert traced_peak(lambda: train_patch_net(idx, ws, config, 0)) < 1.5 * one_batch
 
+    def test_allocates_one_float32_batch_per_call(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        ws = linear_window_set(rng, n=60, w=20)
+        # 60 windows of 4 patches, 3 epochs of 4 steps in batches of 16.
+        config = TrainConfig(trainer="patch-net", token_budget=60 * 4 * 3,
+                             batch_size=16, patch_len=5, embed_dim=8)
+        allocated = []
+        empty = np.empty
+
+        def spy(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            allocated.append((out.shape, out.dtype))
+            return out
+
+        monkeypatch.setattr(np, "empty", spy)
+        model = train_patch_net(np.arange(60), ws, config, 0)
+        assert len(model.epoch_losses) == 3
+        assert allocated.count(((16, 20, 2), np.dtype(np.float32))) == 1
+
     def test_patch_length_must_divide_window(self):
         rng = np.random.default_rng(9)
         ws = linear_window_set(rng, n=10, w=20)
@@ -604,6 +625,22 @@ metrics = {"mse": {n: 2.0 for n in names}, "mae": {n: 1.0 for n in names},
 
 STUB_FAIL = "import sys; sys.exit(3)"
 
+
+def live_pids(pgid, pids):
+    """Of ``pids`` and the members of process group ``pgid``, those that have not
+    exited, read from /proc; a zombie has exited, as an init may leave it unreaped."""
+    live = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # exited meanwhile
+            continue
+        pid = int(stat.parent.name)
+        if state != "Z" and (int(pgrp) == pgid or pid in pids):
+            live.add(pid)
+    return live
+
+
 STUB_MALFORMED = """
 import json, sys, pathlib
 d = pathlib.Path(sys.argv[1])
@@ -708,3 +745,53 @@ class TestExternalTrainer:
         assert "hidden_width" not in config["train"]
         assert config["target_names"] == ws.target_names
         assert config["n_windows"] == 12
+
+    def test_stale_handoff_files_removed_before_the_command(self, tmp_path):
+        handoff = tmp_path / "handoff"
+        handoff.mkdir()
+        (handoff / "metrics.json").write_text(
+            json.dumps({"mse": {"pm": 1.0}, "mae": {"pm": 1.0}, "avg_mse": 1.0}))
+        (handoff / "stray.txt").write_text("x")
+        with pytest.raises(ExternalTrainerError, match="produced no metrics.json"):
+            external_trainer_invoke(np.arange(12), self._ws(), ExternalProtocol(["true"]),
+                                    TrainConfig(trainer="external"), handoff, 0)
+        assert sorted(p.name for p in handoff.iterdir()) == ["config.json", "mixture.csv"]
+
+    def test_handoff_that_cannot_be_removed_fails_the_trial(self, tmp_path):
+        (tmp_path / "elsewhere").mkdir()
+        handoff = tmp_path / "handoff"
+        handoff.symlink_to(tmp_path / "elsewhere")  # rmtree refuses a symlink
+        with pytest.raises(OSError):
+            external_trainer_invoke(np.arange(12), self._ws(), ExternalProtocol(["true"]),
+                                    TrainConfig(trainer="external"), handoff, 0)
+        assert not any((tmp_path / "elsewhere").iterdir())
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    @pytest.mark.parametrize("script, timeout, match", [
+        ("sleep 60 & echo $! >> {dir}/pid; wait", 1.0, "timed out after 1.0s"),
+        ("sleep 60 > /dev/null 2>&1 & echo $! >> {dir}/pid; exit 3", 30.0, "exited 3"),
+        ("sleep 60 & echo $! >> {dir}/pid; wait", 30.0, None),
+    ], ids=["timeout", "nonzero-exit", "worker-sigterm"])
+    def test_trainer_process_group_ends_with_its_trial(self, tmp_path, script, timeout, match):
+        protocol = ExternalProtocol(["sh", "-c", "echo $$ > {dir}/pid; " + script], timeout)
+        handoff = tmp_path / "handoff"
+
+        def invoke():
+            external_trainer_invoke(np.arange(12), self._ws(), protocol,
+                                    TrainConfig(trainer="external"), handoff, 0)
+
+        if match:
+            with pytest.raises(ExternalTrainerError, match=match):
+                invoke()
+        else:
+            # A search worker's SIGTERM handler raises SystemExit mid-trial; SIGALRM stands in.
+            previous = signal.signal(signal.SIGALRM, lambda signum, frame: sys.exit(128 + signum))
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                with pytest.raises(SystemExit):
+                    invoke()
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        leader, child = map(int, (handoff / "pid").read_text().split())
+        assert live_pids(leader, {leader, child}) == set()
